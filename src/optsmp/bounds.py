@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .combinatorics import count_rank, entropy_bound, markov_photon_cutoff
 from .errors import ConfigError
 from .smp import (
-    Code,
+    DCC_N_CAP,
     RepetitionCode,
     bruteforce_deterministic_cc,
     coherent_fingerprint_protocol,
@@ -137,7 +137,7 @@ class ReportPoint:
     mu: float
     delta: float
     n: int | None = None
-    function: str | None = None  # name of the target, for D_exact lookup
+    function: str | None = None  # name of the target; "equality" gets D_exact
     notes: str = ""
 
 
@@ -178,31 +178,24 @@ class TradeoffRow:
         ]
 
 
-def build_report(
-    points: list[ReportPoint],
-    references: tuple[ComplexityReference, ...] = (),
-) -> list[TradeoffRow]:
+def build_report(points: list[ReportPoint]) -> list[TradeoffRow]:
     """One tradeoff row per grid point.
 
-    ``D_exact`` is filled from a matching exact reference, or computed by the
-    brute-force oracle when the point names a function with n <= 3.
+    ``log2_rank`` and ``classical_lhs`` are the same number, log2 C(a+m, m),
+    taken once per row. ``D_exact`` is computed by the brute-force oracle,
+    once per distinct n, only for points that name equality with n <= 3.
     """
-    exact = {
-        (r.function, r.n): r.value
-        for r in references
-        if r.kind == "D" and r.value is not None
-    }
+    d_exact_by_n: dict[int, int] = {}
     rows = []
     for pt in points:
         a = markov_photon_cutoff(pt.mu, pt.delta)
-        rank = count_rank(pt.m, a)
-        term_photon, term_mode, lhs_min = quantum_tradeoff_lhs(pt.m, pt.mu, pt.delta)
         log2_rank, h_bound = entropy_bound(a, pt.m)
+        term_photon, term_mode, lhs_min = quantum_tradeoff_lhs(pt.m, pt.mu, pt.delta)
         d_exact = None
-        if pt.function is not None and pt.n is not None:
-            d_exact = exact.get((pt.function, pt.n))
-            if d_exact is None and pt.function == "equality" and pt.n <= 3:
-                d_exact = bruteforce_deterministic_cc(equality_function(pt.n))
+        if pt.function == "equality" and pt.n is not None and pt.n <= DCC_N_CAP:
+            if pt.n not in d_exact_by_n:
+                d_exact_by_n[pt.n] = bruteforce_deterministic_cc(equality_function(pt.n))
+            d_exact = d_exact_by_n[pt.n]
         rows.append(
             TradeoffRow(
                 n=pt.n,
@@ -210,7 +203,7 @@ def build_report(
                 mu=pt.mu,
                 delta=pt.delta,
                 a=a,
-                log2_rank=rank.log2_rank,
+                log2_rank=log2_rank,
                 term_photon=term_photon,
                 term_mode=term_mode,
                 lhs_min=lhs_min,

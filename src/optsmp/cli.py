@@ -23,7 +23,6 @@ from .bounds import (
     CSV_HEADER,
     ReportPoint,
     build_report,
-    default_references,
     qfp_report_points,
 )
 from .combinatorics import count_rank, log_rank_bounds, markov_photon_cutoff
@@ -129,7 +128,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     if not isinstance(config, Mapping):
         raise ConfigError("bounds config must be a JSON object")
     points, kind = _bounds_points(config, args.delta)
-    rows = build_report(points, default_references())
+    rows = build_report(points)
     lines = [
         "# log_base=2",
         f"# mu_convention={MU_CONVENTION}",
@@ -148,11 +147,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _load_json(args.config)
     protocol = load_protocol(spec)
     if args.samples is not None:
-        report = evaluate_error(
-            protocol, mode="sampled", samples=args.samples, seed=args.seed, jobs=args.jobs
-        )
+        report = evaluate_error(protocol, mode="sampled", samples=args.samples, seed=args.seed)
     else:
-        report = evaluate_error(protocol, jobs=args.jobs)
+        report = evaluate_error(protocol)
     lines = [
         f"# protocol={report.protocol_name} n={protocol.n} m={protocol.m} mu={protocol.mu!r}",
         f"# log_base=2 mu_convention={MU_CONVENTION}",
@@ -172,7 +169,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         truncated, budget = transform_protocol(
             protocol, args.truncate, original_error=report.worst_error
         )
-        t_report = evaluate_error(truncated, jobs=args.jobs)
+        t_report = evaluate_error(truncated)
         cutoff = markov_photon_cutoff(protocol.mu, args.truncate)
         lines.append(f"# truncate_delta={args.truncate!r} cutoff={cutoff}")
         lines.append(
@@ -282,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--truncate", type=float, help="also evaluate the cutoff-truncated protocol at this delta")
     p_sim.add_argument("--samples", type=int, help="sampled mode: number of input pairs")
     p_sim.add_argument("--seed", type=int, help="seed for sampled mode")
-    p_sim.add_argument("--jobs", type=int, default=1, help="worker threads for pair evaluation")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_verify = sub.add_parser("verify", help="run property suites")

@@ -27,9 +27,13 @@ def markov_photon_cutoff(mu: float, delta: float) -> int:
     """
     if not (delta > 0.0 and delta < 1.0):
         raise ConfigError(f"delta must be in (0, 1), got {delta}")
+    if not math.isfinite(mu):
+        raise ConfigError(f"mu must be finite, got {mu}")
     if mu < 0.0:
         raise ConfigError(f"mu must be nonnegative, got {mu}")
     ratio = mu / delta
+    if not math.isfinite(ratio):
+        raise ConfigError(f"mu/delta = {mu}/{delta} overflows to {ratio}")
     nearest = round(ratio)
     if math.isclose(ratio, nearest, rel_tol=1e-9, abs_tol=1e-9):
         return int(nearest)

@@ -17,7 +17,6 @@ choose the next measurement) are deliberately not modeled.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -226,10 +225,6 @@ def beamsplitter_pair(a: PureState, b: PureState) -> PureState:
 # ---------------------------------------------------------------------------
 # Referees
 
-def _state_key(state: PureState) -> tuple:
-    return (state.modes, tuple(sorted(state.amplitudes.items())))
-
-
 def _clamp01(p: float) -> float:
     return 0.0 if p < 0.0 else (1.0 if p > 1.0 else p)
 
@@ -240,14 +235,16 @@ class InterferenceVacuumReferee:
 
     Product messages are handled factor by factor (the acceptance event
     factorizes over mode pairs); entangled messages fall back to the joint
-    sparse computation. Both paths compute the same probability.
+    sparse computation. Both paths compute the same probability. The
+    factor-pair cache is keyed on the factor objects themselves, so encoders
+    should reuse one object per distinct single-mode factor.
     """
 
     def __init__(self) -> None:
         self._pair_cache: dict[tuple, float] = {}
 
     def _pair_dark_probability(self, fa: PureState, fb: PureState) -> float:
-        key = (_state_key(fa), _state_key(fb))
+        key = (fa, fb)
         hit = self._pair_cache.get(key)
         if hit is not None:
             return hit
@@ -439,18 +436,14 @@ def evaluate_error(
     mode: str = "exhaustive",
     samples: int | None = None,
     seed: int | None = None,
-    jobs: int = 1,
 ) -> ErrorReport:
     """Exact worst-case error of a protocol.
 
     Exhaustive mode enumerates all 4^n input pairs (n <= 12 enforced).
     Sampled mode draws ``samples`` pairs from a deterministic per-seed stream
     and evaluates each sampled pair exactly; it reports the max observed error
-    plus the mean and its standard error. ``jobs`` maps pairs over a thread
-    pool; reports are identical for every jobs value.
+    plus the mean and its standard error.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     if mode == "exhaustive":
         if protocol.n > TABLE_N_CAP:
             raise ConfigError(
@@ -473,11 +466,7 @@ def evaluate_error(
     else:
         raise ConfigError(f"unknown evaluation mode {mode!r}")
 
-    if jobs == 1:
-        rows = [_pair_error(protocol, x, y) for x, y in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda xy: _pair_error(protocol, *xy), pairs))
+    rows = [_pair_error(protocol, x, y) for x, y in pairs]
 
     worst = max(rows, key=lambda r: (r[3], -r[0], -r[1]))
     errors = [r[3] for r in rows]
@@ -528,6 +517,8 @@ def coherent_fingerprint_protocol(
     """
     if code.n != n:
         raise ConfigError(f"code encodes n={code.n} bits, protocol wants n={n}")
+    if not math.isfinite(mu_total):
+        raise ConfigError(f"mu_total must be finite, got {mu_total}")
     if mu_total < 0.0:
         raise ConfigError(f"mu_total must be >= 0, got {mu_total}")
     m = code.m

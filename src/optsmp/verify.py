@@ -21,6 +21,7 @@ from .combinatorics import (
     binomial_power_bound,
     count_rank,
     entropy_profile,
+    iter_occupations,
     log_rank_bounds,
 )
 from .errors import ConfigError, PremiseViolationError
@@ -119,23 +120,7 @@ def _random_diagonal(rng: np.random.Generator, modes: int, max_occ: int, max_ter
 def _dense_basis(modes: int) -> tuple[tuple[int, ...], ...]:
     # Largest total-photon cutoff keeping the dimension at or below 32.
     cutoff = {1: 31, 2: 6, 3: 3}[modes]
-    basis = [
-        occ
-        for occ in sorted(
-            _occupations(modes, cutoff), key=lambda o: (total_photons(o), o)
-        )
-    ]
-    return tuple(basis)
-
-
-def _occupations(modes: int, max_total: int):
-    if modes == 1:
-        for n in range(max_total + 1):
-            yield (n,)
-        return
-    for n in range(max_total + 1):
-        for rest in _occupations(modes - 1, max_total - n):
-            yield (n,) + rest
+    return tuple(sorted(iter_occupations(modes, cutoff), key=lambda o: (total_photons(o), o)))
 
 
 def _random_dense(rng: np.random.Generator, modes: int) -> DenseOperator:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from optsmp import bounds
 from optsmp.bounds import (
     CSV_HEADER,
     ComplexityReference,
@@ -72,7 +73,7 @@ def test_default_references_cover_models():
 
 
 def test_build_report_grid_row():
-    rows = build_report([ReportPoint(m=2, mu=1.0, delta=0.01)], default_references())
+    rows = build_report([ReportPoint(m=2, mu=1.0, delta=0.01)])
     assert len(rows) == 1
     row = rows[0]
     assert row.a == 100
@@ -80,6 +81,7 @@ def test_build_report_grid_row():
     assert row.term_photon == pytest.approx(1.0, abs=1e-12)
     assert row.term_mode == pytest.approx(2 * math.log2(101), abs=1e-12)
     assert row.lhs_min == pytest.approx(1.0, abs=1e-12)
+    assert row.classical_lhs == row.log2_rank
     assert row.entropy_bound >= row.log2_rank
     cells = row.csv_cells()
     assert len(cells) == len(CSV_HEADER.split(","))
@@ -87,10 +89,7 @@ def test_build_report_grid_row():
 
 
 def test_build_report_fills_exact_cost_for_equality():
-    rows = build_report(
-        [ReportPoint(m=6, mu=2.0, delta=1e-4, n=2, function="equality")],
-        default_references(),
-    )
+    rows = build_report([ReportPoint(m=6, mu=2.0, delta=1e-4, n=2, function="equality")])
     assert rows[0].d_exact == 3
 
 
@@ -100,6 +99,24 @@ def test_qfp_report_points_build_real_protocols():
     assert [p.m for p in points] == [6, 12]
     assert all(p.function == "equality" for p in points)
     assert "repetition x3" in points[0].notes
-    rows = build_report(points, default_references())
-    assert rows[0].d_exact == 3  # n=2 equality has an exact reference
+    rows = build_report(points)
+    assert rows[0].d_exact == 3  # n=2 equality is within the brute-force cap
     assert rows[1].d_exact is None  # n=4 is beyond the brute-force cap
+
+
+def test_build_report_runs_the_oracle_once_per_distinct_n(monkeypatch):
+    calls = []
+    oracle = bounds.bruteforce_deterministic_cc
+
+    def counted(table):
+        calls.append(table.n)
+        return oracle(table)
+
+    monkeypatch.setattr(bounds, "bruteforce_deterministic_cc", counted)
+    rows = build_report(qfp_report_points([2, 2, 3], 2.0, 1e-3, 2))
+    assert [row.d_exact for row in rows] == [3, 3, 4]
+    assert calls == [2, 3]
+    # A second report starts from nothing: no cache outlives the call.
+    build_report(qfp_report_points([2], 2.0, 1e-3, 2))
+    assert calls == [2, 3, 2]
+

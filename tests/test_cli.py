@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from optsmp import bounds
 from optsmp.cli import main
 
 
@@ -99,6 +100,18 @@ def test_bounds_grid_report(tmp_path, capsys):
     assert float(row[5]) == pytest.approx(math.log2(5151), abs=1e-12)
 
 
+def test_bounds_grid_never_runs_the_oracle(tmp_path, capsys, monkeypatch):
+    def refuse(table):
+        raise AssertionError("grid rows name no function")
+
+    monkeypatch.setattr(bounds, "bruteforce_deterministic_cc", refuse)
+    config = _write_config(tmp_path, "grid.json", {"kind": "grid", "m": [2, 8], "mu": [0.5, 2.0]})
+    assert main(["bounds", "--config", config]) == 0
+    rows = capsys.readouterr().out.splitlines()[4:]
+    assert len(rows) == 4
+    assert all(row.split(",")[11] == "" for row in rows)
+
+
 def test_bounds_accepts_integer_ranges(tmp_path, capsys):
     config = _write_config(
         tmp_path,
@@ -191,12 +204,34 @@ def test_simulate_sampled_mode(tmp_path, capsys):
 
 def test_simulate_deterministic_across_runs_and_jobs(tmp_path):
     config = _write_config(tmp_path, "p.json", QFP2)
-    outs = [str(tmp_path / f"r{i}.csv") for i in range(3)]
+    outs = [str(tmp_path / f"r{i}.csv") for i in range(2)]
     assert main(["simulate", "--config", config, "--out", outs[0]]) == 0
     assert main(["simulate", "--config", config, "--out", outs[1]]) == 0
-    assert main(["simulate", "--config", config, "--jobs", "4", "--out", outs[2]]) == 0
-    blobs = [(tmp_path / f"r{i}.csv").read_bytes() for i in range(3)]
-    assert blobs[0] == blobs[1] == blobs[2]
+    blobs = [(tmp_path / f"r{i}.csv").read_bytes() for i in range(2)]
+    assert blobs[0] == blobs[1]
+    # Evaluation is one serial loop; there is no thread-count option.
+    assert main(["simulate", "--config", config, "--jobs", "4"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["simulate"], {"type": "qfp", "n": 2, "mu": math.inf}),
+        (["simulate"], {"type": "qfp", "n": 2, "mu": math.nan}),
+        (["bounds"], {"kind": "grid", "m": [2], "mu": [math.nan]}),
+        (["bounds"], {"kind": "grid", "m": [2], "mu": [math.inf]}),
+        (["bounds"], {"kind": "grid", "m": [2], "mu": [1e300], "delta": [1e-300]}),
+        (["rank", "3", "--mu", "nan"], None),
+    ],
+    ids=["simulate-inf", "simulate-nan", "bounds-nan", "bounds-inf", "bounds-overflow", "rank-nan"],
+)
+def test_non_finite_numbers_exit_two(tmp_path, capsys, argv, data):
+    if data is not None:
+        argv = argv + ["--config", _write_config(tmp_path, "c.json", data)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,15 @@ def test_metrics_on_orthogonal_and_identical_pure_states():
     assert fidelity(a, a) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_phase_rotated_copy_is_at_distance_zero():
+    # |<a|b>| rounds one ulp below 1 here; sqrt(1 - |<a|b>|^2) gave 1.49e-8.
+    amps = {(0,): 0.1, (1,): 0.5}
+    a = PureState(1, amps, normalize=True)
+    b = PureState(1, {occ: 1j * c for occ, c in amps.items()}, normalize=True)
+    assert trace_distance(a, b) == 0.0
+    assert fidelity(a, b) == 1.0
+
+
 def test_pure_state_metric_identity():
     a = PureState(1, {(0,): 0.6, (1,): 0.8})
     b = PureState(1, {(0,): 0.8, (1,): 0.6})

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from optsmp import smp
 from optsmp.errors import ConfigError, ModeMismatchError
 from optsmp.fock import (
     FockDiagonalState,
@@ -275,20 +276,25 @@ def test_sampled_evaluation_requires_seed_and_samples():
         evaluate_error(_toy(), mode="sampled", seed=1)
     with pytest.raises(ConfigError):
         evaluate_error(_toy(), mode="bogus")
-    with pytest.raises(ConfigError):
-        evaluate_error(_toy(), jobs=0)
-
-
-def test_thread_count_does_not_change_the_report():
-    protocol = coherent_fingerprint_protocol(2, RepetitionCode(2, 2), 1.0)
-    r1 = evaluate_error(protocol, jobs=1)
-    r4 = evaluate_error(protocol, jobs=4)
-    assert r1.pair_errors == r4.pair_errors
-    assert r1.worst_pair == r4.worst_pair
 
 
 # ---------------------------------------------------------------------------
 # Coherent fingerprinting
+
+def test_pair_cache_interferes_each_factor_pair_once(monkeypatch):
+    calls = []
+    interfere = smp.beamsplitter_pair
+
+    def counted(a, b):
+        calls.append((a, b))
+        return interfere(a, b)
+
+    monkeypatch.setattr(smp, "beamsplitter_pair", counted)
+    report = evaluate_error(coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.0))
+    assert len(report.pair_errors) == 256
+    # Two distinct factors (the +alpha and -alpha coherent states) give at
+    # most four factor pairs, however many modes and input pairs there are.
+    assert len(calls) <= 4
 
 def test_fingerprint_matches_closed_form():
     protocol = coherent_fingerprint_protocol(2, RepetitionCode(2, 3), 2.0)
