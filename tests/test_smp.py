@@ -296,6 +296,7 @@ def test_pair_cache_interferes_each_factor_pair_once(monkeypatch):
     # most four factor pairs, however many modes and input pairs there are.
     assert len(calls) <= 4
 
+
 def test_fingerprint_matches_closed_form():
     protocol = coherent_fingerprint_protocol(2, RepetitionCode(2, 3), 2.0)
     assert protocol.m == 6
