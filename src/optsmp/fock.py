@@ -442,7 +442,9 @@ def mean_photon_number(state: State) -> float:
     if isinstance(state, FockDiagonalState):
         return sum(p * total_photons(idx) for idx, p in state.probabilities.items())
     if isinstance(state, ProductPureState):
-        return sum(mean_photon_number(f) for f in state.factors)
+        # Encoders reuse a few factor objects across all modes.
+        means = {f: mean_photon_number(f) for f in set(state.factors)}
+        return sum(means[f] for f in state.factors)
     if isinstance(state, DenseOperator):
         diag = np.real(np.diagonal(state.matrix))
         return float(sum(p * total_photons(occ) for p, occ in zip(diag, state.basis)))

@@ -611,43 +611,73 @@ def deterministic_cc_matrix(values: Sequence[Sequence[int]]) -> int:
             if v not in (0, 1):
                 raise ConfigError("matrix entries must be 0 or 1")
 
-    memo: dict[tuple[int, int], int] = {}
+    # A matrix is a tuple of row bitmasks over ``width`` columns. Removing a
+    # duplicate row or column does not change the cost (the twin follows its
+    # copy through any protocol), so the search runs on reduced matrices
+    # only, and a reduced matrix is monochromatic exactly when it is 1x1.
+    # Cost is the same for a matrix and its transpose.
 
-    def bits(mask: int) -> list[int]:
-        return [i for i in range(8) if mask >> i & 1]
+    def transpose(rows: Sequence[int], width: int) -> list[int]:
+        return [sum((r >> j & 1) << i for i, r in enumerate(rows)) for j in range(width)]
 
-    def cost(rmask: int, cmask: int) -> int:
-        key = (rmask, cmask)
+    def reduced(rows: Sequence[int], width: int) -> tuple[tuple[int, ...], int]:
+        rows = sorted(set(rows))
+        cols = sorted(set(transpose(rows, width)))
+        return tuple(sorted(transpose(cols, len(rows)))), len(cols)
+
+    def rank(rows: Iterable[int], width: int) -> int:
+        # Over the integers mod a prime: the rank over any field bounds the
+        # leaf count, and no minor of a 0/1 8x8 matrix is a nonzero multiple
+        # of this prime, so this is the rational rank.
+        prime = 2**31 - 1
+        vecs = [[r >> j & 1 for j in range(width)] for r in rows]
+        found = 0
+        for j in range(width):
+            pivot = next((v for v in vecs if v[j]), None)
+            if pivot is None:
+                continue
+            vecs.remove(pivot)
+            inv = pow(pivot[j], -1, prime)
+            for v in vecs:
+                if v[j]:
+                    f = v[j] * inv % prime
+                    v[j:] = [(x - f * y) % prime for x, y in zip(v[j:], pivot[j:])]
+            found += 1
+        return found
+
+    memo: dict[tuple[tuple[int, ...], int], int] = {}
+
+    def cost(rows: tuple[int, ...], width: int) -> int:
+        key = (rows, width)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        rows = bits(rmask)
-        cols = bits(cmask)
-        first = vals[rows[0]][cols[0]]
-        if all(vals[i][j] == first for i in rows for j in cols):
+        height = len(rows)
+        if height == 1 and width == 1:
             memo[key] = 0
             return 0
-        best = 1 << 30
-        for mask, is_row in ((rmask, True), (cmask, False)):
-            if mask & (mask - 1) == 0:
-                continue  # a single line cannot be split
-            low = mask & -mask
-            # Canonical bipartitions: the half containing the lowest bit.
-            sub = (mask - 1) & mask
-            while sub:
-                if sub & low and sub != mask:
-                    rest = mask ^ sub
-                    if is_row:
-                        branch = max(cost(sub, cmask), cost(rest, cmask))
-                    else:
-                        branch = max(cost(rmask, sub), cost(rmask, rest))
-                    if 1 + branch < best:
-                        best = 1 + branch
-                sub = (sub - 1) & mask
+        # Bounds. A depth-c tree has at most 2^c leaves, and the 1-leaves
+        # (0-leaves) sum to the matrix (its complement), so their number is
+        # at least its rank. Sending one's line index and then the answer
+        # bit costs ceil(log2 lines) + 1.
+        full = (1 << width) - 1
+        low = (rank(rows, width) + rank((full ^ r for r in rows), width) - 1).bit_length()
+        best = (min(height, width) - 1).bit_length() + 1
+        for lines, length in ((rows, width), (transpose(rows, width), height)):
+            count = len(lines)
+            # Canonical bipartitions: the half containing line 0.
+            for half in range(1, (1 << count) - 1, 2):
+                if best == low:
+                    break
+                a = cost(*reduced([r for i, r in enumerate(lines) if half >> i & 1], length))
+                if 1 + a >= best:
+                    continue
+                b = cost(*reduced([r for i, r in enumerate(lines) if not half >> i & 1], length))
+                best = min(best, 1 + max(a, b))
         memo[key] = best
         return best
 
-    return cost((1 << n_rows) - 1, (1 << n_cols) - 1)
+    return cost(*reduced([sum(v << j for j, v in enumerate(row)) for row in vals], n_cols))
 
 
 def bruteforce_deterministic_cc(table: FunctionTable) -> int:

@@ -367,6 +367,66 @@ def test_cost_monotone_under_taking_subtables():
                 assert deterministic_cc_matrix(sub) <= d_full
 
 
+def _plain_cost(values):
+    """The protocol-tree search with no reduction and no bounds: every
+    bipartition of every row and column subset, memoized on the subsets."""
+    memo = {}
+
+    def cost(rows, cols):
+        if (rows, cols) not in memo:
+            if len({values[i][j] for i in rows for j in cols}) == 1:
+                memo[rows, cols] = 0
+            else:
+                best = math.inf
+                for side, is_row in ((rows, True), (cols, False)):
+                    for k in range(1 << (len(side) - 1)):
+                        half = tuple(v for b, v in enumerate(side) if (k << 1 | 1) >> b & 1)
+                        rest = tuple(v for v in side if v not in half)
+                        if not rest:
+                            continue
+                        pair = ((half, cols), (rest, cols)) if is_row else ((rows, half), (rows, rest))
+                        best = min(best, 1 + max(cost(*pair[0]), cost(*pair[1])))
+                memo[rows, cols] = best
+        return memo[rows, cols]
+
+    return cost(tuple(range(len(values))), tuple(range(len(values[0]))))
+
+
+def test_cost_matrix_matches_plain_search():
+    # Its two ranks, 4 + 4 = 8, allow depth 3, one below sending a row index
+    # and the answer bit: the search must not stop at 4.
+    tight = [[1, 1, 1, 1, 1], [1, 0, 1, 0, 1], [1, 0, 1, 0, 0], [0, 0, 1, 1, 1], [0, 1, 0, 1, 1]]
+    assert deterministic_cc_matrix(tight) == _plain_cost(tight) == 3
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        shape = rng.integers(1, 6, size=2)
+        values = (rng.random(shape) < rng.random()).astype(int).tolist()
+        assert deterministic_cc_matrix(values) == _plain_cost(values), values
+
+
+def test_cost_ignores_duplicates_and_transposition():
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        values = rng.integers(0, 2, size=(4, 3))
+        cost = deterministic_cc_matrix(values.tolist())
+        assert deterministic_cc_matrix(values.T.tolist()) == cost
+        doubled = values[[0, 0, 1, 2, 3, 3]][:, [2, 0, 1, 2]]
+        assert deterministic_cc_matrix(doubled.tolist()) == cost
+
+
+def test_cost_of_three_bit_functions():
+    x = np.arange(8)
+    tables = {
+        "equality": x[:, None] == x[None, :],
+        "greater-than": x[:, None] > x[None, :],
+        "disjointness": (x[:, None] & x[None, :]) == 0,
+        "inner-product": np.vectorize(lambda v: bin(v).count("1") % 2)(x[:, None] & x[None, :]),
+        "one-rectangle": (x[:, None] < 3) & (x[None, :] >= 5),
+    }
+    costs = {name: deterministic_cc_matrix(t.astype(int).tolist()) for name, t in tables.items()}
+    assert costs == {"equality": 4, "greater-than": 4, "disjointness": 4, "inner-product": 4, "one-rectangle": 2}
+
+
 # ---------------------------------------------------------------------------
 # JSON protocol descriptions
 
