@@ -6,7 +6,7 @@ family), ``simulate`` (exact protocol error evaluation), ``verify``
 ``rank`` (truncated-subspace dimension). Outputs are deterministic functions
 of (config, seed): identical runs produce byte-identical files. Exit codes:
 0 success, 1 internal failure or failed verification, 2 invalid
-configuration.
+configuration or an internal limit (support or dimension cap) reached.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .bounds import (
     qfp_report_points,
 )
 from .combinatorics import count_rank, log_rank_bounds, markov_photon_cutoff
-from .errors import ConfigError, OptSmpError
+from .errors import ConfigError, DimensionCapError, OptSmpError, SupportCapError
 from .smp import FunctionTable, bruteforce_deterministic_cc, equality_function, evaluate_error, load_protocol
 from .truncation import transform_protocol
 from .verify import DEFAULT_SEED, SUITES, run_suites
@@ -317,8 +317,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SupportCapError, DimensionCapError) as exc:
+        print(f"error: internal limit: {exc}", file=sys.stderr)
         return 2
     except OptSmpError as exc:
         print(f"error: {exc}", file=sys.stderr)

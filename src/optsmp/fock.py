@@ -543,9 +543,14 @@ def overlap(a: PureState | ProductPureState, b: PureState | ProductPureState) ->
 
 
 def _sqrt_psd(matrix: np.ndarray) -> np.ndarray:
-    """Matrix square root of a Hermitian PSD matrix via eigendecomposition."""
+    """Matrix square root of a Hermitian PSD matrix via eigendecomposition.
+
+    Eigenvalues within rounding of zero (below dim * eps * max|lambda|) are
+    set to zero: their square roots would turn 1e-16 of noise into 1e-8.
+    """
     vals, vecs = np.linalg.eigh(matrix)
-    vals = np.clip(vals, 0.0, None)
+    floor = len(vals) * np.finfo(float).eps * np.abs(vals).max()
+    vals = np.where(vals > floor, vals, 0.0)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 

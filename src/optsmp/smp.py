@@ -23,12 +23,13 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, ModeMismatchError
+from .errors import ConfigError, ModeMismatchError, SupportCapError
 from .fock import (
     FockDiagonalState,
     FockIndex,
     ProductPureState,
     PureState,
+    SUPPORT_CAP,
     coherent_state,
     cutoff_for_tail,
     mean_photon_number,
@@ -229,15 +230,70 @@ def _clamp01(p: float) -> float:
     return 0.0 if p < 0.0 else (1.0 if p > 1.0 else p)
 
 
+def _dark_probability(
+    a: Mapping[FockIndex, complex], b: Mapping[FockIndex, complex]
+) -> float:
+    """Probability that every difference port stays dark when mode i of ket
+    ``a`` meets mode i of ket ``b`` on a balanced beamsplitter.
+
+    The beamsplitter sends |n, l> to the dark-port outcome |n+l, 0> with
+    amplitude sqrt(C(n+l, n) / 2^(n+l)), so
+
+        P = sum_t prod(t_i!) / 2^|t| * |sum_{n+l=t} a(n) b(l) / sqrt(n! l!)|^2,
+
+    one double loop over the two supports. Each amplitude is scaled by
+    rho^|n| and each weight by rho^(-2|t|), which leaves P unchanged and keeps
+    both in floating-point range up to the 512-photon limit per mode pair.
+    Occupations are keyed by their digits in base ``top + 1``, so that n + l
+    is one integer addition.
+    """
+    top = max(x + y for x, y in zip(map(max, zip(*a)), map(max, zip(*b))))
+    if top > 512:
+        raise ConfigError(f"interference input too energetic: {top} photons in one mode pair")
+    base = top + 1
+    rho = math.sqrt(top / 2.0) or 1.0
+    scale = [1.0]  # rho^k / sqrt(k!)
+    weight = [1.0]  # k! / (2 rho^2)^k
+    for k in range(1, base):
+        scale.append(scale[-1] * rho / math.sqrt(k))
+        weight.append(weight[-1] * k / (2.0 * rho * rho))
+
+    def scaled(amps: Mapping[FockIndex, complex]) -> list[tuple[int, complex]]:
+        out = []
+        for idx, amp in amps.items():
+            key = 0
+            for n in reversed(idx):
+                key = key * base + n
+                amp *= scale[n]
+            out.append((key, amp))
+        return out
+
+    terms_b = scaled(b)
+    sums: dict[int, complex] = {}
+    for key_a, amp_a in scaled(a):
+        for key_b, amp_b in terms_b:
+            key = key_a + key_b
+            sums[key] = sums.get(key, 0.0) + amp_a * amp_b
+    p = 0.0
+    for key, amp in sums.items():
+        w = 1.0
+        while key:
+            key, t = divmod(key, base)
+            w *= weight[t]
+        p += w * (amp.real * amp.real + amp.imag * amp.imag)
+    return p
+
+
 class InterferenceVacuumReferee:
     """Interferes Alice's mode i with Bob's mode i on balanced beamsplitters
     and outputs 1 ("equal") exactly when every difference port is dark.
 
     Product messages are handled factor by factor (the acceptance event
-    factorizes over mode pairs); entangled messages fall back to the joint
-    sparse computation. Both paths compute the same probability. The
-    factor-pair cache is keyed on the factor objects themselves, so encoders
-    should reuse one object per distinct single-mode factor.
+    factorizes over mode pairs); entangled messages take the same dark-port
+    sum over the two joint supports. No beamsplitter output is built on
+    either path. The factor-pair cache is keyed on the factor objects
+    themselves, so encoders should reuse one object per distinct single-mode
+    factor.
     """
 
     def __init__(self) -> None:
@@ -248,9 +304,7 @@ class InterferenceVacuumReferee:
         hit = self._pair_cache.get(key)
         if hit is not None:
             return hit
-        out = beamsplitter_pair(fa, fb)
-        p = sum(abs(amp) ** 2 for idx, amp in out.amplitudes.items() if idx[1] == 0)
-        p = _clamp01(p)
+        p = _clamp01(_dark_probability(fa.amplitudes, fb.amplitudes))
         self._pair_cache[key] = p
         return p
 
@@ -274,16 +328,10 @@ class InterferenceVacuumReferee:
             raise TypeError("interference referee requires pure messages")
         if a.modes != b.modes:
             raise ModeMismatchError(f"message mode mismatch: {a.modes} vs {b.modes}")
-        m = a.modes
-        joint = tensor(a, b)
-        for i in range(m):
-            joint = apply_beamsplitter(joint, i, m + i)
-        p = sum(
-            abs(amp) ** 2
-            for idx, amp in joint.amplitudes.items()
-            if all(n == 0 for n in idx[m:])
-        )
-        return _clamp01(p)
+        pairs = a.support_size() * b.support_size()
+        if pairs > SUPPORT_CAP:
+            raise SupportCapError(f"pair support {pairs} exceeds cap {SUPPORT_CAP}")
+        return _clamp01(_dark_probability(a.amplitudes, b.amplitudes))
 
 
 class FockOutcomeReferee:

@@ -22,6 +22,7 @@ from .errors import (
     ConfigError,
     ModeMismatchError,
     PremiseViolationError,
+    SupportCapError,
     VacuousTruncationError,
 )
 from .fock import (
@@ -29,6 +30,7 @@ from .fock import (
     FockDiagonalState,
     ProductPureState,
     PureState,
+    SUPPORT_CAP,
     State,
     total_photons,
 )
@@ -119,7 +121,7 @@ def project_below_cutoff(
         if state.max_total_photons() <= cutoff:
             # The projector acts as the identity on the whole joint support.
             return state, 1.0
-        return project_below_cutoff(state.to_pure_state(), cutoff)
+        return _project_product(state, cutoff)
     if isinstance(state, DenseOperator):
         mask = state.cutoff_mask(cutoff)
         weight = float(np.real(np.diagonal(state.matrix))[mask].sum())
@@ -129,6 +131,50 @@ def project_below_cutoff(
         mat = state.matrix * np.outer(proj, proj) / weight
         return DenseOperator(state.basis, mat), weight
     raise TypeError(f"unsupported state type {type(state).__name__}")
+
+
+def _project_product(state: ProductPureState, cutoff: int) -> tuple[PureState, float]:
+    """Projection of a product onto total photons <= cutoff, built from the
+    photon-number simplex only: occupations with total <= cutoff inside every
+    factor's support, each amplitude the product of its factor amplitudes.
+    The full product ket is never formed.
+
+    The kept terms are counted first. A projected message is only ever
+    interfered with another one, at a cost of one term per pair of support
+    entries, so a support whose square exceeds ``SUPPORT_CAP`` is refused
+    before any term is built.
+    """
+    factor_terms = [
+        [(idx, amp, total_photons(idx)) for idx, amp in f.amplitudes.items()]
+        for f in state.factors
+    ]
+    counts = {0: 1}  # kept prefixes by photon total
+    for terms in factor_terms:
+        grown: dict[int, int] = {}
+        for n, count in counts.items():
+            for _, _, k in terms:
+                if n + k <= cutoff:
+                    grown[n + k] = grown.get(n + k, 0) + count
+        counts = grown
+    size = sum(counts.values())
+    if size == 0:
+        raise VacuousTruncationError(f"no support at or below cutoff {cutoff}")
+    if size * size > SUPPORT_CAP:
+        raise SupportCapError(
+            f"projected support {size} is too large to interfere: a pair of such "
+            f"messages spans {size * size} terms, above cap {SUPPORT_CAP}"
+        )
+    kept = [((), 1.0 + 0.0j, 0)]
+    for terms in factor_terms:
+        kept = [
+            (idx + fidx, amp * famp, n + k)
+            for idx, amp, n in kept
+            for fidx, famp, k in terms
+            if n + k <= cutoff
+        ]
+    amps = {idx: amp for idx, amp, _ in kept}
+    weight = sum(abs(amp) ** 2 for amp in amps.values())
+    return PureState(state.modes, amps, normalize=True), weight
 
 
 def check_gentle_measurement(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -192,6 +193,18 @@ def test_simulate_truncate_budget_columns(tmp_path, capsys):
     assert budget == pytest.approx(before + 2 * math.sqrt(1e-4), abs=1e-12)
     header_at = lines.index("x,y,f,p_error,p_error_truncated")
     assert len(lines[header_at + 1].split(",")) == 5
+
+
+def test_simulate_truncate_past_the_support_cap_is_an_internal_limit(tmp_path, capsys):
+    # m=12 at cutoff 10: each projected message would keep 646490 terms.
+    qfp4 = {"type": "qfp", "n": 4, "mu": 2.0, "code": {"kind": "repetition", "repeats": 3}}
+    config = _write_config(tmp_path, "p.json", qfp4)
+    start = time.perf_counter()
+    assert main(["simulate", "--config", config, "--truncate", "0.2"]) == 2
+    assert time.perf_counter() - start < 30.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal limit: projected support 646490 ")
 
 
 def test_simulate_sampled_mode(tmp_path, capsys):

@@ -346,6 +346,22 @@ def test_dense_metrics_match_pure_computation():
     assert fidelity(da, db) == pytest.approx(fidelity(a, b), abs=1e-9)
 
 
+def test_dense_fidelity_of_disjoint_kets_is_zero():
+    # Square roots of the rounding-level eigenvalues of each projector gave
+    # dense fidelities up to 1.1e-8 for 24 of these 30 pairs.
+    rng = np.random.default_rng(4)
+    occs = [(i, j) for i in range(3) for j in range(3)]
+    basis = tuple(occs[:6])
+    for _ in range(30):
+        order = rng.permutation(6)
+        a = PureState(2, {basis[k]: complex(*rng.normal(size=2)) for k in order[:3]}, normalize=True)
+        b = PureState(2, {basis[k]: complex(*rng.normal(size=2)) for k in order[3:]}, normalize=True)
+        da = DenseOperator.from_pure_state(a, basis)
+        db = DenseOperator.from_pure_state(b, basis)
+        assert fidelity(a, b) == 0.0
+        assert fidelity(da, db) <= 1e-12
+
+
 def test_metrics_enforce_matching_kinds_and_bases():
     pure = PureState.basis_state((0,))
     diag = FockDiagonalState.point_mass((0,))

@@ -37,6 +37,7 @@ from optsmp.smp import (
     load_protocol,
     trivial_classical_protocol,
 )
+from optsmp.truncation import transform_protocol
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -150,6 +151,69 @@ def test_interference_referee_paths_agree():
     assert fast == pytest.approx(joint, abs=1e-12)
     flat = referee.output_one_probability(a.to_pure_state(), b.to_pure_state())
     assert flat == pytest.approx(fast, abs=1e-12)
+
+
+def _materialised_dark_probability(a, b):
+    """Reference: build the 2m-mode output ket, then take its dark-port mass."""
+    m = a.modes
+    joint = tensor(a, b)
+    for i in range(m):
+        joint = apply_beamsplitter(joint, i, m + i)
+    return sum(abs(c) ** 2 for idx, c in joint.amplitudes.items() if not any(idx[m:]))
+
+
+def _random_ket(rng, modes):
+    amps = {
+        tuple(int(k) for k in rng.integers(0, 5, size=modes)): complex(*rng.normal(size=2))
+        for _ in range(int(rng.integers(1, 7)))
+    }
+    return PureState(modes, amps, normalize=True)
+
+
+def test_dark_port_sum_matches_materialised_beamsplitter_on_random_kets():
+    rng = np.random.default_rng(20)
+    referee = InterferenceVacuumReferee()
+    for _ in range(40):
+        modes = int(rng.integers(1, 4))
+        a, b = _random_ket(rng, modes), _random_ket(rng, modes)
+        expected = _materialised_dark_probability(a, b)
+        assert referee.output_one_probability(a, b) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, repeats, mu, delta", [(1, 3, 1.1, 0.3), (1, 4, 1.0, 0.3), (2, 2, 1.0, 0.4)])
+def test_dark_port_sum_matches_materialised_beamsplitter_on_projected_messages(n, repeats, mu, delta):
+    protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, repeats), mu)
+    truncated, _ = transform_protocol(protocol, delta, original_error=0.0)
+    cutoff = int(mu / delta)
+    assert protocol.alice_encoder(0).max_total_photons() > cutoff
+    referee = truncated.referee
+    for x in range(1 << n):
+        for y in range(1 << n):
+            a, b = truncated.alice_encoder(x), truncated.bob_encoder(y)
+            assert a.max_total_photons() <= cutoff
+            expected = _materialised_dark_probability(a, b)
+            assert referee.output_one_probability(a, b) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.6, -0.6), (1.5j, -1.5j), (8.0, 7.5)])
+def test_interference_of_coherent_factors_matches_closed_form(alpha, beta):
+    # The difference port carries a coherent state of amplitude
+    # (alpha - beta)/sqrt(2), dark with probability exp(-|alpha - beta|^2 / 2):
+    # exp(-2|alpha|^2) for opposite phases. At alpha = 8 a mode pair holds
+    # up to 380 photons, past the range of float factorials.
+    cutoff = int(abs(alpha) ** 2 + 12 * abs(alpha) + 30)
+    a = ProductPureState((coherent_state(alpha, cutoff),))
+    b = ProductPureState((coherent_state(beta, cutoff),))
+    expected = math.exp(-abs(alpha - beta) ** 2 / 2)
+    p = InterferenceVacuumReferee().output_one_probability(a, b)
+    assert p == pytest.approx(expected, abs=1e-12)
+
+
+def test_interference_referee_refuses_too_energetic_inputs():
+    a = ProductPureState((PureState.basis_state((300,)),))
+    b = ProductPureState((PureState.basis_state((213,)),))
+    with pytest.raises(ConfigError, match="513 photons"):
+        InterferenceVacuumReferee().output_one_probability(a, b)
 
 
 def test_interference_referee_identical_messages_accept():
@@ -283,18 +347,18 @@ def test_sampled_evaluation_requires_seed_and_samples():
 
 def test_pair_cache_interferes_each_factor_pair_once(monkeypatch):
     calls = []
-    interfere = smp.beamsplitter_pair
+    interfere = smp._dark_probability
 
     def counted(a, b):
         calls.append((a, b))
         return interfere(a, b)
 
-    monkeypatch.setattr(smp, "beamsplitter_pair", counted)
+    monkeypatch.setattr(smp, "_dark_probability", counted)
     report = evaluate_error(coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.0))
     assert len(report.pair_errors) == 256
     # Two distinct factors (the +alpha and -alpha coherent states) give at
     # most four factor pairs, however many modes and input pairs there are.
-    assert len(calls) <= 4
+    assert 1 <= len(calls) <= 4
 
 
 def test_fingerprint_matches_closed_form():

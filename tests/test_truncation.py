@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from optsmp.errors import ConfigError, PremiseViolationError, VacuousTruncationError
+from optsmp.errors import ConfigError, PremiseViolationError, SupportCapError, VacuousTruncationError
 from optsmp.fock import (
     DenseOperator,
     FockDiagonalState,
@@ -118,6 +118,37 @@ def test_project_product_above_cutoff_materializes():
     assert projected.max_total_photons() <= 1
 
 
+@pytest.mark.parametrize("cutoff", [2, 4, 6])
+def test_project_product_enumerates_the_simplex_only(monkeypatch, cutoff):
+    msg = coherent_fingerprint_protocol(2, RepetitionCode(2, 2), 1.0).alice_encoder(1)
+    assert msg.max_total_photons() > cutoff
+    full = msg.to_pure_state()
+    kept = {idx: c for idx, c in full.amplitudes.items() if sum(idx) <= cutoff}
+    expected = PureState(msg.modes, kept, normalize=True)
+
+    def refuse(self):
+        raise AssertionError("the full product ket was built")
+
+    monkeypatch.setattr(ProductPureState, "to_pure_state", refuse)
+    projected, weight = project_below_cutoff(msg, cutoff)
+    # The materialised ket renormalizes itself after each tensor step and
+    # sits about 8e-15 from the exact weight; the photon-number convolution
+    # of retained_weight does not.
+    assert weight == pytest.approx(sum(abs(c) ** 2 for c in kept.values()), abs=1e-13)
+    assert weight == pytest.approx(retained_weight(msg, cutoff), abs=1e-15)
+    assert set(projected.amplitudes) == set(expected.amplitudes)
+    for idx, c in expected.amplitudes.items():
+        assert abs(projected.amplitude(idx) - c) <= 1e-15
+
+
+def test_project_product_refuses_a_support_too_large_to_interfere():
+    # m=12 at cutoff 10 keeps 646490 of the C(22, 12) = 646646 occupations
+    # (a mode holds at most 9 photons); pairing two needs 4.2e11 terms.
+    msg = coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.0).alice_encoder(0)
+    with pytest.raises(SupportCapError, match="projected support 646490 "):
+        project_below_cutoff(msg, 10)
+
+
 def test_project_accepts_spec_objects():
     state = coherent_state(1.0, 20)
     spec = markov_cutoff(1.0, 1.0 / 3.0, modes=1)
@@ -217,3 +248,22 @@ def test_transform_messages_change_under_aggressive_cutoff():
     assert msg.max_total_photons() <= 1
     original = protocol.alice_encoder(0)
     assert original.max_total_photons() > 1
+
+
+@pytest.mark.parametrize("n, repeats, delta", [(2, 3, 0.5), (1, 8, 0.6)])
+def test_binding_cutoff_stays_within_the_inflation_bound(n, repeats, delta):
+    # mu = 2 gives cutoff floor(2/delta) = 4 (m=6) and 3 (m=8), far below a
+    # message's maximum photon number.
+    protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, repeats), 2.0)
+    before = evaluate_error(protocol).worst_error
+    truncated, budget = transform_protocol(protocol, delta, original_error=before)
+    spec = markov_cutoff(protocol.mu, delta, protocol.m)
+    for x in range(1 << n):
+        message = protocol.alice_encoder(x)
+        assert message.max_total_photons() > spec.cutoff
+        _, weight = project_below_cutoff(message, spec)
+        assert 1.0 - delta <= weight < 1.0
+    after = evaluate_error(truncated).worst_error
+    bound = 2.0 * math.sqrt(delta)
+    assert budget == pytest.approx(before + bound, abs=1e-15)
+    assert after <= budget, f"observed inflation {after - before!r} above 2*sqrt(delta) = {bound!r}"
