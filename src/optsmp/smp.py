@@ -280,7 +280,7 @@ def _dark_probability(
         while key:
             key, t = divmod(key, base)
             w *= weight[t]
-        p += w * (amp.real * amp.real + amp.imag * amp.imag)
+        p += w * abs(amp) ** 2
     return p
 
 

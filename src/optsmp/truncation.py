@@ -87,7 +87,9 @@ def project_below_cutoff(
 
     Returns ``(projected_state, weight)`` where ``weight`` is the mass the
     projector retained. A projection that would remove everything raises
-    :class:`VacuousTruncationError` instead of fabricating a state.
+    :class:`VacuousTruncationError` instead of fabricating a state; a
+    projected product too large to pair with another raises
+    :class:`SupportCapError`.
     """
     cutoff = _resolve_cutoff(spec_or_cutoff)
     if isinstance(spec_or_cutoff, TruncationSpec):
@@ -139,10 +141,9 @@ def _project_product(state: ProductPureState, cutoff: int) -> tuple[PureState, f
     factor's support, each amplitude the product of its factor amplitudes.
     The full product ket is never formed.
 
-    The kept terms are counted first. A projected message is only ever
-    interfered with another one, at a cost of one term per pair of support
-    entries, so a support whose square exceeds ``SUPPORT_CAP`` is refused
-    before any term is built.
+    The kept terms are counted first. A referee evaluates a projected
+    message against another one term pair by term pair, so a support whose
+    square exceeds ``SUPPORT_CAP`` is refused before any term is built.
     """
     factor_terms = [
         [(idx, amp, total_photons(idx)) for idx, amp in f.amplitudes.items()]
