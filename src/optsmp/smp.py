@@ -244,8 +244,8 @@ def _dark_probability(
     one double loop over the two supports. Each amplitude is scaled by
     rho^|n| and each weight by rho^(-2|t|), which leaves P unchanged and keeps
     both in floating-point range up to the 512-photon limit per mode pair.
-    Occupations are keyed by their digits in base ``top + 1``, so that n + l
-    is one integer addition.
+    Occupations are keyed by their digits in base ``top + 1``; no digit of
+    n + l exceeds ``top``, so n + l is one integer addition.
     """
     top = max(x + y for x, y in zip(map(max, zip(*a)), map(max, zip(*b))))
     if top > 512:

@@ -72,6 +72,9 @@ def test_project_pure_state():
 def test_project_pure_vacuous_cutoff():
     with pytest.raises(VacuousTruncationError):
         project_below_cutoff(PureState.basis_state((5,)), 3)
+    five = PureState.basis_state((5,))
+    with pytest.raises(VacuousTruncationError):
+        project_below_cutoff(ProductPureState((five, five)), 3)
 
 
 def test_project_diagonal_state():
