@@ -1,5 +1,6 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import time
@@ -289,3 +290,69 @@ def test_help_exits_zero(capsys):
 def test_unknown_command_exits_two(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
+
+
+# ---------------------------------------------------------------------------
+# golden outputs
+
+def _qfp(n, code, mu):
+    return {"type": "qfp", "n": n, "mu": mu, "code": code}
+
+
+def _rep(repeats):
+    return {"kind": "repetition", "repeats": repeats}
+
+
+def _fold(m):
+    return {"kind": "xor-fold", "m": m}
+
+
+#: (subcommand, config or None, extra argv, exit code, SHA-256 of stdout).
+#: A digest changes only when a subcommand's printed output changes; update
+#: one only together with a note of which output changed and why. ``verify``
+#: is left out: its dense suites go through LAPACK, whose last bits vary by
+#: build.
+GOLDEN = [
+    ("simulate", _qfp(4, _rep(3), 2), [], 0,
+     "5bf81e45ee13c8fde3b5fe42f89658d71cf76eb1f407815b1219c04416c81293"),
+    ("simulate", _qfp(5, _fold(4), 1.3), ["--truncate", "1e-4"], 0,
+     "68ec458b0dffdf9e312cfb881fc0728ed3796bd46105bd66093f8f6b2f29d21b"),
+    ("simulate", _qfp(2, _rep(1), 1), ["--truncate", "0.3"], 0,
+     "614007c2d6f707e51a945ca3b596ffc65385d19c50ab4e4e2731c3916f7ddc57"),
+    ("simulate", _qfp(1, _rep(2), 1), ["--truncate", "0.2"], 0,
+     "da6baf27755f5196463f2be6e684ab8a6ea0ed05908a827f75b87c89826550ad"),
+    ("simulate", _qfp(2, _rep(3), 2), ["--truncate", "0.5"], 0,
+     "7f7edf4af1905233966b099930007e228aa3b2a081e1399d6d2bed29b0f7728c"),
+    ("simulate", {"type": "classical-trivial", "n": 6, "code": _fold(4)}, [], 0,
+     "8ec67b16969578a4fb2118d1763f5f12fa0bba1cd9bc08895efb7fb5a5f53814"),
+    ("simulate", _qfp(10, _rep(2), 2), ["--samples", "300", "--seed", "7"], 0,
+     "d711f00f399ae0b80f6c6061c609a5dbfdd58c4b5b9452141fa143fc2bf33d8f"),
+    ("bounds", {"kind": "grid", "m": [2, 4, 8, 33], "mu": [0.5, 2], "delta": [1e-2, 1e-4]}, [], 0,
+     "b7ff1ac35119c2714dc0dbca44d2166dbcd2871c288135fbdd681ccb12b0821b"),
+    ("bounds", {"kind": "qfp", "n": [1, 2, 3, 5], "mu": 2, "delta": 1e-3, "repeats": 2}, [], 0,
+     "9743b28bdd714293724d155cc0bc2bc39067d7181fa4e1499f964fcab6d28ce8"),
+    ("dcc", {"type": "equality", "n": 3}, [], 0,
+     "fb1d2f165c6a4ed76b0e4e3d9a26518ed2746b61f222ee418c12299e68377ed9"),
+    ("rank", None, ["40", "--mu", "2"], 0,
+     "810c9f2b3db01a98686912d4ca9b81e262e75af75b84335f94ca8e4540255b28"),
+    ("rank", None, ["5", "7"], 0,
+     "6130757a4142a8e557ba65ecbeb60b0defea4f356488355726e36617d54a95ff"),
+]
+
+
+def _golden_id(row):
+    command, config, extra = row[:3]
+    return " ".join([command] + ([json.dumps(config)] if config else []) + extra)
+
+
+@pytest.mark.parametrize("row", GOLDEN, ids=[_golden_id(row) for row in GOLDEN])
+def test_golden_output(tmp_path, capsys, row):
+    command, config, extra, code, digest = row
+    argv = [command] + extra
+    if config is not None:
+        argv += ["--config", _write_config(tmp_path, "c.json", config)]
+    assert main(argv) == code, _golden_id(row)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, (
+        f"stdout of `{_golden_id(row)}` changed"
+    )
