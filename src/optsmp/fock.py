@@ -13,6 +13,14 @@ of the package:
 :class:`ProductPureState` keeps many-mode product messages factorized so a
 12-mode coherent message never has to be materialized as a joint ket.
 
+The two sparse kinds share one implementation (``_SparseState``): a dict
+from occupation tuple to a stored value, with one validation, normalization
+and restore path. They differ only in what they store, an amplitude or a
+probability, and in how they rescale. Every kind but the factorized product
+offers ``weights()``, the ``(occupation, photon-number weight)`` pairs
+(|c|^2, p, or the real diagonal). The photon-number functions below read
+that view, so each has one path for those kinds and one for products.
+
 States with infinite support (exact coherent states, thermal states) are not
 representable; they enter pre-truncated with the discarded tail recorded by
 the caller. Truncation is always explicit, never a silent side effect.
@@ -69,195 +77,182 @@ def total_photons(index: FockIndex) -> int:
     return sum(index)
 
 
-def _validated_amplitudes(
-    modes: int, amplitudes: Mapping[Iterable[int], complex], prune: float
-) -> dict[FockIndex, complex]:
-    if not isinstance(modes, (int, np.integer)) or modes < 1:
-        raise ModeMismatchError(f"modes must be a positive integer, got {modes!r}")
-    amps: dict[FockIndex, complex] = {}
-    for occ, amp in amplitudes.items():
-        idx = validate_index(occ, int(modes))
-        c = complex(amp)
-        if abs(c) < prune or c == 0:
-            continue
-        if idx in amps:
-            raise ValueError(f"duplicate occupation index {idx}")
-        amps[idx] = c
-    if len(amps) > SUPPORT_CAP:
-        raise SupportCapError(f"support size {len(amps)} exceeds cap {SUPPORT_CAP}")
-    return amps
+def _concentrated(cls, occ: Iterable[int]):
+    """The state of kind ``cls`` whose whole weight sits on one occupation.
+
+    Built directly: a single value of 1 needs neither pruning nor rescaling,
+    and the index is validated once.
+    """
+    idx = validate_index(occ)
+    return cls._stored(len(idx), {idx: cls._coerce(1.0)})
 
 
-class PureState:
-    """Normalized sparse superposition of occupation-number basis states.
+class _SparseState:
+    """Shared core of the two sparse kinds: ``modes`` and one dict from
+    occupation tuple to a stored value.
 
-    Immutable after construction. Construction prunes raw input amplitudes
-    below ``AMPLITUDE_PRUNE`` (a ``normalize=True`` rescale may still leave
-    smaller stored values), enforces the support cap, checks normalization to
-    within ``NORMALIZATION_TOL`` (unless ``normalize=True`` requests explicit
-    rescaling first) and then rescales the residual so the stored weights sum
-    to one.
+    Subclasses fix the value (``_coerce``, ``_NONNEGATIVE``; ``_SUMMED``
+    names its sum in errors), its photon-number weight (``_weigh``) and the
+    rescale of a total weight to one (``_rescaled``). Immutable after
+    construction. Construction prunes raw input values below
+    ``AMPLITUDE_PRUNE`` (the rescale may still leave smaller stored values),
+    enforces the support cap, checks that the weights sum to one within
+    ``NORMALIZATION_TOL`` (skipped when ``normalize=True`` asks for an
+    explicit rescale) and then rescales so the stored weights sum to one.
     """
 
-    __slots__ = ("modes", "_amps")
+    __slots__ = ("modes", "_terms")
 
     def __init__(
         self,
         modes: int,
-        amplitudes: Mapping[Iterable[int], complex],
+        terms: Mapping[Iterable[int], complex],
         *,
         normalize: bool = False,
     ) -> None:
-        amps = _validated_amplitudes(modes, amplitudes, AMPLITUDE_PRUNE)
-        norm_sq = sum(abs(c) ** 2 for c in amps.values())
-        if norm_sq == 0.0:
+        terms = self._validated(modes, terms, AMPLITUDE_PRUNE)
+        total = sum(self._weigh(terms.values()))
+        if total == 0.0:
             raise NormalizationError("state has no support after pruning")
-        if normalize:
-            scale = 1.0 / math.sqrt(norm_sq)
-            amps = {k: v * scale for k, v in amps.items()}
-            norm_sq = 1.0
-        elif abs(norm_sq - 1.0) > NORMALIZATION_TOL:
-            raise NormalizationError(
-                f"squared amplitudes sum to {norm_sq!r}, expected 1 within {NORMALIZATION_TOL}"
-            )
-        # Hygiene rescale so downstream probabilities sum to one exactly-ish.
-        scale = 1.0 / math.sqrt(norm_sq)
+        if not normalize:
+            self._check_total(total)
         self.modes = int(modes)
-        self._amps = {k: v * scale for k, v in amps.items()}
+        # Hygiene rescale so downstream probabilities sum to one exactly-ish.
+        self._terms = self._rescaled(terms, total)
 
     @classmethod
-    def _restore(
-        cls, modes: int, amplitudes: Mapping[Iterable[int], complex]
-    ) -> "PureState":
-        """Rebuild a serialized state with its amplitudes kept verbatim.
+    def _validated(
+        cls, modes: int, terms: Mapping[Iterable[int], complex], prune: float
+    ) -> dict[FockIndex, complex]:
+        if not isinstance(modes, (int, np.integer)) or modes < 1:
+            raise ModeMismatchError(f"modes must be a positive integer, got {modes!r}")
+        coerce, nonnegative = cls._coerce, cls._NONNEGATIVE
+        out: dict[FockIndex, complex] = {}
+        for occ, value in terms.items():
+            idx = validate_index(occ, int(modes))
+            v = coerce(value)
+            if nonnegative and v < 0.0:
+                raise NormalizationError(f"negative probability {v!r} at {idx}")
+            if abs(v) < prune or v == 0:
+                continue
+            if idx in out:
+                raise ValueError(f"duplicate occupation index {idx}")
+            out[idx] = v
+        if len(out) > SUPPORT_CAP:
+            raise SupportCapError(f"support size {len(out)} exceeds cap {SUPPORT_CAP}")
+        return out
+
+    @classmethod
+    def _check_total(cls, total: float) -> None:
+        if abs(total - 1.0) > NORMALIZATION_TOL:
+            raise NormalizationError(
+                f"{cls._SUMMED} sum to {total!r}, expected 1 within {NORMALIZATION_TOL}"
+            )
+
+    @classmethod
+    def _stored(cls, modes: int, terms: dict[FockIndex, complex]):
+        self = object.__new__(cls)
+        self.modes = modes
+        self._terms = terms
+        return self
+
+    @classmethod
+    def _restore(cls, modes: int, terms: Mapping[Iterable[int], complex]):
+        """Rebuild a serialized state with its stored values kept verbatim.
 
         Reloading must not re-apply input pruning or rescaling: a
         ``normalize=True`` rescale can legitimately store amplitudes below
         ``AMPLITUDE_PRUNE``, and those must survive a save/load cycle
         bit for bit.
         """
-        amps = _validated_amplitudes(modes, amplitudes, 0.0)
-        norm_sq = sum(abs(c) ** 2 for c in amps.values())
-        if abs(norm_sq - 1.0) > NORMALIZATION_TOL:
-            raise NormalizationError(
-                f"squared amplitudes sum to {norm_sq!r}, expected 1 within {NORMALIZATION_TOL}"
-            )
-        self = object.__new__(cls)
-        self.modes = int(modes)
-        self._amps = amps
-        return self
+        terms = cls._validated(modes, terms, 0.0)
+        cls._check_total(sum(cls._weigh(terms.values())))
+        return cls._stored(int(modes), terms)
 
     @property
-    def amplitudes(self) -> Mapping[FockIndex, complex]:
-        """Read-only view of the sparse amplitude map."""
-        return MappingProxyType(self._amps)
+    def terms(self) -> Mapping[FockIndex, complex]:
+        """Read-only view of the stored values by occupation tuple."""
+        return MappingProxyType(self._terms)
+
+    def weights(self) -> Iterator[tuple[FockIndex, float]]:
+        """``(occupation, photon-number weight)`` pairs over the support."""
+        return zip(self._terms, self._weigh(self._terms.values()))
+
+    def support_size(self) -> int:
+        return len(self._terms)
+
+    def max_total_photons(self) -> int:
+        return max(total_photons(idx) for idx in self._terms)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(modes={self.modes}, support={len(self._terms)})"
+
+
+class PureState(_SparseState):
+    """Normalized sparse superposition of occupation-number basis states.
+
+    Stores one complex amplitude per occupation tuple; its weight is |c|^2.
+    """
+
+    __slots__ = ()
+    _coerce = complex
+    _NONNEGATIVE = False
+    _SUMMED = "squared amplitudes"
+
+    @staticmethod
+    def _weigh(amplitudes: Iterable[complex]) -> list[float]:
+        # A list, not a generator: zipped into weights(), a second generator
+        # would cost every photon-number sum one more resume per term.
+        return [abs(c) ** 2 for c in amplitudes]
+
+    @staticmethod
+    def _rescaled(
+        amplitudes: dict[FockIndex, complex], norm_sq: float
+    ) -> dict[FockIndex, complex]:
+        scale = 1.0 / math.sqrt(norm_sq)
+        return {k: v * scale for k, v in amplitudes.items()}
+
+    amplitudes = _SparseState.terms
+    basis_state = classmethod(_concentrated)
 
     def amplitude(self, occ: Iterable[int]) -> complex:
-        return self._amps.get(tuple(occ), 0.0 + 0.0j)
+        return self._terms.get(tuple(occ), 0.0 + 0.0j)
 
     @property
     def support(self) -> Iterator[FockIndex]:
-        return iter(self._amps)
-
-    def support_size(self) -> int:
-        return len(self._amps)
-
-    def max_total_photons(self) -> int:
-        return max(total_photons(idx) for idx in self._amps)
-
-    @classmethod
-    def basis_state(cls, occ: Iterable[int]) -> "PureState":
-        idx = validate_index(occ)
-        return cls(len(idx), {idx: 1.0})
+        return iter(self._terms)
 
     @classmethod
     def vacuum(cls, modes: int) -> "PureState":
         return cls(modes, {(0,) * modes: 1.0})
 
-    def __repr__(self) -> str:
-        return f"PureState(modes={self.modes}, support={len(self._amps)})"
 
+class FockDiagonalState(_SparseState):
+    """Probability distribution over occupation tuples (a Fock-diagonal state).
 
-def _validated_probabilities(
-    modes: int, probabilities: Mapping[Iterable[int], float], prune: float
-) -> dict[FockIndex, float]:
-    if not isinstance(modes, (int, np.integer)) or modes < 1:
-        raise ModeMismatchError(f"modes must be a positive integer, got {modes!r}")
-    probs: dict[FockIndex, float] = {}
-    for occ, p in probabilities.items():
-        idx = validate_index(occ, int(modes))
-        pf = float(p)
-        if pf < 0.0:
-            raise NormalizationError(f"negative probability {pf!r} at {idx}")
-        if pf < prune or pf == 0.0:
-            continue
-        if idx in probs:
-            raise ValueError(f"duplicate occupation index {idx}")
-        probs[idx] = pf
-    if len(probs) > SUPPORT_CAP:
-        raise SupportCapError(f"support size {len(probs)} exceeds cap {SUPPORT_CAP}")
-    return probs
+    Stores one probability per occupation tuple, which is its own weight.
+    """
 
+    __slots__ = ()
+    _coerce = float
+    _NONNEGATIVE = True
+    _SUMMED = "probabilities"
 
-class FockDiagonalState:
-    """Probability distribution over occupation tuples (a Fock-diagonal state)."""
+    @staticmethod
+    def _weigh(probabilities: Iterable[float]) -> Iterable[float]:
+        return probabilities
 
-    __slots__ = ("modes", "_probs")
+    @staticmethod
+    def _rescaled(
+        probabilities: dict[FockIndex, float], total: float
+    ) -> dict[FockIndex, float]:
+        return {k: v / total for k, v in probabilities.items()}
 
-    def __init__(
-        self,
-        modes: int,
-        probabilities: Mapping[Iterable[int], float],
-        *,
-        normalize: bool = False,
-    ) -> None:
-        probs = _validated_probabilities(modes, probabilities, AMPLITUDE_PRUNE)
-        total = sum(probs.values())
-        if total == 0.0:
-            raise NormalizationError("state has no support after pruning")
-        if not normalize and abs(total - 1.0) > NORMALIZATION_TOL:
-            raise NormalizationError(
-                f"probabilities sum to {total!r}, expected 1 within {NORMALIZATION_TOL}"
-            )
-        self.modes = int(modes)
-        self._probs = {k: v / total for k, v in probs.items()}
-
-    @classmethod
-    def _restore(
-        cls, modes: int, probabilities: Mapping[Iterable[int], float]
-    ) -> "FockDiagonalState":
-        """Rebuild a serialized distribution with probabilities kept verbatim."""
-        probs = _validated_probabilities(modes, probabilities, 0.0)
-        total = sum(probs.values())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise NormalizationError(
-                f"probabilities sum to {total!r}, expected 1 within {NORMALIZATION_TOL}"
-            )
-        self = object.__new__(cls)
-        self.modes = int(modes)
-        self._probs = probs
-        return self
-
-    @property
-    def probabilities(self) -> Mapping[FockIndex, float]:
-        return MappingProxyType(self._probs)
+    probabilities = _SparseState.terms
+    point_mass = classmethod(_concentrated)
 
     def probability(self, occ: Iterable[int]) -> float:
-        return self._probs.get(tuple(occ), 0.0)
-
-    def support_size(self) -> int:
-        return len(self._probs)
-
-    def max_total_photons(self) -> int:
-        return max(total_photons(idx) for idx in self._probs)
-
-    @classmethod
-    def point_mass(cls, occ: Iterable[int]) -> "FockDiagonalState":
-        idx = validate_index(occ)
-        return cls(len(idx), {idx: 1.0})
-
-    def __repr__(self) -> str:
-        return f"FockDiagonalState(modes={self.modes}, support={len(self._probs)})"
+        return self._terms.get(tuple(occ), 0.0)
 
 
 class ProductPureState:
@@ -361,6 +356,10 @@ class DenseOperator:
         if eigs.min() < -tol:
             raise NormalizationError(f"negative eigenvalue {eigs.min()!r}")
 
+    def weights(self) -> Iterator[tuple[FockIndex, float]]:
+        """``(occupation, diagonal weight)`` pairs over the basis."""
+        return zip(self.basis, np.real(np.diagonal(self.matrix)).tolist())
+
     def cutoff_mask(self, cutoff: float) -> np.ndarray:
         """Boolean mask of basis elements with total photons <= cutoff."""
         return np.array([total_photons(occ) <= cutoff for occ in self.basis])
@@ -437,18 +436,11 @@ def coherent_state(alpha: complex, cutoff: int) -> PureState:
 
 def mean_photon_number(state: State) -> float:
     """Expectation of the total photon-number operator."""
-    if isinstance(state, PureState):
-        return sum(abs(c) ** 2 * total_photons(idx) for idx, c in state.amplitudes.items())
-    if isinstance(state, FockDiagonalState):
-        return sum(p * total_photons(idx) for idx, p in state.probabilities.items())
     if isinstance(state, ProductPureState):
         # Encoders reuse a few factor objects across all modes.
         means = {f: mean_photon_number(f) for f in set(state.factors)}
         return sum(means[f] for f in state.factors)
-    if isinstance(state, DenseOperator):
-        diag = np.real(np.diagonal(state.matrix))
-        return float(sum(p * total_photons(occ) for p, occ in zip(diag, state.basis)))
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+    return sum(w * total_photons(idx) for idx, w in state.weights())
 
 
 def photon_number_distribution(state: State) -> dict[int, float]:
@@ -456,18 +448,6 @@ def photon_number_distribution(state: State) -> dict[int, float]:
 
     Zero-probability totals are omitted; values sum to one within 1e-9.
     """
-    if isinstance(state, PureState):
-        dist: dict[int, float] = {}
-        for idx, c in state.amplitudes.items():
-            n = total_photons(idx)
-            dist[n] = dist.get(n, 0.0) + abs(c) ** 2
-        return dist
-    if isinstance(state, FockDiagonalState):
-        dist = {}
-        for idx, p in state.probabilities.items():
-            n = total_photons(idx)
-            dist[n] = dist.get(n, 0.0) + p
-        return dist
     if isinstance(state, ProductPureState):
         dist = {0: 1.0}
         for f in state.factors:
@@ -478,14 +458,11 @@ def photon_number_distribution(state: State) -> dict[int, float]:
                     out[n1 + n2] = out.get(n1 + n2, 0.0) + p1 * p2
             dist = out
         return dist
-    if isinstance(state, DenseOperator):
-        diag = np.real(np.diagonal(state.matrix))
-        dist = {}
-        for p, occ in zip(diag, state.basis):
-            n = total_photons(occ)
-            dist[n] = dist.get(n, 0.0) + float(p)
-        return {n: p for n, p in dist.items() if p != 0.0}
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+    dist = {}
+    for idx, w in state.weights():
+        n = total_photons(idx)
+        dist[n] = dist.get(n, 0.0) + w
+    return {n: p for n, p in dist.items() if p != 0.0}
 
 
 def tail_probability(state: State, threshold: float) -> float:
@@ -498,30 +475,20 @@ def tail_probability(state: State, threshold: float) -> float:
 # Composition and metrics
 
 def tensor(a: State, b: State) -> State:
-    """Tensor product; mode counts add. Kinds must match."""
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        if a.support_size() * b.support_size() > SUPPORT_CAP:
-            raise SupportCapError(
-                f"tensor support {a.support_size() * b.support_size()} exceeds cap {SUPPORT_CAP}"
-            )
-        amps = {
-            ia + ib: ca * cb
-            for ia, ca in a.amplitudes.items()
-            for ib, cb in b.amplitudes.items()
-        }
-        return PureState(a.modes + b.modes, amps)
-    if isinstance(a, FockDiagonalState) and isinstance(b, FockDiagonalState):
-        if a.support_size() * b.support_size() > SUPPORT_CAP:
-            raise SupportCapError("tensor support exceeds cap")
-        probs = {
-            ia + ib: pa * pb
-            for ia, pa in a.probabilities.items()
-            for ib, pb in b.probabilities.items()
-        }
-        return FockDiagonalState(a.modes + b.modes, probs)
-    raise TypeError(
-        f"cannot tensor {type(a).__name__} with {type(b).__name__}"
-    )
+    """Tensor product of two sparse states; mode counts add. Kinds must match."""
+    kind = type(a)
+    if kind is not type(b) or kind not in (PureState, FockDiagonalState):
+        raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
+    if a.support_size() * b.support_size() > SUPPORT_CAP:
+        raise SupportCapError(
+            f"tensor support {a.support_size() * b.support_size()} exceeds cap {SUPPORT_CAP}"
+        )
+    terms = {
+        ia + ib: va * vb
+        for ia, va in a._terms.items()
+        for ib, vb in b._terms.items()
+    }
+    return kind(a.modes + b.modes, terms)
 
 
 def overlap(a: PureState | ProductPureState, b: PureState | ProductPureState) -> complex:
@@ -576,10 +543,16 @@ def _pure_fidelity(a: PureState | ProductPureState, b: PureState | ProductPureSt
 
 
 def _check_same_kind(a: State, b: State) -> None:
+    """Operands must share a kind, and a mode count (dense: an ordered basis)."""
     if type(a) is not type(b):
         raise TypeError(
             f"operands must share a representation kind: {type(a).__name__} vs {type(b).__name__}"
         )
+    if isinstance(a, DenseOperator):
+        if a.basis != b.basis:
+            raise BasisMismatchError("dense operands must share the same ordered basis")
+    elif a.modes != b.modes:
+        raise ModeMismatchError(f"mode mismatch: {a.modes} vs {b.modes}")
 
 
 def trace_distance(a: State, b: State) -> float:
@@ -594,13 +567,9 @@ def trace_distance(a: State, b: State) -> float:
         f = _pure_fidelity(a, b)
         return math.sqrt(max(0.0, 1.0 - f * f))
     if isinstance(a, FockDiagonalState):
-        if a.modes != b.modes:
-            raise ModeMismatchError(f"mode mismatch: {a.modes} vs {b.modes}")
         keys = set(a.probabilities) | set(b.probabilities)
         return 0.5 * sum(abs(a.probability(k) - b.probability(k)) for k in keys)
     if isinstance(a, DenseOperator):
-        if a.basis != b.basis:
-            raise BasisMismatchError("dense operands must share the same ordered basis")
         eigs = np.linalg.eigvalsh(a.matrix - b.matrix)
         return float(0.5 * np.abs(eigs).sum())
     raise TypeError(f"unsupported state type {type(a).__name__}")
@@ -616,13 +585,9 @@ def fidelity(a: State, b: State) -> float:
     if isinstance(a, (PureState, ProductPureState)):
         return _pure_fidelity(a, b)
     if isinstance(a, FockDiagonalState):
-        if a.modes != b.modes:
-            raise ModeMismatchError(f"mode mismatch: {a.modes} vs {b.modes}")
         keys = set(a.probabilities) & set(b.probabilities)
         return sum(math.sqrt(a.probability(k) * b.probability(k)) for k in keys)
     if isinstance(a, DenseOperator):
-        if a.basis != b.basis:
-            raise BasisMismatchError("dense operands must share the same ordered basis")
         sa = _sqrt_psd(a.matrix)
         sb = _sqrt_psd(b.matrix)
         return float(np.linalg.svd(sa @ sb, compute_uv=False).sum())
@@ -638,18 +603,13 @@ def state_to_json_dict(state: PureState | FockDiagonalState) -> dict:
     Pure states carry ``re``/``im`` per term; diagonal states carry ``p``.
     """
     if isinstance(state, PureState):
-        terms = [
-            {"occ": list(occ), "re": amp.real, "im": amp.imag}
-            for occ, amp in sorted(state.amplitudes.items())
-        ]
-        return {"modes": state.modes, "kind": "pure", "terms": terms}
-    if isinstance(state, FockDiagonalState):
-        terms = [
-            {"occ": list(occ), "p": p}
-            for occ, p in sorted(state.probabilities.items())
-        ]
-        return {"modes": state.modes, "kind": "diagonal", "terms": terms}
-    raise TypeError(f"cannot serialize {type(state).__name__}")
+        kind, cells = "pure", lambda amp: {"re": amp.real, "im": amp.imag}
+    elif isinstance(state, FockDiagonalState):
+        kind, cells = "diagonal", lambda p: {"p": p}
+    else:
+        raise TypeError(f"cannot serialize {type(state).__name__}")
+    terms = [{"occ": list(occ), **cells(v)} for occ, v in sorted(state.terms.items())]
+    return {"modes": state.modes, "kind": kind, "terms": terms}
 
 
 def state_from_json_dict(data: Mapping) -> PureState | FockDiagonalState:

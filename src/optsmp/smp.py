@@ -230,6 +230,15 @@ def _clamp01(p: float) -> float:
     return 0.0 if p < 0.0 else (1.0 if p > 1.0 else p)
 
 
+def _as_pure(message: Message, referee: str) -> PureState:
+    """The message as one joint ket; products are materialized."""
+    if isinstance(message, ProductPureState):
+        message = message.to_pure_state()
+    if not isinstance(message, PureState):
+        raise TypeError(f"{referee} referee requires pure messages")
+    return message
+
+
 def _dark_probability(
     a: Mapping[FockIndex, complex], b: Mapping[FockIndex, complex]
 ) -> float:
@@ -320,12 +329,7 @@ class InterferenceVacuumReferee:
         return self._joint_probability(a, b)
 
     def _joint_probability(self, a: Message, b: Message) -> float:
-        if isinstance(a, ProductPureState):
-            a = a.to_pure_state()
-        if isinstance(b, ProductPureState):
-            b = b.to_pure_state()
-        if not isinstance(a, PureState) or not isinstance(b, PureState):
-            raise TypeError("interference referee requires pure messages")
+        a, b = _as_pure(a, "interference"), _as_pure(b, "interference")
         if a.modes != b.modes:
             raise ModeMismatchError(f"message mode mismatch: {a.modes} vs {b.modes}")
         pairs = a.support_size() * b.support_size()
@@ -345,13 +349,7 @@ class FockOutcomeReferee:
         self.decision = decision
 
     def output_one_probability(self, a: Message, b: Message) -> float:
-        if isinstance(a, ProductPureState):
-            a = a.to_pure_state()
-        if isinstance(b, ProductPureState):
-            b = b.to_pure_state()
-        if not isinstance(a, PureState) or not isinstance(b, PureState):
-            raise TypeError("occupation-basis referee requires pure messages")
-        joint = tensor(a, b)
+        joint = tensor(_as_pure(a, "occupation-basis"), _as_pure(b, "occupation-basis"))
         p = sum(
             abs(amp) ** 2 * float(self.decision(idx))
             for idx, amp in joint.amplitudes.items()

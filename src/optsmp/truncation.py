@@ -27,7 +27,6 @@ from .errors import (
 )
 from .fock import (
     DenseOperator,
-    FockDiagonalState,
     ProductPureState,
     PureState,
     SUPPORT_CAP,
@@ -97,28 +96,6 @@ def project_below_cutoff(
             raise ModeMismatchError(
                 f"spec is for {spec_or_cutoff.modes} modes, state has {state.modes}"
             )
-    if isinstance(state, PureState):
-        kept = {
-            idx: amp
-            for idx, amp in state.amplitudes.items()
-            if total_photons(idx) <= cutoff
-        }
-        weight = sum(abs(c) ** 2 for c in kept.values())
-        if not kept:
-            raise VacuousTruncationError(
-                f"no support at or below cutoff {cutoff}"
-            )
-        return PureState(state.modes, kept, normalize=True), weight
-    if isinstance(state, FockDiagonalState):
-        kept_p = {
-            idx: p
-            for idx, p in state.probabilities.items()
-            if total_photons(idx) <= cutoff
-        }
-        weight = sum(kept_p.values())
-        if not kept_p:
-            raise VacuousTruncationError(f"no support at or below cutoff {cutoff}")
-        return FockDiagonalState(state.modes, kept_p, normalize=True), weight
     if isinstance(state, ProductPureState):
         if state.max_total_photons() <= cutoff:
             # The projector acts as the identity on the whole joint support.
@@ -132,7 +109,11 @@ def project_below_cutoff(
         proj = np.where(mask, 1.0, 0.0)
         mat = state.matrix * np.outer(proj, proj) / weight
         return DenseOperator(state.basis, mat), weight
-    raise TypeError(f"unsupported state type {type(state).__name__}")
+    kept = {idx: v for idx, v in state.terms.items() if total_photons(idx) <= cutoff}
+    if not kept:
+        raise VacuousTruncationError(f"no support at or below cutoff {cutoff}")
+    weight = sum(w for idx, w in state.weights() if idx in kept)
+    return type(state)(state.modes, kept, normalize=True), weight
 
 
 def _project_product(state: ProductPureState, cutoff: int) -> tuple[PureState, float]:
