@@ -237,20 +237,32 @@ def cmd_dcc(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # rank
 
+def _check_printable(rank: int, log2_rank: float) -> None:
+    """Refuse, as an internal limit, a rank with more decimal digits than
+    CPython converts from int to str (``sys.get_int_max_str_digits``)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and rank >= 10**limit:
+        raise DimensionCapError(
+            f"rank has {math.floor(math.log10(rank)) + 1} decimal digits, above the "
+            f"{limit}-digit int-to-str limit; log2_rank={log2_rank!r}"
+        )
+
+
 def cmd_rank(args: argparse.Namespace) -> int:
     if args.a is None and args.mu is None:
         raise ConfigError("rank needs either a cutoff argument or --mu")
     if args.a is not None:
         rc = count_rank(args.m, args.a)
+        _check_printable(rc.rank, rc.log2_rank)
         _emit(
             f"m={rc.modes} a={rc.cutoff} rank={rc.rank} log2_rank={rc.log2_rank!r}\n",
             args.out,
         )
         return 0
     b = log_rank_bounds(args.m, args.mu, args.delta)
-    rc = count_rank(args.m, b.cutoff)
+    _check_printable(b.rank, b.log2_rank)
     _emit(
-        f"m={args.m} mu={args.mu!r} delta={args.delta!r} a={b.cutoff} rank={rc.rank} "
+        f"m={args.m} mu={args.mu!r} delta={args.delta!r} a={b.cutoff} rank={b.rank} "
         f"log2_rank={b.log2_rank!r} bound_photon={b.bound_photon!r} bound_mode={b.bound_mode!r}\n",
         args.out,
     )

@@ -97,12 +97,13 @@ def binomial_power_bound(n: int, m: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class LogRankBounds:
-    """log2 of the truncated-subspace rank next to its two upper bounds."""
+    """The truncated-subspace rank and its log2 next to two upper bounds."""
 
     modes: int
     mu: float
     delta: float
     cutoff: int
+    rank: int
     log2_rank: float
     bound_photon: float  # (mu/delta) * log2(1+m)
     bound_mode: float    # m * log2(1 + mu/delta)
@@ -125,6 +126,7 @@ def log_rank_bounds(modes: int, mu: float, delta: float) -> LogRankBounds:
         mu=mu,
         delta=delta,
         cutoff=cutoff,
+        rank=rc.rank,
         log2_rank=rc.log2_rank,
         bound_photon=bound_photon,
         bound_mode=bound_mode,

@@ -25,7 +25,8 @@ class SupportCapError(OptSmpError):
 
 
 class DimensionCapError(OptSmpError):
-    """A dense operator exceeds the dimension cap."""
+    """A dense operator exceeds the dimension cap, or a dimension count has
+    more decimal digits than CPython prints."""
 
 
 class BasisMismatchError(OptSmpError):

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from optsmp import bounds
+from optsmp import bounds, cli, combinatorics
 from optsmp.cli import main
 
 
@@ -32,6 +32,34 @@ def test_rank_derives_cutoff_from_mu(capsys):
     assert "a=10" in out
     assert "rank=1001" in out  # C(14, 4)
     assert "bound_photon=" in out and "bound_mode=" in out
+
+
+def test_rank_with_mu_counts_once(capsys, monkeypatch):
+    calls = []
+    original = combinatorics.count_rank
+
+    def counted(modes, cutoff):
+        calls.append((modes, cutoff))
+        return original(modes, cutoff)
+
+    monkeypatch.setattr(combinatorics, "count_rank", counted)
+    monkeypatch.setattr(cli, "count_rank", counted)
+    assert main(["rank", "40", "--mu", "2"]) == 0
+    assert calls == [(40, 20000)]
+    assert " rank=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv", [["5000", "--mu", "2"], ["4096", "--mu", "2", "--delta", "1e-4"], ["10000", "10000"]]
+)
+def test_rank_too_long_to_print_is_an_internal_limit(capsys, argv):
+    assert main(["rank"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal limit: rank has ")
+    assert "decimal digits" in captured.err
+    log2_rank = float(captured.err.split("log2_rank=")[1])
+    assert log2_rank * math.log10(2) > 4300
 
 
 def test_rank_requires_cutoff_or_mu(capsys):

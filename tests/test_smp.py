@@ -382,6 +382,17 @@ def test_fingerprint_error_drops_below_third_with_more_energy():
     assert report.worst_error < 1.0 / 3.0
 
 
+@pytest.mark.parametrize("n, mu", [(5, 1.3), (3, 1.0)])
+def test_worst_pair_is_the_first_of_the_tied_pairs(n, mu):
+    # Every pair at the minimum distance ties on paper; their float errors
+    # differ in the last bits, and (0, 1) is the first of them.
+    report = evaluate_error(coherent_fingerprint_protocol(n, RepetitionCode(n, 2), mu))
+    assert report.worst_error == max(p for _, _, _, p in report.pair_errors)
+    tied = {p for x, y, _, p in report.pair_errors if report.worst_error - p <= 1e-12}
+    assert len(tied) > 1
+    assert report.worst_pair == (0, 1)
+
+
 def test_fingerprint_rejects_mismatched_code():
     with pytest.raises(ConfigError):
         coherent_fingerprint_protocol(3, RepetitionCode(2, 3), 1.0)
