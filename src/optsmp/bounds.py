@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .combinatorics import count_rank, entropy_bound, markov_photon_cutoff
+from .combinatorics import entropy_bound, markov_photon_cutoff
 from .errors import ConfigError
 from .smp import (
     DCC_N_CAP,
@@ -45,18 +45,6 @@ def quantum_tradeoff_lhs(m: int, mu: float, delta: float) -> tuple[float, float,
     term_photon = mu * math.log2(m)
     term_mode = m * math.log2(1.0 + mu / delta)
     return term_photon, term_mode, min(term_photon, term_mode)
-
-
-def classical_tradeoff_lhs(m: int, mu: float, delta: float) -> float:
-    """log2 C(a+m, m) with a = floor(mu/delta): the exact message log-count.
-
-    Well defined for m >= 1 (the quantum side's m >= 2 assumption is only
-    needed for its log2(m) term).
-    """
-    if m < 1:
-        raise ConfigError(f"m must be >= 1, got m={m}")
-    a = markov_photon_cutoff(mu, delta)
-    return count_rank(m, a).log2_rank
 
 
 @dataclass(frozen=True)

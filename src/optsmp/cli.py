@@ -248,9 +248,33 @@ def _check_printable(rank: int, log2_rank: float) -> None:
         )
 
 
+def _check_printable_estimate(modes: int, cutoff: int) -> None:
+    """Refuse C(cutoff + modes, modes) before it is counted when an lgamma
+    estimate of its digit count clears the limit by at least one digit, so
+    no huge binomial is built only to be refused. The margin also covers the
+    rounding of the lgamma terms, a few ulps of the largest. Nearer the
+    limit, or past lgamma's range, :func:`_check_printable` decides on the
+    exact count; invalid arguments are left for ``count_rank`` to report."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or modes < 1 or cutoff < 0:
+        return
+    try:
+        ln_total = math.lgamma(cutoff + modes + 1)
+    except OverflowError:
+        return
+    ln_rank = ln_total - math.lgamma(cutoff + 1) - math.lgamma(modes + 1)
+    if ln_rank - 8 * sys.float_info.epsilon * ln_total >= (limit + 1) * math.log(10):
+        raise DimensionCapError(
+            f"rank has about {math.floor(ln_rank / math.log(10)) + 1} decimal digits, above "
+            f"the {limit}-digit int-to-str limit; log2_rank={ln_rank / math.log(2)!r}"
+        )
+
+
 def cmd_rank(args: argparse.Namespace) -> int:
     if args.a is None and args.mu is None:
         raise ConfigError("rank needs either a cutoff argument or --mu")
+    cutoff = args.a if args.a is not None else markov_photon_cutoff(args.mu, args.delta)
+    _check_printable_estimate(args.m, cutoff)
     if args.a is not None:
         rc = count_rank(args.m, args.a)
         _check_printable(rc.rank, rc.log2_rank)

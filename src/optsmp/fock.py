@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -96,9 +96,10 @@ class _SparseState:
     rescale of a total weight to one (``_rescaled``). Immutable after
     construction. Construction prunes raw input values below
     ``AMPLITUDE_PRUNE`` (the rescale may still leave smaller stored values),
-    enforces the support cap, checks that the weights sum to one within
-    ``NORMALIZATION_TOL`` (skipped when ``normalize=True`` asks for an
-    explicit rescale) and then rescales so the stored weights sum to one.
+    enforces the support cap, refuses a non-finite total weight, checks
+    that the weights sum to one within ``NORMALIZATION_TOL`` (skipped when
+    ``normalize=True`` asks for an explicit rescale) and then rescales so the
+    stored weights sum to one.
     """
 
     __slots__ = ("modes", "_terms")
@@ -111,7 +112,7 @@ class _SparseState:
         normalize: bool = False,
     ) -> None:
         terms = self._validated(modes, terms, AMPLITUDE_PRUNE)
-        total = sum(self._weigh(terms.values()))
+        total = self._total(terms)
         if total == 0.0:
             raise NormalizationError("state has no support after pruning")
         if not normalize:
@@ -143,6 +144,15 @@ class _SparseState:
         return out
 
     @classmethod
+    def _total(cls, terms: dict[FockIndex, complex]) -> float:
+        """Summed weight of validated terms; NaN or infinity in any term makes
+        it non-finite, which is refused here once instead of per term."""
+        total = sum(cls._weigh(terms.values()))
+        if not math.isfinite(total):
+            raise NormalizationError(f"{cls._SUMMED} sum to {total!r}, not a finite number")
+        return total
+
+    @classmethod
     def _check_total(cls, total: float) -> None:
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise NormalizationError(
@@ -166,7 +176,7 @@ class _SparseState:
         bit for bit.
         """
         terms = cls._validated(modes, terms, 0.0)
-        cls._check_total(sum(cls._weigh(terms.values())))
+        cls._check_total(cls._total(terms))
         return cls._stored(int(modes), terms)
 
     @property
@@ -221,6 +231,11 @@ class PureState(_SparseState):
     @property
     def support(self) -> Iterator[FockIndex]:
         return iter(self._terms)
+
+    @property
+    def factors(self) -> tuple["PureState"]:
+        """The ket as its own single factor, as for :class:`ProductPureState`."""
+        return (self,)
 
     @classmethod
     def vacuum(cls, modes: int) -> "PureState":

@@ -1,13 +1,14 @@
 """Simultaneous-message protocols over optical messages, evaluated exactly.
 
-A protocol is two encoders (input -> message state), a referee rule, and a
-target function. Referee rules come in exactly two classes:
+A protocol is one encoder (input -> message state) that both parties use, a
+referee rule, and a target function; every protocol here is a symmetric
+equality fingerprint. Referee rules come in exactly two classes:
 
-* projective tests in the occupation basis after a circuit of balanced
-  beamsplitters (:class:`InterferenceVacuumReferee`,
-  :class:`FockOutcomeReferee`), and
-* stochastic maps on pairs of Fock-diagonal messages
-  (:class:`DiagonalMapReferee`).
+* the dark-port test after balanced beamsplitters pair mode i of one message
+  with mode i of the other (:class:`InterferenceVacuumReferee`), and
+* stochastic maps on the pair of occupation-basis outcomes
+  (:class:`DiagonalMapReferee`), which read each message's photon-number
+  weights.
 
 Both classes admit exact output-probability computation, so worst-case error
 is evaluated without sampling noise. Adaptive referees (measure one message,
@@ -17,7 +18,7 @@ choose the next measurement) are deliberately not modeled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -234,15 +235,6 @@ def _clamp01(p: float) -> float:
     return 0.0 if p < 0.0 else (1.0 if p > 1.0 else p)
 
 
-def _as_pure(message: Message, referee: str) -> PureState:
-    """The message as one joint ket; products are materialized."""
-    if isinstance(message, ProductPureState):
-        message = message.to_pure_state()
-    if not isinstance(message, PureState):
-        raise TypeError(f"{referee} referee requires pure messages")
-    return message
-
-
 def _dark_probability(
     a: Mapping[FockIndex, complex], b: Mapping[FockIndex, complex]
 ) -> float:
@@ -301,12 +293,11 @@ class InterferenceVacuumReferee:
     """Interferes Alice's mode i with Bob's mode i on balanced beamsplitters
     and outputs 1 ("equal") exactly when every difference port is dark.
 
-    Product messages are handled factor by factor (the acceptance event
-    factorizes over mode pairs); entangled messages take the same dark-port
-    sum over the two joint supports. No beamsplitter output is built on
-    either path. The factor-pair cache is keyed on the factor objects
-    themselves, so encoders should reuse one object per distinct single-mode
-    factor.
+    The acceptance event factorizes over factor pairs, so the probability is
+    the product of one dark-port sum per pair of corresponding factors; a
+    :class:`PureState` is its own single factor. No beamsplitter output is
+    built. The factor-pair cache is keyed on the factor objects themselves,
+    so encoders should reuse one object per distinct factor.
     """
 
     def __init__(self) -> None:
@@ -317,74 +308,40 @@ class InterferenceVacuumReferee:
         hit = self._pair_cache.get(key)
         if hit is not None:
             return hit
+        if fa.modes != fb.modes:
+            raise ModeMismatchError(f"factor mode mismatch: {fa.modes} vs {fb.modes}")
+        pairs = fa.support_size() * fb.support_size()
+        if pairs > SUPPORT_CAP:
+            raise SupportCapError(f"pair support {pairs} exceeds cap {SUPPORT_CAP}")
         p = _clamp01(_dark_probability(fa.amplitudes, fb.amplitudes))
         self._pair_cache[key] = p
         return p
 
     def output_one_probability(self, a: Message, b: Message) -> float:
-        if isinstance(a, ProductPureState) and isinstance(b, ProductPureState):
-            if len(a.factors) != len(b.factors):
-                raise ModeMismatchError("messages have different factor counts")
-            if all(f.modes == 1 for f in a.factors + b.factors):
-                p = 1.0
-                for fa, fb in zip(a.factors, b.factors):
-                    p *= self._pair_dark_probability(fa, fb)
-                return _clamp01(p)
-        return self._joint_probability(a, b)
-
-    def _joint_probability(self, a: Message, b: Message) -> float:
-        a, b = _as_pure(a, "interference"), _as_pure(b, "interference")
-        if a.modes != b.modes:
-            raise ModeMismatchError(f"message mode mismatch: {a.modes} vs {b.modes}")
-        pairs = a.support_size() * b.support_size()
-        if pairs > SUPPORT_CAP:
-            raise SupportCapError(f"pair support {pairs} exceeds cap {SUPPORT_CAP}")
-        return _clamp01(_dark_probability(a.amplitudes, b.amplitudes))
-
-
-class FockOutcomeReferee:
-    """Measures the joint message in the occupation basis and post-processes.
-
-    ``decision`` maps the joint occupation tuple (Alice's modes then Bob's)
-    to the probability of outputting 1.
-    """
-
-    def __init__(self, decision: Callable[[FockIndex], float]) -> None:
-        self.decision = decision
-
-    def output_one_probability(self, a: Message, b: Message) -> float:
-        joint = tensor(_as_pure(a, "occupation-basis"), _as_pure(b, "occupation-basis"))
-        p = sum(
-            abs(amp) ** 2 * float(self.decision(idx))
-            for idx, amp in joint.amplitudes.items()
-        )
+        if len(a.factors) != len(b.factors):
+            raise ModeMismatchError("messages have different factor counts")
+        p = 1.0
+        for fa, fb in zip(a.factors, b.factors):
+            p *= self._pair_dark_probability(fa, fb)
         return _clamp01(p)
 
 
-def equal_counts_decision(m: int) -> Callable[[FockIndex], float]:
-    """Decision rule: output 1 when both halves show identical counts."""
-
-    def decide(idx: FockIndex) -> float:
-        return 1.0 if idx[:m] == idx[m:] else 0.0
-
-    return decide
-
-
 class DiagonalMapReferee:
-    """Stochastic map on pairs of Fock-diagonal messages.
+    """Measures both messages in the occupation basis and post-processes.
 
-    ``rule`` maps a pair of occupation tuples to the probability of output 1.
+    ``rule`` maps a pair of occupation tuples (Alice's, Bob's) to the
+    probability of output 1. Only the photon-number weights of each message
+    matter, so pure, Fock-diagonal and dense messages are all accepted.
     """
 
     def __init__(self, rule: Callable[[FockIndex, FockIndex], float]) -> None:
         self.rule = rule
 
     def output_one_probability(self, a: Message, b: Message) -> float:
-        if not isinstance(a, FockDiagonalState) or not isinstance(b, FockDiagonalState):
-            raise TypeError("diagonal referee requires Fock-diagonal messages")
+        weights_b = tuple(b.weights())
         p = 0.0
-        for ia, pa in a.probabilities.items():
-            for ib, pb in b.probabilities.items():
+        for ia, pa in a.weights():
+            for ib, pb in weights_b:
                 p += pa * pb * float(self.rule(ia, ib))
         return _clamp01(p)
 
@@ -396,9 +353,9 @@ class DiagonalMapReferee:
 class SmpProtocol:
     """One-round simultaneous-message protocol with exact referee evaluation.
 
-    ``mu`` is the declared per-party maximum mean photon number; every
-    encoder output is checked against it at construction (for n in table
-    range). ``message_tail`` records mass discarded when messages were built
+    Both parties use the one ``encoder``. ``mu`` is the declared per-party
+    maximum mean photon number; every encoder output is checked against it
+    at construction (for n in table range). ``message_tail`` records mass discarded when messages were built
     from pre-truncated infinite states; it feeds error budgets downstream.
     """
 
@@ -406,8 +363,7 @@ class SmpProtocol:
     n: int
     m: int
     mu: float
-    alice_encoder: Callable[[int], Message]
-    bob_encoder: Callable[[int], Message]
+    encoder: Callable[[int], Message]
     referee: object
     target: FunctionTable | Callable[[int, int], int]
     message_tail: float = 0.0
@@ -427,18 +383,17 @@ class SmpProtocol:
             )
         if self.n <= TABLE_N_CAP:
             for x in range(1 << self.n):
-                for enc, party in ((self.alice_encoder, "alice"), (self.bob_encoder, "bob")):
-                    msg = enc(x)
-                    if msg.modes != self.m:
-                        raise ConfigError(
-                            f"{party} encoder output for x={x} has {msg.modes} modes, expected {self.m}"
-                        )
-                    mean = mean_photon_number(msg)
-                    if mean > self.mu + 1e-9:
-                        raise ConfigError(
-                            f"{party} encoder output for x={x} has mean photon number "
-                            f"{mean} above mu={self.mu}"
-                        )
+                msg = self.encoder(x)
+                if msg.modes != self.m:
+                    raise ConfigError(
+                        f"encoder output for x={x} has {msg.modes} modes, expected {self.m}"
+                    )
+                mean = mean_photon_number(msg)
+                if mean > self.mu + 1e-9:
+                    raise ConfigError(
+                        f"encoder output for x={x} has mean photon number "
+                        f"{mean} above mu={self.mu}"
+                    )
 
     def target_value(self, x: int, y: int) -> int:
         if isinstance(self.target, FunctionTable):
@@ -473,9 +428,7 @@ class ErrorReport:
 
 def _pair_error(protocol: SmpProtocol, x: int, y: int) -> tuple[int, int, int, float]:
     f = protocol.target_value(x, y)
-    p_one = protocol.referee.output_one_probability(
-        protocol.alice_encoder(x), protocol.bob_encoder(y)
-    )
+    p_one = protocol.referee.output_one_probability(protocol.encoder(x), protocol.encoder(y))
     p_error = 1.0 - p_one if f == 1 else p_one
     return (x, y, f, _clamp01(p_error))
 
@@ -597,8 +550,7 @@ def coherent_fingerprint_protocol(
         n=n,
         m=m,
         mu=mu_total,
-        alice_encoder=factors_for,
-        bob_encoder=factors_for,
+        encoder=factors_for,
         referee=InterferenceVacuumReferee(),
         target=target,
         message_tail=message_tail,
@@ -633,8 +585,7 @@ def trivial_classical_protocol(n: int, code: Code | None = None) -> SmpProtocol:
         n=n,
         m=code.m,
         mu=mu,
-        alice_encoder=encoder,
-        bob_encoder=encoder,
+        encoder=encoder,
         referee=DiagonalMapReferee(lambda ia, ib: 1.0 if ia == ib else 0.0),
         target=target,
     )

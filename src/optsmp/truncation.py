@@ -6,13 +6,16 @@ most sqrt(delta) in trace distance, and perturbing every message of a
 simultaneous-message protocol by trace distance t inflates its worst-case
 error by at most 2t. Each of those three steps is implemented and checkable
 here on concrete states rather than assumed.
+
+A cutoff is a plain nonnegative integer everywhere in this module;
+:func:`transform_protocol` derives floor(mu/delta) with
+:func:`~optsmp.combinatorics.markov_photon_cutoff`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +23,6 @@ from . import fock
 from .combinatorics import markov_photon_cutoff
 from .errors import (
     ConfigError,
-    ModeMismatchError,
     PremiseViolationError,
     SupportCapError,
     VacuousTruncationError,
@@ -35,53 +37,21 @@ from .fock import (
 )
 
 
-@dataclass(frozen=True)
-class TruncationSpec:
-    """A photon-number cutoff derived from (mu, delta) for a mode count."""
-
-    mu: float
-    delta: float
-    cutoff: int
-    modes: int
-
-    def __post_init__(self) -> None:
-        if self.modes < 1:
-            raise ConfigError(f"modes must be >= 1, got {self.modes}")
-        expected = markov_photon_cutoff(self.mu, self.delta)
-        if self.cutoff != expected:
-            raise ConfigError(
-                f"cutoff {self.cutoff} does not equal floor(mu/delta) = {expected}"
-            )
-
-
-def markov_cutoff(mu: float, delta: float, modes: int = 1) -> TruncationSpec:
-    """Cutoff spec with cutoff = floor(mu/delta).
-
-    Keeping total photons <= cutoff retains weight >= 1 - delta for any state
-    of mean photon number <= mu, by Markov's inequality.
-    """
-    return TruncationSpec(mu=mu, delta=delta, cutoff=markov_photon_cutoff(mu, delta), modes=modes)
-
-
-def _resolve_cutoff(spec_or_cutoff: TruncationSpec | int) -> int:
-    if isinstance(spec_or_cutoff, TruncationSpec):
-        return spec_or_cutoff.cutoff
-    cutoff = int(spec_or_cutoff)
+def _resolve_cutoff(cutoff: int) -> int:
+    cutoff = int(cutoff)
     if cutoff < 0:
         raise ConfigError(f"cutoff must be >= 0, got {cutoff}")
     return cutoff
 
 
-def retained_weight(state: State, spec_or_cutoff: TruncationSpec | int) -> float:
+def retained_weight(state: State, cutoff: int) -> float:
     """Weight of the state inside the cutoff subspace, Pr[N <= cutoff]."""
-    cutoff = _resolve_cutoff(spec_or_cutoff)
+    cutoff = _resolve_cutoff(cutoff)
     dist = fock.photon_number_distribution(state)
     return sum(p for n, p in dist.items() if n <= cutoff)
 
 
-def project_below_cutoff(
-    state: State, spec_or_cutoff: TruncationSpec | int
-) -> tuple[State, float]:
+def project_below_cutoff(state: State, cutoff: int) -> tuple[State, float]:
     """Project onto total photons <= cutoff and renormalize.
 
     Returns ``(projected_state, weight)`` where ``weight`` is the mass the
@@ -90,12 +60,7 @@ def project_below_cutoff(
     projected product too large to pair with another raises
     :class:`SupportCapError`.
     """
-    cutoff = _resolve_cutoff(spec_or_cutoff)
-    if isinstance(spec_or_cutoff, TruncationSpec):
-        if spec_or_cutoff.modes != state.modes:
-            raise ModeMismatchError(
-                f"spec is for {spec_or_cutoff.modes} modes, state has {state.modes}"
-            )
+    cutoff = _resolve_cutoff(cutoff)
     if isinstance(state, ProductPureState):
         if state.max_total_photons() <= cutoff:
             # The projector acts as the identity on the whole joint support.
@@ -159,22 +124,18 @@ def _project_product(state: ProductPureState, cutoff: int) -> tuple[PureState, f
     return PureState(state.modes, amps, normalize=True), weight
 
 
-def check_gentle_measurement(
-    state: State, spec_or_cutoff: TruncationSpec | int
-) -> float:
+def check_gentle_measurement(state: State, cutoff: int) -> float:
     """Slack of the gentle-measurement inequality for this state and cutoff.
 
     Returns ``F(state, projected) - sqrt(weight)``; nonnegative up to float
     error whenever the projection is nonvacuous.
     """
-    projected, weight = project_below_cutoff(state, spec_or_cutoff)
+    projected, weight = project_below_cutoff(state, cutoff)
     f = fock.fidelity(state, projected)
     return f - math.sqrt(weight)
 
 
-def check_projector_closeness(
-    state: State, spec_or_cutoff: TruncationSpec | int, delta: float
-) -> float:
+def check_projector_closeness(state: State, cutoff: int, delta: float) -> float:
     """Gap ``sqrt(delta) - trace_distance(state, projected)``.
 
     Requires the premise ``retained weight >= 1 - delta``; a premise failure
@@ -183,7 +144,7 @@ def check_projector_closeness(
     """
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"delta must be in (0, 1), got {delta}")
-    projected, weight = project_below_cutoff(state, spec_or_cutoff)
+    projected, weight = project_below_cutoff(state, cutoff)
     if weight < 1.0 - delta - 1e-12:
         raise PremiseViolationError(
             f"retained weight {weight} below 1 - delta = {1.0 - delta}"
@@ -204,38 +165,26 @@ def perturbed_error_bound(error: float, message_distance: float) -> float:
     return error + 2.0 * message_distance
 
 
-def transform_protocol(protocol, delta: float, *, original_error: float | None = None):
+def transform_protocol(protocol, delta: float, original_error: float):
     """Truncate every message of a protocol at cutoff floor(mu/delta).
 
     Returns ``(truncated_protocol, error_bound)`` with
-    ``error_bound = original_error + 2 * sqrt(delta)``; the truncated
+    ``error_bound = original_error + 2 * sqrt(delta)``, where
+    ``original_error`` is the protocol's worst-case error; the truncated
     protocol's exact worst-case error never exceeds the bound (each projected
-    message sits within sqrt(delta) of the original in trace distance). When
-    ``original_error`` is omitted it is computed by exhaustive evaluation.
+    message sits within sqrt(delta) of the original in trace distance). Each
+    projected message is built once and cached by input.
     """
-    from .smp import evaluate_error  # local import: smp builds on this module
+    cutoff = markov_photon_cutoff(protocol.mu, delta)
+    cache: dict[int, State] = {}
 
-    if not 0.0 < delta < 1.0:
-        raise ConfigError(f"delta must be in (0, 1), got {delta}")
-    spec = markov_cutoff(protocol.mu, delta, protocol.m)
-    if original_error is None:
-        original_error = evaluate_error(protocol).worst_error
-
-    def wrap(encoder):
-        cache: dict[int, State] = {}
-
-        def truncated(x: int) -> State:
-            if x not in cache:
-                cache[x] = project_below_cutoff(encoder(x), spec)[0]
-            return cache[x]
-
-        return truncated
+    def truncated(x: int) -> State:
+        if x not in cache:
+            cache[x] = project_below_cutoff(protocol.encoder(x), cutoff)[0]
+        return cache[x]
 
     truncated_protocol = dataclasses.replace(
-        protocol,
-        name=f"{protocol.name}+cutoff{spec.cutoff}",
-        alice_encoder=wrap(protocol.alice_encoder),
-        bob_encoder=wrap(protocol.bob_encoder),
+        protocol, name=f"{protocol.name}+cutoff{cutoff}", encoder=truncated
     )
     bound = perturbed_error_bound(original_error, math.sqrt(delta))
     return truncated_protocol, bound

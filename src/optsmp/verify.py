@@ -19,7 +19,6 @@ import numpy as np
 from . import fock, truncation
 from .combinatorics import (
     binomial_power_bound,
-    count_rank,
     entropy_profile,
     iter_occupations,
     log_rank_bounds,
@@ -32,9 +31,8 @@ from .fock import (
     total_photons,
 )
 from .smp import (
-    FockOutcomeReferee,
+    DiagonalMapReferee,
     SmpProtocol,
-    equal_counts_decision,
     equality_function,
     evaluate_error,
 )
@@ -264,9 +262,8 @@ def _toy_protocol() -> SmpProtocol:
         n=1,
         m=1,
         mu=1.0,
-        alice_encoder=encoder,
-        bob_encoder=encoder,
-        referee=FockOutcomeReferee(equal_counts_decision(1)),
+        encoder=encoder,
+        referee=DiagonalMapReferee(lambda ia, ib: 1.0 if ia == ib else 0.0),
         target=equality_function(1),
     )
 
@@ -288,8 +285,7 @@ def _perturbed_toy(theta0: float, theta1: float) -> tuple[SmpProtocol, float]:
         base,
         name="toy-basis-perturbed",
         mu=2.0,
-        alice_encoder=encoder,
-        bob_encoder=encoder,
+        encoder=encoder,
     )
     t = max(abs(math.sin(theta0)), abs(math.sin(theta1)))
     return perturbed, t

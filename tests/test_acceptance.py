@@ -30,7 +30,7 @@ from optsmp.fock import (
     total_photons,
 )
 from optsmp.smp import (
-    FockOutcomeReferee,
+    DiagonalMapReferee,
     FunctionTable,
     RepetitionCode,
     SmpProtocol,
@@ -38,7 +38,6 @@ from optsmp.smp import (
     coherent_accept_probability,
     coherent_fingerprint_protocol,
     deterministic_cc_matrix,
-    equal_counts_decision,
     equality_function,
     evaluate_error,
 )
@@ -198,8 +197,8 @@ def test_criterion_06_protocol_transform_budget(criterion_report):
 
     base = SmpProtocol(
         name="toy", n=1, m=1, mu=2.0,
-        alice_encoder=base_encoder, bob_encoder=base_encoder,
-        referee=FockOutcomeReferee(equal_counts_decision(1)),
+        encoder=base_encoder,
+        referee=DiagonalMapReferee(lambda ia, ib: 1.0 if ia == ib else 0.0),
         target=equality_function(1),
     )
     base_error = evaluate_error(base).worst_error
@@ -212,8 +211,8 @@ def test_criterion_06_protocol_transform_budget(criterion_report):
 
         perturbed = SmpProtocol(
             name="toy-perturbed", n=1, m=1, mu=2.0,
-            alice_encoder=perturbed_encoder, bob_encoder=perturbed_encoder,
-            referee=FockOutcomeReferee(equal_counts_decision(1)),
+            encoder=perturbed_encoder,
+            referee=base.referee,
             target=equality_function(1),
         )
         t = abs(math.sin(theta))  # exact per-message trace distance

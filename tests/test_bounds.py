@@ -10,7 +10,6 @@ from optsmp.bounds import (
     ComplexityReference,
     ReportPoint,
     build_report,
-    classical_tradeoff_lhs,
     default_references,
     equality_reference,
     qfp_report_points,
@@ -34,13 +33,6 @@ def test_quantum_tradeoff_lhs_takes_the_minimum_side():
         quantum_tradeoff_lhs(1, 1.0, 0.5)
     with pytest.raises(ConfigError):
         quantum_tradeoff_lhs(4, 1.0, 1.5)
-
-
-def test_classical_tradeoff_lhs_values():
-    # Oracle: a = 100, count = C(102, 2) = 5151.
-    assert classical_tradeoff_lhs(2, 1.0, 0.01) == pytest.approx(math.log2(5151), abs=1e-12)
-    # single-mode classical messages are allowed
-    assert classical_tradeoff_lhs(1, 1.0, 0.5) == pytest.approx(math.log2(3), abs=1e-12)
 
 
 def test_complexity_reference_requires_value_xor_expression():

@@ -62,6 +62,34 @@ def test_rank_too_long_to_print_is_an_internal_limit(capsys, argv):
     assert log2_rank * math.log10(2) > 4300
 
 
+@pytest.mark.parametrize(
+    "argv", [["1000000", "1000000"], ["1000000", "--mu", "1000", "--delta", "0.001"]]
+)
+def test_huge_rank_is_refused_before_counting(capsys, monkeypatch, argv):
+    # C(2e6, 1e6) has 602,057 digits; counting it exactly takes many seconds.
+    def refuse(*args):
+        raise AssertionError("the exact rank was counted")
+
+    monkeypatch.setattr(cli, "count_rank", refuse)
+    monkeypatch.setattr(cli, "log_rank_bounds", refuse)
+    assert main(["rank"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal limit" in captured.err
+    assert "about 602057 decimal digits" in captured.err
+
+
+def test_rank_at_the_digit_limit_is_decided_exactly(capsys):
+    # C(14290, 7145) has 4300 digits and prints; C(14292, 7146) has 4301. The
+    # estimate is within a digit of the limit for both, so both are counted.
+    assert main(["rank", "7145", "7145"]) == 0
+    assert len(capsys.readouterr().out.split(" rank=")[1].split()[0]) == 4300
+    assert main(["rank", "7146", "7146"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: internal limit: rank has 4301 decimal digits"
+    )
+
+
 def test_rank_requires_cutoff_or_mu(capsys):
     assert main(["rank", "4"]) == 2
     assert "cutoff" in capsys.readouterr().err

@@ -99,6 +99,33 @@ def test_diagonal_state_rejects_negative_probabilities():
         FockDiagonalState(1, {(0,): 1.2, (1,): -0.2})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sparse_states_reject_non_finite_values(bad):
+    # NaN slips past every comparison (negative check, prune, norm check),
+    # so the summed weight is checked for finiteness on every path.
+    cases = [
+        (FockDiagonalState, {(0,): bad}),
+        (FockDiagonalState, {(0,): 0.5, (1,): bad}),
+        (PureState, {(0,): complex(bad)}),
+        (PureState, {(0,): 0.6, (1,): complex(0.8, bad)}),
+    ]
+    for kind, terms in cases:
+        with pytest.raises(NormalizationError, match="not a finite number"):
+            kind(1, terms)
+        with pytest.raises(NormalizationError, match="not a finite number"):
+            kind(1, terms, normalize=True)
+
+
+def test_state_json_with_non_finite_values_is_refused():
+    # json reads the NaN and Infinity literals that Python writes.
+    for text in (
+        '{"modes": 1, "kind": "diagonal", "terms": [{"occ": [0], "p": NaN}]}',
+        '{"modes": 1, "kind": "pure", "terms": [{"occ": [0], "re": 1.0, "im": Infinity}]}',
+    ):
+        with pytest.raises(NormalizationError, match="not a finite number"):
+            state_from_json_dict(json.loads(text))
+
+
 def test_diagonal_state_point_mass_and_normalize():
     pm = FockDiagonalState.point_mass((2, 0))
     assert pm.probability((2, 0)) == 1.0

@@ -8,6 +8,7 @@ import pytest
 from optsmp import smp
 from optsmp.errors import ConfigError, ModeMismatchError
 from optsmp.fock import (
+    DenseOperator,
     FockDiagonalState,
     ProductPureState,
     PureState,
@@ -17,7 +18,6 @@ from optsmp.fock import (
 )
 from optsmp.smp import (
     DiagonalMapReferee,
-    FockOutcomeReferee,
     FunctionTable,
     IdentityCode,
     InterferenceVacuumReferee,
@@ -30,7 +30,6 @@ from optsmp.smp import (
     coherent_accept_probability,
     coherent_fingerprint_protocol,
     deterministic_cc_matrix,
-    equal_counts_decision,
     equality_function,
     equality_predicate,
     evaluate_error,
@@ -40,6 +39,10 @@ from optsmp.smp import (
 from optsmp.truncation import transform_protocol
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def _same_outcome(ia, ib):
+    return 1.0 if ia == ib else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +150,6 @@ def test_interference_referee_paths_agree():
     b = ProductPureState((plus, plus))
     referee = InterferenceVacuumReferee()
     fast = referee.output_one_probability(a, b)
-    joint = referee._joint_probability(a, b)
-    assert fast == pytest.approx(joint, abs=1e-12)
     flat = referee.output_one_probability(a.to_pure_state(), b.to_pure_state())
     assert flat == pytest.approx(fast, abs=1e-12)
 
@@ -185,11 +186,11 @@ def test_dark_port_sum_matches_materialised_beamsplitter_on_projected_messages(n
     protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, repeats), mu)
     truncated, _ = transform_protocol(protocol, delta, original_error=0.0)
     cutoff = int(mu / delta)
-    assert protocol.alice_encoder(0).max_total_photons() > cutoff
+    assert protocol.encoder(0).max_total_photons() > cutoff
     referee = truncated.referee
     for x in range(1 << n):
         for y in range(1 << n):
-            a, b = truncated.alice_encoder(x), truncated.bob_encoder(y)
+            a, b = truncated.encoder(x), truncated.encoder(y)
             assert a.max_total_photons() <= cutoff
             expected = _materialised_dark_probability(a, b)
             assert referee.output_one_probability(a, b) == pytest.approx(expected, abs=1e-12)
@@ -223,8 +224,22 @@ def test_interference_referee_identical_messages_accept():
     assert referee.output_one_probability(msg, msg) == pytest.approx(1.0, abs=1e-9)
 
 
-def test_fock_outcome_referee_equal_counts():
-    referee = FockOutcomeReferee(equal_counts_decision(1))
+def test_interference_referee_refuses_mismatched_factor_layouts():
+    plus = coherent_state(0.4, 10)
+    pair = ProductPureState((plus, plus))
+    two_mode = pair.to_pure_state()
+    referee = InterferenceVacuumReferee()
+    with pytest.raises(ModeMismatchError, match="factor counts"):
+        referee.output_one_probability(pair, two_mode)
+    a = ProductPureState((plus, two_mode))
+    b = ProductPureState((two_mode, plus))
+    with pytest.raises(ModeMismatchError, match="factor mode mismatch"):
+        referee.output_one_probability(a, b)
+
+
+def test_diagonal_referee_measures_pure_messages_in_the_occupation_basis():
+    # On a (x) b with the rule ia == ib: the equal-counts probabilities.
+    referee = DiagonalMapReferee(_same_outcome)
     a = PureState.basis_state((1,))
     assert referee.output_one_probability(a, a) == 1.0
     assert referee.output_one_probability(a, PureState.basis_state((0,))) == 0.0
@@ -232,12 +247,13 @@ def test_fock_outcome_referee_equal_counts():
     assert referee.output_one_probability(plus, a) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_diagonal_referee_requires_diagonal_messages():
-    referee = DiagonalMapReferee(lambda ia, ib: 1.0 if ia == ib else 0.0)
+def test_diagonal_referee_reads_diagonal_and_dense_messages():
+    referee = DiagonalMapReferee(_same_outcome)
     a = FockDiagonalState(1, {(0,): 0.5, (1,): 0.5})
     assert referee.output_one_probability(a, a) == pytest.approx(0.5, abs=1e-12)
-    with pytest.raises(TypeError):
-        referee.output_one_probability(PureState.basis_state((0,)), a)
+    dense = DenseOperator.from_pure_state(PureState(1, {(0,): INV_SQRT2, (1,): INV_SQRT2}))
+    one = FockDiagonalState.point_mass((1,))
+    assert referee.output_one_probability(dense, one) == pytest.approx(0.5, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +269,8 @@ def test_protocol_rejects_mode_count_mismatch():
             n=1,
             m=1,
             mu=1.0,
-            alice_encoder=encoder,
-            bob_encoder=encoder,
-            referee=FockOutcomeReferee(equal_counts_decision(1)),
+            encoder=encoder,
+            referee=DiagonalMapReferee(_same_outcome),
             target=equality_function(1),
         )
 
@@ -270,9 +285,8 @@ def test_protocol_rejects_energy_budget_violation():
             n=1,
             m=1,
             mu=1.0,
-            alice_encoder=encoder,
-            bob_encoder=encoder,
-            referee=FockOutcomeReferee(equal_counts_decision(1)),
+            encoder=encoder,
+            referee=DiagonalMapReferee(_same_outcome),
             target=equality_function(1),
         )
 
@@ -284,14 +298,14 @@ def test_protocol_rejects_bad_referee_and_table():
     with pytest.raises(ConfigError, match="referee"):
         SmpProtocol(
             name="r", n=1, m=1, mu=1.0,
-            alice_encoder=encoder, bob_encoder=encoder,
+            encoder=encoder,
             referee=object(), target=equality_function(1),
         )
     with pytest.raises(ConfigError, match="table"):
         SmpProtocol(
             name="t", n=1, m=1, mu=1.0,
-            alice_encoder=encoder, bob_encoder=encoder,
-            referee=FockOutcomeReferee(equal_counts_decision(1)),
+            encoder=encoder,
+            referee=DiagonalMapReferee(_same_outcome),
             target=equality_function(2),
         )
 
@@ -305,8 +319,8 @@ def _toy() -> SmpProtocol:
 
     return SmpProtocol(
         name="toy", n=1, m=1, mu=1.0,
-        alice_encoder=encoder, bob_encoder=encoder,
-        referee=FockOutcomeReferee(equal_counts_decision(1)),
+        encoder=encoder,
+        referee=DiagonalMapReferee(_same_outcome),
         target=equality_function(1),
     )
 

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from optsmp import truncation
+from optsmp.combinatorics import markov_photon_cutoff
 from optsmp.errors import ConfigError, PremiseViolationError, SupportCapError, VacuousTruncationError
 from optsmp.fock import (
     DenseOperator,
@@ -18,10 +20,8 @@ from optsmp.fock import (
 )
 from optsmp.smp import RepetitionCode, coherent_fingerprint_protocol, evaluate_error, trivial_classical_protocol
 from optsmp.truncation import (
-    TruncationSpec,
     check_gentle_measurement,
     check_projector_closeness,
-    markov_cutoff,
     perturbed_error_bound,
     project_below_cutoff,
     retained_weight,
@@ -29,24 +29,6 @@ from optsmp.truncation import (
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-# ---------------------------------------------------------------------------
-# Cutoff specs
-
-def test_markov_cutoff_builds_consistent_spec():
-    spec = markov_cutoff(1.0, 1e-4, modes=3)
-    assert spec.cutoff == 10000
-    assert spec.modes == 3
-    assert spec.mu == 1.0
-    assert spec.delta == 1e-4
-
-
-def test_truncation_spec_rejects_inconsistent_cutoff():
-    with pytest.raises(ConfigError):
-        TruncationSpec(mu=1.0, delta=0.5, cutoff=3, modes=1)
-    with pytest.raises(ConfigError):
-        TruncationSpec(mu=1.0, delta=0.5, cutoff=2, modes=0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +105,7 @@ def test_project_product_above_cutoff_materializes():
 
 @pytest.mark.parametrize("cutoff", [2, 4, 6])
 def test_project_product_enumerates_the_simplex_only(monkeypatch, cutoff):
-    msg = coherent_fingerprint_protocol(2, RepetitionCode(2, 2), 1.0).alice_encoder(1)
+    msg = coherent_fingerprint_protocol(2, RepetitionCode(2, 2), 1.0).encoder(1)
     assert msg.max_total_photons() > cutoff
     full = msg.to_pure_state()
     kept = {idx: c for idx, c in full.amplitudes.items() if sum(idx) <= cutoff}
@@ -147,17 +129,9 @@ def test_project_product_enumerates_the_simplex_only(monkeypatch, cutoff):
 def test_project_product_refuses_a_support_too_large_to_interfere():
     # m=12 at cutoff 10 keeps 646490 of the C(22, 12) = 646646 occupations
     # (a mode holds at most 9 photons); pairing two needs 4.2e11 terms.
-    msg = coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.0).alice_encoder(0)
+    msg = coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.0).encoder(0)
     with pytest.raises(SupportCapError, match="projected support 646490 "):
         project_below_cutoff(msg, 10)
-
-
-def test_project_accepts_spec_objects():
-    state = coherent_state(1.0, 20)
-    spec = markov_cutoff(1.0, 1.0 / 3.0, modes=1)
-    assert spec.cutoff == 3
-    _, weight = project_below_cutoff(state, spec)
-    assert weight == pytest.approx(retained_weight(state, 3), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +201,6 @@ def test_transform_fingerprint_protocol_budget():
     assert after <= bound + 1e-9
 
 
-def test_transform_computes_original_error_when_missing():
-    protocol = coherent_fingerprint_protocol(1, RepetitionCode(1, 2), 1.0)
-    before = evaluate_error(protocol).worst_error
-    _, bound = transform_protocol(protocol, 0.01)
-    assert bound == pytest.approx(before + 2.0 * math.sqrt(0.01), abs=1e-12)
-
-
 def test_transform_classical_protocol_preserves_zero_error():
     protocol = trivial_classical_protocol(2)
     truncated, bound = transform_protocol(protocol, 0.5, original_error=0.0)
@@ -247,9 +214,9 @@ def test_transform_messages_change_under_aggressive_cutoff():
     # which genuinely reshapes the coherent factors.
     protocol = coherent_fingerprint_protocol(1, RepetitionCode(1, 2), 1.0)
     truncated, _ = transform_protocol(protocol, 0.9, original_error=0.0)
-    msg = truncated.alice_encoder(0)
+    msg = truncated.encoder(0)
     assert msg.max_total_photons() <= 1
-    original = protocol.alice_encoder(0)
+    original = protocol.encoder(0)
     assert original.max_total_photons() > 1
 
 
@@ -260,13 +227,33 @@ def test_binding_cutoff_stays_within_the_inflation_bound(n, repeats, delta):
     protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, repeats), 2.0)
     before = evaluate_error(protocol).worst_error
     truncated, budget = transform_protocol(protocol, delta, original_error=before)
-    spec = markov_cutoff(protocol.mu, delta, protocol.m)
+    cutoff = markov_photon_cutoff(protocol.mu, delta)
     for x in range(1 << n):
-        message = protocol.alice_encoder(x)
-        assert message.max_total_photons() > spec.cutoff
-        _, weight = project_below_cutoff(message, spec)
+        message = protocol.encoder(x)
+        assert message.max_total_photons() > cutoff
+        _, weight = project_below_cutoff(message, cutoff)
         assert 1.0 - delta <= weight < 1.0
     after = evaluate_error(truncated).worst_error
     bound = 2.0 * math.sqrt(delta)
     assert budget == pytest.approx(before + bound, abs=1e-15)
     assert after <= budget, f"observed inflation {after - before!r} above 2*sqrt(delta) = {bound!r}"
+
+
+def test_transform_projects_each_message_once(monkeypatch):
+    # Construction validates every message and exhaustive evaluation reads
+    # each one 2^n times; one cache in front of the one encoder projects
+    # each of the 2^n messages exactly once across both.
+    calls = []
+    original = truncation.project_below_cutoff
+
+    def counted(state, cutoff):
+        calls.append(cutoff)
+        return original(state, cutoff)
+
+    monkeypatch.setattr(truncation, "project_below_cutoff", counted)
+    n = 2
+    protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, 3), 2.0)
+    truncated, _ = transform_protocol(protocol, 0.5, original_error=0.0)
+    evaluate_error(truncated)
+    assert calls == [4] * (1 << n)
+    assert protocol.encoder(0).max_total_photons() > 4
