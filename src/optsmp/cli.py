@@ -146,10 +146,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _load_json(args.config)
     protocol = load_protocol(spec)
-    if args.samples is not None:
-        report = evaluate_error(protocol, mode="sampled", samples=args.samples, seed=args.seed)
-    else:
-        report = evaluate_error(protocol)
+    # One set of pairs for both protocols: sampled mode draws from (seed, n).
+    how = {} if args.samples is None else {"mode": "sampled", "samples": args.samples, "seed": args.seed}
+    report = evaluate_error(protocol, **how)
     lines = [
         f"# protocol={report.protocol_name} n={protocol.n} m={protocol.m} mu={protocol.mu!r}",
         f"# log_base=2 mu_convention={MU_CONVENTION}",
@@ -169,17 +168,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         truncated, budget = transform_protocol(
             protocol, args.truncate, original_error=report.worst_error
         )
-        t_report = evaluate_error(truncated)
+        t_report = evaluate_error(truncated, **how)
         cutoff = markov_photon_cutoff(protocol.mu, args.truncate)
         lines.append(f"# truncate_delta={args.truncate!r} cutoff={cutoff}")
         lines.append(
             f"# worst_error_before={report.worst_error!r} "
             f"worst_error_after={t_report.worst_error!r} error_budget={budget!r}"
         )
-        t_errors = {(x, y): p for x, y, _, p in t_report.pair_errors}
         lines.append("x,y,f,p_error,p_error_truncated")
-        for x, y, f, p in report.pair_errors:
-            lines.append(f"{x},{y},{f},{p!r},{t_errors[(x, y)]!r}")
+        for (x, y, f, p), row in zip(report.pair_errors, t_report.pair_errors):
+            lines.append(f"{x},{y},{f},{p!r},{row[3]!r}")
     else:
         lines.extend(report.csv_lines())
     _emit("\n".join(lines) + "\n", args.out)

@@ -229,10 +229,6 @@ class PureState(_SparseState):
         return self._terms.get(tuple(occ), 0.0 + 0.0j)
 
     @property
-    def support(self) -> Iterator[FockIndex]:
-        return iter(self._terms)
-
-    @property
     def factors(self) -> tuple["PureState"]:
         """The ket as its own single factor, as for :class:`ProductPureState`."""
         return (self,)
@@ -357,10 +353,6 @@ class DenseOperator:
     @property
     def modes(self) -> int:
         return len(self.basis[0])
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
     def assert_density(self, tol: float = NORMALIZATION_TOL) -> None:
         """Validate trace one and positive semidefiniteness (within tol)."""

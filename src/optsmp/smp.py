@@ -18,7 +18,7 @@ choose the next measurement) are deliberately not modeled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -40,7 +40,9 @@ from .fock import (
 
 Message = Union[PureState, FockDiagonalState, ProductPureState]
 
-#: Function tables are dense 2^n x 2^n arrays; larger n needs a callable target.
+#: Function tables are dense 2^n x 2^n arrays, and protocols build and check
+#: all 2^n messages at construction, up to this n. Larger n needs a callable
+#: target, and each message is built and checked on first use.
 TABLE_N_CAP = 12
 #: Brute-force deterministic-communication search is exponential in 2^n.
 DCC_N_CAP = 3
@@ -54,7 +56,8 @@ WORST_TIE = 1e-12
 # Target functions
 
 class FunctionTable:
-    """Dense table of a Boolean function f(x, y) on n-bit inputs."""
+    """Dense table of a Boolean function f(x, y) on n-bit inputs, called
+    as ``table(x, y)`` like a callable target."""
 
     def __init__(self, n: int, values) -> None:
         if not 1 <= n <= TABLE_N_CAP:
@@ -71,7 +74,7 @@ class FunctionTable:
         self.n = n
         self.values = arr
 
-    def value(self, x: int, y: int) -> int:
+    def __call__(self, x: int, y: int) -> int:
         return int(self.values[x, y])
 
     @classmethod
@@ -86,7 +89,7 @@ def equality_function(n: int) -> FunctionTable:
 
 
 def equality_predicate(x: int, y: int) -> int:
-    """Equality as a callable target, for n beyond table form."""
+    """Equality as a callable target, for any n."""
     return int(x == y)
 
 
@@ -118,28 +121,6 @@ class RepetitionCode:
 
 
 @dataclass(frozen=True)
-class IdentityCode:
-    """Codeword = the input bits themselves."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigError("identity code needs n >= 1")
-
-    @property
-    def m(self) -> int:
-        return self.n
-
-    @property
-    def min_distance(self) -> int:
-        return 1
-
-    def encode(self, x: int) -> tuple[int, ...]:
-        return tuple((x >> i) & 1 for i in range(self.n))
-
-
-@dataclass(frozen=True)
 class XorFoldCode:
     """Fold n input bits into m <= n positions by XOR.
 
@@ -165,7 +146,7 @@ class XorFoldCode:
         return tuple(out)
 
 
-Code = Union[RepetitionCode, IdentityCode, XorFoldCode]
+Code = Union[RepetitionCode, XorFoldCode]
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +334,13 @@ class DiagonalMapReferee:
 class SmpProtocol:
     """One-round simultaneous-message protocol with exact referee evaluation.
 
-    Both parties use the one ``encoder``. ``mu`` is the declared per-party
-    maximum mean photon number; every encoder output is checked against it
-    at construction (for n in table range). ``message_tail`` records mass discarded when messages were built
-    from pre-truncated infinite states; it feeds error budgets downstream.
+    Both parties use the one ``encoder``. Every evaluation reads messages
+    through :meth:`message`, so each message is built and checked once per
+    protocol: all 2^n at construction for n <= ``TABLE_N_CAP``, each on first
+    use above it. ``mu`` is the declared per-party maximum mean photon
+    number that every message is checked against. ``message_tail`` records
+    mass discarded when messages were built from pre-truncated infinite
+    states; it feeds error budgets downstream.
     """
 
     name: str
@@ -367,6 +351,9 @@ class SmpProtocol:
     referee: object
     target: FunctionTable | Callable[[int, int], int]
     message_tail: float = 0.0
+    _messages: dict[int, Message] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -383,22 +370,25 @@ class SmpProtocol:
             )
         if self.n <= TABLE_N_CAP:
             for x in range(1 << self.n):
-                msg = self.encoder(x)
-                if msg.modes != self.m:
-                    raise ConfigError(
-                        f"encoder output for x={x} has {msg.modes} modes, expected {self.m}"
-                    )
-                mean = mean_photon_number(msg)
-                if mean > self.mu + 1e-9:
-                    raise ConfigError(
-                        f"encoder output for x={x} has mean photon number "
-                        f"{mean} above mu={self.mu}"
-                    )
+                self.message(x)
 
-    def target_value(self, x: int, y: int) -> int:
-        if isinstance(self.target, FunctionTable):
-            return self.target.value(x, y)
-        return int(self.target(x, y))
+    def message(self, x: int) -> Message:
+        """The message for input ``x``, encoded and checked on first use."""
+        msg = self._messages.get(x)
+        if msg is None:
+            msg = self.encoder(x)
+            if msg.modes != self.m:
+                raise ConfigError(
+                    f"encoder output for x={x} has {msg.modes} modes, expected {self.m}"
+                )
+            mean = mean_photon_number(msg)
+            if mean > self.mu + 1e-9:
+                raise ConfigError(
+                    f"encoder output for x={x} has mean photon number "
+                    f"{mean} above mu={self.mu}"
+                )
+            self._messages[x] = msg
+        return msg
 
 
 @dataclass(frozen=True)
@@ -427,8 +417,8 @@ class ErrorReport:
 
 
 def _pair_error(protocol: SmpProtocol, x: int, y: int) -> tuple[int, int, int, float]:
-    f = protocol.target_value(x, y)
-    p_one = protocol.referee.output_one_probability(protocol.encoder(x), protocol.encoder(y))
+    f = int(protocol.target(x, y))
+    p_one = protocol.referee.output_one_probability(protocol.message(x), protocol.message(y))
     p_error = 1.0 - p_one if f == 1 else p_one
     return (x, y, f, _clamp01(p_error))
 
@@ -535,16 +525,9 @@ def coherent_fingerprint_protocol(
     actual_tail = poisson_tail(alpha**2, cutoff)
     message_tail = 1.0 - (1.0 - actual_tail) ** m
 
-    codewords = {}
-
     def factors_for(x: int) -> ProductPureState:
-        if x not in codewords:
-            codewords[x] = code.encode(x)
-        word = codewords[x]
-        return ProductPureState(tuple(minus if bit else plus for bit in word))
+        return ProductPureState(tuple(minus if bit else plus for bit in code.encode(x)))
 
-    target: FunctionTable | Callable[[int, int], int]
-    target = equality_function(n) if n <= TABLE_N_CAP else equality_predicate
     return SmpProtocol(
         name=f"qfp-n{n}-m{m}",
         n=n,
@@ -552,7 +535,7 @@ def coherent_fingerprint_protocol(
         mu=mu_total,
         encoder=factors_for,
         referee=InterferenceVacuumReferee(),
-        target=target,
+        target=equality_predicate,
         message_tail=message_tail,
     )
 
@@ -561,13 +544,14 @@ def trivial_classical_protocol(n: int, code: Code | None = None) -> SmpProtocol:
     """Both parties send their (encoded) bit string as a point-mass diagonal
     state; the referee outputs 1 exactly when the two tuples agree.
 
-    With the identity code this decides equality with zero error at mu <= n.
+    With the default code (each bit once) this decides equality with zero
+    error at mu <= n.
     With a short lossy code it exercises the counting path: every message
     lives in the subspace of occupation tuples with total at most the
     maximum codeword weight.
     """
     if code is None:
-        code = IdentityCode(n)
+        code = RepetitionCode(n, 1)
     if code.n != n:
         raise ConfigError(f"code encodes n={code.n} bits, protocol wants n={n}")
 
@@ -578,8 +562,6 @@ def trivial_classical_protocol(n: int, code: Code | None = None) -> SmpProtocol:
         mu = float(max(sum(code.encode(x)) for x in range(1 << n)))
     else:
         mu = float(code.m)
-    target: FunctionTable | Callable[[int, int], int]
-    target = equality_function(n) if n <= TABLE_N_CAP else equality_predicate
     return SmpProtocol(
         name=f"classical-trivial-n{n}-m{code.m}",
         n=n,
@@ -587,7 +569,7 @@ def trivial_classical_protocol(n: int, code: Code | None = None) -> SmpProtocol:
         mu=mu,
         encoder=encoder,
         referee=DiagonalMapReferee(lambda ia, ib: 1.0 if ia == ib else 0.0),
-        target=target,
+        target=equality_predicate,
     )
 
 
@@ -701,7 +683,7 @@ def bruteforce_deterministic_cc(table: FunctionTable) -> int:
 
 def _load_code(data, n: int) -> Code:
     if data is None:
-        return IdentityCode(n)
+        return RepetitionCode(n, 1)
     if not isinstance(data, Mapping):
         raise ConfigError("field 'code' must be an object")
     kind = data.get("kind")
@@ -711,7 +693,7 @@ def _load_code(data, n: int) -> Code:
             raise ConfigError("field 'code.repeats' must be a positive integer")
         return RepetitionCode(n, repeats)
     if kind == "identity":
-        return IdentityCode(n)
+        return RepetitionCode(n, 1)
     if kind == "xor-fold":
         m = data.get("m")
         if not isinstance(m, int) or m < 1:

@@ -172,19 +172,16 @@ def transform_protocol(protocol, delta: float, original_error: float):
     ``error_bound = original_error + 2 * sqrt(delta)``, where
     ``original_error`` is the protocol's worst-case error; the truncated
     protocol's exact worst-case error never exceeds the bound (each projected
-    message sits within sqrt(delta) of the original in trace distance). Each
-    projected message is built once and cached by input.
+    message sits within sqrt(delta) of the original in trace distance). Like
+    every protocol, the truncated one builds and checks each message once:
+    it projects the original's message for that input, which is itself built
+    once.
     """
     cutoff = markov_photon_cutoff(protocol.mu, delta)
-    cache: dict[int, State] = {}
-
-    def truncated(x: int) -> State:
-        if x not in cache:
-            cache[x] = project_below_cutoff(protocol.encoder(x), cutoff)[0]
-        return cache[x]
-
     truncated_protocol = dataclasses.replace(
-        protocol, name=f"{protocol.name}+cutoff{cutoff}", encoder=truncated
+        protocol,
+        name=f"{protocol.name}+cutoff{cutoff}",
+        encoder=lambda x: project_below_cutoff(protocol.message(x), cutoff)[0],
     )
     bound = perturbed_error_bound(original_error, math.sqrt(delta))
     return truncated_protocol, bound

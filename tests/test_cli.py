@@ -264,6 +264,40 @@ def test_simulate_truncate_past_the_support_cap_is_an_internal_limit(tmp_path, c
     assert captured.err.startswith("error: internal limit: projected support 646490 ")
 
 
+def _report_header(lines):
+    return dict(
+        cell.split("=", 1) for line in lines if line.startswith("# ") for cell in line[2:].split()
+    )
+
+
+def test_simulate_sampled_truncate_evaluates_the_sampled_pairs(tmp_path, capsys):
+    # A binding cutoff (a=4), so the truncated column differs from the first.
+    config = _write_config(tmp_path, "p.json", QFP2)
+    argv = ["simulate", "--config", config, "--samples", "2", "--seed", "1"]
+    assert main(argv + ["--truncate", "0.5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    head = _report_header(lines)
+    rows = [line.split(",") for line in lines[lines.index("x,y,f,p_error,p_error_truncated") + 1 :]]
+    assert len(rows) == 2
+    assert float(head["worst_error_after"]) == max(float(r[4]) for r in rows)
+    assert float(head["worst_error_before"]) == max(float(r[3]) for r in rows)
+    assert main(argv) == 0
+    sampled = capsys.readouterr().out.splitlines()
+    assert [r[:4] for r in rows] == [l.split(",") for l in sampled[sampled.index("x,y,f,p_error") + 1 :]]
+
+
+def test_simulate_sampled_truncate_beyond_table_range(tmp_path, capsys):
+    # n=13 is past exhaustive range; the truncated protocol is sampled too.
+    config = _write_config(tmp_path, "p.json", {"type": "qfp", "n": 13, "mu": 2.0})
+    argv = ["simulate", "--config", config, "--samples", "4", "--seed", "1", "--truncate", "1e-4"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split(",") for line in lines[lines.index("x,y,f,p_error,p_error_truncated") + 1 :]]
+    assert len(rows) == 4
+    # cutoff 20000 is vacuous: truncation changes no error.
+    assert all(r[3] == r[4] for r in rows)
+
+
 def test_simulate_sampled_mode(tmp_path, capsys):
     config = _write_config(tmp_path, "p.json", QFP2)
     assert main(["simulate", "--config", config, "--samples", "6", "--seed", "11"]) == 0
@@ -383,6 +417,8 @@ GOLDEN = [
      "8ec67b16969578a4fb2118d1763f5f12fa0bba1cd9bc08895efb7fb5a5f53814"),
     ("simulate", _qfp(10, _rep(2), 2), ["--samples", "300", "--seed", "7"], 0,
      "d711f00f399ae0b80f6c6061c609a5dbfdd58c4b5b9452141fa143fc2bf33d8f"),
+    ("simulate", _qfp(2, _rep(3), 2), ["--samples", "2", "--seed", "1", "--truncate", "0.5"], 0,
+     "d0bb2b0ed96389bd6d7b62bc0b57fe74edac2cb5ffea7a99160dddc1e77c280a"),
     ("bounds", {"kind": "grid", "m": [2, 4, 8, 33], "mu": [0.5, 2], "delta": [1e-2, 1e-4]}, [], 0,
      "b7ff1ac35119c2714dc0dbca44d2166dbcd2871c288135fbdd681ccb12b0821b"),
     ("bounds", {"kind": "qfp", "n": [1, 2, 3, 5], "mu": 2, "delta": 1e-3, "repeats": 2}, [], 0,

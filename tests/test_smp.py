@@ -1,5 +1,6 @@
 """Protocols, referees, the beamsplitter, and the brute-force cost oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from optsmp.fock import (
 from optsmp.smp import (
     DiagonalMapReferee,
     FunctionTable,
-    IdentityCode,
     InterferenceVacuumReferee,
     RepetitionCode,
     SmpProtocol,
@@ -50,8 +50,8 @@ def _same_outcome(ia, ib):
 
 def test_function_table_validation():
     eq = equality_function(2)
-    assert eq.value(1, 1) == 1
-    assert eq.value(1, 2) == 0
+    assert eq(1, 1) == 1
+    assert eq(1, 2) == 0
     assert equality_predicate(5, 5) == 1
     with pytest.raises(ConfigError):
         FunctionTable(2, [[0, 1], [1, 0]])  # wrong shape for n=2
@@ -79,7 +79,7 @@ def test_repetition_code():
 
 
 def test_identity_and_xor_fold_codes():
-    assert IdentityCode(3).encode(0b101) == (1, 0, 1)
+    assert RepetitionCode(3, 1).encode(0b101) == (1, 0, 1)
     fold = XorFoldCode(4, 2)
     # bits 0,2 fold into slot 0; bits 1,3 into slot 1
     assert fold.encode(0b0101) == (0, 0)
@@ -354,6 +354,40 @@ def test_sampled_evaluation_requires_seed_and_samples():
         evaluate_error(_toy(), mode="sampled", seed=1)
     with pytest.raises(ConfigError):
         evaluate_error(_toy(), mode="bogus")
+
+
+def test_exhaustive_evaluation_encodes_each_message_once():
+    n = 3
+    protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, 2), 2.0)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return protocol.encoder(x)
+
+    # Construction builds and checks all 2^n messages; the 4^n pairs read them.
+    counted_protocol = dataclasses.replace(protocol, encoder=counted)
+    report = evaluate_error(counted_protocol)
+    assert len(report.pair_errors) == 4**n
+    assert sorted(calls) == list(range(1 << n))
+
+
+@pytest.mark.parametrize(
+    "occupation, match",
+    [((0, 0), "modes"), ((2,), "mean photon")],
+    ids=["mode-count", "energy"],
+)
+def test_sampled_evaluation_checks_messages_beyond_table_range(occupation, match):
+    # Above TABLE_N_CAP no message is built at construction; each is still
+    # checked when sampled evaluation first reads it.
+    protocol = SmpProtocol(
+        name="wide", n=13, m=1, mu=1.0,
+        encoder=lambda x: PureState.basis_state(occupation),
+        referee=DiagonalMapReferee(_same_outcome),
+        target=equality_predicate,
+    )
+    with pytest.raises(ConfigError, match=match):
+        evaluate_error(protocol, mode="sampled", samples=3, seed=0)
 
 
 # ---------------------------------------------------------------------------
