@@ -419,6 +419,8 @@ GOLDEN = [
      "d711f00f399ae0b80f6c6061c609a5dbfdd58c4b5b9452141fa143fc2bf33d8f"),
     ("simulate", _qfp(2, _rep(3), 2), ["--samples", "2", "--seed", "1", "--truncate", "0.5"], 0,
      "d0bb2b0ed96389bd6d7b62bc0b57fe74edac2cb5ffea7a99160dddc1e77c280a"),
+    ("simulate", _qfp(8, _rep(2), 2), [], 0,
+     "04d1d1cce71743f9c80ff0a4a1094faf11229ae16ea6c157e288208523b9ce5f"),
     ("bounds", {"kind": "grid", "m": [2, 4, 8, 33], "mu": [0.5, 2], "delta": [1e-2, 1e-4]}, [], 0,
      "b7ff1ac35119c2714dc0dbca44d2166dbcd2871c288135fbdd681ccb12b0821b"),
     ("bounds", {"kind": "qfp", "n": [1, 2, 3, 5], "mu": 2, "delta": 1e-3, "repeats": 2}, [], 0,
