@@ -12,12 +12,13 @@ configuration or an internal limit (support or dimension cap) reached.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
 import tempfile
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .bounds import (
     CSV_HEADER,
@@ -27,7 +28,14 @@ from .bounds import (
 )
 from .combinatorics import count_rank, log_rank_bounds, markov_photon_cutoff
 from .errors import ConfigError, DimensionCapError, OptSmpError, SupportCapError
-from .smp import FunctionTable, bruteforce_deterministic_cc, equality_function, evaluate_error, load_protocol
+from .smp import (
+    FunctionTable,
+    bruteforce_deterministic_cc,
+    csv_rows,
+    equality_function,
+    evaluate_error,
+    load_protocol,
+)
 from .truncation import transform_protocol
 from .verify import DEFAULT_SEED, SUITES, run_suites
 
@@ -38,13 +46,13 @@ MU_CONVENTION = "per-party-max"
 DEFAULT_DELTA = 1e-4
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, chunks: Iterable[str]) -> None:
     """Write via a sibling temp file and rename; no partial files on failure."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".optsmp-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -54,11 +62,13 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str | Iterable[str], out_path: str | None) -> None:
+    """Write ``text``, or its chunks in order, to ``out_path`` or stdout."""
+    chunks = (text,) if isinstance(text, str) else text
     if out_path:
-        _write_atomic(out_path, text)
+        _write_atomic(out_path, chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _load_json(path: str) -> object:
@@ -176,11 +186,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"worst_error_after={t_report.worst_error!r} error_budget={budget!r}"
         )
         lines.append("x,y,f,p_error,p_error_truncated")
-        for (x, y, f, p), row in zip(report.pair_errors, t_report.pair_errors):
-            lines.append(f"{x},{y},{f},{p!r},{row[3]!r}")
+        rows = csv_rows(report.x, report.y, report.f, report.p_error, t_report.p_error)
     else:
-        lines.extend(report.csv_lines())
-    _emit("\n".join(lines) + "\n", args.out)
+        rows = report.csv_lines()
+    _emit(itertools.chain(["\n".join(lines) + "\n"], rows), args.out)
     return 0
 
 

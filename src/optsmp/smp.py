@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -50,6 +50,9 @@ DCC_N_CAP = 3
 #: pair is chosen: pairs that tie exactly on paper differ in the last bits of
 #: their float products.
 WORST_TIE = 1e-12
+#: Rows per block when a report's columns are read row by row or formatted
+#: as CSV; bounds the memory of the Python objects made per block.
+BLOCK_ROWS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +60,8 @@ WORST_TIE = 1e-12
 
 class FunctionTable:
     """Dense table of a Boolean function f(x, y) on n-bit inputs, called
-    as ``table(x, y)`` like a callable target."""
+    as ``table(x, y)`` like a callable target: on integers or on integer
+    arrays, which it indexes elementwise."""
 
     def __init__(self, n: int, values) -> None:
         if not 1 <= n <= TABLE_N_CAP:
@@ -74,8 +78,8 @@ class FunctionTable:
         self.n = n
         self.values = arr
 
-    def __call__(self, x: int, y: int) -> int:
-        return int(self.values[x, y])
+    def __call__(self, x, y):
+        return self.values[x, y]
 
     @classmethod
     def constant(cls, n: int, bit: int) -> "FunctionTable":
@@ -88,9 +92,10 @@ def equality_function(n: int) -> FunctionTable:
     return FunctionTable(n, np.eye(1 << n, dtype=np.uint8))
 
 
-def equality_predicate(x: int, y: int) -> int:
-    """Equality as a callable target, for any n."""
-    return int(x == y)
+def equality_predicate(x, y):
+    """Equality as a callable target, for any n: on integers or elementwise
+    on integer arrays."""
+    return x == y
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +275,28 @@ def _dark_probability(
     return p
 
 
+def _alphabet(items: Iterable) -> tuple[list, np.ndarray]:
+    """The distinct items in order of first appearance, and each item's
+    symbol: the position of its equal among them."""
+    index: dict = {}
+    symbols = [index.setdefault(item, len(index)) for item in items]
+    return list(index), np.array(symbols, dtype=np.intp)
+
+
+def _tabulated(
+    kernel: Callable, distinct: Sequence, symbols: np.ndarray, ix: np.ndarray, iy: np.ndarray
+) -> np.ndarray:
+    """``kernel(distinct[symbols[i]], distinct[symbols[j]])`` for every pair
+    (i, j) of the broadcast index arrays ``ix`` and ``iy``. The kernel runs
+    once per symbol pair that occurs; the pairs read a k x k table."""
+    k = len(distinct)
+    pair = symbols[ix] * k + symbols[iy]
+    table = np.zeros(k * k)
+    for s in np.bincount(pair.ravel(), minlength=k * k).nonzero()[0].tolist():
+        table[s] = kernel(distinct[s // k], distinct[s % k])
+    return table[pair]
+
+
 class InterferenceVacuumReferee:
     """Interferes Alice's mode i with Bob's mode i on balanced beamsplitters
     and outputs 1 ("equal") exactly when every difference port is dark.
@@ -306,6 +333,25 @@ class InterferenceVacuumReferee:
             p *= self._pair_dark_probability(fa, fb)
         return _clamp01(p)
 
+    def output_one_probabilities(
+        self, messages: Sequence[Message], ix: np.ndarray, iy: np.ndarray
+    ) -> np.ndarray:
+        """Output-1 probability of every pair ``(messages[i], messages[j])``
+        over the broadcast index arrays ``ix`` and ``iy``.
+
+        Each factor position gets an alphabet of the factor objects found
+        there and a table of their dark-port sums; the probabilities are the
+        products of one table gather per position, taken in position order,
+        so each equals :meth:`output_one_probability` of its pair bit for bit.
+        """
+        if len({len(msg.factors) for msg in messages}) > 1:
+            raise ModeMismatchError("messages have different factor counts")
+        columns = zip(*(msg.factors for msg in messages))
+        p = _tabulated(self._pair_dark_probability, *_alphabet(next(columns)), ix, iy)
+        for column in columns:
+            p *= _tabulated(self._pair_dark_probability, *_alphabet(column), ix, iy)
+        return p
+
 
 class DiagonalMapReferee:
     """Measures both messages in the occupation basis and post-processes.
@@ -319,12 +365,23 @@ class DiagonalMapReferee:
         self.rule = rule
 
     def output_one_probability(self, a: Message, b: Message) -> float:
-        weights_b = tuple(b.weights())
+        return self._probability(tuple(a.weights()), tuple(b.weights()))
+
+    def _probability(self, weights_a: tuple, weights_b: tuple) -> float:
         p = 0.0
-        for ia, pa in a.weights():
+        for ia, pa in weights_a:
             for ib, pb in weights_b:
                 p += pa * pb * float(self.rule(ia, ib))
         return _clamp01(p)
+
+    def output_one_probabilities(
+        self, messages: Sequence[Message], ix: np.ndarray, iy: np.ndarray
+    ) -> np.ndarray:
+        """Output-1 probability of every pair ``(messages[i], messages[j])``
+        over the broadcast index arrays ``ix`` and ``iy``: messages with the
+        same weights share one row and one column of the table."""
+        weights = _alphabet(tuple(msg.weights()) for msg in messages)
+        return _tabulated(self._probability, *weights, ix, iy)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +397,11 @@ class SmpProtocol:
     use above it. ``mu`` is the declared per-party maximum mean photon
     number that every message is checked against. ``message_tail`` records
     mass discarded when messages were built from pre-truncated infinite
-    states; it feeds error budgets downstream.
+    states; it feeds error budgets downstream. The ``target`` is called on
+    integer arrays of inputs and answers elementwise (1 for "equal"); the
+    ``referee`` gives the output-1 probability of one message pair
+    (``output_one_probability``) and of index arrays over a message list
+    (``output_one_probabilities``).
     """
 
     name: str
@@ -349,9 +410,12 @@ class SmpProtocol:
     mu: float
     encoder: Callable[[int], Message]
     referee: object
-    target: FunctionTable | Callable[[int, int], int]
+    target: FunctionTable | Callable
     message_tail: float = 0.0
     _messages: dict[int, Message] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _factor_means: dict[PureState, float] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -362,8 +426,8 @@ class SmpProtocol:
             raise ConfigError(f"m must be >= 1, got {self.m}")
         if self.mu < 0.0:
             raise ConfigError(f"mu must be >= 0, got {self.mu}")
-        if not hasattr(self.referee, "output_one_probability"):
-            raise ConfigError("referee must provide output_one_probability")
+        if not hasattr(self.referee, "output_one_probabilities"):
+            raise ConfigError("referee must provide output_one_probabilities")
         if isinstance(self.target, FunctionTable) and self.target.n != self.n:
             raise ConfigError(
                 f"target table is for n={self.target.n}, protocol has n={self.n}"
@@ -381,7 +445,7 @@ class SmpProtocol:
                 raise ConfigError(
                     f"encoder output for x={x} has {msg.modes} modes, expected {self.m}"
                 )
-            mean = mean_photon_number(msg)
+            mean = self._mean_photon_number(msg)
             if mean > self.mu + 1e-9:
                 raise ConfigError(
                     f"encoder output for x={x} has mean photon number "
@@ -390,37 +454,120 @@ class SmpProtocol:
             self._messages[x] = msg
         return msg
 
+    def _mean_photon_number(self, msg: Message) -> float:
+        """``mean_photon_number(msg)``, bit for bit, with the mean of each
+        distinct factor object computed once per protocol and summed in
+        factor order."""
+        factors = getattr(msg, "factors", None)
+        if factors is None:
+            return mean_photon_number(msg)
+        means = self._factor_means
+        for f in factors:
+            if f not in means:
+                means[f] = mean_photon_number(f)
+        return sum(means[f] for f in factors)
 
-@dataclass(frozen=True)
+
+class PairErrors:
+    """The rows ``(x, y, f, p_error)`` of an :class:`ErrorReport` as Python
+    ints and floats, read from its columns in ascending (x, y) order.
+    ``len`` is the number of pairs."""
+
+    def __init__(self, report: "ErrorReport") -> None:
+        self._report = report
+
+    def __len__(self) -> int:
+        return self._report.p_error.size
+
+    def __iter__(self) -> Iterator[tuple[int, int, int, float]]:
+        r = self._report
+        for block in _row_blocks(r.x, r.y, r.f, r.p_error):
+            yield from zip(*(column.tolist() for column in block))
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other)
+
+
+@dataclass(frozen=True, eq=False)
 class ErrorReport:
-    """Per-pair error probabilities of a protocol run.
+    """Error probabilities of a protocol run, held as columns.
 
-    ``pair_errors`` rows are (x, y, f, p_error) in ascending (x, y) order;
-    the CSV serialization uses exactly those columns.
+    ``x``, ``y``, ``f`` (the target, 1 or 0) and ``p_error`` broadcast to one
+    shape: (2^n, 2^n) in exhaustive mode, (samples,) in sampled mode. Read in
+    C order they are the rows of :attr:`pair_errors`, ascending in (x, y),
+    and the CSV serialization uses exactly those columns. ``drawn`` indexes
+    the rows in the order their pairs were drawn. The statistics are read
+    from the columns when asked for.
     """
 
     protocol_name: str
     n: int
     mode: str
-    pair_errors: tuple[tuple[int, int, int, float], ...]
-    worst_error: float
-    worst_pair: tuple[int, int]
+    x: np.ndarray
+    y: np.ndarray
+    f: np.ndarray
+    p_error: np.ndarray
+    drawn: slice | np.ndarray
     seed: int | None = None
-    mean_error: float = 0.0
-    stderr_mean: float = 0.0
 
-    def csv_lines(self) -> list[str]:
-        lines = ["x,y,f,p_error"]
-        for x, y, f, p in self.pair_errors:
-            lines.append(f"{x},{y},{f},{p!r}")
-        return lines
+    @property
+    def pair_errors(self) -> PairErrors:
+        return PairErrors(self)
+
+    @cached_property
+    def worst_error(self) -> float:
+        return float(self.p_error.max())
+
+    @property
+    def worst_pair(self) -> tuple[int, int]:
+        """The smallest ``(x, y)`` whose error lies within ``WORST_TIE`` of
+        the worst error."""
+        first = int(np.argmax(self.p_error.reshape(-1) >= self.worst_error - WORST_TIE))
+        x, y = (np.broadcast_to(c, self.p_error.shape).flat[first] for c in (self.x, self.y))
+        return (int(x), int(y))
+
+    @property
+    def mean_error(self) -> float:
+        """Mean error, summed over the pairs in draw order."""
+        return float(np.mean(self._errors_drawn()))
+
+    @property
+    def stderr_mean(self) -> float:
+        """Standard error of :attr:`mean_error`, summed in draw order."""
+        errors = self._errors_drawn()
+        return float(np.std(errors, ddof=1) / math.sqrt(errors.size)) if errors.size > 1 else 0.0
+
+    def _errors_drawn(self) -> np.ndarray:
+        return self.p_error.reshape(-1)[self.drawn]
+
+    def csv_lines(self) -> Iterator[str]:
+        """The CSV text in blocks of whole lines, each ending in a newline."""
+        yield "x,y,f,p_error\n"
+        yield from csv_rows(self.x, self.y, self.f, self.p_error)
 
 
-def _pair_error(protocol: SmpProtocol, x: int, y: int) -> tuple[int, int, int, float]:
-    f = int(protocol.target(x, y))
-    p_one = protocol.referee.output_one_probability(protocol.message(x), protocol.message(y))
-    p_error = 1.0 - p_one if f == 1 else p_one
-    return (x, y, f, _clamp01(p_error))
+def _row_blocks(*columns: np.ndarray) -> Iterator[list[np.ndarray]]:
+    """The columns, broadcast to one shape and read in C order, as 1-D
+    blocks of about ``BLOCK_ROWS`` rows."""
+    columns = np.broadcast_arrays(*columns)
+    lead = columns[0]
+    step = max(1, BLOCK_ROWS * len(lead) // lead.size)
+    for start in range(0, len(lead), step):
+        yield [column[start : start + step].ravel() for column in columns]
+
+
+def csv_rows(*columns: np.ndarray) -> Iterator[str]:
+    """CSV lines of the broadcast columns read in C order, in blocks of whole
+    lines, each ending in a newline. Each value prints as ``repr`` of its
+    Python int or float, formatted once per distinct value in a block."""
+    for block in _row_blocks(*columns):
+        yield "\n".join(map(",".join, zip(*map(_words, block)))) + "\n"
+
+
+def _words(column: np.ndarray) -> Iterator[str]:
+    values = column.tolist()
+    words = {v: repr(v) for v in set(values)}
+    return map(words.__getitem__, values)
 
 
 def evaluate_error(
@@ -432,19 +579,22 @@ def evaluate_error(
 ) -> ErrorReport:
     """Exact worst-case error of a protocol.
 
-    Exhaustive mode enumerates all 4^n input pairs (n <= 12 enforced).
-    Sampled mode draws ``samples`` pairs from a deterministic per-seed stream
-    and evaluates each sampled pair exactly; it reports the max observed error
-    plus the mean and its standard error. ``worst_pair`` is the smallest
-    ``(x, y)`` whose error lies within ``WORST_TIE`` of the worst error.
+    Exhaustive mode evaluates all 4^n input pairs (n <= 12 enforced) as the
+    2^n x 2^n grid. Sampled mode draws ``samples`` pairs from a
+    deterministic per-seed stream and evaluates each sampled pair exactly;
+    it reports the max observed error plus the mean and its standard error,
+    taken in draw order. The target is called once on the input arrays and
+    the referee once on the index arrays.
     """
+    size = 1 << protocol.n
     if mode == "exhaustive":
         if protocol.n > TABLE_N_CAP:
             raise ConfigError(
                 f"exhaustive evaluation requires n <= {TABLE_N_CAP}, got n={protocol.n}"
             )
-        size = 1 << protocol.n
-        pairs = [(x, y) for x in range(size) for y in range(size)]
+        inputs = np.arange(size)
+        ix, iy = inputs[:, None], inputs[None, :]  # x-major, so (x, y) ascends
+        drawn = slice(None)
         used_seed = None
     elif mode == "sampled":
         if samples is None or samples < 1:
@@ -452,32 +602,31 @@ def evaluate_error(
         if seed is None:
             raise ConfigError("sampled mode requires an explicit seed")
         rng = np.random.default_rng([int(seed), protocol.n])
-        size = 1 << protocol.n
         xs = rng.integers(0, size, size=samples)
         ys = rng.integers(0, size, size=samples)
-        pairs = [(int(x), int(y)) for x, y in zip(xs, ys)]
+        inputs, index = np.unique(np.concatenate((xs, ys)), return_inverse=True)
+        order = np.lexsort((ys, xs))  # stable: tied pairs keep draw order
+        ix, iy = index[:samples][order], index[samples:][order]
+        drawn = np.argsort(order)  # sorted position of each draw
         used_seed = int(seed)
     else:
         raise ConfigError(f"unknown evaluation mode {mode!r}")
 
-    rows = [_pair_error(protocol, x, y) for x, y in pairs]
-
-    errors = [r[3] for r in rows]
-    worst_error = max(errors)
-    mean = float(np.mean(errors))
-    stderr = float(np.std(errors, ddof=1) / math.sqrt(len(errors))) if len(errors) > 1 else 0.0
-    ordered = tuple(sorted(rows, key=lambda r: (r[0], r[1])))
-    worst = next(r for r in ordered if r[3] >= worst_error - WORST_TIE)
+    messages = [protocol.message(x) for x in inputs.tolist()]
+    x, y = inputs[ix], inputs[iy]
+    equal = np.asarray(protocol.target(x, y)) == 1
+    p_error = protocol.referee.output_one_probabilities(messages, ix, iy)
+    np.subtract(1.0, p_error, out=p_error, where=equal)
     return ErrorReport(
         protocol_name=protocol.name,
         n=protocol.n,
         mode=mode,
-        pair_errors=ordered,
-        worst_error=worst_error,
-        worst_pair=(worst[0], worst[1]),
+        x=x,
+        y=y,
+        f=equal.view(np.uint8),
+        p_error=p_error,
+        drawn=drawn,
         seed=used_seed,
-        mean_error=mean,
-        stderr_mean=stderr,
     )
 
 
@@ -555,13 +704,18 @@ def trivial_classical_protocol(n: int, code: Code | None = None) -> SmpProtocol:
     if code.n != n:
         raise ConfigError(f"code encodes n={code.n} bits, protocol wants n={n}")
 
-    def encoder(x: int) -> FockDiagonalState:
-        return FockDiagonalState.point_mass(code.encode(x))
-
     if n <= TABLE_N_CAP:
-        mu = float(max(sum(code.encode(x)) for x in range(1 << n)))
+        # Each input is encoded once: mu and the messages read one list.
+        codewords = [code.encode(x) for x in range(1 << n)]
+        mu = float(max(map(sum, codewords)))
+        encode = codewords.__getitem__
     else:
         mu = float(code.m)
+        encode = code.encode
+
+    def encoder(x: int) -> FockDiagonalState:
+        return FockDiagonalState.point_mass(encode(x))
+
     return SmpProtocol(
         name=f"classical-trivial-n{n}-m{code.m}",
         n=n,

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from optsmp import smp
+from optsmp import smp, verify
 from optsmp.errors import ConfigError, ModeMismatchError
 from optsmp.fock import (
     DenseOperator,
@@ -332,7 +332,7 @@ def test_exhaustive_evaluation_of_zero_error_protocol():
     assert [r[:2] for r in report.pair_errors] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert report.mode == "exhaustive"
     assert report.seed is None
-    lines = report.csv_lines()
+    lines = "".join(report.csv_lines()).splitlines()
     assert lines[0] == "x,y,f,p_error"
     assert lines[1] == "0,0,1,0.0"
 
@@ -451,6 +451,136 @@ def test_trivial_classical_protocol_is_exact():
     assert protocol.mu == 3.0  # heaviest 3-bit codeword
     report = evaluate_error(protocol)
     assert report.worst_error == 0.0
+
+
+def test_trivial_classical_protocol_encodes_each_input_once():
+    n = 5
+    calls = []
+
+    class CountedCode(XorFoldCode):
+        def encode(self, x):
+            calls.append(x)
+            return super().encode(x)
+
+    protocol = trivial_classical_protocol(n, CountedCode(n, 3))
+    evaluate_error(protocol)
+    # mu and the message table read one list of codewords.
+    assert sorted(calls) == list(range(1 << n))
+    assert protocol.mu == 3.0
+
+
+def test_message_check_computes_each_factor_mean_once(monkeypatch):
+    calls = []
+    mean = smp.mean_photon_number
+
+    def counted(state):
+        calls.append(state)
+        return mean(state)
+
+    monkeypatch.setattr(smp, "mean_photon_number", counted)
+    protocol = coherent_fingerprint_protocol(6, RepetitionCode(6, 2), 2.0)
+    # Two single-mode factor objects (+alpha and -alpha) across 64 messages.
+    assert 1 <= len(calls) <= 2
+    assert len({id(state) for state in calls}) == len(calls)
+    assert all(state.modes == 1 for state in calls)
+    for x in range(1 << 6):
+        msg = protocol.message(x)
+        assert protocol._mean_photon_number(msg) == mean(msg)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_fingerprint_matches_closed_form_at_every_n(n):
+    repeats, mu = 2, 2.0
+    protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, repeats), mu)
+    report = evaluate_error(protocol)
+    assert len(report.pair_errors) == 4**n
+    accept = [coherent_accept_probability(mu, protocol.m, d * repeats) for d in range(n + 1)]
+    worst = 0.0
+    for x, y, f, p_error in report.pair_errors:
+        assert f == (x == y)
+        a = accept[bin(x ^ y).count("1")]
+        worst = max(worst, abs(p_error - (1.0 - a if f == 1 else a)))
+    assert worst <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Array evaluation against the one-pair referee API
+
+def _qfp_case(n, code, mu):
+    return lambda: coherent_fingerprint_protocol(n, code, mu)
+
+
+def _binding_truncation():
+    # qfp n=2, one mode per bit, mu=1 at delta=0.4: cutoff a=2 lies below
+    # the messages' maximum photon number, so each message is a joint ket.
+    protocol = coherent_fingerprint_protocol(2, RepetitionCode(2, 1), 1.0)
+    truncated, _ = transform_protocol(protocol, 0.4, original_error=0.0)
+    assert protocol.message(0).max_total_photons() > 2
+    assert len(truncated.message(0).factors) == 1
+    return truncated
+
+
+ONE_PAIR_CASES = {
+    "qfp-rep-n1": _qfp_case(1, RepetitionCode(1, 3), 1.1),
+    "qfp-rep-n2": _qfp_case(2, RepetitionCode(2, 2), 0.9),
+    "qfp-rep-n3": _qfp_case(3, RepetitionCode(3, 2), 1.3),
+    "qfp-rep-n4": _qfp_case(4, RepetitionCode(4, 3), 2.2),
+    "qfp-xor-n3": _qfp_case(3, XorFoldCode(3, 2), 0.7),
+    "qfp-xor-n4": _qfp_case(4, XorFoldCode(4, 3), 1.9),
+    "binding-truncation": _binding_truncation,
+    "classical-xor-n5-m3": lambda: trivial_classical_protocol(5, XorFoldCode(5, 3)),
+    "perturbed-toy": lambda: verify._perturbed_toy(0.3, 0.2)[0],
+}
+
+
+def _assert_rows_match_one_pair_api(protocol, report):
+    rows = list(report.pair_errors)
+    assert len(rows) == len(report.pair_errors)
+    for x, y, f, p_error in rows:
+        assert type(x) is int and type(y) is int and type(f) is int
+        assert type(p_error) is float
+        assert f == int(protocol.target(x, y))
+        p_one = protocol.referee.output_one_probability(protocol.message(x), protocol.message(y))
+        assert p_error == (1.0 - p_one if f == 1 else p_one)
+    return rows
+
+
+@pytest.mark.parametrize("case", sorted(ONE_PAIR_CASES))
+def test_exhaustive_rows_equal_the_one_pair_api_bit_for_bit(case):
+    protocol = ONE_PAIR_CASES[case]()
+    report = evaluate_error(protocol)
+    rows = _assert_rows_match_one_pair_api(protocol, report)
+    size = 1 << protocol.n
+    assert [r[:2] for r in rows] == [(x, y) for x in range(size) for y in range(size)]
+    assert report.worst_error == max(r[3] for r in rows)
+
+
+def test_sampled_rows_equal_the_one_pair_api_bit_for_bit():
+    protocol = coherent_fingerprint_protocol(2, RepetitionCode(2, 3), 1.4)
+    report = evaluate_error(protocol, mode="sampled", samples=60, seed=3)
+    rows = _assert_rows_match_one_pair_api(protocol, report)
+    pairs = [r[:2] for r in rows]
+    assert len(pairs) == 60 and len(set(pairs)) < 60  # the sample repeats pairs
+    assert pairs == sorted(pairs)
+
+
+def test_sampled_statistics_are_taken_in_draw_order():
+    protocol = coherent_fingerprint_protocol(5, RepetitionCode(5, 2), 2.0)
+    samples, seed = 300, 1
+    report = evaluate_error(protocol, mode="sampled", samples=samples, seed=seed)
+    rng = np.random.default_rng([seed, protocol.n])
+    xs = rng.integers(0, 1 << protocol.n, size=samples).tolist()
+    ys = rng.integers(0, 1 << protocol.n, size=samples).tolist()
+    drawn = []
+    for x, y in zip(xs, ys):
+        p_one = protocol.referee.output_one_probability(protocol.message(x), protocol.message(y))
+        drawn.append(1.0 - p_one if x == y else p_one)
+    assert [r[:2] for r in report.pair_errors] == sorted(zip(xs, ys))
+    assert report.worst_error == max(drawn)
+    assert report.mean_error == float(np.mean(drawn))
+    assert report.stderr_mean == float(np.std(drawn, ddof=1) / math.sqrt(samples))
+    # The sum depends on the order: in sorted order it differs in the last bits.
+    assert float(np.mean([r[3] for r in report.pair_errors])) != report.mean_error
 
 
 # ---------------------------------------------------------------------------
