@@ -287,12 +287,13 @@ def _tabulated(
     kernel: Callable, distinct: Sequence, symbols: np.ndarray, ix: np.ndarray, iy: np.ndarray
 ) -> np.ndarray:
     """``kernel(distinct[symbols[i]], distinct[symbols[j]])`` for every pair
-    (i, j) of the broadcast index arrays ``ix`` and ``iy``. The kernel runs
-    once per symbol pair that occurs; the pairs read a k x k table."""
+    (i, j) of the index arrays ``ix`` and ``iy``. The kernel runs once per
+    symbol pair that occurs; the pairs read a k x k table."""
     k = len(distinct)
-    pair = symbols[ix] * k + symbols[iy]
+    pair = (symbols * k)[ix]
+    pair += symbols[iy]
     table = np.zeros(k * k)
-    for s in np.bincount(pair.ravel(), minlength=k * k).nonzero()[0].tolist():
+    for s in np.bincount(pair, minlength=k * k).nonzero()[0].tolist():
         table[s] = kernel(distinct[s // k], distinct[s % k])
     return table[pair]
 
@@ -337,7 +338,7 @@ class InterferenceVacuumReferee:
         self, messages: Sequence[Message], ix: np.ndarray, iy: np.ndarray
     ) -> np.ndarray:
         """Output-1 probability of every pair ``(messages[i], messages[j])``
-        over the broadcast index arrays ``ix`` and ``iy``.
+        over the index arrays ``ix`` and ``iy``.
 
         Each factor position gets an alphabet of the factor objects found
         there and a table of their dark-port sums; the probabilities are the
@@ -378,8 +379,8 @@ class DiagonalMapReferee:
         self, messages: Sequence[Message], ix: np.ndarray, iy: np.ndarray
     ) -> np.ndarray:
         """Output-1 probability of every pair ``(messages[i], messages[j])``
-        over the broadcast index arrays ``ix`` and ``iy``: messages with the
-        same weights share one row and one column of the table."""
+        over the index arrays ``ix`` and ``iy``: messages with the same
+        weights share one row and one column of the table."""
         weights = _alphabet(tuple(msg.weights()) for msg in messages)
         return _tabulated(self._probability, *weights, ix, iy)
 
@@ -492,12 +493,11 @@ class PairErrors:
 class ErrorReport:
     """Error probabilities of a protocol run, held as columns.
 
-    ``x``, ``y``, ``f`` (the target, 1 or 0) and ``p_error`` broadcast to one
-    shape: (2^n, 2^n) in exhaustive mode, (samples,) in sampled mode. Read in
-    C order they are the rows of :attr:`pair_errors`, ascending in (x, y),
-    and the CSV serialization uses exactly those columns. ``drawn`` indexes
-    the rows in the order their pairs were drawn. The statistics are read
-    from the columns when asked for.
+    ``x``, ``y``, ``f`` (the target, 1 or 0) and ``p_error`` are arrays of
+    one length, one entry per evaluated pair in ascending (x, y) order: the
+    rows of :attr:`pair_errors`, and the columns of the CSV serialization.
+    ``drawn`` indexes the rows in the order their pairs were drawn. The
+    statistics are read from the columns when asked for.
     """
 
     protocol_name: str
@@ -522,23 +522,19 @@ class ErrorReport:
     def worst_pair(self) -> tuple[int, int]:
         """The smallest ``(x, y)`` whose error lies within ``WORST_TIE`` of
         the worst error."""
-        first = int(np.argmax(self.p_error.reshape(-1) >= self.worst_error - WORST_TIE))
-        x, y = (np.broadcast_to(c, self.p_error.shape).flat[first] for c in (self.x, self.y))
-        return (int(x), int(y))
+        first = int(np.argmax(self.p_error >= self.worst_error - WORST_TIE))
+        return (int(self.x[first]), int(self.y[first]))
 
     @property
     def mean_error(self) -> float:
         """Mean error, summed over the pairs in draw order."""
-        return float(np.mean(self._errors_drawn()))
+        return float(np.mean(self.p_error[self.drawn]))
 
     @property
     def stderr_mean(self) -> float:
         """Standard error of :attr:`mean_error`, summed in draw order."""
-        errors = self._errors_drawn()
+        errors = self.p_error[self.drawn]
         return float(np.std(errors, ddof=1) / math.sqrt(errors.size)) if errors.size > 1 else 0.0
-
-    def _errors_drawn(self) -> np.ndarray:
-        return self.p_error.reshape(-1)[self.drawn]
 
     def csv_lines(self) -> Iterator[str]:
         """The CSV text in blocks of whole lines, each ending in a newline."""
@@ -547,17 +543,13 @@ class ErrorReport:
 
 
 def _row_blocks(*columns: np.ndarray) -> Iterator[list[np.ndarray]]:
-    """The columns, broadcast to one shape and read in C order, as 1-D
-    blocks of about ``BLOCK_ROWS`` rows."""
-    columns = np.broadcast_arrays(*columns)
-    lead = columns[0]
-    step = max(1, BLOCK_ROWS * len(lead) // lead.size)
-    for start in range(0, len(lead), step):
-        yield [column[start : start + step].ravel() for column in columns]
+    """The columns, arrays of one length, in blocks of ``BLOCK_ROWS`` rows."""
+    for start in range(0, len(columns[0]), BLOCK_ROWS):
+        yield [column[start : start + BLOCK_ROWS] for column in columns]
 
 
 def csv_rows(*columns: np.ndarray) -> Iterator[str]:
-    """CSV lines of the broadcast columns read in C order, in blocks of whole
+    """CSV lines of the columns, arrays of one length, in blocks of whole
     lines, each ending in a newline. Each value prints as ``repr`` of its
     Python int or float, formatted once per distinct value in a block."""
     for block in _row_blocks(*columns):
@@ -579,12 +571,12 @@ def evaluate_error(
 ) -> ErrorReport:
     """Exact worst-case error of a protocol.
 
-    Exhaustive mode evaluates all 4^n input pairs (n <= 12 enforced) as the
-    2^n x 2^n grid. Sampled mode draws ``samples`` pairs from a
-    deterministic per-seed stream and evaluates each sampled pair exactly;
-    it reports the max observed error plus the mean and its standard error,
-    taken in draw order. The target is called once on the input arrays and
-    the referee once on the index arrays.
+    Exhaustive mode evaluates all 4^n input pairs (n <= 12 enforced).
+    Sampled mode draws ``samples`` pairs from a deterministic per-seed
+    stream and evaluates each sampled pair exactly; it reports the max
+    observed error plus the mean and its standard error, taken in draw
+    order. The target is called once on the input arrays and the referee
+    once on the index arrays.
     """
     size = 1 << protocol.n
     if mode == "exhaustive":
@@ -592,8 +584,9 @@ def evaluate_error(
             raise ConfigError(
                 f"exhaustive evaluation requires n <= {TABLE_N_CAP}, got n={protocol.n}"
             )
-        inputs = np.arange(size)
-        ix, iy = inputs[:, None], inputs[None, :]  # x-major, so (x, y) ascends
+        # Every (x, y), x-major; 4^12 pairs fit 32-bit indices.
+        x, y = np.divmod(np.arange(size * size, dtype=np.int32), size)
+        inputs, ix, iy = np.arange(size), x, y
         drawn = slice(None)
         used_seed = None
     elif mode == "sampled":
@@ -604,17 +597,19 @@ def evaluate_error(
         rng = np.random.default_rng([int(seed), protocol.n])
         xs = rng.integers(0, size, size=samples)
         ys = rng.integers(0, size, size=samples)
-        inputs, index = np.unique(np.concatenate((xs, ys)), return_inverse=True)
         order = np.lexsort((ys, xs))  # stable: tied pairs keep draw order
-        ix, iy = index[:samples][order], index[samples:][order]
+        x, y = xs[order], ys[order]
+        inputs, index = np.unique(np.concatenate((x, y)), return_inverse=True)
+        ix, iy = index[:samples], index[samples:]
         drawn = np.argsort(order)  # sorted position of each draw
         used_seed = int(seed)
     else:
         raise ConfigError(f"unknown evaluation mode {mode!r}")
 
-    messages = [protocol.message(x) for x in inputs.tolist()]
-    x, y = inputs[ix], inputs[iy]
+    messages = [protocol.message(v) for v in inputs.tolist()]
     equal = np.asarray(protocol.target(x, y)) == 1
+    if equal.shape != x.shape:
+        raise ConfigError("target must answer each input pair")
     p_error = protocol.referee.output_one_probabilities(messages, ix, iy)
     np.subtract(1.0, p_error, out=p_error, where=equal)
     return ErrorReport(

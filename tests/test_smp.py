@@ -356,6 +356,13 @@ def test_sampled_evaluation_requires_seed_and_samples():
         evaluate_error(_toy(), mode="bogus")
 
 
+def test_evaluation_refuses_a_target_that_does_not_answer_each_pair():
+    # Targets are called once on the input arrays and answer elementwise.
+    protocol = dataclasses.replace(_toy(), target=lambda x, y: 1)
+    with pytest.raises(ConfigError, match="target"):
+        evaluate_error(protocol)
+
+
 def test_exhaustive_evaluation_encodes_each_message_once():
     n = 3
     protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, 2), 2.0)
