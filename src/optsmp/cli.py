@@ -62,9 +62,8 @@ def _write_atomic(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-def _emit(text: str | Iterable[str], out_path: str | None) -> None:
-    """Write ``text``, or its chunks in order, to ``out_path`` or stdout."""
-    chunks = (text,) if isinstance(text, str) else text
+def _emit(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write the text ``chunks`` in order to ``out_path`` or stdout."""
     if out_path:
         _write_atomic(out_path, chunks)
     else:
@@ -146,7 +145,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         CSV_HEADER,
     ]
     lines.extend(",".join(row.csv_cells()) for row in rows)
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
@@ -209,7 +208,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     all_passed = all(r.passed for r in results)
     failed = sum(1 for r in results if not r.passed)
     lines.append(f"overall={'pass' if all_passed else 'FAIL'} suites={len(results)} failures={failed}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return 0 if all_passed else 1
 
 
@@ -237,7 +236,7 @@ def cmd_dcc(args: argparse.Namespace) -> int:
     else:
         raise ConfigError(f"field 'type' must be equality|table, got {kind!r}")
     cost = bruteforce_deterministic_cc(table)
-    _emit(f"D={cost}\nconvention={DCC_CONVENTION}\n", args.out)
+    _emit([f"D={cost}\nconvention={DCC_CONVENTION}\n"], args.out)
     return 0
 
 
@@ -286,15 +285,17 @@ def cmd_rank(args: argparse.Namespace) -> int:
         rc = count_rank(args.m, args.a)
         _check_printable(rc.rank, rc.log2_rank)
         _emit(
-            f"m={rc.modes} a={rc.cutoff} rank={rc.rank} log2_rank={rc.log2_rank!r}\n",
+            [f"m={rc.modes} a={rc.cutoff} rank={rc.rank} log2_rank={rc.log2_rank!r}\n"],
             args.out,
         )
         return 0
     b = log_rank_bounds(args.m, args.mu, args.delta)
     _check_printable(b.rank, b.log2_rank)
     _emit(
-        f"m={args.m} mu={args.mu!r} delta={args.delta!r} a={b.cutoff} rank={b.rank} "
-        f"log2_rank={b.log2_rank!r} bound_photon={b.bound_photon!r} bound_mode={b.bound_mode!r}\n",
+        [
+            f"m={args.m} mu={args.mu!r} delta={args.delta!r} a={b.cutoff} rank={b.rank} "
+            f"log2_rank={b.log2_rank!r} bound_photon={b.bound_photon!r} bound_mode={b.bound_mode!r}\n"
+        ],
         args.out,
     )
     return 0

@@ -288,13 +288,19 @@ def _tabulated(
 ) -> np.ndarray:
     """``kernel(distinct[symbols[i]], distinct[symbols[j]])`` for every pair
     (i, j) of the index arrays ``ix`` and ``iy``. The kernel runs once per
-    symbol pair that occurs; the pairs read a k x k table."""
+    symbol pair that occurs, and the table the pairs read never has more
+    entries than there are pairs: all k x k symbol pairs when they are no
+    more (a full grid always), else the sorted symbol pairs that occur."""
     k = len(distinct)
     pair = (symbols * k)[ix]
     pair += symbols[iy]
-    table = np.zeros(k * k)
-    for s in np.bincount(pair, minlength=k * k).nonzero()[0].tolist():
-        table[s] = kernel(distinct[s // k], distinct[s % k])
+    if k * k <= pair.size:
+        codes = np.bincount(pair, minlength=k * k).nonzero()[0]
+        table, slots = np.zeros(k * k), codes
+    else:
+        codes, pair = np.unique(pair, return_inverse=True)
+        table, slots = np.zeros(codes.size), np.arange(codes.size)
+    table[slots] = [kernel(distinct[s // k], distinct[s % k]) for s in codes.tolist()]
     return table[pair]
 
 
@@ -398,11 +404,13 @@ class SmpProtocol:
     use above it. ``mu`` is the declared per-party maximum mean photon
     number that every message is checked against. ``message_tail`` records
     mass discarded when messages were built from pre-truncated infinite
-    states; it feeds error budgets downstream. The ``target`` is called on
-    integer arrays of inputs and answers elementwise (1 for "equal"); the
-    ``referee`` gives the output-1 probability of one message pair
-    (``output_one_probability``) and of index arrays over a message list
-    (``output_one_probabilities``).
+    states; it feeds error budgets downstream. The ``target`` (a
+    :class:`FunctionTable` or a callable) is called on integer arrays of
+    inputs and answers elementwise (1 for "equal"): :func:`evaluate_error`
+    refuses one that answers only scalars, such as ``int(x == y)``, with
+    :class:`ConfigError`. The ``referee`` gives the output-1 probability of
+    one message pair (``output_one_probability``) and of index arrays over a
+    message list (``output_one_probabilities``).
     """
 
     name: str
@@ -411,7 +419,7 @@ class SmpProtocol:
     mu: float
     encoder: Callable[[int], Message]
     referee: object
-    target: FunctionTable | Callable
+    target: Callable[[np.ndarray, np.ndarray], np.ndarray]
     message_tail: float = 0.0
     _messages: dict[int, Message] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -496,8 +504,8 @@ class ErrorReport:
     ``x``, ``y``, ``f`` (the target, 1 or 0) and ``p_error`` are arrays of
     one length, one entry per evaluated pair in ascending (x, y) order: the
     rows of :attr:`pair_errors`, and the columns of the CSV serialization.
-    ``drawn`` indexes the rows in the order their pairs were drawn. The
-    statistics are read from the columns when asked for.
+    ``mean_error`` and its standard error ``stderr_mean`` are summed over the
+    pairs in the order they were drawn.
     """
 
     protocol_name: str
@@ -507,7 +515,8 @@ class ErrorReport:
     y: np.ndarray
     f: np.ndarray
     p_error: np.ndarray
-    drawn: slice | np.ndarray
+    mean_error: float
+    stderr_mean: float
     seed: int | None = None
 
     @property
@@ -525,21 +534,24 @@ class ErrorReport:
         first = int(np.argmax(self.p_error >= self.worst_error - WORST_TIE))
         return (int(self.x[first]), int(self.y[first]))
 
-    @property
-    def mean_error(self) -> float:
-        """Mean error, summed over the pairs in draw order."""
-        return float(np.mean(self.p_error[self.drawn]))
-
-    @property
-    def stderr_mean(self) -> float:
-        """Standard error of :attr:`mean_error`, summed in draw order."""
-        errors = self.p_error[self.drawn]
-        return float(np.std(errors, ddof=1) / math.sqrt(errors.size)) if errors.size > 1 else 0.0
-
     def csv_lines(self) -> Iterator[str]:
         """The CSV text in blocks of whole lines, each ending in a newline."""
         yield "x,y,f,p_error\n"
         yield from csv_rows(self.x, self.y, self.f, self.p_error)
+
+
+def _mean_and_stderr(errors: np.ndarray) -> tuple[float, float]:
+    """``np.mean(errors)`` and ``np.std(errors, ddof=1) / sqrt(size)`` (0.0
+    for one error), bit for bit: the same reductions in the same order,
+    without the per-call overhead of numpy's Python wrappers, which is a
+    large share of an evaluation at n = 1 (four pairs)."""
+    size = errors.size
+    mean = np.add.reduce(errors) / size
+    if size == 1:
+        return float(mean), 0.0
+    square = errors - mean
+    np.multiply(square, square, out=square)
+    return float(mean), math.sqrt(np.add.reduce(square) / (size - 1)) / math.sqrt(size)
 
 
 def _row_blocks(*columns: np.ndarray) -> Iterator[list[np.ndarray]]:
@@ -587,7 +599,7 @@ def evaluate_error(
         # Every (x, y), x-major; 4^12 pairs fit 32-bit indices.
         x, y = np.divmod(np.arange(size * size, dtype=np.int32), size)
         inputs, ix, iy = np.arange(size), x, y
-        drawn = slice(None)
+        draw_order = slice(None)
         used_seed = None
     elif mode == "sampled":
         if samples is None or samples < 1:
@@ -601,17 +613,21 @@ def evaluate_error(
         x, y = xs[order], ys[order]
         inputs, index = np.unique(np.concatenate((x, y)), return_inverse=True)
         ix, iy = index[:samples], index[samples:]
-        drawn = np.argsort(order)  # sorted position of each draw
+        draw_order = np.argsort(order)  # sorted position of each draw
         used_seed = int(seed)
     else:
         raise ConfigError(f"unknown evaluation mode {mode!r}")
 
     messages = [protocol.message(v) for v in inputs.tolist()]
-    equal = np.asarray(protocol.target(x, y)) == 1
+    try:
+        equal = np.asarray(protocol.target(x, y)) == 1
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"target must answer integer arrays elementwise: {exc}") from exc
     if equal.shape != x.shape:
         raise ConfigError("target must answer each input pair")
     p_error = protocol.referee.output_one_probabilities(messages, ix, iy)
     np.subtract(1.0, p_error, out=p_error, where=equal)
+    mean, stderr = _mean_and_stderr(p_error[draw_order])
     return ErrorReport(
         protocol_name=protocol.name,
         n=protocol.n,
@@ -620,7 +636,8 @@ def evaluate_error(
         y=y,
         f=equal.view(np.uint8),
         p_error=p_error,
-        drawn=drawn,
+        mean_error=mean,
+        stderr_mean=stderr,
         seed=used_seed,
     )
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,9 +359,13 @@ def test_sampled_evaluation_requires_seed_and_samples():
 
 def test_evaluation_refuses_a_target_that_does_not_answer_each_pair():
     # Targets are called once on the input arrays and answer elementwise.
-    protocol = dataclasses.replace(_toy(), target=lambda x, y: 1)
-    with pytest.raises(ConfigError, match="target"):
-        evaluate_error(protocol)
+    def branching(x, y):
+        return 1 if x == y else 0
+
+    for target in (lambda x, y: 1, lambda x, y: int(x == y), branching):
+        protocol = dataclasses.replace(_toy(), target=target)
+        with pytest.raises(ConfigError, match="target"):
+            evaluate_error(protocol)
 
 
 def test_exhaustive_evaluation_encodes_each_message_once():
@@ -569,6 +574,38 @@ def test_sampled_rows_equal_the_one_pair_api_bit_for_bit():
     pairs = [r[:2] for r in rows]
     assert len(pairs) == 60 and len(set(pairs)) < 60  # the sample repeats pairs
     assert pairs == sorted(pairs)
+
+
+@pytest.mark.parametrize("case", sorted(ONE_PAIR_CASES))
+def test_sampled_rows_with_more_symbol_pairs_than_draws_equal_the_one_pair_api(case):
+    # Three draws are fewer than the symbol pairs of any alphabet with two
+    # symbols, so the tables hold only the symbol pairs that occur.
+    protocol = ONE_PAIR_CASES[case]()
+    report = evaluate_error(protocol, mode="sampled", samples=3, seed=7)
+    assert len(_assert_rows_match_one_pair_api(protocol, report)) == 3
+
+
+def test_sampled_evaluation_memory_grows_with_draws_not_alphabet_squared():
+    # 2,000 draws at n=20 meet about 4,000 distinct messages, each its own
+    # symbol: a table of all symbol pairs would take 128 MB.
+    protocol = trivial_classical_protocol(20)
+    tracemalloc.start()
+    try:
+        report = evaluate_error(protocol, mode="sampled", samples=2000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(protocol._messages) > 3900
+    assert report.worst_error == 0.0 and len(report.pair_errors) == 2000
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 127, 128, 129, 1000, 4097, 100003])
+def test_mean_and_stderr_equal_numpy_bit_for_bit(size):
+    rng = np.random.default_rng(size)
+    for errors in (rng.random(size), np.exp(-0.37 * rng.integers(0, 20, size))):
+        stderr = float(np.std(errors, ddof=1) / math.sqrt(size)) if size > 1 else 0.0
+        assert smp._mean_and_stderr(errors) == (float(np.mean(errors)), stderr)
 
 
 def test_sampled_statistics_are_taken_in_draw_order():
