@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 from .combinatorics import entropy_bound, markov_photon_cutoff
 from .errors import ConfigError
-from .smp import (
-    DCC_N_CAP,
-    RepetitionCode,
-    bruteforce_deterministic_cc,
-    coherent_fingerprint_protocol,
-    equality_function,
-)
+from .smp import DCC_N_CAP, RepetitionCode, bruteforce_deterministic_cc, equality_function
 
 #: Fixed column order of the tradeoff CSV.
 CSV_HEADER = "n,m,mu,delta,a,log2_rank,term_photon,term_mode,lhs_min,classical_lhs,entropy_bound,D_exact,notes"
@@ -119,13 +113,13 @@ def default_references() -> tuple[ComplexityReference, ...]:
 
 @dataclass(frozen=True)
 class ReportPoint:
-    """One (n, m, mu, delta) grid point; n is optional for pure sweeps."""
+    """One (n, m, mu, delta) grid point. ``n`` is set for a point of an
+    n-bit equality protocol family and left out of pure sweeps."""
 
     m: int
     mu: float
     delta: float
     n: int | None = None
-    function: str | None = None  # name of the target; "equality" gets D_exact
     notes: str = ""
 
 
@@ -170,8 +164,9 @@ def build_report(points: list[ReportPoint]) -> list[TradeoffRow]:
     """One tradeoff row per grid point.
 
     ``log2_rank`` and ``classical_lhs`` are the same number, log2 C(a+m, m),
-    taken once per row. ``D_exact`` is computed by the brute-force oracle,
-    once per distinct n, only for points that name equality with n <= 3.
+    taken once per row. ``D_exact``, the cost of n-bit equality, is computed
+    by the brute-force oracle, once per distinct n, only for points with
+    n <= 3.
     """
     d_exact_by_n: dict[int, int] = {}
     rows = []
@@ -180,7 +175,7 @@ def build_report(points: list[ReportPoint]) -> list[TradeoffRow]:
         log2_rank, h_bound = entropy_bound(a, pt.m)
         term_photon, term_mode, lhs_min = quantum_tradeoff_lhs(pt.m, pt.mu, pt.delta)
         d_exact = None
-        if pt.function == "equality" and pt.n is not None and pt.n <= DCC_N_CAP:
+        if pt.n is not None and pt.n <= DCC_N_CAP:
             if pt.n not in d_exact_by_n:
                 d_exact_by_n[pt.n] = bruteforce_deterministic_cc(equality_function(pt.n))
             d_exact = d_exact_by_n[pt.n]
@@ -212,21 +207,20 @@ def qfp_report_points(
 ) -> list[ReportPoint]:
     """Report points for a coherent-fingerprint family, one per input size.
 
-    Each point is populated from an actual protocol instance (its m and mu),
-    and the notes column tabulates log2(m)/log2(n) as a trend; nothing
+    Each point takes the protocol's m from its repetition code and its mu as
+    given, and the notes column tabulates log2(m)/log2(n) as a trend; nothing
     asymptotic is asserted.
     """
     points = []
     for n in n_values:
-        protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, repeats), mu)
-        ratio = math.log2(protocol.m) / math.log2(n) if n > 1 else float("inf")
+        m = RepetitionCode(n, repeats).m
+        ratio = math.log2(m) / math.log2(n) if n > 1 else float("inf")
         points.append(
             ReportPoint(
-                m=protocol.m,
-                mu=protocol.mu,
+                m=m,
+                mu=mu,
                 delta=delta,
                 n=n,
-                function="equality",
                 notes=f"qfp repetition x{repeats} log2m_over_log2n={ratio!r}",
             )
         )

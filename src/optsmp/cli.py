@@ -12,6 +12,7 @@ configuration or an internal limit (support or dimension cap) reached.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -83,10 +84,10 @@ def _load_json(path: str) -> object:
 def _int_list(value, field: str) -> list[int]:
     if isinstance(value, Mapping):
         lo, hi = value.get("min"), value.get("max")
-        if not isinstance(lo, int) or not isinstance(hi, int) or lo > hi:
+        if type(lo) is not int or type(hi) is not int or lo > hi:
             raise ConfigError(f"field '{field}' range needs integer min <= max")
         return list(range(lo, hi + 1))
-    if isinstance(value, list) and value and all(isinstance(v, int) and not isinstance(v, bool) for v in value):
+    if isinstance(value, list) and value and all(type(v) is int for v in value):
         return list(value)
     raise ConfigError(f"field '{field}' must be a list of integers or a min/max range")
 
@@ -126,7 +127,7 @@ def _bounds_points(config: Mapping, default_delta: float) -> tuple[list[ReportPo
         if len(deltas) != 1:
             raise ConfigError("field 'delta' must be a single number for the qfp preset")
         repeats = config.get("repeats", 3)
-        if not isinstance(repeats, int) or repeats < 1:
+        if type(repeats) is not int or repeats < 1:
             raise ConfigError("field 'repeats' must be a positive integer")
         return qfp_report_points(ns, mus[0], deltas[0], repeats), "qfp"
     raise ConfigError(f"field 'kind' must be grid|qfp, got {kind!r}")
@@ -173,7 +174,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     lines.append(
         f"# worst_error={report.worst_error!r} worst_pair={report.worst_pair[0]},{report.worst_pair[1]}"
     )
-    if args.truncate is not None:
+    columns = [report.x, report.y, report.f, report.p_error]
+    if args.truncate is None:
+        lines.append("x,y,f,p_error")
+    else:
         truncated, budget = transform_protocol(
             protocol, args.truncate, original_error=report.worst_error
         )
@@ -185,10 +189,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"worst_error_after={t_report.worst_error!r} error_budget={budget!r}"
         )
         lines.append("x,y,f,p_error,p_error_truncated")
-        rows = csv_rows(report.x, report.y, report.f, report.p_error, t_report.p_error)
-    else:
-        rows = report.csv_lines()
-    _emit(itertools.chain(["\n".join(lines) + "\n"], rows), args.out)
+        columns.append(t_report.p_error)
+    _emit(itertools.chain(["\n".join(lines) + "\n"], csv_rows(*columns)), args.out)
     return 0
 
 
@@ -222,7 +224,7 @@ def cmd_dcc(args: argparse.Namespace) -> int:
     kind = spec.get("type")
     if kind == "equality":
         n = spec.get("n")
-        if not isinstance(n, int) or not 1 <= n <= 3:
+        if type(n) is not int or not 1 <= n <= 3:
             raise ConfigError("field 'n' must be an integer in 1..3")
         table = equality_function(n)
     elif kind == "table":
@@ -304,7 +306,10 @@ def cmd_rank(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    call in the process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="optsmp",
         description="Photon-truncation and communication tradeoff reports for optical SMP protocols.",

@@ -444,9 +444,7 @@ def coherent_state(alpha: complex, cutoff: int) -> PureState:
 def mean_photon_number(state: State) -> float:
     """Expectation of the total photon-number operator."""
     if isinstance(state, ProductPureState):
-        # Encoders reuse a few factor objects across all modes.
-        means = {f: mean_photon_number(f) for f in set(state.factors)}
-        return sum(means[f] for f in state.factors)
+        return sum(mean_photon_number(f) for f in state.factors)
     return sum(w * total_photons(idx) for idx, w in state.weights())
 
 

@@ -6,8 +6,9 @@ equality fingerprint. Referee rules come in exactly two classes:
 
 * the dark-port test after balanced beamsplitters pair mode i of one message
   with mode i of the other (:class:`InterferenceVacuumReferee`), and
-* stochastic maps on the pair of occupation-basis outcomes
-  (:class:`DiagonalMapReferee`), which read each message's photon-number
+* the same-outcome test: measure both messages in the occupation basis
+  and accept exactly when the two outcomes agree
+  (:class:`DiagonalMapReferee`), which reads each message's photon-number
   weights.
 
 Both classes admit exact output-probability computation, so worst-case error
@@ -17,6 +18,7 @@ choose the next measurement) are deliberately not modeled.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -40,6 +42,9 @@ from .fock import (
 
 Message = Union[PureState, FockDiagonalState, ProductPureState]
 
+#: Coherent fingerprint messages are pre-truncated so that each whole message
+#: discards mass below this bound (recorded as ``message_tail``).
+MESSAGE_TAIL_BOUND = 1e-10
 #: Function tables are dense 2^n x 2^n arrays, and protocols build and check
 #: all 2^n messages at construction, up to this n. Larger n needs a callable
 #: target, and each message is built and checked on first use.
@@ -353,32 +358,38 @@ class InterferenceVacuumReferee:
         """
         if len({len(msg.factors) for msg in messages}) > 1:
             raise ModeMismatchError("messages have different factor counts")
-        columns = zip(*(msg.factors for msg in messages))
-        p = _tabulated(self._pair_dark_probability, *_alphabet(next(columns)), ix, iy)
-        for column in columns:
-            p *= _tabulated(self._pair_dark_probability, *_alphabet(column), ix, iy)
+        # Consecutive positions with the same factor objects (each block of a
+        # repetition code) share one gather. The product starts from ones, as
+        # the one-pair product starts from 1.0, so it never aliases a gather.
+        p = np.ones(ix.size)
+        for column, run in itertools.groupby(zip(*(msg.factors for msg in messages))):
+            gather = _tabulated(self._pair_dark_probability, *_alphabet(column), ix, iy)
+            for _ in run:
+                p *= gather
         return p
 
 
 class DiagonalMapReferee:
-    """Measures both messages in the occupation basis and post-processes.
+    """Measures both messages in the occupation basis and outputs 1 exactly
+    when the two outcomes agree.
 
-    ``rule`` maps a pair of occupation tuples (Alice's, Bob's) to the
-    probability of output 1. Only the photon-number weights of each message
-    matter, so pure, Fock-diagonal and dense messages are all accepted.
+    Only the photon-number weights of each message matter, so pure,
+    Fock-diagonal and dense messages are all accepted.
     """
-
-    def __init__(self, rule: Callable[[FockIndex, FockIndex], float]) -> None:
-        self.rule = rule
 
     def output_one_probability(self, a: Message, b: Message) -> float:
         return self._probability(tuple(a.weights()), tuple(b.weights()))
 
-    def _probability(self, weights_a: tuple, weights_b: tuple) -> float:
+    @staticmethod
+    def _probability(weights_a: tuple, weights_b: tuple) -> float:
+        """The sum of ``pa * pb`` over the outcomes both messages can give,
+        in the order of ``weights_a``."""
+        weights_b = dict(weights_b)
         p = 0.0
         for ia, pa in weights_a:
-            for ib, pb in weights_b:
-                p += pa * pb * float(self.rule(ia, ib))
+            pb = weights_b.get(ia)
+            if pb is not None:
+                p += pa * pb
         return _clamp01(p)
 
     def output_one_probabilities(
@@ -534,11 +545,6 @@ class ErrorReport:
         first = int(np.argmax(self.p_error >= self.worst_error - WORST_TIE))
         return (int(self.x[first]), int(self.y[first]))
 
-    def csv_lines(self) -> Iterator[str]:
-        """The CSV text in blocks of whole lines, each ending in a newline."""
-        yield "x,y,f,p_error\n"
-        yield from csv_rows(self.x, self.y, self.f, self.p_error)
-
 
 def _mean_and_stderr(errors: np.ndarray) -> tuple[float, float]:
     """``np.mean(errors)`` and ``np.std(errors, ddof=1) / sqrt(size)`` (0.0
@@ -653,13 +659,7 @@ def coherent_accept_probability(mu_total: float, m: int, distance: int) -> float
     return math.exp(-2.0 * (mu_total / m) * distance)
 
 
-def coherent_fingerprint_protocol(
-    n: int,
-    code: Code,
-    mu_total: float,
-    *,
-    tail_bound: float = 1e-10,
-) -> SmpProtocol:
+def coherent_fingerprint_protocol(n: int, code: Code, mu_total: float) -> SmpProtocol:
     """Phase-encoded coherent-state fingerprinting for equality.
 
     Each party spreads ``mu_total`` mean photons over the code's m modes with
@@ -668,8 +668,8 @@ def coherent_fingerprint_protocol(
     "equal" exactly when no difference port shows a photon. The worst error is
     exp(-2*mu_total*d_min/m) for a code of minimum distance d_min, so error 1/3
     needs mu_total > m*ln(3)/(2*d_min). Coherent factors are pre-truncated so
-    the whole message discards mass below ``tail_bound`` (recorded on the
-    protocol).
+    the whole message discards mass below ``MESSAGE_TAIL_BOUND`` (recorded on
+    the protocol).
     """
     if code.n != n:
         raise ConfigError(f"code encodes n={code.n} bits, protocol wants n={n}")
@@ -679,7 +679,7 @@ def coherent_fingerprint_protocol(
         raise ConfigError(f"mu_total must be >= 0, got {mu_total}")
     m = code.m
     alpha = math.sqrt(mu_total / m)
-    per_mode_tail = tail_bound / m
+    per_mode_tail = MESSAGE_TAIL_BOUND / m
     cutoff = cutoff_for_tail(alpha**2, per_mode_tail) if mu_total > 0 else 0
     plus = coherent_state(alpha, cutoff)
     minus = coherent_state(-alpha, cutoff)
@@ -709,32 +709,24 @@ def trivial_classical_protocol(n: int, code: Code | None = None) -> SmpProtocol:
     error at mu <= n.
     With a short lossy code it exercises the counting path: every message
     lives in the subspace of occupation tuples with total at most the
-    maximum codeword weight.
+    maximum codeword weight, which is ``code.m`` for both codes (some input
+    lights every position).
     """
     if code is None:
         code = RepetitionCode(n, 1)
     if code.n != n:
         raise ConfigError(f"code encodes n={code.n} bits, protocol wants n={n}")
 
-    if n <= TABLE_N_CAP:
-        # Each input is encoded once: mu and the messages read one list.
-        codewords = [code.encode(x) for x in range(1 << n)]
-        mu = float(max(map(sum, codewords)))
-        encode = codewords.__getitem__
-    else:
-        mu = float(code.m)
-        encode = code.encode
-
     def encoder(x: int) -> FockDiagonalState:
-        return FockDiagonalState.point_mass(encode(x))
+        return FockDiagonalState.point_mass(code.encode(x))
 
     return SmpProtocol(
         name=f"classical-trivial-n{n}-m{code.m}",
         n=n,
         m=code.m,
-        mu=mu,
+        mu=float(code.m),
         encoder=encoder,
-        referee=DiagonalMapReferee(lambda ia, ib: 1.0 if ia == ib else 0.0),
+        referee=DiagonalMapReferee(),
         target=equality_predicate,
     )
 
@@ -855,14 +847,14 @@ def _load_code(data, n: int) -> Code:
     kind = data.get("kind")
     if kind == "repetition":
         repeats = data.get("repeats")
-        if not isinstance(repeats, int) or repeats < 1:
+        if type(repeats) is not int or repeats < 1:
             raise ConfigError("field 'code.repeats' must be a positive integer")
         return RepetitionCode(n, repeats)
     if kind == "identity":
         return RepetitionCode(n, 1)
     if kind == "xor-fold":
         m = data.get("m")
-        if not isinstance(m, int) or m < 1:
+        if type(m) is not int or m < 1:
             raise ConfigError("field 'code.m' must be a positive integer")
         return XorFoldCode(n, m)
     raise ConfigError(f"field 'code.kind' must be repetition|identity|xor-fold, got {kind!r}")
@@ -872,8 +864,9 @@ def load_protocol(data: Mapping) -> SmpProtocol:
     """Build a protocol from its JSON description.
 
     Layout: ``{"type": "qfp"|"classical-trivial", "n": ..., "m": ...,
-    "mu": ..., "code": {...}, "seed": ...}``. ``m`` and ``seed`` are
-    optional; when ``m`` is present it must match the code's length.
+    "mu": ..., "code": {...}}``. ``m`` is optional; when present it must
+    match the code's length. Integer fields refuse JSON booleans. Other keys
+    are ignored.
     """
     if not isinstance(data, Mapping):
         raise ConfigError("protocol spec must be a JSON object")
@@ -881,7 +874,7 @@ def load_protocol(data: Mapping) -> SmpProtocol:
     if ptype not in ("qfp", "classical-trivial"):
         raise ConfigError(f"field 'type' must be qfp|classical-trivial, got {ptype!r}")
     n = data.get("n")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ConfigError("field 'n' must be a positive integer")
     if ptype == "qfp":
         default_code = {"kind": "repetition", "repeats": 3}
@@ -894,9 +887,8 @@ def load_protocol(data: Mapping) -> SmpProtocol:
         code = _load_code(data.get("code"), n)
         protocol = trivial_classical_protocol(n, code)
     m = data.get("m")
+    if isinstance(m, bool):
+        raise ConfigError("field 'm' must be an integer")
     if m is not None and m != protocol.m:
         raise ConfigError(f"field 'm' is {m}, but the code produces m={protocol.m}")
-    seed = data.get("seed")
-    if seed is not None and (not isinstance(seed, int) or seed < 0):
-        raise ConfigError("field 'seed' must be a nonnegative integer")
     return protocol

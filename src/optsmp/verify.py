@@ -263,7 +263,7 @@ def _toy_protocol() -> SmpProtocol:
         m=1,
         mu=1.0,
         encoder=encoder,
-        referee=DiagonalMapReferee(lambda ia, ib: 1.0 if ia == ib else 0.0),
+        referee=DiagonalMapReferee(),
         target=equality_function(1),
     )
 

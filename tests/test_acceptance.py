@@ -198,7 +198,7 @@ def test_criterion_06_protocol_transform_budget(criterion_report):
     base = SmpProtocol(
         name="toy", n=1, m=1, mu=2.0,
         encoder=base_encoder,
-        referee=DiagonalMapReferee(lambda ia, ib: 1.0 if ia == ib else 0.0),
+        referee=DiagonalMapReferee(),
         target=equality_function(1),
     )
     base_error = evaluate_error(base).worst_error

@@ -81,7 +81,7 @@ def test_build_report_grid_row():
 
 
 def test_build_report_fills_exact_cost_for_equality():
-    rows = build_report([ReportPoint(m=6, mu=2.0, delta=1e-4, n=2, function="equality")])
+    rows = build_report([ReportPoint(m=6, mu=2.0, delta=1e-4, n=2)])
     assert rows[0].d_exact == 3
 
 
@@ -89,7 +89,6 @@ def test_qfp_report_points_build_real_protocols():
     points = qfp_report_points([2, 4], 2.0, 1e-4, 3)
     assert [p.n for p in points] == [2, 4]
     assert [p.m for p in points] == [6, 12]
-    assert all(p.function == "equality" for p in points)
     assert "repetition x3" in points[0].notes
     rows = build_report(points)
     assert rows[0].d_exact == 3  # n=2 equality is within the brute-force cap

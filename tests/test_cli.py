@@ -338,6 +338,34 @@ def test_non_finite_numbers_exit_two(tmp_path, capsys, argv, data):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("simulate", {"type": "qfp", "n": True, "mu": 1}),
+        ("simulate", {"type": "classical-trivial", "n": True}),
+        ("simulate", {"type": "qfp", "n": 1, "mu": 1, "code": {"kind": "repetition", "repeats": True}}),
+        ("simulate", {"type": "qfp", "n": 2, "mu": 1, "code": {"kind": "xor-fold", "m": True}}),
+        ("simulate", {"type": "classical-trivial", "n": 1, "m": True}),
+        ("dcc", {"type": "equality", "n": True}),
+        ("bounds", {"kind": "qfp", "n": [2], "mu": 2.0, "repeats": True}),
+        ("bounds", {"kind": "qfp", "n": {"min": True, "max": 3}, "mu": 2.0}),
+        ("bounds", {"kind": "grid", "m": {"min": 2, "max": True}, "mu": [1.0]}),
+        ("bounds", {"kind": "grid", "m": [2, True], "mu": [1.0]}),
+    ],
+    ids=[
+        "qfp-n", "classical-n", "code-repeats", "code-m", "m", "dcc-n",
+        "bounds-repeats", "range-min", "range-max", "list-entry",
+    ],
+)
+def test_json_booleans_are_not_integers(tmp_path, capsys, command, data):
+    config = _write_config(tmp_path, "c.json", data)
+    assert main([command, "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -380,6 +408,25 @@ def test_help_exits_zero(capsys):
 def test_unknown_command_exits_two(capsys):
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
+
+
+def test_shared_parser_answers_like_a_fresh_one(tmp_path, capsys):
+    # The parser is built once per process; parsing one command, or failing
+    # to, must leave nothing behind for the next.
+    rank = ["rank", "4", "3"]
+    dcc = ["dcc", "--config", _write_config(tmp_path, "eq.json", {"type": "equality", "n": 2})]
+    verify = ["verify", "--suite", "binom", "--max", "5"]
+    sequence = [rank, ["rank", "--bogus"], dcc, ["frobnicate"], verify, rank, ["dcc"], dcc]
+    shared = []
+    for argv in sequence:
+        code = main(argv)
+        shared.append((code, capsys.readouterr()))
+    assert cli.build_parser() is cli.build_parser()
+    for argv, (code, captured) in zip(sequence, shared):
+        cli.build_parser.cache_clear()
+        assert main(argv) == code
+        assert capsys.readouterr() == captured
+    assert [code for code, _ in shared] == [0, 2, 0, 2, 0, 0, 2, 0]
 
 
 # ---------------------------------------------------------------------------

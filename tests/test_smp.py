@@ -42,10 +42,6 @@ from optsmp.truncation import transform_protocol
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _same_outcome(ia, ib):
-    return 1.0 if ia == ib else 0.0
-
-
 # ---------------------------------------------------------------------------
 # Function tables and codes
 
@@ -239,8 +235,8 @@ def test_interference_referee_refuses_mismatched_factor_layouts():
 
 
 def test_diagonal_referee_measures_pure_messages_in_the_occupation_basis():
-    # On a (x) b with the rule ia == ib: the equal-counts probabilities.
-    referee = DiagonalMapReferee(_same_outcome)
+    # The probability that both occupation-basis outcomes agree.
+    referee = DiagonalMapReferee()
     a = PureState.basis_state((1,))
     assert referee.output_one_probability(a, a) == 1.0
     assert referee.output_one_probability(a, PureState.basis_state((0,))) == 0.0
@@ -249,12 +245,57 @@ def test_diagonal_referee_measures_pure_messages_in_the_occupation_basis():
 
 
 def test_diagonal_referee_reads_diagonal_and_dense_messages():
-    referee = DiagonalMapReferee(_same_outcome)
+    referee = DiagonalMapReferee()
     a = FockDiagonalState(1, {(0,): 0.5, (1,): 0.5})
     assert referee.output_one_probability(a, a) == pytest.approx(0.5, abs=1e-12)
     dense = DenseOperator.from_pure_state(PureState(1, {(0,): INV_SQRT2, (1,): INV_SQRT2}))
     one = FockDiagonalState.point_mass((1,))
     assert referee.output_one_probability(dense, one) == pytest.approx(0.5, abs=1e-12)
+
+
+def _same_outcome_by_rule_loop(a, b):
+    """The same-outcome probability as a double loop over every outcome pair
+    weighted by the rule ``ia == ib``: an oracle for the referee."""
+    p = 0.0
+    for ia, pa in a.weights():
+        for ib, pb in b.weights():
+            p += pa * pb * (1.0 if ia == ib else 0.0)
+    return min(max(p, 0.0), 1.0)
+
+
+def _random_weighted_messages(rng, count):
+    """Pure, Fock-diagonal and dense two-mode messages, each on a random
+    support of one to eight occupations below 3 photons per mode."""
+    messages = []
+    for _ in range(count):
+        size = int(rng.integers(1, 9))
+        picks = rng.choice(9, size=size, replace=False)
+        support = [(int(k) // 3, int(k) % 3) for k in picks]
+        amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+        messages.append(PureState(2, dict(zip(support, amps)), normalize=True))
+        probs = rng.random(size) + 0.01
+        messages.append(FockDiagonalState(2, dict(zip(support, probs)), normalize=True))
+        root = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        rho = root @ root.conj().T
+        messages.append(DenseOperator(tuple(support), rho / np.trace(rho).real))
+    return messages
+
+
+def test_diagonal_referee_equals_the_rule_loop_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    messages = _random_weighted_messages(rng, 12)
+    referee = DiagonalMapReferee()
+    size = len(messages)
+    ix, iy = np.divmod(np.arange(size * size), size)
+    table = referee.output_one_probabilities(messages, ix, iy)
+    disjoint = 0
+    for i, j, p in zip(ix.tolist(), iy.tolist(), table.tolist()):
+        a, b = messages[i], messages[j]
+        expected = _same_outcome_by_rule_loop(a, b)
+        assert referee.output_one_probability(a, b) == expected
+        assert p == expected
+        disjoint += not {idx for idx, _ in a.weights()} & {idx for idx, _ in b.weights()}
+    assert disjoint > 0
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +312,7 @@ def test_protocol_rejects_mode_count_mismatch():
             m=1,
             mu=1.0,
             encoder=encoder,
-            referee=DiagonalMapReferee(_same_outcome),
+            referee=DiagonalMapReferee(),
             target=equality_function(1),
         )
 
@@ -287,7 +328,7 @@ def test_protocol_rejects_energy_budget_violation():
             m=1,
             mu=1.0,
             encoder=encoder,
-            referee=DiagonalMapReferee(_same_outcome),
+            referee=DiagonalMapReferee(),
             target=equality_function(1),
         )
 
@@ -306,7 +347,7 @@ def test_protocol_rejects_bad_referee_and_table():
         SmpProtocol(
             name="t", n=1, m=1, mu=1.0,
             encoder=encoder,
-            referee=DiagonalMapReferee(_same_outcome),
+            referee=DiagonalMapReferee(),
             target=equality_function(2),
         )
 
@@ -321,7 +362,7 @@ def _toy() -> SmpProtocol:
     return SmpProtocol(
         name="toy", n=1, m=1, mu=1.0,
         encoder=encoder,
-        referee=DiagonalMapReferee(_same_outcome),
+        referee=DiagonalMapReferee(),
         target=equality_function(1),
     )
 
@@ -333,9 +374,8 @@ def test_exhaustive_evaluation_of_zero_error_protocol():
     assert [r[:2] for r in report.pair_errors] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert report.mode == "exhaustive"
     assert report.seed is None
-    lines = "".join(report.csv_lines()).splitlines()
-    assert lines[0] == "x,y,f,p_error"
-    assert lines[1] == "0,0,1,0.0"
+    lines = "".join(smp.csv_rows(report.x, report.y, report.f, report.p_error)).splitlines()
+    assert lines[0] == "0,0,1,0.0"
 
 
 def test_sampled_evaluation_is_deterministic_per_seed():
@@ -395,7 +435,7 @@ def test_sampled_evaluation_checks_messages_beyond_table_range(occupation, match
     protocol = SmpProtocol(
         name="wide", n=13, m=1, mu=1.0,
         encoder=lambda x: PureState.basis_state(occupation),
-        referee=DiagonalMapReferee(_same_outcome),
+        referee=DiagonalMapReferee(),
         target=equality_predicate,
     )
     with pytest.raises(ConfigError, match=match):
@@ -479,6 +519,15 @@ def test_trivial_classical_protocol_encodes_each_input_once():
     # mu and the message table read one list of codewords.
     assert sorted(calls) == list(range(1 << n))
     assert protocol.mu == 3.0
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_trivial_classical_mu_is_the_heaviest_codeword_weight(n):
+    codes = [RepetitionCode(n, 1), RepetitionCode(n, 2)]
+    codes += [XorFoldCode(n, m) for m in range(1, n + 1)]
+    for code in codes:
+        heaviest = max(sum(code.encode(x)) for x in range(1 << n))
+        assert trivial_classical_protocol(n, code).mu == heaviest
 
 
 def test_message_check_computes_each_factor_mean_once(monkeypatch):
@@ -565,6 +614,24 @@ def test_exhaustive_rows_equal_the_one_pair_api_bit_for_bit(case):
     size = 1 << protocol.n
     assert [r[:2] for r in rows] == [(x, y) for x in range(size) for y in range(size)]
     assert report.worst_error == max(r[3] for r in rows)
+
+
+def test_repeated_factor_columns_reuse_one_gather(monkeypatch):
+    # Repeats 4: each input bit fills four consecutive positions with the
+    # same factor objects, so three gathers serve twelve positions; each
+    # gather is multiplied in four times, bit for bit like the one-pair API.
+    calls = []
+    tabulated = smp._tabulated
+
+    def counted(*args):
+        calls.append(args)
+        return tabulated(*args)
+
+    protocol = coherent_fingerprint_protocol(3, RepetitionCode(3, 4), 1.7)
+    monkeypatch.setattr(smp, "_tabulated", counted)
+    report = evaluate_error(protocol)
+    assert protocol.m == 12 and len(calls) == 3
+    _assert_rows_match_one_pair_api(protocol, report)
 
 
 def test_sampled_rows_equal_the_one_pair_api_bit_for_bit():
@@ -752,5 +819,3 @@ def test_load_protocol_field_errors():
         load_protocol({"type": "qfp", "n": 2, "mu": 1.0, "code": {"kind": "repetition"}})
     with pytest.raises(ConfigError, match="'m'"):
         load_protocol({"type": "qfp", "n": 2, "mu": 1.0, "m": 5})
-    with pytest.raises(ConfigError, match="'seed'"):
-        load_protocol({"type": "classical-trivial", "n": 2, "seed": -3})
