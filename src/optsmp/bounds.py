@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .combinatorics import entropy_bound, markov_photon_cutoff
 from .errors import ConfigError
-from .smp import DCC_N_CAP, RepetitionCode, bruteforce_deterministic_cc, equality_function
+from .smp import DCC_N_CAP, RepetitionCode, deterministic_cc_matrix, equality_function
 
 #: Fixed column order of the tradeoff CSV.
 CSV_HEADER = "n,m,mu,delta,a,log2_rank,term_photon,term_mode,lhs_min,classical_lhs,entropy_bound,D_exact,notes"
@@ -66,7 +66,7 @@ class ComplexityReference:
 
 def equality_reference(n: int) -> ComplexityReference:
     """Exact deterministic cost of n-bit equality from the brute-force oracle."""
-    value = bruteforce_deterministic_cc(equality_function(n))
+    value = deterministic_cc_matrix(equality_function(n))
     return ComplexityReference(
         function="equality",
         n=n,
@@ -177,7 +177,7 @@ def build_report(points: list[ReportPoint]) -> list[TradeoffRow]:
         d_exact = None
         if pt.n is not None and pt.n <= DCC_N_CAP:
             if pt.n not in d_exact_by_n:
-                d_exact_by_n[pt.n] = bruteforce_deterministic_cc(equality_function(pt.n))
+                d_exact_by_n[pt.n] = deterministic_cc_matrix(equality_function(pt.n))
             d_exact = d_exact_by_n[pt.n]
         rows.append(
             TradeoffRow(

@@ -30,9 +30,9 @@ from .bounds import (
 from .combinatorics import count_rank, log_rank_bounds, markov_photon_cutoff
 from .errors import ConfigError, DimensionCapError, OptSmpError, SupportCapError
 from .smp import (
-    FunctionTable,
-    bruteforce_deterministic_cc,
+    DCC_N_CAP,
     csv_rows,
+    deterministic_cc_matrix,
     equality_function,
     evaluate_error,
     load_protocol,
@@ -156,15 +156,15 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _load_json(args.config)
     protocol = load_protocol(spec)
-    # One set of pairs for both protocols: sampled mode draws from (seed, n).
-    how = {} if args.samples is None else {"mode": "sampled", "samples": args.samples, "seed": args.seed}
+    # One set of pairs for both protocols: a sample is drawn from (seed, n).
+    how = {} if args.samples is None else {"samples": args.samples, "seed": args.seed}
     report = evaluate_error(protocol, **how)
     lines = [
         f"# protocol={report.protocol_name} n={protocol.n} m={protocol.m} mu={protocol.mu!r}",
         f"# log_base=2 mu_convention={MU_CONVENTION}",
         f"# message_tail={protocol.message_tail!r}",
     ]
-    if report.mode == "sampled":
+    if report.seed is not None:
         lines.append(
             f"# mode=sampled samples={len(report.pair_errors)} seed={report.seed} "
             f"mean_error={report.mean_error!r} stderr_mean={report.stderr_mean!r}"
@@ -224,20 +224,23 @@ def cmd_dcc(args: argparse.Namespace) -> int:
     kind = spec.get("type")
     if kind == "equality":
         n = spec.get("n")
-        if type(n) is not int or not 1 <= n <= 3:
-            raise ConfigError("field 'n' must be an integer in 1..3")
-        table = equality_function(n)
+        if type(n) is not int or not 1 <= n <= DCC_N_CAP:
+            raise ConfigError(f"field 'n' must be an integer in 1..{DCC_N_CAP}")
+        values = equality_function(n)
     elif kind == "table":
         values = spec.get("values")
-        if not isinstance(values, list) or not values:
-            raise ConfigError("field 'values' must be a nonempty 2D array")
-        size = len(values)
-        if size not in (2, 4, 8) or any(len(r) != size for r in values):
-            raise ConfigError("field 'values' must be square with side 2, 4, or 8")
-        table = FunctionTable(size.bit_length() - 1, values)
+        sides = [2 << k for k in range(DCC_N_CAP)]
+        if not (
+            isinstance(values, list)
+            and len(values) in sides
+            and all(isinstance(row, list) and len(row) == len(values) for row in values)
+        ):
+            raise ConfigError(
+                f"field 'values' must be a square list of row lists with side in {sides}"
+            )
     else:
         raise ConfigError(f"field 'type' must be equality|table, got {kind!r}")
-    cost = bruteforce_deterministic_cc(table)
+    cost = deterministic_cc_matrix(values)
     _emit([f"D={cost}\nconvention={DCC_CONVENTION}\n"], args.out)
     return 0
 
@@ -342,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.set_defaults(func=cmd_verify)
 
-    p_dcc = sub.add_parser("dcc", help="exact deterministic communication cost (n <= 3)")
+    p_dcc = sub.add_parser("dcc", help=f"exact deterministic communication cost (n <= {DCC_N_CAP})")
     p_dcc.add_argument("--config", required=True, help="JSON function table")
     p_dcc.add_argument("--out", help="output path (stdout when omitted)")
     p_dcc.set_defaults(func=cmd_dcc)

@@ -1,8 +1,9 @@
 """Simultaneous-message protocols over optical messages, evaluated exactly.
 
-A protocol is one encoder (input -> message state) that both parties use, a
-referee rule, and a target function; every protocol here is a symmetric
-equality fingerprint. Referee rules come in exactly two classes:
+A protocol is one encoder (input -> message state) that both parties use and
+a referee rule; every protocol here is a symmetric fingerprint that decides
+equality, so a pair's error is the referee's chance of answering other than
+``x == y``. Referee rules come in exactly two classes:
 
 * the dark-port test after balanced beamsplitters pair mode i of one message
   with mode i of the other (:class:`InterferenceVacuumReferee`), and
@@ -45,11 +46,12 @@ Message = Union[PureState, FockDiagonalState, ProductPureState]
 #: Coherent fingerprint messages are pre-truncated so that each whole message
 #: discards mass below this bound (recorded as ``message_tail``).
 MESSAGE_TAIL_BOUND = 1e-10
-#: Function tables are dense 2^n x 2^n arrays, and protocols build and check
-#: all 2^n messages at construction, up to this n. Larger n needs a callable
-#: target, and each message is built and checked on first use.
+#: Protocols build and check all 2^n messages at construction, and evaluate
+#: all 4^n pairs exhaustively, up to this n. Above it each message is built
+#: and checked on first use, and only sampled evaluation runs.
 TABLE_N_CAP = 12
-#: Brute-force deterministic-communication search is exponential in 2^n.
+#: Brute-force deterministic-communication search is exponential in 2^n, so
+#: it takes tables of at most 2^DCC_N_CAP rows and columns.
 DCC_N_CAP = 3
 #: Errors this close to the worst one count as tied with it when the worst
 #: pair is chosen: pairs that tie exactly on paper differ in the last bits of
@@ -58,49 +60,6 @@ WORST_TIE = 1e-12
 #: Rows per block when a report's columns are read row by row or formatted
 #: as CSV; bounds the memory of the Python objects made per block.
 BLOCK_ROWS = 1 << 16
-
-
-# ---------------------------------------------------------------------------
-# Target functions
-
-class FunctionTable:
-    """Dense table of a Boolean function f(x, y) on n-bit inputs, called
-    as ``table(x, y)`` like a callable target: on integers or on integer
-    arrays, which it indexes elementwise."""
-
-    def __init__(self, n: int, values) -> None:
-        if not 1 <= n <= TABLE_N_CAP:
-            raise ConfigError(f"table form requires 1 <= n <= {TABLE_N_CAP}, got n={n}")
-        arr = np.asarray(values, dtype=np.uint8)
-        size = 1 << n
-        if arr.shape != (size, size):
-            raise ConfigError(
-                f"values must have shape ({size}, {size}) for n={n}, got {arr.shape}"
-            )
-        if not np.isin(arr, (0, 1)).all():
-            raise ConfigError("table values must be 0 or 1")
-        arr.setflags(write=False)
-        self.n = n
-        self.values = arr
-
-    def __call__(self, x, y):
-        return self.values[x, y]
-
-    @classmethod
-    def constant(cls, n: int, bit: int) -> "FunctionTable":
-        size = 1 << n
-        return cls(n, np.full((size, size), int(bit), dtype=np.uint8))
-
-
-def equality_function(n: int) -> FunctionTable:
-    """Equality on n-bit strings as a function table (n <= 12)."""
-    return FunctionTable(n, np.eye(1 << n, dtype=np.uint8))
-
-
-def equality_predicate(x, y):
-    """Equality as a callable target, for any n: on integers or elementwise
-    on integer arrays."""
-    return x == y
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +374,10 @@ class SmpProtocol:
     use above it. ``mu`` is the declared per-party maximum mean photon
     number that every message is checked against. ``message_tail`` records
     mass discarded when messages were built from pre-truncated infinite
-    states; it feeds error budgets downstream. The ``target`` (a
-    :class:`FunctionTable` or a callable) is called on integer arrays of
-    inputs and answers elementwise (1 for "equal"): :func:`evaluate_error`
-    refuses one that answers only scalars, such as ``int(x == y)``, with
-    :class:`ConfigError`. The ``referee`` gives the output-1 probability of
-    one message pair (``output_one_probability``) and of index arrays over a
-    message list (``output_one_probabilities``).
+    states; it feeds error budgets downstream. The ``referee`` gives the
+    output-1 ("equal") probability of one message pair
+    (``output_one_probability``) and of index arrays over a message list
+    (``output_one_probabilities``).
     """
 
     name: str
@@ -430,7 +386,6 @@ class SmpProtocol:
     mu: float
     encoder: Callable[[int], Message]
     referee: object
-    target: Callable[[np.ndarray, np.ndarray], np.ndarray]
     message_tail: float = 0.0
     _messages: dict[int, Message] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -448,10 +403,6 @@ class SmpProtocol:
             raise ConfigError(f"mu must be >= 0, got {self.mu}")
         if not hasattr(self.referee, "output_one_probabilities"):
             raise ConfigError("referee must provide output_one_probabilities")
-        if isinstance(self.target, FunctionTable) and self.target.n != self.n:
-            raise ConfigError(
-                f"target table is for n={self.target.n}, protocol has n={self.n}"
-            )
         if self.n <= TABLE_N_CAP:
             for x in range(1 << self.n):
                 self.message(x)
@@ -512,16 +463,16 @@ class PairErrors:
 class ErrorReport:
     """Error probabilities of a protocol run, held as columns.
 
-    ``x``, ``y``, ``f`` (the target, 1 or 0) and ``p_error`` are arrays of
-    one length, one entry per evaluated pair in ascending (x, y) order: the
-    rows of :attr:`pair_errors`, and the columns of the CSV serialization.
-    ``mean_error`` and its standard error ``stderr_mean`` are summed over the
-    pairs in the order they were drawn.
+    ``x``, ``y``, ``f`` (1 when ``x == y``, else 0) and ``p_error`` are
+    arrays of one length, one entry per evaluated pair in ascending (x, y)
+    order: the rows of :attr:`pair_errors`, and the columns of the CSV
+    serialization. ``mean_error`` and its standard error ``stderr_mean`` are
+    summed over the pairs in the order they were drawn. ``seed`` is the
+    sampling seed, and ``None`` for an exhaustive report.
     """
 
     protocol_name: str
     n: int
-    mode: str
     x: np.ndarray
     y: np.ndarray
     f: np.ndarray
@@ -583,21 +534,22 @@ def _words(column: np.ndarray) -> Iterator[str]:
 def evaluate_error(
     protocol: SmpProtocol,
     *,
-    mode: str = "exhaustive",
     samples: int | None = None,
     seed: int | None = None,
 ) -> ErrorReport:
-    """Exact worst-case error of a protocol.
+    """Exact worst-case error of a protocol for equality.
 
-    Exhaustive mode evaluates all 4^n input pairs (n <= 12 enforced).
-    Sampled mode draws ``samples`` pairs from a deterministic per-seed
-    stream and evaluates each sampled pair exactly; it reports the max
-    observed error plus the mean and its standard error, taken in draw
-    order. The target is called once on the input arrays and the referee
-    once on the index arrays.
+    Without ``samples``, all 4^n input pairs are evaluated (n <= 12
+    enforced). With ``samples``, that many pairs are drawn from a
+    deterministic stream of the required ``seed`` and each is evaluated
+    exactly; the report gives the max observed error plus the mean and its
+    standard error, taken in draw order. The referee is called once on the
+    index arrays.
     """
     size = 1 << protocol.n
-    if mode == "exhaustive":
+    if samples is None:
+        if seed is not None:
+            raise ConfigError("a seed needs samples")
         if protocol.n > TABLE_N_CAP:
             raise ConfigError(
                 f"exhaustive evaluation requires n <= {TABLE_N_CAP}, got n={protocol.n}"
@@ -606,13 +558,13 @@ def evaluate_error(
         x, y = np.divmod(np.arange(size * size, dtype=np.int32), size)
         inputs, ix, iy = np.arange(size), x, y
         draw_order = slice(None)
-        used_seed = None
-    elif mode == "sampled":
-        if samples is None or samples < 1:
-            raise ConfigError("sampled mode requires samples >= 1")
+    else:
+        if samples < 1:
+            raise ConfigError("sampled evaluation requires samples >= 1")
         if seed is None:
-            raise ConfigError("sampled mode requires an explicit seed")
-        rng = np.random.default_rng([int(seed), protocol.n])
+            raise ConfigError("sampled evaluation requires an explicit seed")
+        seed = int(seed)
+        rng = np.random.default_rng([seed, protocol.n])
         xs = rng.integers(0, size, size=samples)
         ys = rng.integers(0, size, size=samples)
         order = np.lexsort((ys, xs))  # stable: tied pairs keep draw order
@@ -620,31 +572,22 @@ def evaluate_error(
         inputs, index = np.unique(np.concatenate((x, y)), return_inverse=True)
         ix, iy = index[:samples], index[samples:]
         draw_order = np.argsort(order)  # sorted position of each draw
-        used_seed = int(seed)
-    else:
-        raise ConfigError(f"unknown evaluation mode {mode!r}")
 
     messages = [protocol.message(v) for v in inputs.tolist()]
-    try:
-        equal = np.asarray(protocol.target(x, y)) == 1
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"target must answer integer arrays elementwise: {exc}") from exc
-    if equal.shape != x.shape:
-        raise ConfigError("target must answer each input pair")
+    equal = x == y
     p_error = protocol.referee.output_one_probabilities(messages, ix, iy)
     np.subtract(1.0, p_error, out=p_error, where=equal)
     mean, stderr = _mean_and_stderr(p_error[draw_order])
     return ErrorReport(
         protocol_name=protocol.name,
         n=protocol.n,
-        mode=mode,
         x=x,
         y=y,
         f=equal.view(np.uint8),
         p_error=p_error,
         mean_error=mean,
         stderr_mean=stderr,
-        seed=used_seed,
+        seed=seed,
     )
 
 
@@ -696,7 +639,6 @@ def coherent_fingerprint_protocol(n: int, code: Code, mu_total: float) -> SmpPro
         mu=mu_total,
         encoder=factors_for,
         referee=InterferenceVacuumReferee(),
-        target=equality_predicate,
         message_tail=message_tail,
     )
 
@@ -727,12 +669,17 @@ def trivial_classical_protocol(n: int, code: Code | None = None) -> SmpProtocol:
         mu=float(code.m),
         encoder=encoder,
         referee=DiagonalMapReferee(),
-        target=equality_predicate,
     )
 
 
 # ---------------------------------------------------------------------------
 # Deterministic communication complexity (exact, brute force)
+
+def equality_function(n: int) -> list[list[int]]:
+    """Equality on n-bit strings as a 0/1 matrix, row x and column y."""
+    size = 1 << n
+    return [[int(x == y) for y in range(size)] for x in range(size)]
+
 
 def deterministic_cc_matrix(values: Sequence[Sequence[int]]) -> int:
     """Exact deterministic communication cost of an arbitrary 0/1 matrix.
@@ -740,19 +687,20 @@ def deterministic_cc_matrix(values: Sequence[Sequence[int]]) -> int:
     Convention: a monochromatic rectangle costs 0; otherwise one party sends
     one bit splitting its side, costing 1 plus the worse branch, minimized
     over senders and bipartitions. The final answer bit is not charged.
-    Rows and columns are capped at 8 each.
+    ``values`` is a sequence of row sequences whose entries are the Python
+    ints 0 and 1 (not bools), with at most 2^``DCC_N_CAP`` rows and columns.
     """
-    vals = tuple(tuple(int(v) for v in row) for row in values)
-    n_rows = len(vals)
-    if n_rows == 0 or any(len(row) != len(vals[0]) for row in vals):
+    if not isinstance(values, Sequence) or not all(isinstance(row, Sequence) for row in values):
+        raise ConfigError("values must be a sequence of row sequences")
+    n_rows = len(values)
+    if n_rows == 0 or not values[0] or any(len(row) != len(values[0]) for row in values):
         raise ConfigError("values must be a nonempty rectangular matrix")
-    n_cols = len(vals[0])
-    if n_rows > 8 or n_cols > 8:
-        raise ConfigError(f"matrix {n_rows}x{n_cols} exceeds the 8x8 search cap")
-    for row in vals:
-        for v in row:
-            if v not in (0, 1):
-                raise ConfigError("matrix entries must be 0 or 1")
+    n_cols = len(values[0])
+    cap = 1 << DCC_N_CAP
+    if n_rows > cap or n_cols > cap:
+        raise ConfigError(f"matrix {n_rows}x{n_cols} exceeds the {cap}x{cap} search cap")
+    if not all(type(v) is int and v in (0, 1) for row in values for v in row):
+        raise ConfigError("matrix entries must be the integers 0 or 1")
 
     # A matrix is a tuple of row bitmasks over ``width`` columns. Removing a
     # duplicate row or column does not change the cost (the twin follows its
@@ -820,20 +768,7 @@ def deterministic_cc_matrix(values: Sequence[Sequence[int]]) -> int:
         memo[key] = best
         return best
 
-    return cost(*reduced([sum(v << j for j, v in enumerate(row)) for row in vals], n_cols))
-
-
-def bruteforce_deterministic_cc(table: FunctionTable) -> int:
-    """Exact deterministic communication complexity of a function table.
-
-    See :func:`deterministic_cc_matrix` for the depth convention. Limited to
-    n <= 3 (an 8x8 table).
-    """
-    if table.n > DCC_N_CAP:
-        raise ConfigError(
-            f"brute-force search requires n <= {DCC_N_CAP}, got n={table.n}"
-        )
-    return deterministic_cc_matrix(table.values.tolist())
+    return cost(*reduced([sum(v << j for j, v in enumerate(row)) for row in values], n_cols))
 
 
 # ---------------------------------------------------------------------------
@@ -865,8 +800,8 @@ def load_protocol(data: Mapping) -> SmpProtocol:
 
     Layout: ``{"type": "qfp"|"classical-trivial", "n": ..., "m": ...,
     "mu": ..., "code": {...}}``. ``m`` is optional; when present it must
-    match the code's length. Integer fields refuse JSON booleans. Other keys
-    are ignored.
+    match the code's length. Integer fields take JSON integers only, not
+    booleans, floats such as ``2.0`` or strings. Other keys are ignored.
     """
     if not isinstance(data, Mapping):
         raise ConfigError("protocol spec must be a JSON object")
@@ -887,7 +822,7 @@ def load_protocol(data: Mapping) -> SmpProtocol:
         code = _load_code(data.get("code"), n)
         protocol = trivial_classical_protocol(n, code)
     m = data.get("m")
-    if isinstance(m, bool):
+    if m is not None and type(m) is not int:
         raise ConfigError("field 'm' must be an integer")
     if m is not None and m != protocol.m:
         raise ConfigError(f"field 'm' is {m}, but the code produces m={protocol.m}")

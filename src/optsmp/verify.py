@@ -30,12 +30,7 @@ from .fock import (
     PureState,
     total_photons,
 )
-from .smp import (
-    DiagonalMapReferee,
-    SmpProtocol,
-    equality_function,
-    evaluate_error,
-)
+from .smp import DiagonalMapReferee, SmpProtocol, evaluate_error
 
 DEFAULT_SEED = 1729
 
@@ -264,7 +259,6 @@ def _toy_protocol() -> SmpProtocol:
         mu=1.0,
         encoder=encoder,
         referee=DiagonalMapReferee(),
-        target=equality_function(1),
     )
 
 

@@ -31,10 +31,8 @@ from optsmp.fock import (
 )
 from optsmp.smp import (
     DiagonalMapReferee,
-    FunctionTable,
     RepetitionCode,
     SmpProtocol,
-    bruteforce_deterministic_cc,
     coherent_accept_probability,
     coherent_fingerprint_protocol,
     deterministic_cc_matrix,
@@ -199,7 +197,6 @@ def test_criterion_06_protocol_transform_budget(criterion_report):
         name="toy", n=1, m=1, mu=2.0,
         encoder=base_encoder,
         referee=DiagonalMapReferee(),
-        target=equality_function(1),
     )
     base_error = evaluate_error(base).worst_error
     toy_min_slack = math.inf
@@ -213,7 +210,6 @@ def test_criterion_06_protocol_transform_budget(criterion_report):
             name="toy-perturbed", n=1, m=1, mu=2.0,
             encoder=perturbed_encoder,
             referee=base.referee,
-            target=equality_function(1),
         )
         t = abs(math.sin(theta))  # exact per-message trace distance
         err = evaluate_error(perturbed).worst_error
@@ -352,10 +348,10 @@ def test_criterion_09_entropy_profile(criterion_report, tmp_path):
 def test_criterion_10_deterministic_cost_oracle(criterion_report):
     t0 = time.perf_counter()
     values_ok = (
-        bruteforce_deterministic_cc(equality_function(1)) == 2
-        and bruteforce_deterministic_cc(equality_function(2)) == 3
-        and bruteforce_deterministic_cc(FunctionTable.constant(2, 0)) == 0
-        and bruteforce_deterministic_cc(FunctionTable.constant(2, 1)) == 0
+        deterministic_cc_matrix(equality_function(1)) == 2
+        and deterministic_cc_matrix(equality_function(2)) == 3
+        and deterministic_cc_matrix([[0] * 4] * 4) == 0
+        and deterministic_cc_matrix([[1] * 4] * 4) == 0
     )
     monotone = True
     for bits in range(16):

@@ -97,13 +97,13 @@ def test_qfp_report_points_build_real_protocols():
 
 def test_build_report_runs_the_oracle_once_per_distinct_n(monkeypatch):
     calls = []
-    oracle = bounds.bruteforce_deterministic_cc
+    oracle = bounds.deterministic_cc_matrix
 
-    def counted(table):
-        calls.append(table.n)
-        return oracle(table)
+    def counted(values):
+        calls.append(len(values).bit_length() - 1)
+        return oracle(values)
 
-    monkeypatch.setattr(bounds, "bruteforce_deterministic_cc", counted)
+    monkeypatch.setattr(bounds, "deterministic_cc_matrix", counted)
     rows = build_report(qfp_report_points([2, 2, 3], 2.0, 1e-3, 2))
     assert [row.d_exact for row in rows] == [3, 3, 4]
     assert calls == [2, 3]

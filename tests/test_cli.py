@@ -1,11 +1,17 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optsmp import bounds, cli, combinatorics
 from optsmp.cli import main
@@ -121,12 +127,69 @@ def test_dcc_explicit_table(tmp_path, capsys):
         {"type": "equality", "n": 9},
         {"type": "table", "values": [[0, 1], [1, 0], [0, 0]]},
         {"type": "table", "values": []},
+        {"type": "table", "values": [[True, False], [False, True]]},
+        {"type": "table", "values": [[0, 1.5], [1, 0]]},
+        {"type": "table", "values": [[0, "1"], [1, 0]]},
+        {"type": "table", "values": [[0, None], [1, 0]]},
+        {"type": "table", "values": [[0, 256], [1, 0]]},
+        {"type": "table", "values": [[0, -255], [1, 0]]},
+        {"type": "table", "values": [1, 0]},
     ],
 )
 def test_dcc_config_errors(tmp_path, capsys, data):
     config = _write_config(tmp_path, "bad.json", data)
     assert main(["dcc", "--config", config]) == 2
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-300, 300)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=3)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=9) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+#: Lists of a side the oracle takes, of rows of that side, mostly of 0/1
+#: entries, with any JSON scalar in place of a row or an entry.
+JSON_TABLES = st.sampled_from([2, 4, 8]).flatmap(
+    lambda side: st.lists(
+        st.lists(st.sampled_from([0, 1]) | JSON_SCALARS, min_size=side, max_size=side)
+        | JSON_SCALARS,
+        min_size=side,
+        max_size=side,
+    )
+)
+
+
+@given(
+    kind=st.sampled_from(["equality", "table"]) | JSON_VALUES,
+    n=JSON_VALUES,
+    values=JSON_TABLES | JSON_VALUES,
+)
+@settings(max_examples=100, deadline=None)
+def test_dcc_answers_any_json_config_with_a_cost_or_a_config_error(kind, n, values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as handle:
+            json.dump({"type": kind, "n": n, "values": values}, handle)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["dcc", "--config", path])
+    assert code in (0, 2), err.getvalue()
+    assert "internal error" not in err.getvalue() and "Traceback" not in err.getvalue()
+    if code == 0:
+        assert out.getvalue().startswith("D=")
+        if kind == "table":  # a cost is only printed for a table of int bits
+            assert all(type(v) is int and v in (0, 1) for row in values for v in row)
+    else:
+        assert err.getvalue().startswith("error:")
 
 
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
@@ -159,10 +222,10 @@ def test_bounds_grid_report(tmp_path, capsys):
 
 
 def test_bounds_grid_never_runs_the_oracle(tmp_path, capsys, monkeypatch):
-    def refuse(table):
+    def refuse(values):
         raise AssertionError("grid rows name no function")
 
-    monkeypatch.setattr(bounds, "bruteforce_deterministic_cc", refuse)
+    monkeypatch.setattr(bounds, "deterministic_cc_matrix", refuse)
     config = _write_config(tmp_path, "grid.json", {"kind": "grid", "m": [2, 8], "mu": [0.5, 2.0]})
     assert main(["bounds", "--config", config]) == 0
     rows = capsys.readouterr().out.splitlines()[4:]
@@ -346,6 +409,8 @@ def test_non_finite_numbers_exit_two(tmp_path, capsys, argv, data):
         ("simulate", {"type": "qfp", "n": 1, "mu": 1, "code": {"kind": "repetition", "repeats": True}}),
         ("simulate", {"type": "qfp", "n": 2, "mu": 1, "code": {"kind": "xor-fold", "m": True}}),
         ("simulate", {"type": "classical-trivial", "n": 1, "m": True}),
+        ("simulate", {"type": "classical-trivial", "n": 2, "m": 2.0}),
+        ("simulate", {"type": "classical-trivial", "n": 3, "m": "3"}),
         ("dcc", {"type": "equality", "n": True}),
         ("bounds", {"kind": "qfp", "n": [2], "mu": 2.0, "repeats": True}),
         ("bounds", {"kind": "qfp", "n": {"min": True, "max": 3}, "mu": 2.0}),
@@ -353,7 +418,7 @@ def test_non_finite_numbers_exit_two(tmp_path, capsys, argv, data):
         ("bounds", {"kind": "grid", "m": [2, True], "mu": [1.0]}),
     ],
     ids=[
-        "qfp-n", "classical-n", "code-repeats", "code-m", "m", "dcc-n",
+        "qfp-n", "classical-n", "code-repeats", "code-m", "m", "m-float", "m-string", "dcc-n",
         "bounds-repeats", "range-min", "range-max", "list-entry",
     ],
 )
@@ -364,6 +429,8 @@ def test_json_booleans_are_not_integers(tmp_path, capsys, command, data):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
+    if command == "simulate" and "m" in data:
+        assert "field 'm' must be an integer" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -20,19 +20,16 @@ from optsmp.fock import (
 )
 from optsmp.smp import (
     DiagonalMapReferee,
-    FunctionTable,
     InterferenceVacuumReferee,
     RepetitionCode,
     SmpProtocol,
     XorFoldCode,
     apply_beamsplitter,
     beamsplitter_pair,
-    bruteforce_deterministic_cc,
     coherent_accept_probability,
     coherent_fingerprint_protocol,
     deterministic_cc_matrix,
     equality_function,
-    equality_predicate,
     evaluate_error,
     load_protocol,
     trivial_classical_protocol,
@@ -43,25 +40,12 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
-# Function tables and codes
+# Equality and codes
 
-def test_function_table_validation():
+def test_equality_function_is_the_identity_matrix_of_ints():
     eq = equality_function(2)
-    assert eq(1, 1) == 1
-    assert eq(1, 2) == 0
-    assert equality_predicate(5, 5) == 1
-    with pytest.raises(ConfigError):
-        FunctionTable(2, [[0, 1], [1, 0]])  # wrong shape for n=2
-    with pytest.raises(ConfigError):
-        FunctionTable(1, [[0, 2], [1, 0]])  # non-boolean entry
-    with pytest.raises(ConfigError):
-        FunctionTable(13, np.zeros((8192, 8192)))
-
-
-def test_function_table_is_immutable():
-    eq = equality_function(1)
-    with pytest.raises(ValueError):
-        eq.values[0, 0] = 0
+    assert eq == [[int(x == y) for y in range(4)] for x in range(4)]
+    assert all(type(v) is int for row in eq for v in row)
 
 
 def test_repetition_code():
@@ -313,7 +297,6 @@ def test_protocol_rejects_mode_count_mismatch():
             mu=1.0,
             encoder=encoder,
             referee=DiagonalMapReferee(),
-            target=equality_function(1),
         )
 
 
@@ -329,7 +312,6 @@ def test_protocol_rejects_energy_budget_violation():
             mu=1.0,
             encoder=encoder,
             referee=DiagonalMapReferee(),
-            target=equality_function(1),
         )
 
 
@@ -341,14 +323,7 @@ def test_protocol_rejects_bad_referee_and_table():
         SmpProtocol(
             name="r", n=1, m=1, mu=1.0,
             encoder=encoder,
-            referee=object(), target=equality_function(1),
-        )
-    with pytest.raises(ConfigError, match="table"):
-        SmpProtocol(
-            name="t", n=1, m=1, mu=1.0,
-            encoder=encoder,
-            referee=DiagonalMapReferee(),
-            target=equality_function(2),
+            referee=object(),
         )
 
 
@@ -363,7 +338,6 @@ def _toy() -> SmpProtocol:
         name="toy", n=1, m=1, mu=1.0,
         encoder=encoder,
         referee=DiagonalMapReferee(),
-        target=equality_function(1),
     )
 
 
@@ -372,7 +346,6 @@ def test_exhaustive_evaluation_of_zero_error_protocol():
     assert report.worst_error == 0.0
     assert len(report.pair_errors) == 4
     assert [r[:2] for r in report.pair_errors] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert report.mode == "exhaustive"
     assert report.seed is None
     lines = "".join(smp.csv_rows(report.x, report.y, report.f, report.p_error)).splitlines()
     assert lines[0] == "0,0,1,0.0"
@@ -380,32 +353,21 @@ def test_exhaustive_evaluation_of_zero_error_protocol():
 
 def test_sampled_evaluation_is_deterministic_per_seed():
     protocol = _toy()
-    r1 = evaluate_error(protocol, mode="sampled", samples=20, seed=5)
-    r2 = evaluate_error(protocol, mode="sampled", samples=20, seed=5)
+    r1 = evaluate_error(protocol, samples=20, seed=5)
+    r2 = evaluate_error(protocol, samples=20, seed=5)
     assert r1.pair_errors == r2.pair_errors
     assert r1.seed == 5
-    r3 = evaluate_error(protocol, mode="sampled", samples=20, seed=6)
+    r3 = evaluate_error(protocol, samples=20, seed=6)
     assert r3.pair_errors != r1.pair_errors
 
 
 def test_sampled_evaluation_requires_seed_and_samples():
     with pytest.raises(ConfigError):
-        evaluate_error(_toy(), mode="sampled", samples=10)
+        evaluate_error(_toy(), samples=10)
     with pytest.raises(ConfigError):
-        evaluate_error(_toy(), mode="sampled", seed=1)
+        evaluate_error(_toy(), seed=1)
     with pytest.raises(ConfigError):
-        evaluate_error(_toy(), mode="bogus")
-
-
-def test_evaluation_refuses_a_target_that_does_not_answer_each_pair():
-    # Targets are called once on the input arrays and answer elementwise.
-    def branching(x, y):
-        return 1 if x == y else 0
-
-    for target in (lambda x, y: 1, lambda x, y: int(x == y), branching):
-        protocol = dataclasses.replace(_toy(), target=target)
-        with pytest.raises(ConfigError, match="target"):
-            evaluate_error(protocol)
+        evaluate_error(_toy(), samples=0, seed=1)
 
 
 def test_exhaustive_evaluation_encodes_each_message_once():
@@ -436,10 +398,9 @@ def test_sampled_evaluation_checks_messages_beyond_table_range(occupation, match
         name="wide", n=13, m=1, mu=1.0,
         encoder=lambda x: PureState.basis_state(occupation),
         referee=DiagonalMapReferee(),
-        target=equality_predicate,
     )
     with pytest.raises(ConfigError, match=match):
-        evaluate_error(protocol, mode="sampled", samples=3, seed=0)
+        evaluate_error(protocol, samples=3, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +561,7 @@ def _assert_rows_match_one_pair_api(protocol, report):
     for x, y, f, p_error in rows:
         assert type(x) is int and type(y) is int and type(f) is int
         assert type(p_error) is float
-        assert f == int(protocol.target(x, y))
+        assert f == int(x == y)
         p_one = protocol.referee.output_one_probability(protocol.message(x), protocol.message(y))
         assert p_error == (1.0 - p_one if f == 1 else p_one)
     return rows
@@ -636,7 +597,7 @@ def test_repeated_factor_columns_reuse_one_gather(monkeypatch):
 
 def test_sampled_rows_equal_the_one_pair_api_bit_for_bit():
     protocol = coherent_fingerprint_protocol(2, RepetitionCode(2, 3), 1.4)
-    report = evaluate_error(protocol, mode="sampled", samples=60, seed=3)
+    report = evaluate_error(protocol, samples=60, seed=3)
     rows = _assert_rows_match_one_pair_api(protocol, report)
     pairs = [r[:2] for r in rows]
     assert len(pairs) == 60 and len(set(pairs)) < 60  # the sample repeats pairs
@@ -648,7 +609,7 @@ def test_sampled_rows_with_more_symbol_pairs_than_draws_equal_the_one_pair_api(c
     # Three draws are fewer than the symbol pairs of any alphabet with two
     # symbols, so the tables hold only the symbol pairs that occur.
     protocol = ONE_PAIR_CASES[case]()
-    report = evaluate_error(protocol, mode="sampled", samples=3, seed=7)
+    report = evaluate_error(protocol, samples=3, seed=7)
     assert len(_assert_rows_match_one_pair_api(protocol, report)) == 3
 
 
@@ -658,7 +619,7 @@ def test_sampled_evaluation_memory_grows_with_draws_not_alphabet_squared():
     protocol = trivial_classical_protocol(20)
     tracemalloc.start()
     try:
-        report = evaluate_error(protocol, mode="sampled", samples=2000, seed=1)
+        report = evaluate_error(protocol, samples=2000, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -678,7 +639,7 @@ def test_mean_and_stderr_equal_numpy_bit_for_bit(size):
 def test_sampled_statistics_are_taken_in_draw_order():
     protocol = coherent_fingerprint_protocol(5, RepetitionCode(5, 2), 2.0)
     samples, seed = 300, 1
-    report = evaluate_error(protocol, mode="sampled", samples=samples, seed=seed)
+    report = evaluate_error(protocol, samples=samples, seed=seed)
     rng = np.random.default_rng([seed, protocol.n])
     xs = rng.integers(0, 1 << protocol.n, size=samples).tolist()
     ys = rng.integers(0, 1 << protocol.n, size=samples).tolist()
@@ -698,15 +659,15 @@ def test_sampled_statistics_are_taken_in_draw_order():
 # Deterministic communication cost
 
 def test_cost_oracle_reference_values():
-    assert bruteforce_deterministic_cc(equality_function(1)) == 2
-    assert bruteforce_deterministic_cc(equality_function(2)) == 3
-    assert bruteforce_deterministic_cc(FunctionTable.constant(2, 1)) == 0
-    assert bruteforce_deterministic_cc(FunctionTable.constant(3, 0)) == 0
+    assert deterministic_cc_matrix(equality_function(1)) == 2
+    assert deterministic_cc_matrix(equality_function(2)) == 3
+    assert deterministic_cc_matrix([[1] * 4] * 4) == 0
+    assert deterministic_cc_matrix([[0] * 8] * 8) == 0
 
 
 def test_cost_oracle_respects_cap():
     with pytest.raises(ConfigError):
-        bruteforce_deterministic_cc(equality_function(4))
+        deterministic_cc_matrix(equality_function(4))
     with pytest.raises(ConfigError):
         deterministic_cc_matrix([[0] * 9] * 9)
 
@@ -719,6 +680,27 @@ def test_cost_matrix_small_cases():
         deterministic_cc_matrix([[0, 1], [1]])
     with pytest.raises(ConfigError):
         deterministic_cc_matrix([[0, 2]])
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [[True, False], [False, True]],
+        [[0, 1.0], [1, 0]],
+        [[0, "1"], [1, 0]],
+        [[0, None], [1, 0]],
+        [[0, 256], [1, 0]],
+        [[0, -255], [1, 0]],
+        [[0, np.int64(1)], [1, 0]],
+        [1, 0],
+        [[]],
+        np.eye(2, dtype=int),
+    ],
+    ids=["bool", "float", "str", "null", "256", "-255", "numpy-int", "flat", "empty-row", "array"],
+)
+def test_cost_matrix_takes_only_rows_of_python_int_bits(values):
+    with pytest.raises(ConfigError):
+        deterministic_cc_matrix(values)
 
 
 def test_cost_monotone_under_taking_subtables():
