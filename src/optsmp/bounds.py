@@ -64,51 +64,46 @@ class ComplexityReference:
             raise ConfigError("exactly one of value/expression must be set")
 
 
-def equality_reference(n: int) -> ComplexityReference:
-    """Exact deterministic cost of n-bit equality from the brute-force oracle."""
-    value = deterministic_cc_matrix(equality_function(n))
-    return ComplexityReference(
-        function="equality",
-        n=n,
-        kind="D",
-        value=value,
-        expression=None,
-        provenance="exhaustive protocol-tree search (this package)",
-    )
-
-
 def default_references() -> tuple[ComplexityReference, ...]:
-    """Reference table: exact tiny-n values plus tagged asymptotics."""
-    refs = [equality_reference(n) for n in (1, 2, 3)]
-    refs.extend(
-        [
-            ComplexityReference(
-                function="equality",
-                n=None,
-                kind="R_parallel",
-                value=None,
-                expression="Theta(sqrt(n))",
-                provenance="Ambainis 1996; Babai-Kimmel 1997 (private-coin fingerprints, message length Theta(sqrt(n)))",
-            ),
-            ComplexityReference(
-                function="equality",
-                n=None,
-                kind="Q_parallel",
-                value=None,
-                expression="O(log n)",
-                provenance="Buhrman-Cleve-Watrous-de Wolf 2001",
-            ),
-            ComplexityReference(
-                function="any",
-                n=None,
-                kind="R_parallel",
-                value=None,
-                expression="Omega(sqrt(D(f)))",
-                provenance="Babai-Kimmel 1997",
-            ),
-        ]
+    """Reference table: the exact deterministic cost of n-bit equality for
+    n = 1, 2, 3 from the brute-force oracle, plus tagged asymptotics."""
+    exact = tuple(
+        ComplexityReference(
+            function="equality",
+            n=n,
+            kind="D",
+            value=deterministic_cc_matrix(equality_function(n)),
+            expression=None,
+            provenance="exhaustive protocol-tree search (this package)",
+        )
+        for n in (1, 2, 3)
     )
-    return tuple(refs)
+    return exact + (
+        ComplexityReference(
+            function="equality",
+            n=None,
+            kind="R_parallel",
+            value=None,
+            expression="Theta(sqrt(n))",
+            provenance="Ambainis 1996; Babai-Kimmel 1997 (private-coin fingerprints, message length Theta(sqrt(n)))",
+        ),
+        ComplexityReference(
+            function="equality",
+            n=None,
+            kind="Q_parallel",
+            value=None,
+            expression="O(log n)",
+            provenance="Buhrman-Cleve-Watrous-de Wolf 2001",
+        ),
+        ComplexityReference(
+            function="any",
+            n=None,
+            kind="R_parallel",
+            value=None,
+            expression="Omega(sqrt(D(f)))",
+            provenance="Babai-Kimmel 1997",
+        ),
+    )
 
 
 @dataclass(frozen=True)

@@ -157,8 +157,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _load_json(args.config)
     protocol = load_protocol(spec)
     # One set of pairs for both protocols: a sample is drawn from (seed, n).
-    how = {} if args.samples is None else {"samples": args.samples, "seed": args.seed}
-    report = evaluate_error(protocol, **how)
+    report = evaluate_error(protocol, samples=args.samples, seed=args.seed)
     lines = [
         f"# protocol={report.protocol_name} n={protocol.n} m={protocol.m} mu={protocol.mu!r}",
         f"# log_base=2 mu_convention={MU_CONVENTION}",
@@ -181,7 +180,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         truncated, budget = transform_protocol(
             protocol, args.truncate, original_error=report.worst_error
         )
-        t_report = evaluate_error(truncated, **how)
+        t_report = evaluate_error(truncated, samples=args.samples, seed=args.seed)
         cutoff = markov_photon_cutoff(protocol.mu, args.truncate)
         lines.append(f"# truncate_delta={args.truncate!r} cutoff={cutoff}")
         lines.append(

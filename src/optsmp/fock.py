@@ -14,12 +14,16 @@ of the package:
 12-mode coherent message never has to be materialized as a joint ket.
 
 The two sparse kinds share one implementation (``_SparseState``): a dict
-from occupation tuple to a stored value, with one validation, normalization
-and restore path. They differ only in what they store, an amplitude or a
-probability, and in how they rescale. Every kind but the factorized product
+from occupation tuple to a stored value, with one validation and
+normalization path. They differ only in what they store, an amplitude or a
+probability, and in how they rescale.
+
+Every kind is a tuple of ``factors`` in mode order: a product lists its
+pure factors, and every other kind is its own single factor. Each factor
 offers ``weights()``, the ``(occupation, photon-number weight)`` pairs
-(|c|^2, p, or the real diagonal). The photon-number functions below read
-that view, so each has one path for those kinds and one for products.
+(|c|^2, p, or the real diagonal). The mean photon number, the photon-number
+distribution and the overlap are therefore one loop over factors each, with
+no case per kind. Trace distance and fidelity are one method per kind.
 
 States with infinite support (exact coherent states, thermal states) are not
 representable; they enter pre-truncated with the discarded tail recorded by
@@ -84,7 +88,9 @@ def _concentrated(cls, occ: Iterable[int]):
     and the index is validated once.
     """
     idx = validate_index(occ)
-    return cls._stored(len(idx), {idx: cls._coerce(1.0)})
+    state = object.__new__(cls)
+    state.modes, state._terms = len(idx), {idx: cls._coerce(1.0)}
+    return state
 
 
 class _SparseState:
@@ -111,19 +117,25 @@ class _SparseState:
         *,
         normalize: bool = False,
     ) -> None:
-        terms = self._validated(modes, terms, AMPLITUDE_PRUNE)
-        total = self._total(terms)
+        terms = self._validated(modes, terms)
+        # NaN or infinity in any term makes the total non-finite, which is
+        # refused here once instead of per term.
+        total = sum(self._weigh(terms.values()))
+        if not math.isfinite(total):
+            raise NormalizationError(f"{self._SUMMED} sum to {total!r}, not a finite number")
         if total == 0.0:
             raise NormalizationError("state has no support after pruning")
-        if not normalize:
-            self._check_total(total)
+        if not normalize and abs(total - 1.0) > NORMALIZATION_TOL:
+            raise NormalizationError(
+                f"{self._SUMMED} sum to {total!r}, expected 1 within {NORMALIZATION_TOL}"
+            )
         self.modes = int(modes)
         # Hygiene rescale so downstream probabilities sum to one exactly-ish.
         self._terms = self._rescaled(terms, total)
 
     @classmethod
     def _validated(
-        cls, modes: int, terms: Mapping[Iterable[int], complex], prune: float
+        cls, modes: int, terms: Mapping[Iterable[int], complex]
     ) -> dict[FockIndex, complex]:
         if not isinstance(modes, (int, np.integer)) or modes < 1:
             raise ModeMismatchError(f"modes must be a positive integer, got {modes!r}")
@@ -134,7 +146,7 @@ class _SparseState:
             v = coerce(value)
             if nonnegative and v < 0.0:
                 raise NormalizationError(f"negative probability {v!r} at {idx}")
-            if abs(v) < prune or v == 0:
+            if abs(v) < AMPLITUDE_PRUNE:
                 continue
             if idx in out:
                 raise ValueError(f"duplicate occupation index {idx}")
@@ -143,46 +155,15 @@ class _SparseState:
             raise SupportCapError(f"support size {len(out)} exceeds cap {SUPPORT_CAP}")
         return out
 
-    @classmethod
-    def _total(cls, terms: dict[FockIndex, complex]) -> float:
-        """Summed weight of validated terms; NaN or infinity in any term makes
-        it non-finite, which is refused here once instead of per term."""
-        total = sum(cls._weigh(terms.values()))
-        if not math.isfinite(total):
-            raise NormalizationError(f"{cls._SUMMED} sum to {total!r}, not a finite number")
-        return total
-
-    @classmethod
-    def _check_total(cls, total: float) -> None:
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise NormalizationError(
-                f"{cls._SUMMED} sum to {total!r}, expected 1 within {NORMALIZATION_TOL}"
-            )
-
-    @classmethod
-    def _stored(cls, modes: int, terms: dict[FockIndex, complex]):
-        self = object.__new__(cls)
-        self.modes = modes
-        self._terms = terms
-        return self
-
-    @classmethod
-    def _restore(cls, modes: int, terms: Mapping[Iterable[int], complex]):
-        """Rebuild a serialized state with its stored values kept verbatim.
-
-        Reloading must not re-apply input pruning or rescaling: a
-        ``normalize=True`` rescale can legitimately store amplitudes below
-        ``AMPLITUDE_PRUNE``, and those must survive a save/load cycle
-        bit for bit.
-        """
-        terms = cls._validated(modes, terms, 0.0)
-        cls._check_total(cls._total(terms))
-        return cls._stored(int(modes), terms)
-
     @property
     def terms(self) -> Mapping[FockIndex, complex]:
         """Read-only view of the stored values by occupation tuple."""
         return MappingProxyType(self._terms)
+
+    @property
+    def factors(self) -> tuple["_SparseState"]:
+        """The state as its own single factor, as for :class:`ProductPureState`."""
+        return (self,)
 
     def weights(self) -> Iterator[tuple[FockIndex, float]]:
         """``(occupation, photon-number weight)`` pairs over the support."""
@@ -228,14 +209,16 @@ class PureState(_SparseState):
     def amplitude(self, occ: Iterable[int]) -> complex:
         return self._terms.get(tuple(occ), 0.0 + 0.0j)
 
-    @property
-    def factors(self) -> tuple["PureState"]:
-        """The ket as its own single factor, as for :class:`ProductPureState`."""
-        return (self,)
-
     @classmethod
     def vacuum(cls, modes: int) -> "PureState":
         return cls(modes, {(0,) * modes: 1.0})
+
+    def _fidelity(self, other: "PureState") -> float:
+        return _pure_fidelity(self, other, refine=True)
+
+    def _trace_distance(self, other: "PureState | ProductPureState") -> float:
+        f = self._fidelity(other)
+        return math.sqrt(max(0.0, 1.0 - f * f))
 
 
 class FockDiagonalState(_SparseState):
@@ -265,6 +248,14 @@ class FockDiagonalState(_SparseState):
     def probability(self, occ: Iterable[int]) -> float:
         return self._terms.get(tuple(occ), 0.0)
 
+    def _trace_distance(self, other: "FockDiagonalState") -> float:
+        keys = set(self.probabilities) | set(other.probabilities)
+        return 0.5 * sum(abs(self.probability(k) - other.probability(k)) for k in keys)
+
+    def _fidelity(self, other: "FockDiagonalState") -> float:
+        keys = set(self.probabilities) & set(other.probabilities)
+        return sum(math.sqrt(self.probability(k) * other.probability(k)) for k in keys)
+
 
 class ProductPureState:
     """Tensor product of independent pure factors, kept factorized.
@@ -291,34 +282,33 @@ class ProductPureState:
     def max_total_photons(self) -> int:
         return sum(f.max_total_photons() for f in self.factors)
 
-    def joint_support_size(self) -> int:
-        size = 1
-        for f in self.factors:
-            size *= f.support_size()
-        return size
-
     def to_pure_state(self) -> PureState:
         """Materialize the joint ket. Errors if the support cap is exceeded."""
-        if self.joint_support_size() > SUPPORT_CAP:
-            raise SupportCapError(
-                f"joint support {self.joint_support_size()} exceeds cap {SUPPORT_CAP}"
-            )
+        size = math.prod(f.support_size() for f in self.factors)
+        if size > SUPPORT_CAP:
+            raise SupportCapError(f"joint support {size} exceeds cap {SUPPORT_CAP}")
         state = self.factors[0]
         for f in self.factors[1:]:
             state = tensor(state, f)
         return state
 
+    def _fidelity(self, other: "ProductPureState") -> float:
+        return _pure_fidelity(self, other, refine=False)
+
+    _trace_distance = PureState._trace_distance
+
     def __repr__(self) -> str:
         return f"ProductPureState(factors={len(self.factors)}, modes={self.modes})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DenseOperator:
     """Dense operator over an explicit ordered occupation basis.
 
     Only for small verification sweeps: the dimension cap is deliberate.
     Operators constructed here are used as observables or density operators,
-    so Hermiticity is enforced at construction.
+    so Hermiticity is enforced at construction. Equality and hashing are by
+    identity, as for the other kinds, so an operator can key a cache.
     """
 
     basis: tuple[FockIndex, ...]
@@ -354,14 +344,22 @@ class DenseOperator:
     def modes(self) -> int:
         return len(self.basis[0])
 
-    def assert_density(self, tol: float = NORMALIZATION_TOL) -> None:
-        """Validate trace one and positive semidefiniteness (within tol)."""
-        tr = float(np.trace(self.matrix).real)
-        if abs(tr - 1.0) > tol:
-            raise NormalizationError(f"trace {tr!r} is not 1 within {tol}")
-        eigs = np.linalg.eigvalsh(self.matrix)
-        if eigs.min() < -tol:
-            raise NormalizationError(f"negative eigenvalue {eigs.min()!r}")
+    @property
+    def factors(self) -> tuple["DenseOperator"]:
+        return (self,)
+
+    def _matrix_on_basis(self, other: "DenseOperator") -> np.ndarray:
+        if self.basis != other.basis:
+            raise BasisMismatchError("dense operands must share the same ordered basis")
+        return other.matrix
+
+    def _trace_distance(self, other: "DenseOperator") -> float:
+        eigs = np.linalg.eigvalsh(self.matrix - self._matrix_on_basis(other))
+        return float(0.5 * np.abs(eigs).sum())
+
+    def _fidelity(self, other: "DenseOperator") -> float:
+        sb = _sqrt_psd(self._matrix_on_basis(other))
+        return float(np.linalg.svd(_sqrt_psd(self.matrix) @ sb, compute_uv=False).sum())
 
     def weights(self) -> Iterator[tuple[FockIndex, float]]:
         """``(occupation, diagonal weight)`` pairs over the basis."""
@@ -442,32 +440,31 @@ def coherent_state(alpha: complex, cutoff: int) -> PureState:
 # Photon-number observables
 
 def mean_photon_number(state: State) -> float:
-    """Expectation of the total photon-number operator."""
-    if isinstance(state, ProductPureState):
-        return sum(mean_photon_number(f) for f in state.factors)
-    return sum(w * total_photons(idx) for idx, w in state.weights())
+    """Expectation of the total photon-number operator, summed over factors."""
+    return sum(
+        sum(w * total_photons(idx) for idx, w in f.weights()) for f in state.factors
+    )
 
 
 def photon_number_distribution(state: State) -> dict[int, float]:
     """Distribution of the total photon number, as ``{n: Pr[N = n]}``.
 
-    Zero-probability totals are omitted; values sum to one within 1e-9.
+    The convolution of the factors' distributions, in factor order. A
+    factor's zero-weight totals are omitted; values sum to one within 1e-9.
     """
-    if isinstance(state, ProductPureState):
-        dist = {0: 1.0}
-        for f in state.factors:
-            fdist = photon_number_distribution(f)
-            out: dict[int, float] = {}
-            for n1, p1 in dist.items():
-                for n2, p2 in fdist.items():
+    dist = {0: 1.0}
+    for f in state.factors:
+        fdist: dict[int, float] = {}
+        for idx, w in f.weights():
+            n = total_photons(idx)
+            fdist[n] = fdist.get(n, 0.0) + w
+        out: dict[int, float] = {}
+        for n1, p1 in dist.items():
+            for n2, p2 in fdist.items():
+                if p2 != 0.0:
                     out[n1 + n2] = out.get(n1 + n2, 0.0) + p1 * p2
-            dist = out
-        return dist
-    dist = {}
-    for idx, w in state.weights():
-        n = total_photons(idx)
-        dist[n] = dist.get(n, 0.0) + w
-    return {n: p for n, p in dist.items() if p != 0.0}
+        dist = out
+    return dist
 
 
 def tail_probability(state: State, threshold: float) -> float:
@@ -497,21 +494,21 @@ def tensor(a: State, b: State) -> State:
 
 
 def overlap(a: PureState | ProductPureState, b: PureState | ProductPureState) -> complex:
-    """Inner product <a|b> for pure (or factorized pure) states."""
-    if isinstance(a, ProductPureState) and isinstance(b, ProductPureState):
-        if len(a.factors) != len(b.factors):
-            raise ModeMismatchError("product states have different factor counts")
-        out = 1.0 + 0.0j
-        for fa, fb in zip(a.factors, b.factors):
-            out *= overlap(fa, fb)
-        return out
-    if not isinstance(a, PureState) or not isinstance(b, PureState):
-        raise TypeError("overlap requires pure states")
-    if a.modes != b.modes:
-        raise ModeMismatchError(f"mode mismatch: {a.modes} vs {b.modes}")
-    if a.support_size() <= b.support_size():
-        return sum(amp.conjugate() * b.amplitude(idx) for idx, amp in a.amplitudes.items())
-    return sum(a.amplitude(idx).conjugate() * amp for idx, amp in b.amplitudes.items())
+    """Inner product <a|b> of pure states, the product of the overlaps of
+    corresponding factors. The factor layouts must match."""
+    if len(a.factors) != len(b.factors):
+        raise ModeMismatchError("states have different factor counts")
+    out = 1.0 + 0.0j
+    for fa, fb in zip(a.factors, b.factors):
+        if not isinstance(fa, PureState) or not isinstance(fb, PureState):
+            raise TypeError("overlap requires pure states")
+        if fa.modes != fb.modes:
+            raise ModeMismatchError(f"mode mismatch: {fa.modes} vs {fb.modes}")
+        if fa.support_size() <= fb.support_size():
+            out *= sum(amp.conjugate() * fb.amplitude(idx) for idx, amp in fa.amplitudes.items())
+        else:
+            out *= sum(fa.amplitude(idx).conjugate() * amp for idx, amp in fb.amplitudes.items())
+    return out
 
 
 def _sqrt_psd(matrix: np.ndarray) -> np.ndarray:
@@ -526,7 +523,9 @@ def _sqrt_psd(matrix: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def _pure_fidelity(a: PureState | ProductPureState, b: PureState | ProductPureState) -> float:
+def _pure_fidelity(
+    a: PureState | ProductPureState, b: PureState | ProductPureState, refine: bool
+) -> float:
     """|<a|b>| for pure operands, accurate when the states nearly coincide.
 
     Near 1, sparse kets take s = 1 - |<a|b>|^2 from the phase-aligned
@@ -535,11 +534,12 @@ def _pure_fidelity(a: PureState | ProductPureState, b: PureState | ProductPureSt
     not one ulp below it (which sqrt(1 - F^2) would turn into a distance of
     1.5e-8). Below 1/2, and for factorized products, the overlap itself is
     returned: there it has no cancellation, while sqrt(1 - s) would lose
-    half its digits next to orthogonality.
+    half its digits next to orthogonality. ``refine`` marks sparse kets; a
+    product passes False, whatever its factor count.
     """
     ov = overlap(a, b)
     f = min(abs(ov), 1.0)
-    if f < 0.5 or isinstance(a, ProductPureState):
+    if f < 0.5 or not refine:
         return f
     phase = ov / abs(ov)
     keys = a.amplitudes.keys() | b.amplitudes.keys()
@@ -548,15 +548,13 @@ def _pure_fidelity(a: PureState | ProductPureState, b: PureState | ProductPureSt
 
 
 def _check_same_kind(a: State, b: State) -> None:
-    """Operands must share a kind, and a mode count (dense: an ordered basis)."""
+    """Operands must share a kind and a mode count. Dense operands must also
+    share an ordered basis, which their own methods check."""
     if type(a) is not type(b):
         raise TypeError(
             f"operands must share a representation kind: {type(a).__name__} vs {type(b).__name__}"
         )
-    if isinstance(a, DenseOperator):
-        if a.basis != b.basis:
-            raise BasisMismatchError("dense operands must share the same ordered basis")
-    elif a.modes != b.modes:
+    if a.modes != b.modes:
         raise ModeMismatchError(f"mode mismatch: {a.modes} vs {b.modes}")
 
 
@@ -568,16 +566,7 @@ def trace_distance(a: State, b: State) -> float:
     Operands must share a kind.
     """
     _check_same_kind(a, b)
-    if isinstance(a, (PureState, ProductPureState)):
-        f = _pure_fidelity(a, b)
-        return math.sqrt(max(0.0, 1.0 - f * f))
-    if isinstance(a, FockDiagonalState):
-        keys = set(a.probabilities) | set(b.probabilities)
-        return 0.5 * sum(abs(a.probability(k) - b.probability(k)) for k in keys)
-    if isinstance(a, DenseOperator):
-        eigs = np.linalg.eigvalsh(a.matrix - b.matrix)
-        return float(0.5 * np.abs(eigs).sum())
-    raise TypeError(f"unsupported state type {type(a).__name__}")
+    return a._trace_distance(b)
 
 
 def fidelity(a: State, b: State) -> float:
@@ -587,55 +576,4 @@ def fidelity(a: State, b: State) -> float:
     coefficient. Operands must share a kind.
     """
     _check_same_kind(a, b)
-    if isinstance(a, (PureState, ProductPureState)):
-        return _pure_fidelity(a, b)
-    if isinstance(a, FockDiagonalState):
-        keys = set(a.probabilities) & set(b.probabilities)
-        return sum(math.sqrt(a.probability(k) * b.probability(k)) for k in keys)
-    if isinstance(a, DenseOperator):
-        sa = _sqrt_psd(a.matrix)
-        sb = _sqrt_psd(b.matrix)
-        return float(np.linalg.svd(sa @ sb, compute_uv=False).sum())
-    raise TypeError(f"unsupported state type {type(a).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization of sparse states
-
-def state_to_json_dict(state: PureState | FockDiagonalState) -> dict:
-    """Serialize a sparse state to the documented JSON layout.
-
-    Pure states carry ``re``/``im`` per term; diagonal states carry ``p``.
-    """
-    if isinstance(state, PureState):
-        kind, cells = "pure", lambda amp: {"re": amp.real, "im": amp.imag}
-    elif isinstance(state, FockDiagonalState):
-        kind, cells = "diagonal", lambda p: {"p": p}
-    else:
-        raise TypeError(f"cannot serialize {type(state).__name__}")
-    terms = [{"occ": list(occ), **cells(v)} for occ, v in sorted(state.terms.items())]
-    return {"modes": state.modes, "kind": kind, "terms": terms}
-
-
-def state_from_json_dict(data: Mapping) -> PureState | FockDiagonalState:
-    """Inverse of :func:`state_to_json_dict`.
-
-    Restores the stored amplitudes/probabilities verbatim (indices and the
-    norm are still validated), so a save/load cycle is exact bit for bit --
-    in particular it never re-applies the raw-input amplitude pruning.
-    """
-    try:
-        modes = data["modes"]
-        kind = data["kind"]
-        terms = data["terms"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"state JSON missing field: {exc}") from exc
-    if kind == "pure":
-        amps = {}
-        for t in terms:
-            amps[tuple(t["occ"])] = complex(t["re"], t.get("im", 0.0))
-        return PureState._restore(modes, amps)
-    if kind == "diagonal":
-        probs = {tuple(t["occ"]): t["p"] for t in terms}
-        return FockDiagonalState._restore(modes, probs)
-    raise ValueError(f"unknown state kind {kind!r}")
+    return a._fidelity(b)

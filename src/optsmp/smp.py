@@ -390,7 +390,7 @@ class SmpProtocol:
     _messages: dict[int, Message] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _factor_means: dict[PureState, float] = field(
+    _factor_means: dict[Message, float] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -428,15 +428,13 @@ class SmpProtocol:
     def _mean_photon_number(self, msg: Message) -> float:
         """``mean_photon_number(msg)``, bit for bit, with the mean of each
         distinct factor object computed once per protocol and summed in
-        factor order."""
-        factors = getattr(msg, "factors", None)
-        if factors is None:
-            return mean_photon_number(msg)
+        factor order. A message that is not a product is its own single
+        factor, so its mean is computed once per message."""
         means = self._factor_means
-        for f in factors:
+        for f in msg.factors:
             if f not in means:
                 means[f] = mean_photon_number(f)
-        return sum(means[f] for f in factors)
+        return sum(means[f] for f in msg.factors)
 
 
 class PairErrors:

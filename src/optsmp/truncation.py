@@ -37,20 +37,6 @@ from .fock import (
 )
 
 
-def _resolve_cutoff(cutoff: int) -> int:
-    cutoff = int(cutoff)
-    if cutoff < 0:
-        raise ConfigError(f"cutoff must be >= 0, got {cutoff}")
-    return cutoff
-
-
-def retained_weight(state: State, cutoff: int) -> float:
-    """Weight of the state inside the cutoff subspace, Pr[N <= cutoff]."""
-    cutoff = _resolve_cutoff(cutoff)
-    dist = fock.photon_number_distribution(state)
-    return sum(p for n, p in dist.items() if n <= cutoff)
-
-
 def project_below_cutoff(state: State, cutoff: int) -> tuple[State, float]:
     """Project onto total photons <= cutoff and renormalize.
 
@@ -60,7 +46,9 @@ def project_below_cutoff(state: State, cutoff: int) -> tuple[State, float]:
     projected product too large to pair with another raises
     :class:`SupportCapError`.
     """
-    cutoff = _resolve_cutoff(cutoff)
+    cutoff = int(cutoff)
+    if cutoff < 0:
+        raise ConfigError(f"cutoff must be >= 0, got {cutoff}")
     if isinstance(state, ProductPureState):
         if state.max_total_photons() <= cutoff:
             # The projector acts as the identity on the whole joint support.

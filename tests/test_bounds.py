@@ -11,7 +11,6 @@ from optsmp.bounds import (
     ReportPoint,
     build_report,
     default_references,
-    equality_reference,
     qfp_report_points,
     quantum_tradeoff_lhs,
 )
@@ -46,12 +45,6 @@ def test_complexity_reference_requires_value_xor_expression():
             function="equality", n=2, kind="X",
             value=3, expression=None, provenance="test",
         )
-
-
-def test_equality_reference_uses_the_exact_oracle():
-    ref = equality_reference(2)
-    assert ref.value == 3
-    assert ref.kind == "D"
 
 
 def test_default_references_cover_models():

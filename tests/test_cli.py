@@ -367,6 +367,9 @@ def test_simulate_sampled_mode(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert any(l.startswith("# mode=sampled samples=6 seed=11") for l in lines)
     assert main(["simulate", "--config", config, "--samples", "6"]) == 2
+    # A seed without samples is refused too, not ignored by an exhaustive run.
+    assert main(["simulate", "--config", config, "--seed", "4"]) == 2
+    assert "a seed needs samples" in capsys.readouterr().err
 
 
 def test_simulate_deterministic_across_runs_and_jobs(tmp_path):

@@ -235,6 +235,10 @@ def test_diagonal_referee_reads_diagonal_and_dense_messages():
     dense = DenseOperator.from_pure_state(PureState(1, {(0,): INV_SQRT2, (1,): INV_SQRT2}))
     one = FockDiagonalState.point_mass((1,))
     assert referee.output_one_probability(dense, one) == pytest.approx(0.5, abs=1e-12)
+    # A dense message is its own single factor in the protocol's mean check.
+    messages = [DenseOperator(((0,), (1,)), np.diag([1.0 - 0.3 * x, 0.3 * x])) for x in (0, 1)]
+    protocol = SmpProtocol("dense", 1, 1, 1.0, messages.__getitem__, referee)
+    assert evaluate_error(protocol).worst_error == pytest.approx(0.7, abs=1e-12)
 
 
 def _same_outcome_by_rule_loop(a, b):

@@ -16,6 +16,7 @@ from optsmp.fock import (
     coherent_state,
     fidelity,
     mean_photon_number,
+    photon_number_distribution,
     trace_distance,
 )
 from optsmp.smp import RepetitionCode, coherent_fingerprint_protocol, evaluate_error, trivial_classical_protocol
@@ -24,7 +25,6 @@ from optsmp.truncation import (
     check_projector_closeness,
     perturbed_error_bound,
     project_below_cutoff,
-    retained_weight,
     transform_protocol,
 )
 
@@ -38,7 +38,7 @@ def test_retained_weight_of_truncated_coherent_state():
     # Oracle: renormalized Poisson(1) mass on 0..3 out of 0..20 equals
     # (1 + 1 + 1/2 + 1/6) / sum_{k<=20} 1/k!.
     state = coherent_state(1.0, 20)
-    assert retained_weight(state, 3) == pytest.approx(0.9810118431238463, abs=1e-12)
+    assert project_below_cutoff(state, 3)[1] == pytest.approx(0.9810118431238463, abs=1e-12)
 
 
 def test_project_pure_state():
@@ -118,9 +118,10 @@ def test_project_product_enumerates_the_simplex_only(monkeypatch, cutoff):
     projected, weight = project_below_cutoff(msg, cutoff)
     # The materialised ket renormalizes itself after each tensor step and
     # sits about 8e-15 from the exact weight; the photon-number convolution
-    # of retained_weight does not.
+    # does not.
     assert weight == pytest.approx(sum(abs(c) ** 2 for c in kept.values()), abs=1e-13)
-    assert weight == pytest.approx(retained_weight(msg, cutoff), abs=1e-15)
+    dist = photon_number_distribution(msg)
+    assert weight == pytest.approx(sum(p for n, p in dist.items() if n <= cutoff), abs=1e-15)
     assert set(projected.amplitudes) == set(expected.amplitudes)
     for idx, c in expected.amplitudes.items():
         assert abs(projected.amplitude(idx) - c) <= 1e-15
