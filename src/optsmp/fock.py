@@ -33,7 +33,7 @@ the caller. Truncation is always explicit, never a silent side effect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -301,40 +301,81 @@ class ProductPureState:
         return f"ProductPureState(factors={len(self.factors)}, modes={self.modes})"
 
 
+#: Dense bases that passed :func:`_checked_basis`, by ``id``: each entry
+#: holds the object itself (kept alive, so no other object can take its id
+#: while it is listed), the validated basis and its photon totals.
+_CHECKED_BASES: dict[int, tuple[tuple, tuple[FockIndex, ...], np.ndarray]] = {}
+#: How many entries ``_CHECKED_BASES`` keeps; the oldest goes first.
+_CHECKED_BASES_CAP = 64
+
+
+def _checked_basis(basis) -> tuple[tuple[FockIndex, ...], np.ndarray]:
+    """``basis`` validated as a dense basis, with the photon total of each
+    element as one read-only int array.
+
+    The same basis object is checked once. The validated tuple is
+    remembered, and so is ``basis`` itself when it is a tuple of tuples,
+    which cannot change after the check; a list could, so it is checked
+    again on every use. Equality is never consulted: ``((True,),)`` equals
+    ``((1,),)`` but is refused.
+    """
+    entry = _CHECKED_BASES.get(id(basis))
+    if entry is not None and entry[0] is basis:
+        return entry[1], entry[2]
+    checked = tuple(validate_index(occ) for occ in basis)
+    if len(checked) == 0:
+        raise DimensionCapError("empty basis")
+    if len(set(checked)) != len(checked):
+        raise ValueError("basis contains duplicate occupation tuples")
+    modes = len(checked[0])
+    for occ in checked:
+        if len(occ) != modes:
+            raise ModeMismatchError("basis mixes different mode counts")
+    if len(checked) > DENSE_DIM_CAP:
+        raise DimensionCapError(f"dimension {len(checked)} exceeds cap {DENSE_DIM_CAP}")
+    totals = np.array([total_photons(occ) for occ in checked])
+    totals.setflags(write=False)
+    keys = [checked]
+    if type(basis) is tuple and all(type(occ) is tuple for occ in basis):
+        keys.append(basis)
+    for key in keys:
+        if len(_CHECKED_BASES) >= _CHECKED_BASES_CAP:
+            del _CHECKED_BASES[next(iter(_CHECKED_BASES))]
+        _CHECKED_BASES[id(key)] = (key, checked, totals)
+    return checked, totals
+
+
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
     """Dense operator over an explicit ordered occupation basis.
 
     Only for small verification sweeps: the dimension cap is deliberate.
     Operators constructed here are used as observables or density operators,
-    so Hermiticity is enforced at construction. Equality and hashing are by
-    identity, as for the other kinds, so an operator can key a cache.
+    so finite entries and Hermiticity are enforced at construction. The
+    basis is checked once per basis object: an operator built on another
+    operator's ``basis``, or on a tuple already used, skips the basis checks
+    and reuses its photon totals. Equality and hashing are by identity, as
+    for the other kinds, so an operator can key a cache.
     """
 
     basis: tuple[FockIndex, ...]
     matrix: np.ndarray
+    _totals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        basis = tuple(validate_index(occ) for occ in self.basis)
+        basis, totals = _checked_basis(self.basis)
         object.__setattr__(self, "basis", basis)
-        if len(basis) == 0:
-            raise DimensionCapError("empty basis")
-        if len(set(basis)) != len(basis):
-            raise ValueError("basis contains duplicate occupation tuples")
-        modes = len(basis[0])
-        for occ in basis:
-            if len(occ) != modes:
-                raise ModeMismatchError("basis mixes different mode counts")
-        if len(basis) > DENSE_DIM_CAP:
-            raise DimensionCapError(
-                f"dimension {len(basis)} exceeds cap {DENSE_DIM_CAP}"
-            )
+        object.__setattr__(self, "_totals", totals)
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (len(basis), len(basis)):
             raise ModeMismatchError(
                 f"matrix shape {mat.shape} does not match basis size {len(basis)}"
             )
-        if not np.allclose(mat, mat.conj().T, atol=NORMALIZATION_TOL, rtol=0.0):
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix has a non-finite entry")
+        # One reduction: on finite entries, the same test as allclose with
+        # atol=NORMALIZATION_TOL and rtol=0.
+        if not np.abs(mat - mat.conj().T).max() <= NORMALIZATION_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         mat = (mat + mat.conj().T) / 2.0
         mat.setflags(write=False)
@@ -367,7 +408,7 @@ class DenseOperator:
 
     def cutoff_mask(self, cutoff: float) -> np.ndarray:
         """Boolean mask of basis elements with total photons <= cutoff."""
-        return np.array([total_photons(occ) <= cutoff for occ in self.basis])
+        return self._totals <= cutoff
 
     @classmethod
     def from_pure_state(

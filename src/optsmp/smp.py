@@ -559,8 +559,8 @@ def evaluate_error(
     else:
         if samples < 1:
             raise ConfigError("sampled evaluation requires samples >= 1")
-        if seed is None:
-            raise ConfigError("sampled evaluation requires an explicit seed")
+        if seed is None or seed < 0:
+            raise ConfigError(f"sampled evaluation requires an explicit seed >= 0, got {seed}")
         seed = int(seed)
         rng = np.random.default_rng([seed, protocol.n])
         xs = rng.integers(0, size, size=samples)

@@ -10,6 +10,7 @@ Suites are deterministic functions of (seed, size); the CLI exposes them via
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -110,10 +111,22 @@ def _random_diagonal(rng: np.random.Generator, modes: int, max_occ: int, max_ter
     return FockDiagonalState(modes, probs, normalize=True)
 
 
+#: Largest total-photon cutoff per mode count keeping the dense dimension at
+#: or below 32; it is also the largest photon total in :func:`_dense_basis`.
+_DENSE_CUTOFF = {1: 31, 2: 6, 3: 3}
+
+
+@functools.cache
 def _dense_basis(modes: int) -> tuple[tuple[int, ...], ...]:
-    # Largest total-photon cutoff keeping the dimension at or below 32.
-    cutoff = {1: 31, 2: 6, 3: 3}[modes]
-    return tuple(sorted(iter_occupations(modes, cutoff), key=lambda o: (total_photons(o), o)))
+    # One object per mode count, so DenseOperator checks each basis once.
+    occs = iter_occupations(modes, _DENSE_CUTOFF[modes])
+    return tuple(sorted(occs, key=lambda o: (total_photons(o), o)))
+
+
+@functools.cache
+def _below_cutoff(modes: int, cutoff: int) -> tuple[int, ...]:
+    """Indices of the :func:`_dense_basis` elements with total photons <= cutoff."""
+    return tuple(i for i, occ in enumerate(_dense_basis(modes)) if total_photons(occ) <= cutoff)
 
 
 def _random_dense(rng: np.random.Generator, modes: int) -> DenseOperator:
@@ -130,7 +143,7 @@ def _random_dense_concentrated(
 ) -> DenseOperator:
     """Density operator with at most ``above_mass`` weight above the cutoff."""
     basis = _dense_basis(modes)
-    inside = [i for i, occ in enumerate(basis) if total_photons(occ) <= cutoff]
+    inside = _below_cutoff(modes, cutoff)
     d = len(basis)
     k = len(inside)
     g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
@@ -198,8 +211,10 @@ def suite_markov(seed: int, size: int, required: float) -> SuiteResult:
         else:
             state = _random_dense(rng, modes)
         mean = fock.mean_photon_number(state)
+        # One distribution per state; each tail is the sum tail_probability takes.
+        dist = fock.photon_number_distribution(state)
         for a in thresholds:
-            tail = fock.tail_probability(state, a)
+            tail = sum(p for n, p in dist.items() if n >= a)
             col.add(
                 mean / a - tail,
                 lambda: f"mean={mean!r} threshold={a!r} tail={tail!r}",
@@ -213,8 +228,7 @@ def suite_gentle(seed: int, size: int, required: float) -> SuiteResult:
     for i in range(size):
         modes = int(rng.integers(1, 4))
         dense = _random_dense(rng, modes)
-        max_total = max(total_photons(o) for o in dense.basis)
-        cutoff = int(rng.integers(0, max_total + 1))
+        cutoff = int(rng.integers(0, _DENSE_CUTOFF[modes] + 1))
         slack = truncation.check_gentle_measurement(dense, cutoff)
         col.add(slack, lambda: f"dense modes={modes} cutoff={cutoff}")
         pure = _random_sparse_pure(rng, modes, 6, 12)
@@ -233,8 +247,7 @@ def suite_closeness(seed: int, size: int, required: float) -> SuiteResult:
     for i in range(size):
         delta = [0.3, 0.1, 0.02][i % 3]
         modes = int(rng.integers(1, 4))
-        basis_max = max(total_photons(o) for o in _dense_basis(modes))
-        cutoff = int(rng.integers(1, basis_max))
+        cutoff = int(rng.integers(1, _DENSE_CUTOFF[modes]))
         above = float(rng.uniform(0.0, 1.5 * delta))
         state = _random_dense_concentrated(rng, modes, cutoff, above)
         try:
@@ -301,9 +314,8 @@ def suite_perturb(seed: int, size: int, required: float) -> SuiteResult:
 
 def suite_binom(seed: int, size: int, required: float) -> SuiteResult:
     col = _Collector(required)
-    limit = max(1, size)
-    for n in range(1, limit + 1):
-        for m in range(1, limit + 1):
+    for n in range(1, size + 1):
+        for m in range(1, size + 1):
             binom, bound = binomial_power_bound(n, m)
             # Exact integers; slack in log2 so huge values stay comparable.
             slack = math.log2(bound) - math.log2(binom)
@@ -327,9 +339,8 @@ def suite_logrank(seed: int, size: int, required: float) -> SuiteResult:
 
 def suite_entropy(seed: int, size: int, required: float) -> SuiteResult:
     col = _Collector(required)
-    n_max = max(1, size)
-    step = 1 if n_max <= 2000 else 7
-    rows = entropy_profile(list(range(1, n_max + 1, step)))
+    step = 1 if size <= 2000 else 7
+    rows = entropy_profile(list(range(1, size + 1, step)))
     for row in rows:
         col.add(
             row["entropy_bound"] - row["log2_rank"],
@@ -374,8 +385,14 @@ def run_suites(
     """Run the named suites (all by default) and return their results.
 
     ``inject_fault`` names a suite whose required slack is raised to an
-    unsatisfiable +0.1, for exercising the failure path end to end.
+    unsatisfiable +0.1, for exercising the failure path end to end. A
+    ``size`` below 1 is refused, since no suite would check anything, and so
+    is a negative ``seed``, which numpy cannot seed a stream from.
     """
+    if size is not None and size < 1:
+        raise ConfigError(f"suite size must be >= 1, got {size}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if names is None or not names:
         names = list(SUITES)
     results = []

@@ -168,6 +168,22 @@ JSON_TABLES = st.sampled_from([2, 4, 8]).flatmap(
 )
 
 
+def _run_config(argv, config):
+    """Run the CLI on ``config`` written as JSON; return (code, stdout)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as handle:
+            json.dump(config, handle)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--config", path])
+    assert code in (0, 2), err.getvalue()
+    assert "internal error" not in err.getvalue() and "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error:")
+    return code, out.getvalue()
+
+
 @given(
     kind=st.sampled_from(["equality", "table"]) | JSON_VALUES,
     n=JSON_VALUES,
@@ -175,21 +191,120 @@ JSON_TABLES = st.sampled_from([2, 4, 8]).flatmap(
 )
 @settings(max_examples=100, deadline=None)
 def test_dcc_answers_any_json_config_with_a_cost_or_a_config_error(kind, n, values):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "c.json")
-        with open(path, "w") as handle:
-            json.dump({"type": kind, "n": n, "values": values}, handle)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["dcc", "--config", path])
-    assert code in (0, 2), err.getvalue()
-    assert "internal error" not in err.getvalue() and "Traceback" not in err.getvalue()
+    code, out = _run_config(["dcc"], {"type": kind, "n": n, "values": values})
     if code == 0:
-        assert out.getvalue().startswith("D=")
+        assert out.startswith("D=")
         if kind == "table":  # a cost is only printed for a table of int bits
             assert all(type(v) is int and v in (0, 1) for row in values for v in row)
-    else:
-        assert err.getvalue().startswith("error:")
+
+
+#: What a drawn field may be replaced by: the special numbers, small
+#: integers of either sign, or any JSON value that is not a number. Larger
+#: integers are left out, so that no draw asks for a 4^12-pair table.
+ODD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, 1e300, -1.0, 0.0, 2.0])
+ODD_VALUES = (
+    ODD_NUMBERS
+    | st.integers(-2, 3)
+    | JSON_VALUES.filter(lambda v: type(v) not in (int, float))
+)
+CODES = (
+    st.sampled_from([None, {"kind": "identity"}])
+    | st.builds(lambda r: {"kind": "repetition", "repeats": r}, st.integers(1, 2))
+    | st.builds(lambda m: {"kind": "xor-fold", "m": m}, st.integers(1, 3))
+)
+PROTOCOLS = st.fixed_dictionaries(
+    {
+        "type": st.sampled_from(["qfp", "classical-trivial"]),
+        "n": st.integers(1, 2),
+        "mu": st.floats(0.0, 2.0),
+        "code": CODES,
+    }
+)
+GRIDS = st.fixed_dictionaries(
+    {
+        "kind": st.just("grid"),
+        "m": st.lists(st.integers(1, 40), min_size=1, max_size=3),
+        "mu": st.lists(st.floats(0.0, 4.0), min_size=1, max_size=2),
+        "delta": st.lists(st.floats(1e-6, 0.99), min_size=1, max_size=2),
+    }
+)
+QFP_PRESETS = st.fixed_dictionaries(
+    {
+        "kind": st.just("qfp"),
+        "n": st.lists(st.integers(1, 40), min_size=1, max_size=3),
+        "mu": st.floats(0.0, 4.0),
+        "delta": st.floats(1e-6, 0.99),
+        "repeats": st.integers(1, 3),
+    }
+)
+#: Report keys whose values are probabilities.
+PROBABILITY_KEYS = ("message_tail", "mean_error", "worst_error", "worst_error_before", "worst_error_after")
+
+
+def _spoiled(config, where, value):
+    """``config`` with the field (or ``code`` subfield) ``where`` set to
+    ``value``; ``where=None`` keeps it whole."""
+    config = json.loads(json.dumps(config))
+    if where is None:
+        return config
+    owner = config
+    if where.startswith("code."):
+        owner, where = config["code"], where[5:]
+        if not isinstance(owner, dict):
+            return config
+    owner[where] = value
+    return config
+
+
+def _is_probability(text):
+    return 0.0 <= float(text) <= 1.0  # False for nan; inf is out of range
+
+
+@given(
+    config=st.builds(
+        _spoiled,
+        PROTOCOLS,
+        st.none() | st.sampled_from(["type", "n", "mu", "code", "m", "code.repeats", "code.m"]),
+        ODD_VALUES,
+    ),
+    truncate=st.none() | st.floats(0.4, 1.0) | ODD_NUMBERS,
+    sampling=st.none() | st.tuples(st.none() | st.integers(-1, 20), st.none() | st.integers(-2, 3)),
+)
+@settings(max_examples=100, deadline=None)
+def test_simulate_answers_any_json_config_with_probabilities_or_a_config_error(
+    config, truncate, sampling
+):
+    samples, seed = sampling or (None, None)
+    argv = ["simulate"]
+    for flag, value in (("--truncate", truncate), ("--samples", samples), ("--seed", seed)):
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    code, out = _run_config(argv, config)
+    if code == 0:
+        lines = out.splitlines()
+        head = _report_header(lines)
+        assert all(_is_probability(head[key]) for key in PROBABILITY_KEYS if key in head), head
+        header_at = next(i for i, line in enumerate(lines) if line.startswith("x,y,f,"))
+        for row in lines[header_at + 1 :]:
+            assert all(_is_probability(cell) for cell in row.split(",")[3:]), row
+
+
+@given(
+    config=st.builds(
+        _spoiled,
+        GRIDS | QFP_PRESETS,
+        st.none() | st.sampled_from(["kind", "m", "n", "mu", "delta", "repeats"]),
+        ODD_VALUES | st.lists(ODD_VALUES, max_size=3),
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_bounds_answers_any_json_config_with_a_report_or_a_config_error(config):
+    code, out = _run_config(["bounds"], config)
+    if code == 0:
+        lines = out.splitlines()
+        header = lines.index(bounds.CSV_HEADER)
+        column = bounds.CSV_HEADER.split(",").index("delta")
+        assert all(_is_probability(row.split(",")[column]) for row in lines[header + 1 :])
 
 
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
@@ -367,6 +482,8 @@ def test_simulate_sampled_mode(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert any(l.startswith("# mode=sampled samples=6 seed=11") for l in lines)
     assert main(["simulate", "--config", config, "--samples", "6"]) == 2
+    assert main(["simulate", "--config", config, "--samples", "6", "--seed", "-1"]) == 2
+    assert "seed >= 0" in capsys.readouterr().err
     # A seed without samples is refused too, not ignored by an exhaustive run.
     assert main(["simulate", "--config", config, "--seed", "4"]) == 2
     assert "a seed needs samples" in capsys.readouterr().err
@@ -458,6 +575,23 @@ def test_verify_fault_injection_fails_loudly(capsys):
 
 def test_verify_rejects_unknown_suite(capsys):
     assert main(["verify", "--suite", "nope"]) == 2
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--max", "0"], "suite size must be >= 1, got 0"),
+        (["--max", "-3"], "suite size must be >= 1, got -3"),
+        (["--suite", "markov", "--seed", "-1"], "seed must be >= 0, got -1"),
+    ],
+    ids=["max-0", "max-minus-3", "seed-minus-1"],
+)
+def test_verify_refuses_sizes_below_one_and_negative_seeds(capsys, extra, message):
+    # Exit 1 would claim a property failed; no suite ran.
+    assert main(["verify"] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_verify_output_deterministic(tmp_path):

@@ -17,6 +17,7 @@ from optsmp.errors import (
     SupportCapError,
 )
 from optsmp.fock import (
+    NORMALIZATION_TOL,
     DenseOperator,
     FockDiagonalState,
     ProductPureState,
@@ -147,6 +148,72 @@ def test_dense_operator_requires_hermitian():
     basis = ((0,), (1,))
     with pytest.raises(ValueError):
         DenseOperator(basis, np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+@pytest.mark.parametrize("where", [[(0, 0)], [(0, 1), (1, 0)]], ids=["diagonal", "off-diagonal"])
+def test_dense_operator_refuses_non_finite_entries(value, where):
+    # An entry and its mirror hold the same value, so allclose, which
+    # counts inf == inf, would have passed the inf cases as Hermitian.
+    mat = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+    for i, j in where:
+        mat[i, j] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        DenseOperator(((0,), (1,)), mat)
+
+
+@given(
+    entries=st.lists(
+        st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+        min_size=4,
+        max_size=4,
+    ),
+    skew=st.sampled_from([0.0, 0.5e-9, 1e-9, 1.0000001e-9, 2e-9, 1.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_dense_operator_hermitian_check_matches_allclose(entries, skew):
+    # On finite input the one-reduction check refuses exactly what
+    # np.allclose(atol=NORMALIZATION_TOL, rtol=0) refused.
+    mat = np.array(entries, dtype=complex).reshape(2, 2)
+    mat = (mat + mat.conj().T) / 2.0
+    mat[0, 1] += skew
+    accepted = np.allclose(mat, mat.conj().T, atol=NORMALIZATION_TOL, rtol=0.0)
+    try:
+        DenseOperator(((0,), (1,)), mat)
+    except ValueError as exc:
+        assert not accepted and "not Hermitian" in str(exc)
+    else:
+        assert accepted
+
+
+def test_dense_basis_reuse_keeps_the_refusal_set():
+    # A checked basis is remembered by object, never by equality, so every
+    # basis refused before the good one was built is still refused after.
+    good = ((0,), (1,))
+    DenseOperator(good, np.eye(2) / 2)
+    refused = [
+        (((True,), (False,)), ValueError),
+        (((False,), (True,)), ValueError),
+        (((np.bool_(False),), (np.bool_(True),)), ValueError),
+        (((0,), (-1,)), ValueError),
+        (((0,), (0,)), ValueError),
+        (((0,), (0, 1)), ModeMismatchError),
+        (tuple((k,) for k in range(257)), DimensionCapError),
+    ]
+    for basis, error in refused:
+        d = len(basis)
+        for _ in range(2):  # a refused basis is not remembered either
+            with pytest.raises(error):
+                DenseOperator(basis, np.eye(d) / d)
+    assert DenseOperator(good, np.eye(2) / 2).basis == good
+
+
+def test_dense_basis_is_checked_again_when_it_can_change():
+    basis = [[0], [1]]
+    DenseOperator(basis, np.eye(2) / 2)
+    basis[1][0] = -1
+    with pytest.raises(ValueError):
+        DenseOperator(basis, np.eye(2) / 2)
 
 
 def test_dense_operator_dimension_cap():
