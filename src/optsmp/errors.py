@@ -29,6 +29,11 @@ class DimensionCapError(OptSmpError):
     more decimal digits than CPython prints."""
 
 
+class PhotonCapError(OptSmpError):
+    """A message would put more photons in one mode pair than the exact
+    interference computation handles."""
+
+
 class BasisMismatchError(OptSmpError):
     """Dense operators do not share the same ordered basis."""
 

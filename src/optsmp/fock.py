@@ -33,6 +33,7 @@ the caller. Truncation is always explicit, never a silent side effect.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
@@ -44,6 +45,7 @@ from .errors import (
     DimensionCapError,
     ModeMismatchError,
     NormalizationError,
+    PhotonCapError,
     SupportCapError,
 )
 
@@ -76,9 +78,10 @@ def validate_index(occ: Iterable[int], modes: int | None = None) -> FockIndex:
     return tuple(int(n) for n in idx)
 
 
-def total_photons(index: FockIndex) -> int:
-    """Total photon number of one occupation tuple."""
-    return sum(index)
+#: Total photon number of one occupation tuple. It is the builtin ``sum``
+#: itself, not a function that calls it: the projection, the mean and the
+#: maximum photon number call it once per support term.
+total_photons = sum
 
 
 def _concentrated(cls, occ: Iterable[int]):
@@ -406,6 +409,9 @@ class DenseOperator:
         """``(occupation, diagonal weight)`` pairs over the basis."""
         return zip(self.basis, np.real(np.diagonal(self.matrix)).tolist())
 
+    def max_total_photons(self) -> int:
+        return int(self._totals.max())
+
     def cutoff_mask(self, cutoff: float) -> np.ndarray:
         """Boolean mask of basis elements with total photons <= cutoff."""
         return self._totals <= cutoff
@@ -429,14 +435,25 @@ State = Union[PureState, FockDiagonalState, DenseOperator, ProductPureState]
 # ---------------------------------------------------------------------------
 # Coherent-state construction (always explicitly truncated)
 
+#: Natural log of the smallest normal float: a term below it has underflowed.
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)
+
+
 def poisson_tail(mean: float, cutoff: int) -> float:
-    """Pr[X > cutoff] for X ~ Poisson(mean), summed directly from the tail."""
+    """Pr[X > cutoff] for X ~ Poisson(mean), summed directly from the tail.
+
+    Below the mean the terms grow up to the mode, so when the first tail
+    term underflows every head term is smaller still: the head's mass is
+    below any float next to 1, and the tail is 1.0.
+    """
     if mean < 0:
         raise ValueError(f"mean must be nonnegative, got {mean}")
     if mean == 0.0:
         return 0.0
-    # Sum upward from the first excluded term until terms stop mattering.
     log_term = -mean + (cutoff + 1) * math.log(mean) - math.lgamma(cutoff + 2)
+    if log_term < _LOG_FLOAT_MIN and cutoff < mean:
+        return 1.0
+    # Sum upward from the first excluded term until terms stop mattering.
     term = math.exp(log_term)
     total = 0.0
     k = cutoff + 1
@@ -447,16 +464,20 @@ def poisson_tail(mean: float, cutoff: int) -> float:
     return total
 
 
-def cutoff_for_tail(mean: float, tail_bound: float) -> int:
-    """Smallest cutoff whose Poisson tail falls below ``tail_bound``."""
+def cutoff_for_tail(mean: float, tail_bound: float, cap: int = 10**6) -> int:
+    """Smallest cutoff whose Poisson tail falls below ``tail_bound``. No
+    cutoff above ``cap`` is searched: needing one raises
+    :class:`PhotonCapError`, an internal limit."""
     if not 0.0 < tail_bound < 1.0:
         raise ValueError(f"tail_bound must be in (0, 1), got {tail_bound}")
-    cutoff = 0
-    while poisson_tail(mean, cutoff) >= tail_bound:
-        cutoff += 1
-        if cutoff > 10**6:
-            raise ValueError("cutoff search did not converge")
-    return cutoff
+    for cutoff in range(cap + 1):
+        if poisson_tail(mean, cutoff) < tail_bound:
+            return cutoff
+    raise PhotonCapError(
+        f"a Poisson mean of {mean!r} photons per mode needs a cutoff above {cap} "
+        f"photons to keep its tail below {tail_bound!r}; a pair of such modes "
+        f"would pass {2 * cap} photons"
+    )
 
 
 def coherent_state(alpha: complex, cutoff: int) -> PureState:

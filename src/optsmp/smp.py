@@ -1,9 +1,13 @@
 """Simultaneous-message protocols over optical messages, evaluated exactly.
 
-A protocol is one encoder (input -> message state) that both parties use and
-a referee rule; every protocol here is a symmetric fingerprint that decides
-equality, so a pair's error is the referee's chance of answering other than
-``x == y``. Referee rules come in exactly two classes:
+A protocol is one message table that both parties use, plus a referee rule.
+The table is a short sequence of letters (single-factor states, such as the
+coherent states |+alpha> and |-alpha> of one mode) and a codeword map from
+inputs to rows of letter indices, one column per factor position: the
+message for input x is the product of its row's letters. Every protocol
+here is a symmetric fingerprint that decides equality, so a pair's error is
+the referee's chance of answering other than ``x == y``. Referee rules come
+in exactly two classes:
 
 * the dark-port test after balanced beamsplitters pair mode i of one message
   with mode i of the other (:class:`InterferenceVacuumReferee`), and
@@ -12,14 +16,17 @@ equality, so a pair's error is the referee's chance of answering other than
   (:class:`DiagonalMapReferee`), which reads each message's photon-number
   weights.
 
-Both classes admit exact output-probability computation, so worst-case error
-is evaluated without sampling noise. Adaptive referees (measure one message,
-choose the next measurement) are deliberately not modeled.
+Both acceptance events factorize over positions, so each referee is a pair
+kernel on letters (``pair_probability``) and a pair's probability is the
+product of the kernel over positions. Evaluation tabulates the kernel once
+per letter pair that occurs and multiplies table gathers over the codeword
+columns; worst-case error is exact, without sampling noise. Adaptive
+referees (measure one message, choose the next measurement) are
+deliberately not modeled.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -29,6 +36,7 @@ import numpy as np
 
 from .errors import ConfigError, ModeMismatchError, SupportCapError
 from .fock import (
+    DenseOperator,
     FockDiagonalState,
     FockIndex,
     ProductPureState,
@@ -41,15 +49,18 @@ from .fock import (
     tensor,
 )
 
-Message = Union[PureState, FockDiagonalState, ProductPureState]
+Message = Union[PureState, FockDiagonalState, DenseOperator, ProductPureState]
 
 #: Coherent fingerprint messages are pre-truncated so that each whole message
 #: discards mass below this bound (recorded as ``message_tail``).
 MESSAGE_TAIL_BOUND = 1e-10
-#: Protocols build and check all 2^n messages at construction, and evaluate
-#: all 4^n pairs exhaustively, up to this n. Above it each message is built
-#: and checked on first use, and only sampled evaluation runs.
+#: Protocols build and check all 2^n codeword rows at construction, and
+#: evaluate all 4^n pairs exhaustively, up to this n. Above it the rows are
+#: built and checked as they are read, and only sampled evaluation runs.
 TABLE_N_CAP = 12
+#: Most photons one mode pair may hold in an exact interference computation:
+#: past it the scaled dark-port sums leave floating-point range.
+PAIR_PHOTON_CAP = 512
 #: Brute-force deterministic-communication search is exponential in 2^n, so
 #: it takes tables of at most 2^DCC_N_CAP rows and columns.
 DCC_N_CAP = 3
@@ -63,7 +74,12 @@ BLOCK_ROWS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
-# Codes (pluggable input -> codeword maps for fingerprinting encoders)
+# Codes (input -> codeword maps; a codeword bit picks a letter per position)
+
+def _input_bits(xs: np.ndarray, n: int) -> np.ndarray:
+    """Bit i of every input in column i; bit 0 is the least significant."""
+    return (np.asarray(xs, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+
 
 @dataclass(frozen=True)
 class RepetitionCode:
@@ -84,9 +100,12 @@ class RepetitionCode:
     def min_distance(self) -> int:
         return self.repeats
 
+    def codewords(self, xs: np.ndarray) -> np.ndarray:
+        """The codeword of every input in ``xs``, one row each."""
+        return np.repeat(_input_bits(xs, self.n), self.repeats, axis=1)
+
     def encode(self, x: int) -> tuple[int, ...]:
-        bits = [(x >> i) & 1 for i in range(self.n)]
-        return tuple(b for b in bits for _ in range(self.repeats))
+        return tuple(self.codewords(np.array([x]))[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -108,11 +127,17 @@ class XorFoldCode:
     def min_distance(self) -> int:
         return 1
 
-    def encode(self, x: int) -> tuple[int, ...]:
-        out = [0] * self.m
-        for i in range(self.n):
-            out[i % self.m] ^= (x >> i) & 1
-        return tuple(out)
+    def codewords(self, xs: np.ndarray) -> np.ndarray:
+        """The codeword of every input in ``xs``, one row each: bit i of the
+        input is XORed into position i mod m."""
+        bits = _input_bits(xs, self.n)
+        out = bits[:, : self.m].copy()
+        for start in range(self.m, self.n, self.m):
+            block = bits[:, start : start + self.m]
+            out[:, : block.shape[1]] ^= block
+        return out
+
+    encode = RepetitionCode.encode
 
 
 Code = Union[RepetitionCode, XorFoldCode]
@@ -128,7 +153,7 @@ def _bs_coefficients(n_in: int, m_in: int) -> tuple[tuple[int, int, float], ...]
     Convention: input creation operators map to (c + d)/sqrt(2) and
     (c - d)/sqrt(2), so the second output port carries the difference.
     """
-    if n_in + m_in > 512:
+    if n_in + m_in > PAIR_PHOTON_CAP:
         raise ConfigError(f"beamsplitter input too energetic: {n_in}+{m_in} photons")
     kraw: dict[int, int] = {}
     for j in range(n_in + 1):
@@ -203,7 +228,7 @@ def _dark_probability(
     n + l exceeds ``top``, so n + l is one integer addition.
     """
     top = max(x + y for x, y in zip(map(max, zip(*a)), map(max, zip(*b))))
-    if top > 512:
+    if top > PAIR_PHOTON_CAP:
         raise ConfigError(f"interference input too energetic: {top} photons in one mode pair")
     base = top + 1
     rho = math.sqrt(top / 2.0) or 1.0
@@ -239,23 +264,15 @@ def _dark_probability(
     return p
 
 
-def _alphabet(items: Iterable) -> tuple[list, np.ndarray]:
-    """The distinct items in order of first appearance, and each item's
-    symbol: the position of its equal among them."""
-    index: dict = {}
-    symbols = [index.setdefault(item, len(index)) for item in items]
-    return list(index), np.array(symbols, dtype=np.intp)
-
-
 def _tabulated(
-    kernel: Callable, distinct: Sequence, symbols: np.ndarray, ix: np.ndarray, iy: np.ndarray
+    kernel: Callable, letters: Sequence, symbols: np.ndarray, ix: np.ndarray, iy: np.ndarray
 ) -> np.ndarray:
-    """``kernel(distinct[symbols[i]], distinct[symbols[j]])`` for every pair
+    """``kernel(letters[symbols[i]], letters[symbols[j]])`` for every pair
     (i, j) of the index arrays ``ix`` and ``iy``. The kernel runs once per
-    symbol pair that occurs, and the table the pairs read never has more
-    entries than there are pairs: all k x k symbol pairs when they are no
-    more (a full grid always), else the sorted symbol pairs that occur."""
-    k = len(distinct)
+    letter pair that occurs, and the table the pairs read never has more
+    entries than there are pairs: all k x k letter pairs when they are no
+    more (a full grid always), else the sorted letter pairs that occur."""
+    k = len(letters)
     pair = (symbols * k)[ix]
     pair += symbols[iy]
     if k * k <= pair.size:
@@ -264,8 +281,19 @@ def _tabulated(
     else:
         codes, pair = np.unique(pair, return_inverse=True)
         table, slots = np.zeros(codes.size), np.arange(codes.size)
-    table[slots] = [kernel(distinct[s // k], distinct[s % k]) for s in codes.tolist()]
+    table[slots] = [kernel(letters[s // k], letters[s % k]) for s in codes.tolist()]
     return table[pair]
+
+
+def _factorwise(kernel: Callable, a: Message, b: Message) -> float:
+    """The product of ``kernel`` over corresponding factors of two messages,
+    taken in factor order from 1.0, as evaluation takes it over positions."""
+    if len(a.factors) != len(b.factors):
+        raise ModeMismatchError("messages have different factor counts")
+    p = 1.0
+    for fa, fb in zip(a.factors, b.factors):
+        p *= kernel(fa, fb)
+    return _clamp01(p)
 
 
 class InterferenceVacuumReferee:
@@ -273,16 +301,17 @@ class InterferenceVacuumReferee:
     and outputs 1 ("equal") exactly when every difference port is dark.
 
     The acceptance event factorizes over factor pairs, so the probability is
-    the product of one dark-port sum per pair of corresponding factors; a
-    :class:`PureState` is its own single factor. No beamsplitter output is
-    built. The factor-pair cache is keyed on the factor objects themselves,
-    so encoders should reuse one object per distinct factor.
+    the product of one dark-port sum per pair of corresponding factors
+    (:meth:`pair_probability`, the pair kernel); a :class:`PureState` is its
+    own single factor. No beamsplitter output is built. The kernel's cache
+    is keyed on the letter objects, which a protocol holds once each.
     """
 
     def __init__(self) -> None:
         self._pair_cache: dict[tuple, float] = {}
 
-    def _pair_dark_probability(self, fa: PureState, fb: PureState) -> float:
+    def pair_probability(self, fa: PureState, fb: PureState) -> float:
+        """Dark-port probability of one pair of corresponding factors."""
         key = (fa, fb)
         hit = self._pair_cache.get(key)
         if hit is not None:
@@ -297,35 +326,7 @@ class InterferenceVacuumReferee:
         return p
 
     def output_one_probability(self, a: Message, b: Message) -> float:
-        if len(a.factors) != len(b.factors):
-            raise ModeMismatchError("messages have different factor counts")
-        p = 1.0
-        for fa, fb in zip(a.factors, b.factors):
-            p *= self._pair_dark_probability(fa, fb)
-        return _clamp01(p)
-
-    def output_one_probabilities(
-        self, messages: Sequence[Message], ix: np.ndarray, iy: np.ndarray
-    ) -> np.ndarray:
-        """Output-1 probability of every pair ``(messages[i], messages[j])``
-        over the index arrays ``ix`` and ``iy``.
-
-        Each factor position gets an alphabet of the factor objects found
-        there and a table of their dark-port sums; the probabilities are the
-        products of one table gather per position, taken in position order,
-        so each equals :meth:`output_one_probability` of its pair bit for bit.
-        """
-        if len({len(msg.factors) for msg in messages}) > 1:
-            raise ModeMismatchError("messages have different factor counts")
-        # Consecutive positions with the same factor objects (each block of a
-        # repetition code) share one gather. The product starts from ones, as
-        # the one-pair product starts from 1.0, so it never aliases a gather.
-        p = np.ones(ix.size)
-        for column, run in itertools.groupby(zip(*(msg.factors for msg in messages))):
-            gather = _tabulated(self._pair_dark_probability, *_alphabet(column), ix, iy)
-            for _ in run:
-                p *= gather
-        return p
+        return _factorwise(self.pair_probability, a, b)
 
 
 class DiagonalMapReferee:
@@ -333,66 +334,79 @@ class DiagonalMapReferee:
     when the two outcomes agree.
 
     Only the photon-number weights of each message matter, so pure,
-    Fock-diagonal and dense messages are all accepted.
+    Fock-diagonal and dense messages are all accepted. Outcomes of
+    independent factors agree independently, so the probability is the
+    product of :meth:`pair_probability` (the pair kernel) over
+    corresponding factors. Each factor's weights are read once, keyed on
+    the factor object.
     """
 
-    def output_one_probability(self, a: Message, b: Message) -> float:
-        return self._probability(tuple(a.weights()), tuple(b.weights()))
+    def __init__(self) -> None:
+        self._weights: dict[Message, dict[FockIndex, float]] = {}
 
-    @staticmethod
-    def _probability(weights_a: tuple, weights_b: tuple) -> float:
-        """The sum of ``pa * pb`` over the outcomes both messages can give,
-        in the order of ``weights_a``."""
-        weights_b = dict(weights_b)
+    def _weights_of(self, factor: Message) -> dict[FockIndex, float]:
+        weights = self._weights.get(factor)
+        if weights is None:
+            weights = self._weights[factor] = dict(factor.weights())
+        return weights
+
+    def pair_probability(self, a: Message, b: Message) -> float:
+        """The sum of ``pa * pb`` over the outcomes both factors can give,
+        in the order of ``a``'s weights."""
+        weights_b = self._weights_of(b)
         p = 0.0
-        for ia, pa in weights_a:
+        for ia, pa in self._weights_of(a).items():
             pb = weights_b.get(ia)
             if pb is not None:
                 p += pa * pb
         return _clamp01(p)
 
-    def output_one_probabilities(
-        self, messages: Sequence[Message], ix: np.ndarray, iy: np.ndarray
-    ) -> np.ndarray:
-        """Output-1 probability of every pair ``(messages[i], messages[j])``
-        over the index arrays ``ix`` and ``iy``: messages with the same
-        weights share one row and one column of the table."""
-        weights = _alphabet(tuple(msg.weights()) for msg in messages)
-        return _tabulated(self._probability, *weights, ix, iy)
+    def output_one_probability(self, a: Message, b: Message) -> float:
+        return _factorwise(self.pair_probability, a, b)
 
 
 # ---------------------------------------------------------------------------
 # Protocols
 
+def letter_per_input(xs: np.ndarray) -> np.ndarray:
+    """The codeword map of a protocol whose letters are its whole messages:
+    input x sends letter x at the one position."""
+    return np.asarray(xs)[:, None]
+
+
 @dataclass(frozen=True)
 class SmpProtocol:
     """One-round simultaneous-message protocol with exact referee evaluation.
 
-    Both parties use the one ``encoder``. Every evaluation reads messages
-    through :meth:`message`, so each message is built and checked once per
-    protocol: all 2^n at construction for n <= ``TABLE_N_CAP``, each on first
-    use above it. ``mu`` is the declared per-party maximum mean photon
-    number that every message is checked against. ``message_tail`` records
-    mass discarded when messages were built from pre-truncated infinite
-    states; it feeds error budgets downstream. The ``referee`` gives the
-    output-1 ("equal") probability of one message pair
-    (``output_one_probability``) and of index arrays over a message list
-    (``output_one_probabilities``).
+    Both parties use one message table: a short sequence of ``letters``
+    (single-factor states) and a ``codewords`` map from an array of inputs
+    to a 2-D array of letter indices, one row per input and one column per
+    factor position. The message for input x is the product of its row's
+    letters in position order (the letter itself at one position); it is
+    built only on demand by :meth:`message`, never by evaluation.
+
+    ``mu`` is the declared per-party maximum mean photon number. The mode
+    count and mean of each letter are computed once; each row's sums of
+    them, taken left to right in position order, are checked against ``m``
+    and ``mu``: all 2^n rows at construction for n <= ``TABLE_N_CAP``, the
+    rows read above it. ``message_tail`` records mass discarded when the
+    letters were built from pre-truncated infinite states; it feeds error
+    budgets downstream. The ``referee`` gives the output-1 ("equal")
+    probability of one letter pair (``pair_probability``, the kernel that
+    evaluation tabulates) and of one message pair
+    (``output_one_probability``, the one-pair oracle).
     """
 
     name: str
     n: int
     m: int
     mu: float
-    encoder: Callable[[int], Message]
+    letters: Sequence[Message]
+    codewords: Callable[[np.ndarray], np.ndarray]
     referee: object
     message_tail: float = 0.0
-    _messages: dict[int, Message] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _factor_means: dict[Message, float] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _letter_sizes_read: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -401,40 +415,82 @@ class SmpProtocol:
             raise ConfigError(f"m must be >= 1, got {self.m}")
         if self.mu < 0.0:
             raise ConfigError(f"mu must be >= 0, got {self.mu}")
-        if not hasattr(self.referee, "output_one_probabilities"):
-            raise ConfigError("referee must provide output_one_probabilities")
+        if not hasattr(self.referee, "pair_probability"):
+            raise ConfigError("referee must provide pair_probability")
         if self.n <= TABLE_N_CAP:
-            for x in range(1 << self.n):
-                self.message(x)
+            object.__setattr__(self, "_table", self.rows(np.arange(1 << self.n)))
+
+    def rows(self, xs: np.ndarray) -> np.ndarray:
+        """The checked codeword rows of the inputs ``xs``."""
+        if self._table is not None:
+            return self._table[xs]
+        rows = np.asarray(self.codewords(xs))
+        self._check(xs, rows)
+        return rows
+
+    def joined(self, row: Sequence[int]) -> Message:
+        """The message whose codeword row is ``row``."""
+        if len(row) == 1:
+            return self.letters[row[0]]
+        return ProductPureState(self.letters[s] for s in row)
 
     def message(self, x: int) -> Message:
-        """The message for input ``x``, encoded and checked on first use."""
-        msg = self._messages.get(x)
-        if msg is None:
-            msg = self.encoder(x)
-            if msg.modes != self.m:
-                raise ConfigError(
-                    f"encoder output for x={x} has {msg.modes} modes, expected {self.m}"
-                )
-            mean = self._mean_photon_number(msg)
-            if mean > self.mu + 1e-9:
-                raise ConfigError(
-                    f"encoder output for x={x} has mean photon number "
-                    f"{mean} above mu={self.mu}"
-                )
-            self._messages[x] = msg
-        return msg
+        """The message for input ``x``, built from its row on each call."""
+        if not 0 <= x < 1 << self.n:
+            raise ConfigError(f"input {x} is outside 0..2^{self.n}-1")
+        return self.joined(self.rows(np.array([x]))[0].tolist())
 
-    def _mean_photon_number(self, msg: Message) -> float:
-        """``mean_photon_number(msg)``, bit for bit, with the mean of each
-        distinct factor object computed once per protocol and summed in
-        factor order. A message that is not a product is its own single
-        factor, so its mean is computed once per message."""
-        means = self._factor_means
-        for f in msg.factors:
-            if f not in means:
-                means[f] = mean_photon_number(f)
-        return sum(means[f] for f in msg.factors)
+    def max_total_photons(self) -> int:
+        """The most photons any message holds: the largest sum of letter
+        maxima over the codeword rows. Above ``TABLE_N_CAP`` the rows are
+        not all built, so each position is charged its heaviest letter."""
+        tops = np.array([letter.max_total_photons() for letter in self.letters])
+        if self._table is None:
+            return int(tops.max()) * self.rows(np.zeros(1, dtype=np.int64)).shape[1]
+        return int(tops[self._table].sum(axis=1).max())
+
+    def _letter_sizes(self) -> np.ndarray:
+        """Mode count and mean photon number of every letter, one row each,
+        computed once per letter. Letters that a truncated protocol projects
+        on demand join the sequence as rows are read."""
+        sizes = self._letter_sizes_read
+        for i, letter in enumerate(self.letters[len(sizes) :], len(sizes)):
+            if len(letter.factors) != 1:
+                raise ConfigError(f"letter {i} has {len(letter.factors)} factors, not one")
+            sizes.append((letter.modes, mean_photon_number(letter)))
+        return np.array(sizes, dtype=float)
+
+    def _row_sums(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's mode count and mean photon number. The means are added
+        left to right in position order (the last of a running sum, which
+        numpy takes in order, unlike a reduction), as ``mean_photon_number``
+        adds a product's factor means; mode counts are exact in floats."""
+        sums = np.add.accumulate(self._letter_sizes()[rows], axis=1)[:, -1]
+        return sums[:, 0], sums[:, 1]
+
+    def _check(self, xs: np.ndarray, rows: np.ndarray) -> None:
+        """Refuse the first input whose row has the wrong shape, a wrong mode
+        count or a mean above ``mu``."""
+        if not (
+            rows.ndim == 2
+            and rows.shape[0] == len(xs)
+            and rows.shape[1] >= 1
+            and rows.dtype.kind in "iu"
+        ):
+            raise ConfigError(f"codewords must give one integer row per input, got shape {rows.shape}")
+        if rows.min() < 0 or rows.max() >= len(self.letters):
+            raise ConfigError(f"codeword entries must index the {len(self.letters)} letters")
+        modes, means = self._row_sums(rows)
+        bad = (modes != self.m) | (means > self.mu + 1e-9)
+        i = int(bad.argmax())
+        if not bad[i]:
+            return
+        x = int(xs[i])
+        if modes[i] != self.m:
+            raise ConfigError(f"encoder output for x={x} has {int(modes[i])} modes, expected {self.m}")
+        raise ConfigError(
+            f"encoder output for x={x} has mean photon number {float(means[i])} above mu={self.mu}"
+        )
 
 
 class PairErrors:
@@ -541,8 +597,8 @@ def evaluate_error(
     enforced). With ``samples``, that many pairs are drawn from a
     deterministic stream of the required ``seed`` and each is evaluated
     exactly; the report gives the max observed error plus the mean and its
-    standard error, taken in draw order. The referee is called once on the
-    index arrays.
+    standard error, taken in draw order. Every pair reads the protocol's
+    codeword rows and the referee's letter-pair kernel; no message is built.
     """
     size = 1 << protocol.n
     if samples is None:
@@ -571,9 +627,20 @@ def evaluate_error(
         ix, iy = index[:samples], index[samples:]
         draw_order = np.argsort(order)  # sorted position of each draw
 
-    messages = [protocol.message(v) for v in inputs.tolist()]
+    rows = protocol.rows(inputs)
+    # One product over positions, from ones in position order as the
+    # one-pair oracle takes it from 1.0. Consecutive equal columns (each
+    # block of a repetition code) share one gather of the letter-pair table.
+    kernel, letters = protocol.referee.pair_probability, protocol.letters
+    bounds = [0, rows.shape[1]]
+    if rows.shape[1] > 1:
+        bounds[1:1] = ((rows[:, 1:] != rows[:, :-1]).any(axis=0).nonzero()[0] + 1).tolist()
+    p_error = np.ones(ix.size)
+    for start, stop in zip(bounds, bounds[1:]):
+        gather = _tabulated(kernel, letters, rows[:, start], ix, iy)
+        for _ in range(stop - start):
+            p_error *= gather
     equal = x == y
-    p_error = protocol.referee.output_one_probabilities(messages, ix, iy)
     np.subtract(1.0, p_error, out=p_error, where=equal)
     mean, stderr = _mean_and_stderr(p_error[draw_order])
     return ErrorReport(
@@ -608,9 +675,11 @@ def coherent_fingerprint_protocol(n: int, code: Code, mu_total: float) -> SmpPro
     referee pairs matching modes on balanced beamsplitters and declares
     "equal" exactly when no difference port shows a photon. The worst error is
     exp(-2*mu_total*d_min/m) for a code of minimum distance d_min, so error 1/3
-    needs mu_total > m*ln(3)/(2*d_min). Coherent factors are pre-truncated so
-    the whole message discards mass below ``MESSAGE_TAIL_BOUND`` (recorded on
-    the protocol).
+    needs mu_total > m*ln(3)/(2*d_min). The two letters are the coherent
+    states |+alpha> and |-alpha>, and codeword bit b picks letter b. They are
+    pre-truncated so the whole message discards mass below
+    ``MESSAGE_TAIL_BOUND`` (recorded on the protocol); a per-mode cutoff
+    above half of ``PAIR_PHOTON_CAP`` raises :class:`PhotonCapError`.
     """
     if code.n != n:
         raise ConfigError(f"code encodes n={code.n} bits, protocol wants n={n}")
@@ -621,29 +690,27 @@ def coherent_fingerprint_protocol(n: int, code: Code, mu_total: float) -> SmpPro
     m = code.m
     alpha = math.sqrt(mu_total / m)
     per_mode_tail = MESSAGE_TAIL_BOUND / m
-    cutoff = cutoff_for_tail(alpha**2, per_mode_tail) if mu_total > 0 else 0
-    plus = coherent_state(alpha, cutoff)
-    minus = coherent_state(-alpha, cutoff)
+    # A mode pair of two messages holds up to twice the per-mode cutoff.
+    cap = PAIR_PHOTON_CAP // 2
+    cutoff = cutoff_for_tail(alpha**2, per_mode_tail, cap) if mu_total > 0 else 0
     actual_tail = poisson_tail(alpha**2, cutoff)
     message_tail = 1.0 - (1.0 - actual_tail) ** m
-
-    def factors_for(x: int) -> ProductPureState:
-        return ProductPureState(tuple(minus if bit else plus for bit in code.encode(x)))
-
     return SmpProtocol(
         name=f"qfp-n{n}-m{m}",
         n=n,
         m=m,
         mu=mu_total,
-        encoder=factors_for,
+        letters=(coherent_state(alpha, cutoff), coherent_state(-alpha, cutoff)),
+        codewords=code.codewords,
         referee=InterferenceVacuumReferee(),
         message_tail=message_tail,
     )
 
 
 def trivial_classical_protocol(n: int, code: Code | None = None) -> SmpProtocol:
-    """Both parties send their (encoded) bit string as a point-mass diagonal
-    state; the referee outputs 1 exactly when the two tuples agree.
+    """Both parties send their (encoded) bit string, one single-mode basis
+    state |0> or |1> per position; the referee outputs 1 exactly when the
+    two strings agree.
 
     With the default code (each bit once) this decides equality with zero
     error at mu <= n.
@@ -656,16 +723,13 @@ def trivial_classical_protocol(n: int, code: Code | None = None) -> SmpProtocol:
         code = RepetitionCode(n, 1)
     if code.n != n:
         raise ConfigError(f"code encodes n={code.n} bits, protocol wants n={n}")
-
-    def encoder(x: int) -> FockDiagonalState:
-        return FockDiagonalState.point_mass(code.encode(x))
-
     return SmpProtocol(
         name=f"classical-trivial-n{n}-m{code.m}",
         n=n,
         m=code.m,
         mu=float(code.m),
-        encoder=encoder,
+        letters=(PureState.basis_state((0,)), PureState.basis_state((1,))),
+        codewords=code.codewords,
         referee=DiagonalMapReferee(),
     )
 

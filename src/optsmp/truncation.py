@@ -160,16 +160,38 @@ def transform_protocol(protocol, delta: float, original_error: float):
     ``error_bound = original_error + 2 * sqrt(delta)``, where
     ``original_error`` is the protocol's worst-case error; the truncated
     protocol's exact worst-case error never exceeds the bound (each projected
-    message sits within sqrt(delta) of the original in trace distance). Like
-    every protocol, the truncated one builds and checks each message once:
-    it projects the original's message for that input, which is itself built
-    once.
+    message sits within sqrt(delta) of the original in trace distance).
+
+    Vacuity is decided on the codeword table in one array pass
+    (:meth:`~optsmp.smp.SmpProtocol.max_total_photons`): when no message
+    holds more photons than the cutoff, the projector is the identity on
+    every message and the table is kept as it is. At a binding cutoff the
+    truncated protocol has one position whose letters are the projected
+    messages: each distinct row is projected once, all of them at
+    construction up to ``TABLE_N_CAP`` and each on first read above it.
     """
     cutoff = markov_photon_cutoff(protocol.mu, delta)
-    truncated_protocol = dataclasses.replace(
-        protocol,
-        name=f"{protocol.name}+cutoff{cutoff}",
-        encoder=lambda x: project_below_cutoff(protocol.message(x), cutoff)[0],
-    )
+    name = f"{protocol.name}+cutoff{cutoff}"
     bound = perturbed_error_bound(original_error, math.sqrt(delta))
+    if protocol.max_total_photons() <= cutoff:
+        return dataclasses.replace(protocol, name=name), bound
+
+    letters: list = []
+    symbols: dict[bytes, int] = {}
+
+    def codewords(xs: np.ndarray) -> np.ndarray:
+        rows = protocol.rows(xs)
+        out = np.empty((len(rows), 1), dtype=np.intp)
+        for i, row in enumerate(rows):
+            key = row.tobytes()
+            symbol = symbols.get(key)
+            if symbol is None:
+                symbol = symbols[key] = len(letters)
+                letters.append(project_below_cutoff(protocol.joined(row.tolist()), cutoff)[0])
+            out[i, 0] = symbol
+        return out
+
+    truncated_protocol = dataclasses.replace(
+        protocol, name=name, letters=letters, codewords=codewords
+    )
     return truncated_protocol, bound

@@ -9,7 +9,6 @@ Suites are deterministic functions of (seed, size); the CLI exposes them via
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from .fock import (
     PureState,
     total_photons,
 )
-from .smp import DiagonalMapReferee, SmpProtocol, evaluate_error
+from .smp import DiagonalMapReferee, SmpProtocol, evaluate_error, letter_per_input
 
 DEFAULT_SEED = 1729
 
@@ -261,16 +260,15 @@ def suite_closeness(seed: int, size: int, required: float) -> SuiteResult:
     return col.result("closeness")
 
 
-def _toy_protocol() -> SmpProtocol:
-    def encoder(x: int) -> PureState:
-        return PureState.basis_state((x,))
-
+def _toy_protocol(letters: tuple[PureState, ...] | None = None, mu: float = 1.0) -> SmpProtocol:
+    """The toy protocol: input x sends |x> (or ``letters[x]``) in one mode."""
     return SmpProtocol(
-        name="toy-basis",
+        name="toy-basis" if letters is None else "toy-basis-perturbed",
         n=1,
         m=1,
-        mu=1.0,
-        encoder=encoder,
+        mu=mu,
+        letters=letters or (PureState.basis_state((0,)), PureState.basis_state((1,))),
+        codewords=letter_per_input,
         referee=DiagonalMapReferee(),
     )
 
@@ -278,24 +276,12 @@ def _toy_protocol() -> SmpProtocol:
 def _perturbed_toy(theta0: float, theta1: float) -> tuple[SmpProtocol, float]:
     """Toy protocol with rotated message states; returns it with the max
     per-message trace distance."""
-
-    def encoder(x: int) -> PureState:
-        theta = theta0 if x == 0 else theta1
-        return PureState(
-            1,
-            {(x,): math.cos(theta), (x + 1,): math.sin(theta)},
-            normalize=True,
-        )
-
-    base = _toy_protocol()
-    perturbed = dataclasses.replace(
-        base,
-        name="toy-basis-perturbed",
-        mu=2.0,
-        encoder=encoder,
+    letters = tuple(
+        PureState(1, {(x,): math.cos(theta), (x + 1,): math.sin(theta)}, normalize=True)
+        for x, theta in enumerate((theta0, theta1))
     )
     t = max(abs(math.sin(theta0)), abs(math.sin(theta1)))
-    return perturbed, t
+    return _toy_protocol(letters, mu=2.0), t
 
 
 def suite_perturb(seed: int, size: int, required: float) -> SuiteResult:

@@ -38,6 +38,7 @@ from optsmp.smp import (
     deterministic_cc_matrix,
     equality_function,
     evaluate_error,
+    letter_per_input,
 )
 from optsmp.truncation import (
     check_gentle_measurement,
@@ -190,25 +191,22 @@ def test_criterion_06_protocol_transform_budget(criterion_report):
     after = evaluate_error(truncated).worst_error
     qfp_ok = after <= before + 2.0 * math.sqrt(1e-4) + 1e-9
 
-    def base_encoder(x: int) -> PureState:
-        return PureState.basis_state((x,))
-
     base = SmpProtocol(
         name="toy", n=1, m=1, mu=2.0,
-        encoder=base_encoder,
+        letters=(PureState.basis_state((0,)), PureState.basis_state((1,))),
+        codewords=letter_per_input,
         referee=DiagonalMapReferee(),
     )
     base_error = evaluate_error(base).worst_error
     toy_min_slack = math.inf
     for theta in (0.05, 0.2, 0.45):
-        def perturbed_encoder(x: int, theta=theta) -> PureState:
-            return PureState(
-                1, {(x,): math.cos(theta), (x + 1,): math.sin(theta)}, normalize=True
-            )
-
         perturbed = SmpProtocol(
             name="toy-perturbed", n=1, m=1, mu=2.0,
-            encoder=perturbed_encoder,
+            letters=tuple(
+                PureState(1, {(x,): math.cos(theta), (x + 1,): math.sin(theta)}, normalize=True)
+                for x in (0, 1)
+            ),
+            codewords=letter_per_input,
             referee=base.referee,
         )
         t = abs(math.sin(theta))  # exact per-message trace distance

@@ -442,6 +442,21 @@ def test_simulate_truncate_past_the_support_cap_is_an_internal_limit(tmp_path, c
     assert captured.err.startswith("error: internal limit: projected support 646490 ")
 
 
+@pytest.mark.parametrize("mu", [5000, 1e6, 1e300])
+def test_simulate_past_the_interference_photon_cap_is_an_internal_limit(tmp_path, capsys, mu):
+    # Per-mode means of 1667 photons and more need cutoffs far above 256,
+    # the most that keeps a mode pair within the 512-photon interference
+    # limit; the cutoff search stops there before any state is built.
+    config = _write_config(tmp_path, "p.json", {"type": "qfp", "n": 1, "mu": mu})
+    start = time.perf_counter()
+    assert main(["simulate", "--config", config]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal limit: a Poisson mean of ")
+    assert "above 256 photons" in captured.err
+
+
 def _report_header(lines):
     return dict(
         cell.split("=", 1) for line in lines if line.startswith("# ") for cell in line[2:].split()

@@ -14,6 +14,7 @@ from optsmp.errors import (
     ModeMismatchError,
     NormalizationError,
     OptSmpError,
+    PhotonCapError,
     SupportCapError,
 )
 from optsmp.fock import (
@@ -247,6 +248,22 @@ def test_poisson_tail_against_scipy(mean, cutoff):
     assert poisson_tail(mean, cutoff) == pytest.approx(
         float(stats.poisson.sf(cutoff, mean)), rel=1e-10, abs=1e-300
     )
+
+
+@pytest.mark.parametrize("mean, cutoff", [(745.0, 0), (1666.7, 256), (1e6, 256), (1e300, 3)])
+def test_poisson_tail_is_one_where_its_first_term_underflows(mean, cutoff):
+    # exp(-mean + ...) of the first tail term underflows, yet the tail holds
+    # all but an unrepresentable sliver of the mass.
+    assert math.exp(-mean + (cutoff + 1) * math.log(mean) - math.lgamma(cutoff + 2)) < 1e-300
+    assert poisson_tail(mean, cutoff) == 1.0
+    assert poisson_tail(mean, cutoff) == float(stats.poisson.sf(cutoff, mean))
+
+
+def test_cutoff_search_stops_at_its_cap():
+    assert cutoff_for_tail(100.0, 1e-11, cap=256) == cutoff_for_tail(100.0, 1e-11)
+    for mean in (300.0, 1666.7, 1e6):
+        with pytest.raises(PhotonCapError, match="above 256 photons"):
+            cutoff_for_tail(mean, 1e-11, cap=256)
 
 
 def test_cutoff_for_tail_is_minimal():

@@ -15,6 +15,7 @@ from optsmp.fock import (
     ProductPureState,
     PureState,
     coherent_state,
+    mean_photon_number,
     overlap,
     tensor,
 )
@@ -31,6 +32,7 @@ from optsmp.smp import (
     deterministic_cc_matrix,
     equality_function,
     evaluate_error,
+    letter_per_input,
     load_protocol,
     trivial_classical_protocol,
 )
@@ -167,11 +169,11 @@ def test_dark_port_sum_matches_materialised_beamsplitter_on_projected_messages(n
     protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, repeats), mu)
     truncated, _ = transform_protocol(protocol, delta, original_error=0.0)
     cutoff = int(mu / delta)
-    assert protocol.encoder(0).max_total_photons() > cutoff
+    assert protocol.message(0).max_total_photons() > cutoff
     referee = truncated.referee
     for x in range(1 << n):
         for y in range(1 << n):
-            a, b = truncated.encoder(x), truncated.encoder(y)
+            a, b = truncated.message(x), truncated.message(y)
             assert a.max_total_photons() <= cutoff
             expected = _materialised_dark_probability(a, b)
             assert referee.output_one_probability(a, b) == pytest.approx(expected, abs=1e-12)
@@ -235,9 +237,9 @@ def test_diagonal_referee_reads_diagonal_and_dense_messages():
     dense = DenseOperator.from_pure_state(PureState(1, {(0,): INV_SQRT2, (1,): INV_SQRT2}))
     one = FockDiagonalState.point_mass((1,))
     assert referee.output_one_probability(dense, one) == pytest.approx(0.5, abs=1e-12)
-    # A dense message is its own single factor in the protocol's mean check.
-    messages = [DenseOperator(((0,), (1,)), np.diag([1.0 - 0.3 * x, 0.3 * x])) for x in (0, 1)]
-    protocol = SmpProtocol("dense", 1, 1, 1.0, messages.__getitem__, referee)
+    # A dense message is its own single letter in the protocol's mean check.
+    messages = tuple(DenseOperator(((0,), (1,)), np.diag([1.0 - 0.3 * x, 0.3 * x])) for x in (0, 1))
+    protocol = SmpProtocol("dense", 1, 1, 1.0, messages, letter_per_input, referee)
     assert evaluate_error(protocol).worst_error == pytest.approx(0.7, abs=1e-12)
 
 
@@ -270,18 +272,22 @@ def _random_weighted_messages(rng, count):
 
 
 def test_diagonal_referee_equals_the_rule_loop_bit_for_bit():
+    # 36 one-letter messages on the 64 inputs of n=6 (input x sends letter
+    # x mod 36), so the exhaustive pairs meet every letter pair.
     rng = np.random.default_rng(2024)
-    messages = _random_weighted_messages(rng, 12)
+    messages = tuple(_random_weighted_messages(rng, 12))
     referee = DiagonalMapReferee()
     size = len(messages)
-    ix, iy = np.divmod(np.arange(size * size), size)
-    table = referee.output_one_probabilities(messages, ix, iy)
+    protocol = SmpProtocol(
+        "weighted", 6, 2, 4.0, messages, lambda xs: (np.asarray(xs) % size)[:, None], referee
+    )
+    report = evaluate_error(protocol)
     disjoint = 0
-    for i, j, p in zip(ix.tolist(), iy.tolist(), table.tolist()):
-        a, b = messages[i], messages[j]
+    for x, y, f, p_error in report.pair_errors:
+        a, b = messages[x % size], messages[y % size]
         expected = _same_outcome_by_rule_loop(a, b)
         assert referee.output_one_probability(a, b) == expected
-        assert p == expected
+        assert p_error == (1.0 - expected if f else expected)
         disjoint += not {idx for idx, _ in a.weights()} & {idx for idx, _ in b.weights()}
     assert disjoint > 0
 
@@ -289,45 +295,56 @@ def test_diagonal_referee_equals_the_rule_loop_bit_for_bit():
 # ---------------------------------------------------------------------------
 # Protocol construction and validation
 
-def test_protocol_rejects_mode_count_mismatch():
-    def encoder(x: int) -> PureState:
-        return PureState.basis_state((x, 0))
+def _basis_letters(*occupations) -> tuple[PureState, ...]:
+    return tuple(PureState.basis_state(occ) for occ in occupations)
 
-    with pytest.raises(ConfigError, match="modes"):
+
+def test_protocol_rejects_mode_count_mismatch():
+    with pytest.raises(ConfigError, match="x=0 has 2 modes"):
         SmpProtocol(
             name="bad",
             n=1,
             m=1,
             mu=1.0,
-            encoder=encoder,
+            letters=_basis_letters((0, 0), (1, 0)),
+            codewords=letter_per_input,
             referee=DiagonalMapReferee(),
         )
 
 
 def test_protocol_rejects_energy_budget_violation():
-    def encoder(x: int) -> PureState:
-        return PureState.basis_state((x + 2,))
-
-    with pytest.raises(ConfigError, match="mean photon"):
+    with pytest.raises(ConfigError, match="x=0 has mean photon number 2.0 above mu=1.0"):
         SmpProtocol(
             name="hot",
             n=1,
             m=1,
             mu=1.0,
-            encoder=encoder,
+            letters=_basis_letters((2,), (3,)),
+            codewords=letter_per_input,
             referee=DiagonalMapReferee(),
         )
 
 
 def test_protocol_rejects_bad_referee_and_table():
-    def encoder(x: int) -> PureState:
-        return PureState.basis_state((x,))
-
+    letters = _basis_letters((0,), (1,))
     with pytest.raises(ConfigError, match="referee"):
         SmpProtocol(
             name="r", n=1, m=1, mu=1.0,
-            encoder=encoder,
+            letters=letters,
+            codewords=letter_per_input,
             referee=object(),
+        )
+    bad_tables = {
+        "one integer row per input": lambda xs: np.asarray(xs),
+        "index the 2 letters": lambda xs: np.asarray(xs)[:, None] + 1,
+    }
+    for match, codewords in bad_tables.items():
+        with pytest.raises(ConfigError, match=match):
+            SmpProtocol("t", 1, 1, 1.0, letters, codewords, DiagonalMapReferee())
+    with pytest.raises(ConfigError, match="letter 0 has 2 factors"):
+        SmpProtocol(
+            "p", 1, 2, 2.0, (ProductPureState(letters),), lambda xs: np.zeros((len(xs), 1), int),
+            InterferenceVacuumReferee(),
         )
 
 
@@ -335,12 +352,10 @@ def test_protocol_rejects_bad_referee_and_table():
 # Error evaluation
 
 def _toy() -> SmpProtocol:
-    def encoder(x: int) -> PureState:
-        return PureState.basis_state((x,))
-
     return SmpProtocol(
         name="toy", n=1, m=1, mu=1.0,
-        encoder=encoder,
+        letters=_basis_letters((0,), (1,)),
+        codewords=letter_per_input,
         referee=DiagonalMapReferee(),
     )
 
@@ -379,32 +394,74 @@ def test_exhaustive_evaluation_encodes_each_message_once():
     protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, 2), 2.0)
     calls = []
 
-    def counted(x):
-        calls.append(x)
-        return protocol.encoder(x)
+    def counted(xs):
+        calls.append(xs.tolist())
+        return protocol.codewords(xs)
 
-    # Construction builds and checks all 2^n messages; the 4^n pairs read them.
-    counted_protocol = dataclasses.replace(protocol, encoder=counted)
+    # Construction encodes and checks all 2^n inputs in one call; the 4^n
+    # pairs read its rows.
+    counted_protocol = dataclasses.replace(protocol, codewords=counted)
     report = evaluate_error(counted_protocol)
     assert len(report.pair_errors) == 4**n
-    assert sorted(calls) == list(range(1 << n))
+    assert calls == [list(range(1 << n))]
 
 
 @pytest.mark.parametrize(
     "occupation, match",
-    [((0, 0), "modes"), ((2,), "mean photon")],
+    [((0, 0), "x=923 has 2 modes"), ((2,), "x=923 has mean photon")],
     ids=["mode-count", "energy"],
 )
 def test_sampled_evaluation_checks_messages_beyond_table_range(occupation, match):
-    # Above TABLE_N_CAP no message is built at construction; each is still
-    # checked when sampled evaluation first reads it.
+    # Above TABLE_N_CAP no row is built at construction; each is still
+    # checked when sampled evaluation first reads it, the smallest drawn
+    # input (923) first.
     protocol = SmpProtocol(
         name="wide", n=13, m=1, mu=1.0,
-        encoder=lambda x: PureState.basis_state(occupation),
+        letters=_basis_letters(occupation),
+        codewords=lambda xs: np.zeros((len(xs), 1), dtype=np.intp),
         referee=DiagonalMapReferee(),
     )
     with pytest.raises(ConfigError, match=match):
         evaluate_error(protocol, samples=3, seed=0)
+
+
+def _counted_messages(monkeypatch) -> list:
+    """Record every ``SmpProtocol.message`` call and ``ProductPureState``
+    construction from here on."""
+    built = []
+    message, product = SmpProtocol.message, ProductPureState.__init__
+
+    def counted_message(self, x):
+        built.append(("message", x))
+        return message(self, x)
+
+    def counted_product(self, factors):
+        built.append(("product", None))
+        product(self, factors)
+
+    monkeypatch.setattr(SmpProtocol, "message", counted_message)
+    monkeypatch.setattr(ProductPureState, "__init__", counted_product)
+    return built
+
+
+@pytest.mark.parametrize(
+    "build, samples",
+    [
+        (lambda: coherent_fingerprint_protocol(8, RepetitionCode(8, 3), 2.0), None),
+        (lambda: coherent_fingerprint_protocol(10, RepetitionCode(10, 2), 1.7), 512),
+        (lambda: trivial_classical_protocol(7, XorFoldCode(7, 5)), None),
+    ],
+    ids=["qfp-n8", "qfp-n10-sampled", "classical-xor-n7-m5"],
+)
+def test_evaluation_builds_no_message_object(monkeypatch, build, samples):
+    built = _counted_messages(monkeypatch)
+    protocol = build()
+    report = evaluate_error(protocol, samples=samples, seed=None if samples is None else 1)
+    assert len(report.pair_errors) == (samples or 4**protocol.n)
+    assert built == []
+    # The one-pair oracle still builds its messages on demand.
+    protocol.message(1)
+    assert built[0] == ("message", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -475,14 +532,14 @@ def test_trivial_classical_protocol_encodes_each_input_once():
     calls = []
 
     class CountedCode(XorFoldCode):
-        def encode(self, x):
-            calls.append(x)
-            return super().encode(x)
+        def codewords(self, xs):
+            calls.append(xs.tolist())
+            return super().codewords(xs)
 
     protocol = trivial_classical_protocol(n, CountedCode(n, 3))
     evaluate_error(protocol)
-    # mu and the message table read one list of codewords.
-    assert sorted(calls) == list(range(1 << n))
+    # The message table encodes all inputs in one call; mu is the code length.
+    assert calls == [list(range(1 << n))]
     assert protocol.mu == 3.0
 
 
@@ -505,13 +562,37 @@ def test_message_check_computes_each_factor_mean_once(monkeypatch):
 
     monkeypatch.setattr(smp, "mean_photon_number", counted)
     protocol = coherent_fingerprint_protocol(6, RepetitionCode(6, 2), 2.0)
-    # Two single-mode factor objects (+alpha and -alpha) across 64 messages.
-    assert 1 <= len(calls) <= 2
-    assert len({id(state) for state in calls}) == len(calls)
+    # Two single-mode letters (+alpha and -alpha) across 64 messages.
+    assert calls == list(protocol.letters) and len(calls) == 2
     assert all(state.modes == 1 for state in calls)
-    for x in range(1 << 6):
+    # Each row's mean is the factor-order sum of its message, bit for bit,
+    # across 12 positions (past numpy's 8-wide pairwise blocks).
+    inputs = np.arange(1 << 6)
+    modes, means = protocol._row_sums(protocol.rows(inputs))
+    for x in inputs.tolist():
         msg = protocol.message(x)
-        assert protocol._mean_photon_number(msg) == mean(msg)
+        assert means[x] == mean(msg) and modes[x] == msg.modes == 12
+
+
+def test_row_means_add_left_to_right():
+    # 40 letters whose means differ in magnitude, so the order of the adds
+    # shows in the last bits; rows span 37 positions.
+    rng = np.random.default_rng(11)
+    letters = tuple(
+        PureState(1, {(0,): math.sqrt(1.0 - w), (1,): math.sqrt(w)}) for w in rng.random(40) ** 3
+    )
+    table = rng.integers(0, 40, size=(16, 37))
+    protocol = SmpProtocol(
+        "sums", 4, 37, 37.0, letters, lambda xs: table[xs], InterferenceVacuumReferee()
+    )
+    _, means = protocol._row_sums(protocol.rows(np.arange(16)))
+    letter_means = [mean_photon_number(letter) for letter in letters]
+    expected = [0.0] * 16
+    for x in range(16):
+        for s in table[x].tolist():
+            expected[x] += letter_means[s]
+    assert means.tolist() == expected
+    assert expected != np.sum(np.array(letter_means)[table], axis=1).tolist()
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -546,6 +627,15 @@ def _binding_truncation():
     return truncated
 
 
+def _vacuous_truncation():
+    # qfp n=3 at delta=1e-4: cutoff 13000 lies far above every message's
+    # maximum photon number, so the table is kept as it is.
+    protocol = coherent_fingerprint_protocol(3, RepetitionCode(3, 2), 1.3)
+    truncated, _ = transform_protocol(protocol, 1e-4, original_error=0.0)
+    assert truncated.letters is protocol.letters
+    return truncated
+
+
 ONE_PAIR_CASES = {
     "qfp-rep-n1": _qfp_case(1, RepetitionCode(1, 3), 1.1),
     "qfp-rep-n2": _qfp_case(2, RepetitionCode(2, 2), 0.9),
@@ -554,6 +644,8 @@ ONE_PAIR_CASES = {
     "qfp-xor-n3": _qfp_case(3, XorFoldCode(3, 2), 0.7),
     "qfp-xor-n4": _qfp_case(4, XorFoldCode(4, 3), 1.9),
     "binding-truncation": _binding_truncation,
+    "vacuous-truncation": _vacuous_truncation,
+    "classical-rep-n3": lambda: trivial_classical_protocol(3, RepetitionCode(3, 2)),
     "classical-xor-n5-m3": lambda: trivial_classical_protocol(5, XorFoldCode(5, 3)),
     "perturbed-toy": lambda: verify._perturbed_toy(0.3, 0.2)[0],
 }
@@ -618,8 +710,8 @@ def test_sampled_rows_with_more_symbol_pairs_than_draws_equal_the_one_pair_api(c
 
 
 def test_sampled_evaluation_memory_grows_with_draws_not_alphabet_squared():
-    # 2,000 draws at n=20 meet about 4,000 distinct messages, each its own
-    # symbol: a table of all symbol pairs would take 128 MB.
+    # 2,000 draws at n=20 meet about 4,000 distinct inputs; a table of all
+    # their message pairs would take 128 MB.
     protocol = trivial_classical_protocol(20)
     tracemalloc.start()
     try:
@@ -627,7 +719,7 @@ def test_sampled_evaluation_memory_grows_with_draws_not_alphabet_squared():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(protocol._messages) > 3900
+    assert len(set(report.x.tolist()) | set(report.y.tolist())) > 3900
     assert report.worst_error == 0.0 and len(report.pair_errors) == 2000
     assert peak < 32 * 2**20
 

@@ -19,7 +19,13 @@ from optsmp.fock import (
     photon_number_distribution,
     trace_distance,
 )
-from optsmp.smp import RepetitionCode, coherent_fingerprint_protocol, evaluate_error, trivial_classical_protocol
+from optsmp.smp import (
+    RepetitionCode,
+    XorFoldCode,
+    coherent_fingerprint_protocol,
+    evaluate_error,
+    trivial_classical_protocol,
+)
 from optsmp.truncation import (
     check_gentle_measurement,
     check_projector_closeness,
@@ -105,7 +111,7 @@ def test_project_product_above_cutoff_materializes():
 
 @pytest.mark.parametrize("cutoff", [2, 4, 6])
 def test_project_product_enumerates_the_simplex_only(monkeypatch, cutoff):
-    msg = coherent_fingerprint_protocol(2, RepetitionCode(2, 2), 1.0).encoder(1)
+    msg = coherent_fingerprint_protocol(2, RepetitionCode(2, 2), 1.0).message(1)
     assert msg.max_total_photons() > cutoff
     full = msg.to_pure_state()
     kept = {idx: c for idx, c in full.amplitudes.items() if sum(idx) <= cutoff}
@@ -130,7 +136,7 @@ def test_project_product_enumerates_the_simplex_only(monkeypatch, cutoff):
 def test_project_product_refuses_a_support_too_large_to_interfere():
     # m=12 at cutoff 10 keeps 646490 of the C(22, 12) = 646646 occupations
     # (a mode holds at most 9 photons); pairing two needs 4.2e11 terms.
-    msg = coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.0).encoder(0)
+    msg = coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.0).message(0)
     with pytest.raises(SupportCapError, match="projected support 646490 "):
         project_below_cutoff(msg, 10)
 
@@ -215,9 +221,9 @@ def test_transform_messages_change_under_aggressive_cutoff():
     # which genuinely reshapes the coherent factors.
     protocol = coherent_fingerprint_protocol(1, RepetitionCode(1, 2), 1.0)
     truncated, _ = transform_protocol(protocol, 0.9, original_error=0.0)
-    msg = truncated.encoder(0)
+    msg = truncated.message(0)
     assert msg.max_total_photons() <= 1
-    original = protocol.encoder(0)
+    original = protocol.message(0)
     assert original.max_total_photons() > 1
 
 
@@ -230,7 +236,7 @@ def test_binding_cutoff_stays_within_the_inflation_bound(n, repeats, delta):
     truncated, budget = transform_protocol(protocol, delta, original_error=before)
     cutoff = markov_photon_cutoff(protocol.mu, delta)
     for x in range(1 << n):
-        message = protocol.encoder(x)
+        message = protocol.message(x)
         assert message.max_total_photons() > cutoff
         _, weight = project_below_cutoff(message, cutoff)
         assert 1.0 - delta <= weight < 1.0
@@ -240,10 +246,7 @@ def test_binding_cutoff_stays_within_the_inflation_bound(n, repeats, delta):
     assert after <= budget, f"observed inflation {after - before!r} above 2*sqrt(delta) = {bound!r}"
 
 
-def test_transform_projects_each_message_once(monkeypatch):
-    # Construction validates every message and exhaustive evaluation reads
-    # each one 2^n times; one cache in front of the one encoder projects
-    # each of the 2^n messages exactly once across both.
+def _counted_projections(monkeypatch) -> list:
     calls = []
     original = truncation.project_below_cutoff
 
@@ -252,9 +255,39 @@ def test_transform_projects_each_message_once(monkeypatch):
         return original(state, cutoff)
 
     monkeypatch.setattr(truncation, "project_below_cutoff", counted)
+    return calls
+
+
+def test_transform_projects_each_message_once(monkeypatch):
+    # Construction checks every row and exhaustive evaluation reads each one
+    # 2^n times; each of the 2^n distinct rows is projected exactly once
+    # across both.
+    calls = _counted_projections(monkeypatch)
     n = 2
     protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, 3), 2.0)
     truncated, _ = transform_protocol(protocol, 0.5, original_error=0.0)
     evaluate_error(truncated)
     assert calls == [4] * (1 << n)
-    assert protocol.encoder(0).max_total_photons() > 4
+    assert protocol.message(0).max_total_photons() > 4
+
+
+def test_binding_transform_projects_each_distinct_row_once(monkeypatch):
+    # An xor-fold code folds 16 inputs onto 4 codewords; at cutoff 2 every
+    # row binds, and the 4 distinct rows are projected once each.
+    calls = _counted_projections(monkeypatch)
+    protocol = coherent_fingerprint_protocol(4, XorFoldCode(4, 2), 1.0)
+    truncated, _ = transform_protocol(protocol, 0.5, original_error=0.0)
+    report = evaluate_error(truncated)
+    assert calls == [2] * 4
+    assert len(truncated.letters) == 4 and len(report.pair_errors) == 256
+    assert protocol.message(0).max_total_photons() > 2
+
+
+def test_vacuous_transform_keeps_the_table_and_projects_nothing(monkeypatch):
+    calls = _counted_projections(monkeypatch)
+    protocol = coherent_fingerprint_protocol(3, RepetitionCode(3, 2), 1.3)
+    truncated, _ = transform_protocol(protocol, 1e-4, original_error=0.0)
+    before, after = evaluate_error(protocol), evaluate_error(truncated)
+    assert calls == []
+    assert truncated.letters is protocol.letters
+    assert np.array_equal(after.p_error, before.p_error)
