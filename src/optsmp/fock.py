@@ -45,7 +45,6 @@ from .errors import (
     DimensionCapError,
     ModeMismatchError,
     NormalizationError,
-    PhotonCapError,
     SupportCapError,
 )
 
@@ -464,20 +463,16 @@ def poisson_tail(mean: float, cutoff: int) -> float:
     return total
 
 
-def cutoff_for_tail(mean: float, tail_bound: float, cap: int = 10**6) -> int:
-    """Smallest cutoff whose Poisson tail falls below ``tail_bound``. No
-    cutoff above ``cap`` is searched: needing one raises
-    :class:`PhotonCapError`, an internal limit."""
+def cutoff_for_tail(mean: float, tail_bound: float) -> int:
+    """Smallest cutoff whose Poisson tail falls below ``tail_bound``."""
     if not 0.0 < tail_bound < 1.0:
         raise ValueError(f"tail_bound must be in (0, 1), got {tail_bound}")
-    for cutoff in range(cap + 1):
-        if poisson_tail(mean, cutoff) < tail_bound:
-            return cutoff
-    raise PhotonCapError(
-        f"a Poisson mean of {mean!r} photons per mode needs a cutoff above {cap} "
-        f"photons to keep its tail below {tail_bound!r}; a pair of such modes "
-        f"would pass {2 * cap} photons"
-    )
+    cutoff = 0
+    while poisson_tail(mean, cutoff) >= tail_bound:
+        cutoff += 1
+        if cutoff > 10**6:
+            raise ValueError("cutoff search did not converge")
+    return cutoff
 
 
 def coherent_state(alpha: complex, cutoff: int) -> PureState:

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, ModeMismatchError, SupportCapError
+from .errors import ConfigError, ModeMismatchError, PhotonCapError, SupportCapError
 from .fock import (
     DenseOperator,
     FockDiagonalState,
@@ -285,17 +285,6 @@ def _tabulated(
     return table[pair]
 
 
-def _factorwise(kernel: Callable, a: Message, b: Message) -> float:
-    """The product of ``kernel`` over corresponding factors of two messages,
-    taken in factor order from 1.0, as evaluation takes it over positions."""
-    if len(a.factors) != len(b.factors):
-        raise ModeMismatchError("messages have different factor counts")
-    p = 1.0
-    for fa, fb in zip(a.factors, b.factors):
-        p *= kernel(fa, fb)
-    return _clamp01(p)
-
-
 class InterferenceVacuumReferee:
     """Interferes Alice's mode i with Bob's mode i on balanced beamsplitters
     and outputs 1 ("equal") exactly when every difference port is dark.
@@ -326,7 +315,15 @@ class InterferenceVacuumReferee:
         return p
 
     def output_one_probability(self, a: Message, b: Message) -> float:
-        return _factorwise(self.pair_probability, a, b)
+        """The product of :meth:`pair_probability` over corresponding
+        factors, taken in factor order from 1.0 as evaluation takes it over
+        positions."""
+        if len(a.factors) != len(b.factors):
+            raise ModeMismatchError("messages have different factor counts")
+        p = 1.0
+        for fa, fb in zip(a.factors, b.factors):
+            p *= self.pair_probability(fa, fb)
+        return _clamp01(p)
 
 
 class DiagonalMapReferee:
@@ -335,34 +332,41 @@ class DiagonalMapReferee:
 
     Only the photon-number weights of each message matter, so pure,
     Fock-diagonal and dense messages are all accepted. Outcomes of
-    independent factors agree independently, so the probability is the
-    product of :meth:`pair_probability` (the pair kernel) over
-    corresponding factors. Each factor's weights are read once, keyed on
-    the factor object.
+    independent factors agree independently, so on a protocol's letters
+    the probability is the product of :meth:`pair_probability` (the pair
+    kernel) over positions, each letter's weights read once and keyed on
+    the letter object. The one-pair oracle reads the joint weights of two
+    whole messages (a product is joined into its ket first), so the two
+    need not be factored alike.
     """
 
     def __init__(self) -> None:
         self._weights: dict[Message, dict[FockIndex, float]] = {}
 
-    def _weights_of(self, factor: Message) -> dict[FockIndex, float]:
-        weights = self._weights.get(factor)
+    def _weights_of(self, letter: Message) -> dict[FockIndex, float]:
+        weights = self._weights.get(letter)
         if weights is None:
-            weights = self._weights[factor] = dict(factor.weights())
+            weights = self._weights[letter] = dict(letter.weights())
         return weights
 
     def pair_probability(self, a: Message, b: Message) -> float:
-        """The sum of ``pa * pb`` over the outcomes both factors can give,
-        in the order of ``a``'s weights."""
-        weights_b = self._weights_of(b)
-        p = 0.0
-        for ia, pa in self._weights_of(a).items():
-            pb = weights_b.get(ia)
-            if pb is not None:
-                p += pa * pb
-        return _clamp01(p)
+        """Agreement probability of one pair of letters."""
+        return _agreement(self._weights_of(a).items(), self._weights_of(b))
 
     def output_one_probability(self, a: Message, b: Message) -> float:
-        return _factorwise(self.pair_probability, a, b)
+        a, b = (m.to_pure_state() if isinstance(m, ProductPureState) else m for m in (a, b))
+        return _agreement(a.weights(), dict(b.weights()))
+
+
+def _agreement(weights_a: Iterable, weights_b: Mapping[FockIndex, float]) -> float:
+    """The sum of ``pa * pb`` over the outcomes both states can give, in the
+    order of ``weights_a``."""
+    p = 0.0
+    for ia, pa in weights_a:
+        pb = weights_b.get(ia)
+        if pb is not None:
+            p += pa * pb
+    return _clamp01(p)
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +456,17 @@ class SmpProtocol:
     def _letter_sizes(self) -> np.ndarray:
         """Mode count and mean photon number of every letter, one row each,
         computed once per letter. Letters that a truncated protocol projects
-        on demand join the sequence as rows are read."""
+        on demand join the sequence as rows are read. Every letter must have
+        the first letter's mode count: letters of different sizes share no
+        occupation, so a position holding both would compare nothing."""
         sizes = self._letter_sizes_read
         for i, letter in enumerate(self.letters[len(sizes) :], len(sizes)):
             if len(letter.factors) != 1:
                 raise ConfigError(f"letter {i} has {len(letter.factors)} factors, not one")
+            if letter.modes != self.letters[0].modes:
+                raise ConfigError(
+                    f"letter {i} has {letter.modes} modes, letter 0 has {self.letters[0].modes}"
+                )
             sizes.append((letter.modes, mean_photon_number(letter)))
         return np.array(sizes, dtype=float)
 
@@ -690,9 +700,17 @@ def coherent_fingerprint_protocol(n: int, code: Code, mu_total: float) -> SmpPro
     m = code.m
     alpha = math.sqrt(mu_total / m)
     per_mode_tail = MESSAGE_TAIL_BOUND / m
-    # A mode pair of two messages holds up to twice the per-mode cutoff.
+    # A mode pair of two messages holds up to twice the per-mode cutoff, and
+    # the tail falls as the cutoff grows: refuse before searching when even
+    # half the pair limit leaves too much tail.
     cap = PAIR_PHOTON_CAP // 2
-    cutoff = cutoff_for_tail(alpha**2, per_mode_tail, cap) if mu_total > 0 else 0
+    if mu_total > 0 and poisson_tail(alpha**2, cap) >= per_mode_tail:
+        raise PhotonCapError(
+            f"a Poisson mean of {alpha**2!r} photons per mode needs a cutoff above {cap} "
+            f"photons to keep its tail below {per_mode_tail!r}; a pair of such modes "
+            f"would pass {PAIR_PHOTON_CAP} photons"
+        )
+    cutoff = cutoff_for_tail(alpha**2, per_mode_tail) if mu_total > 0 else 0
     actual_tail = poisson_tail(alpha**2, cutoff)
     message_tail = 1.0 - (1.0 - actual_tail) ** m
     return SmpProtocol(

@@ -187,7 +187,12 @@ def transform_protocol(protocol, delta: float, original_error: float):
             symbol = symbols.get(key)
             if symbol is None:
                 symbol = symbols[key] = len(letters)
-                letters.append(project_below_cutoff(protocol.joined(row.tolist()), cutoff)[0])
+                letter = project_below_cutoff(protocol.joined(row.tolist()), cutoff)[0]
+                if len(letter.factors) > 1:
+                    # A product within the cutoff comes back unprojected;
+                    # a letter is one factor, so join it into its ket.
+                    letter = letter.to_pure_state()
+                letters.append(letter)
             out[i, 0] = symbol
         return out
 

@@ -14,7 +14,6 @@ from optsmp.errors import (
     ModeMismatchError,
     NormalizationError,
     OptSmpError,
-    PhotonCapError,
     SupportCapError,
 )
 from optsmp.fock import (
@@ -257,13 +256,6 @@ def test_poisson_tail_is_one_where_its_first_term_underflows(mean, cutoff):
     assert math.exp(-mean + (cutoff + 1) * math.log(mean) - math.lgamma(cutoff + 2)) < 1e-300
     assert poisson_tail(mean, cutoff) == 1.0
     assert poisson_tail(mean, cutoff) == float(stats.poisson.sf(cutoff, mean))
-
-
-def test_cutoff_search_stops_at_its_cap():
-    assert cutoff_for_tail(100.0, 1e-11, cap=256) == cutoff_for_tail(100.0, 1e-11)
-    for mean in (300.0, 1666.7, 1e6):
-        with pytest.raises(PhotonCapError, match="above 256 photons"):
-            cutoff_for_tail(mean, 1e-11, cap=256)
 
 
 def test_cutoff_for_tail_is_minimal():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from optsmp import smp, verify
-from optsmp.errors import ConfigError, ModeMismatchError
+from optsmp.errors import ConfigError, ModeMismatchError, PhotonCapError
 from optsmp.fock import (
     DenseOperator,
     FockDiagonalState,
@@ -292,6 +292,15 @@ def test_diagonal_referee_equals_the_rule_loop_bit_for_bit():
     assert disjoint > 0
 
 
+def test_diagonal_oracle_reads_whole_messages_however_factored():
+    # Same-outcome probability depends on the joint weights only, so a
+    # product and its own joint ket agree with certainty.
+    referee = DiagonalMapReferee()
+    product = ProductPureState(PureState.basis_state((k,)) for k in (1, 0, 1))
+    assert referee.output_one_probability(product, product.to_pure_state()) == 1.0
+    assert referee.output_one_probability(product, PureState.basis_state((1, 1, 1))) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Protocol construction and validation
 
@@ -341,6 +350,13 @@ def test_protocol_rejects_bad_referee_and_table():
     for match, codewords in bad_tables.items():
         with pytest.raises(ConfigError, match=match):
             SmpProtocol("t", 1, 1, 1.0, letters, codewords, DiagonalMapReferee())
+    # |00> and |0> at two positions make three modes either way round, but
+    # letters of different sizes share no occupation to compare.
+    with pytest.raises(ConfigError, match="letter 1 has 1 modes, letter 0 has 2"):
+        SmpProtocol(
+            "sizes", 1, 3, 1.0, _basis_letters((0, 0), (0,)),
+            lambda xs: np.array([[0, 1], [1, 0]])[xs], DiagonalMapReferee(),
+        )
     with pytest.raises(ConfigError, match="letter 0 has 2 factors"):
         SmpProtocol(
             "p", 1, 2, 2.0, (ProductPureState(letters),), lambda xs: np.zeros((len(xs), 1), int),
@@ -513,6 +529,21 @@ def test_worst_pair_is_the_first_of_the_tied_pairs(n, mu):
     tied = {p for x, y, _, p in report.pair_errors if report.worst_error - p <= 1e-12}
     assert len(tied) > 1
     assert report.worst_pair == (0, 1)
+
+
+def test_fingerprint_refuses_cutoffs_past_half_the_pair_photon_cap(monkeypatch):
+    # A mode pair of two messages holds twice the per-mode cutoff, so no
+    # cutoff above 256 is built; the refusal comes before the cutoff search.
+    searched = []
+    search = smp.cutoff_for_tail
+    monkeypatch.setattr(smp, "cutoff_for_tail", lambda *a: searched.append(a) or search(*a))
+    protocol = coherent_fingerprint_protocol(1, RepetitionCode(1, 1), 100.0)
+    assert protocol.letters[0].max_total_photons() == search(100.0, 1e-10) <= 256
+    assert len(searched) == 1
+    for mu in (300.0, 1666.7, 1e6):
+        with pytest.raises(PhotonCapError, match="above 256 photons"):
+            coherent_fingerprint_protocol(1, RepetitionCode(1, 1), mu)
+    assert len(searched) == 1
 
 
 def test_fingerprint_rejects_mismatched_code():

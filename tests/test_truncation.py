@@ -20,7 +20,10 @@ from optsmp.fock import (
     trace_distance,
 )
 from optsmp.smp import (
+    DiagonalMapReferee,
+    InterferenceVacuumReferee,
     RepetitionCode,
+    SmpProtocol,
     XorFoldCode,
     coherent_fingerprint_protocol,
     evaluate_error,
@@ -291,3 +294,21 @@ def test_vacuous_transform_keeps_the_table_and_projects_nothing(monkeypatch):
     assert calls == []
     assert truncated.letters is protocol.letters
     assert np.array_equal(after.p_error, before.p_error)
+
+
+@pytest.mark.parametrize("referee", [DiagonalMapReferee, InterferenceVacuumReferee])
+def test_binding_transform_joins_rows_within_the_cutoff(referee):
+    # Letters |0> and one reaching 5 photons; at cutoff 3 the all-vacuum row
+    # needs no projection, the others bind. Every truncated letter is one
+    # two-mode ket, and evaluation equals the one-pair oracle.
+    spread = PureState(1, {(0,): math.sqrt(0.6), (1,): math.sqrt(0.3), (5,): math.sqrt(0.1)})
+    letters = (PureState.basis_state((0,)), spread)
+    protocol = SmpProtocol(
+        "spread", 2, 2, 1.6, letters, RepetitionCode(2, 1).codewords, referee()
+    )
+    truncated, _ = transform_protocol(protocol, 0.5, original_error=0.0)
+    assert [letter.max_total_photons() for letter in truncated.letters] == [0, 1, 1, 2]
+    assert all(len(letter.factors) == 1 and letter.modes == 2 for letter in truncated.letters)
+    for x, y, f, p_error in evaluate_error(truncated).pair_errors:
+        p = truncated.referee.output_one_probability(truncated.message(x), truncated.message(y))
+        assert p_error == (1.0 - p if f else p)
