@@ -6,7 +6,8 @@ family), ``simulate`` (exact protocol error evaluation), ``verify``
 ``rank`` (truncated-subspace dimension). Outputs are deterministic functions
 of (config, seed): identical runs produce byte-identical files. Exit codes:
 0 success, 1 internal failure or failed verification, 2 invalid
-configuration or an internal limit (support, dimension or photon cap) reached.
+configuration or an internal limit (support, dimension, photon or input cap)
+reached.
 """
 
 from __future__ import annotations
@@ -28,7 +29,14 @@ from .bounds import (
     qfp_report_points,
 )
 from .combinatorics import count_rank, log_rank_bounds, markov_photon_cutoff
-from .errors import ConfigError, DimensionCapError, OptSmpError, PhotonCapError, SupportCapError
+from .errors import (
+    ConfigError,
+    DimensionCapError,
+    InputCapError,
+    OptSmpError,
+    PhotonCapError,
+    SupportCapError,
+)
 from .smp import (
     DCC_N_CAP,
     csv_rows,
@@ -368,7 +376,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except (SupportCapError, DimensionCapError, PhotonCapError) as exc:
+    except (SupportCapError, DimensionCapError, PhotonCapError, InputCapError) as exc:
         print(f"error: internal limit: {exc}", file=sys.stderr)
         return 2
     except OptSmpError as exc:

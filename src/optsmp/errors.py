@@ -34,6 +34,10 @@ class PhotonCapError(OptSmpError):
     interference computation handles."""
 
 
+class InputCapError(OptSmpError):
+    """Inputs have more bits than the 64-bit integers that hold them."""
+
+
 class BasisMismatchError(OptSmpError):
     """Dense operators do not share the same ordered basis."""
 

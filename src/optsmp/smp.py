@@ -18,15 +18,18 @@ in exactly two classes:
 
 Both acceptance events factorize over positions, so each referee is a pair
 kernel on letters (``pair_probability``) and a pair's probability is the
-product of the kernel over positions. Evaluation tabulates the kernel once
-per letter pair that occurs and multiplies table gathers over the codeword
-columns; worst-case error is exact, without sampling noise. Adaptive
+product of the kernel over positions. Evaluation tabulates the kernel for
+each letter pair that occurs and multiplies table gathers over the codeword
+columns; the interference kernel's dark-port sum runs once per sign class of
+letter pairs that occurs, which :class:`InterferenceVacuumReferee` shows to
+be exact. Worst-case error is exact, without sampling noise. Adaptive
 referees (measure one message, choose the next measurement) are
 deliberately not modeled.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -34,7 +37,13 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, ModeMismatchError, PhotonCapError, SupportCapError
+from .errors import (
+    ConfigError,
+    InputCapError,
+    ModeMismatchError,
+    PhotonCapError,
+    SupportCapError,
+)
 from .fock import (
     DenseOperator,
     FockDiagonalState,
@@ -58,6 +67,9 @@ MESSAGE_TAIL_BOUND = 1e-10
 #: evaluate all 4^n pairs exhaustively, up to this n. Above it the rows are
 #: built and checked as they are read, and only sampled evaluation runs.
 TABLE_N_CAP = 12
+#: Sampled evaluation draws inputs as 64-bit integers, so it takes inputs of
+#: at most this many bits.
+INPUT_BITS_CAP = 63
 #: Most photons one mode pair may hold in an exact interference computation:
 #: past it the scaled dark-port sums leave floating-point range.
 PAIR_PHOTON_CAP = 512
@@ -264,6 +276,27 @@ def _dark_probability(
     return p
 
 
+def _sign_flip(
+    rep: Mapping[FockIndex, complex], amps: Mapping[FockIndex, complex], modes: int
+) -> int | None:
+    """The bit mask s of modes with ``amps`` equal to D_s ``rep``, or None.
+
+    The two must hold the same occupations in the same order. Bit i of s is
+    read from the single-photon occupation of mode i, then every amplitude
+    is checked exactly: ``==``, with no tolerance, which equates only the
+    signs of zeros."""
+    s = 0
+    for i in range(modes):
+        one = (0,) * i + (1,) + (0,) * (modes - i - 1)
+        if amps.get(one) != rep.get(one):
+            s |= 1 << i
+    flipped = [i for i in range(modes) if s >> i & 1]
+    for (idx, amp), base in zip(amps.items(), rep.values()):
+        if amp != (-base if sum(idx[i] for i in flipped) & 1 else base):
+            return None
+    return s
+
+
 def _tabulated(
     kernel: Callable, letters: Sequence, symbols: np.ndarray, ix: np.ndarray, iy: np.ndarray
 ) -> np.ndarray:
@@ -292,26 +325,53 @@ class InterferenceVacuumReferee:
     The acceptance event factorizes over factor pairs, so the probability is
     the product of one dark-port sum per pair of corresponding factors
     (:meth:`pair_probability`, the pair kernel); a :class:`PureState` is its
-    own single factor. No beamsplitter output is built. The kernel's cache
-    is keyed on the letter objects, which a protocol holds once each.
+    own single factor. No beamsplitter output is built.
+
+    The kernel runs once per sign class of letter pairs that occurs. For a
+    set s of modes, D_s multiplies the amplitude at occupation n by
+    (-1)^(sum of n_i over i in s). Every product that feeds output t of the
+    dark-port sum then carries the one sign (-1)^(sum of t_i over i in s),
+    so each partial sum is kept or negated exactly (negation is exact and
+    round-to-nearest is symmetric in sign), and its squared magnitude, the
+    keys, their order and the scale tables do not change:
+    ``_dark_probability(D_s a, D_s b)`` equals ``_dark_probability(a, b)``
+    bit for bit. A letter is filed as ``D_s`` of a representative, the first
+    letter met with the same per-term magnitudes of which it is such a
+    flip, and a pair's value is cached on the two representatives and the
+    XOR of the two sign sets. The caches are keyed on the letter objects,
+    which a protocol holds once each.
     """
 
     def __init__(self) -> None:
+        self._classes: dict[PureState, tuple[PureState, int]] = {}
+        self._representatives: dict[tuple, PureState] = {}
         self._pair_cache: dict[tuple, float] = {}
+
+    def _sign_class(self, letter: PureState) -> tuple[PureState, int]:
+        """``(rep, s)`` with ``letter`` equal to D_s ``rep``, item for item
+        and in the same order; s is a bit mask of modes. A letter that is no
+        such flip of its representative is its own class, ``(letter, 0)``."""
+        found = self._classes.get(letter)
+        if found is None:
+            amps = letter.amplitudes
+            magnitudes = tuple((idx, abs(v.real), abs(v.imag)) for idx, v in amps.items())
+            rep = self._representatives.setdefault(magnitudes, letter)
+            s = _sign_flip(rep.amplitudes, amps, letter.modes)
+            found = self._classes[letter] = (letter, 0) if s is None else (rep, s)
+        return found
 
     def pair_probability(self, fa: PureState, fb: PureState) -> float:
         """Dark-port probability of one pair of corresponding factors."""
-        key = (fa, fb)
-        hit = self._pair_cache.get(key)
-        if hit is not None:
-            return hit
         if fa.modes != fb.modes:
             raise ModeMismatchError(f"factor mode mismatch: {fa.modes} vs {fb.modes}")
         pairs = fa.support_size() * fb.support_size()
         if pairs > SUPPORT_CAP:
             raise SupportCapError(f"pair support {pairs} exceeds cap {SUPPORT_CAP}")
-        p = _clamp01(_dark_probability(fa.amplitudes, fb.amplitudes))
-        self._pair_cache[key] = p
+        (rep_a, s_a), (rep_b, s_b) = self._sign_class(fa), self._sign_class(fb)
+        key = (rep_a, rep_b, s_a ^ s_b)
+        p = self._pair_cache.get(key)
+        if p is None:
+            p = self._pair_cache[key] = _clamp01(_dark_probability(fa.amplitudes, fb.amplitudes))
         return p
 
     def output_one_probability(self, a: Message, b: Message) -> float:
@@ -423,6 +483,14 @@ class SmpProtocol:
             raise ConfigError("referee must provide pair_probability")
         if self.n <= TABLE_N_CAP:
             object.__setattr__(self, "_table", self.rows(np.arange(1 << self.n)))
+
+    def renamed(self, name: str) -> "SmpProtocol":
+        """This protocol under another name. The copy shares the checked
+        codeword table, which ``dataclasses.replace`` would build and check
+        again."""
+        twin = copy.copy(self)
+        object.__setattr__(twin, "name", name)
+        return twin
 
     def rows(self, xs: np.ndarray) -> np.ndarray:
         """The checked codeword rows of the inputs ``xs``."""
@@ -627,6 +695,11 @@ def evaluate_error(
             raise ConfigError("sampled evaluation requires samples >= 1")
         if seed is None or seed < 0:
             raise ConfigError(f"sampled evaluation requires an explicit seed >= 0, got {seed}")
+        if protocol.n > INPUT_BITS_CAP:
+            raise InputCapError(
+                f"sampled evaluation holds inputs as 64-bit integers: n is {protocol.n}, "
+                f"above the {INPUT_BITS_CAP}-bit input limit"
+            )
         seed = int(seed)
         rng = np.random.default_rng([seed, protocol.n])
         xs = rng.integers(0, size, size=samples)

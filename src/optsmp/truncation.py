@@ -165,16 +165,17 @@ def transform_protocol(protocol, delta: float, original_error: float):
     Vacuity is decided on the codeword table in one array pass
     (:meth:`~optsmp.smp.SmpProtocol.max_total_photons`): when no message
     holds more photons than the cutoff, the projector is the identity on
-    every message and the table is kept as it is. At a binding cutoff the
-    truncated protocol has one position whose letters are the projected
-    messages: each distinct row is projected once, all of them at
-    construction up to ``TABLE_N_CAP`` and each on first read above it.
+    every message and the checked table is kept as it is, not built again.
+    At a binding cutoff the truncated protocol has one position whose
+    letters are the projected messages: each distinct row is projected
+    once, all of them at construction up to ``TABLE_N_CAP`` and each on
+    first read above it.
     """
     cutoff = markov_photon_cutoff(protocol.mu, delta)
     name = f"{protocol.name}+cutoff{cutoff}"
     bound = perturbed_error_bound(original_error, math.sqrt(delta))
     if protocol.max_total_photons() <= cutoff:
-        return dataclasses.replace(protocol, name=name), bound
+        return protocol.renamed(name), bound
 
     letters: list = []
     symbols: dict[bytes, int] = {}

@@ -457,6 +457,21 @@ def test_simulate_past_the_interference_photon_cap_is_an_internal_limit(tmp_path
     assert "above 256 photons" in captured.err
 
 
+@pytest.mark.parametrize(
+    "config", [{"type": "classical-trivial", "n": 64}, {"type": "qfp", "n": 64, "mu": 2.0}]
+)
+def test_simulate_sampled_past_63_input_bits_is_an_internal_limit(tmp_path, capsys, config):
+    # Sampled inputs are 64-bit integers; n = 63 is the widest that fits.
+    path = _write_config(tmp_path, "p.json", config)
+    assert main(["simulate", "--config", path, "--samples", "3", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal limit: sampled evaluation ")
+    assert "63-bit input limit" in captured.err
+    narrower = _write_config(tmp_path, "q.json", dict(config, n=63))
+    assert main(["simulate", "--config", narrower, "--samples", "3", "--seed", "1"]) == 0
+
+
 def _report_header(lines):
     return dict(
         cell.split("=", 1) for line in lines if line.startswith("# ") for cell in line[2:].split()

@@ -164,6 +164,73 @@ def test_dark_port_sum_matches_materialised_beamsplitter_on_random_kets():
         assert referee.output_one_probability(a, b) == pytest.approx(expected, abs=1e-12)
 
 
+def _counted_sums(monkeypatch) -> list:
+    calls = []
+    interfere = smp._dark_probability
+
+    def counted(a, b):
+        calls.append((a, b))
+        return interfere(a, b)
+
+    monkeypatch.setattr(smp, "_dark_probability", counted)
+    return calls
+
+
+def _flipped(amps, s):
+    """D_s of a ket's amplitudes: each one negated when its occupation holds
+    an odd number of photons in the modes of the bit mask ``s``."""
+    return {
+        idx: -amp if sum(n for i, n in enumerate(idx) if s >> i & 1) % 2 else amp
+        for idx, amp in amps.items()
+    }
+
+
+def test_dark_port_sum_is_unchanged_bit_for_bit_by_a_common_sign_flip():
+    rng = np.random.default_rng(14)
+    for _ in range(300):
+        modes = int(rng.integers(1, 4))
+        a, b = _random_ket(rng, modes).amplitudes, _random_ket(rng, modes).amplitudes
+        s = int(rng.integers(0, 1 << modes))
+        assert smp._dark_probability(_flipped(a, s), _flipped(b, s)) == smp._dark_probability(a, b)
+
+
+def test_sign_flipped_letters_share_one_dark_port_sum(monkeypatch):
+    calls = _counted_sums(monkeypatch)
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        modes = int(rng.integers(1, 4))
+        # Every single-photon occupation is in the support, so each flip
+        # of a mode set shows on it.
+        singles = {tuple(int(i == j) for j in range(modes)): 0.3 for i in range(modes)}
+        a, b = (
+            PureState(modes, {**singles, **_random_ket(rng, modes).amplitudes}, normalize=True)
+            for _ in range(2)
+        )
+        referee = InterferenceVacuumReferee()
+        flips = rng.integers(0, 1 << modes, size=(8, 2)).tolist()
+        del calls[:]
+        for s_a, s_b in flips:
+            fa = PureState(modes, _flipped(a.amplitudes, s_a))
+            fb = PureState(modes, _flipped(b.amplitudes, s_b))
+            direct = smp._clamp01(smp._dark_probability(fa.amplitudes, fb.amplitudes))
+            assert referee.pair_probability(fa, fb) == direct
+        assert len(calls) == 8 + len({s_a ^ s_b for s_a, s_b in flips})
+
+
+def test_equal_magnitudes_without_a_per_mode_sign_pattern_get_their_own_sum(monkeypatch):
+    # Negating |1,1> alone keeps every magnitude, but no set of modes flips
+    # that one sign: the second letter is no sign flip of the first.
+    amps = {(0, 0): 0.5, (1, 0): 0.5, (0, 1): 0.5, (1, 1): 0.5}
+    a = PureState(2, amps)
+    c = PureState(2, {**amps, (1, 1): -0.5})
+    b = PureState(2, {(0, 0): 0.6, (1, 0): 0.64, (0, 1): 0.48})
+    calls = _counted_sums(monkeypatch)
+    referee = InterferenceVacuumReferee()
+    p_ab, p_cb = referee.pair_probability(a, b), referee.pair_probability(c, b)
+    assert len(calls) == 2
+    assert p_cb == smp._clamp01(smp._dark_probability(c.amplitudes, b.amplitudes)) != p_ab
+
+
 @pytest.mark.parametrize("n, repeats, mu, delta", [(1, 3, 1.1, 0.3), (1, 4, 1.0, 0.3), (2, 2, 1.0, 0.4)])
 def test_dark_port_sum_matches_materialised_beamsplitter_on_projected_messages(n, repeats, mu, delta):
     protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, repeats), mu)
@@ -484,19 +551,29 @@ def test_evaluation_builds_no_message_object(monkeypatch, build, samples):
 # Coherent fingerprinting
 
 def test_pair_cache_interferes_each_factor_pair_once(monkeypatch):
-    calls = []
-    interfere = smp._dark_probability
-
-    def counted(a, b):
-        calls.append((a, b))
-        return interfere(a, b)
-
-    monkeypatch.setattr(smp, "_dark_probability", counted)
+    calls = _counted_sums(monkeypatch)
     report = evaluate_error(coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.0))
     assert len(report.pair_errors) == 256
-    # Two distinct factors (the +alpha and -alpha coherent states) give at
-    # most four factor pairs, however many modes and input pairs there are.
-    assert 1 <= len(calls) <= 4
+    # |-alpha> is the sign flip of |+alpha>, so the four factor pairs fall
+    # into two sign classes: equal letters and opposite letters.
+    assert len(calls) == 2
+
+
+def test_binding_truncation_runs_one_sum_per_sign_class(monkeypatch):
+    # At a=2 each of the 16 projected messages is a per-mode sign flip of
+    # the first, so the 256 letter pairs fall into 16 sign classes.
+    protocol = coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.0)
+    truncated, _ = transform_protocol(protocol, 0.667, original_error=0.0)
+    assert len(truncated.letters) == 16
+    assert protocol.message(0).max_total_photons() > 2 == truncated.letters[0].max_total_photons()
+    calls = _counted_sums(monkeypatch)
+    report = evaluate_error(truncated)
+    assert len(calls) == 16
+    letters = [truncated.letters[s] for s in truncated.rows(np.arange(16))[:, 0].tolist()]
+    for x, y, f, p_error in report.pair_errors:
+        direct = InterferenceVacuumReferee().pair_probability(letters[x], letters[y])
+        assert p_error == (1.0 - direct if f else direct)
+    assert len(calls) == 16 + 256
 
 
 def test_fingerprint_matches_closed_form():

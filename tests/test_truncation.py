@@ -288,11 +288,27 @@ def test_binding_transform_projects_each_distinct_row_once(monkeypatch):
 
 def test_vacuous_transform_keeps_the_table_and_projects_nothing(monkeypatch):
     calls = _counted_projections(monkeypatch)
+    built, checked = [], []
+    codewords, check = RepetitionCode.codewords, SmpProtocol._check
+
+    def counted_codewords(code, xs):
+        built.append(len(xs))
+        return codewords(code, xs)
+
+    def counted_check(protocol, xs, rows):
+        checked.append(len(xs))
+        return check(protocol, xs, rows)
+
+    monkeypatch.setattr(RepetitionCode, "codewords", counted_codewords)
+    monkeypatch.setattr(SmpProtocol, "_check", counted_check)
     protocol = coherent_fingerprint_protocol(3, RepetitionCode(3, 2), 1.3)
+    assert built == checked == [8]
     truncated, _ = transform_protocol(protocol, 1e-4, original_error=0.0)
     before, after = evaluate_error(protocol), evaluate_error(truncated)
     assert calls == []
+    assert built == checked == [8]
     assert truncated.letters is protocol.letters
+    assert truncated.name == protocol.name + "+cutoff13000" != protocol.name
     assert np.array_equal(after.p_error, before.p_error)
 
 
