@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from typing import Iterable, Mapping, Sequence
 
 from .bounds import (
@@ -37,9 +36,9 @@ from .errors import (
     PhotonCapError,
     SupportCapError,
 )
+from .report import csv_rows
 from .smp import (
     DCC_N_CAP,
-    csv_rows,
     deterministic_cc_matrix,
     equality_function,
     evaluate_error,
@@ -55,10 +54,27 @@ MU_CONVENTION = "per-party-max"
 DEFAULT_DELTA = 1e-4
 
 
+#: Fresh temp-file names tried before an atomic write gives up.
+TEMP_NAME_TRIES = 100
+
+
 def _write_atomic(path: str, chunks: Iterable[str]) -> None:
-    """Write via a sibling temp file and rename; no partial files on failure."""
+    """Write via a sibling temp file and rename; no partial files on failure.
+
+    The temp file is created with mode 0o666 less the umask, the mode a
+    plain ``open`` gives a new file (``tempfile.mkstemp`` would give 0o600,
+    which the rename keeps)."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".optsmp-", suffix=".tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_NOFOLLOW", 0)
+    for _ in range(TEMP_NAME_TRIES):
+        tmp = os.path.join(directory, f".optsmp-{os.urandom(6).hex()}.tmp")
+        try:
+            fd = os.open(tmp, flags, 0o666)
+            break
+        except FileExistsError:
+            continue
+    else:
+        raise FileExistsError(f"no free temporary file name in {directory}")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.writelines(chunks)
@@ -181,7 +197,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     lines.append(
         f"# worst_error={report.worst_error!r} worst_pair={report.worst_pair[0]},{report.worst_pair[1]}"
     )
-    columns = [report.x, report.y, report.f, report.p_error]
+    truncated_errors = None
     if args.truncate is None:
         lines.append("x,y,f,p_error")
     else:
@@ -196,8 +212,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"worst_error_after={t_report.worst_error!r} error_budget={budget!r}"
         )
         lines.append("x,y,f,p_error,p_error_truncated")
-        columns.append(t_report.p_error)
-    _emit(itertools.chain(["\n".join(lines) + "\n"], csv_rows(*columns)), args.out)
+        truncated_errors = t_report.p_error
+    _emit(itertools.chain(["\n".join(lines) + "\n"], csv_rows(report, truncated_errors)), args.out)
     return 0
 
 

@@ -32,8 +32,8 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from functools import cache, lru_cache
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from .fock import (
     poisson_tail,
     tensor,
 )
+from .report import BLOCK_ROWS, ErrorReport
 
 Message = Union[PureState, FockDiagonalState, DenseOperator, ProductPureState]
 
@@ -76,13 +77,6 @@ PAIR_PHOTON_CAP = 512
 #: Brute-force deterministic-communication search is exponential in 2^n, so
 #: it takes tables of at most 2^DCC_N_CAP rows and columns.
 DCC_N_CAP = 3
-#: Errors this close to the worst one count as tied with it when the worst
-#: pair is chosen: pairs that tie exactly on paper differ in the last bits of
-#: their float products.
-WORST_TIE = 1e-12
-#: Rows per block when a report's columns are read row by row or formatted
-#: as CSV; bounds the memory of the Python objects made per block.
-BLOCK_ROWS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +292,31 @@ def _sign_flip(
 
 
 def _tabulated(
-    kernel: Callable, letters: Sequence, symbols: np.ndarray, ix: np.ndarray, iy: np.ndarray
+    kernel: Callable,
+    letters: Sequence,
+    symbols: np.ndarray,
+    ix: np.ndarray | None = None,
+    iy: np.ndarray | None = None,
 ) -> np.ndarray:
     """``kernel(letters[symbols[i]], letters[symbols[j]])`` for every pair
     (i, j) of the index arrays ``ix`` and ``iy``. The kernel runs once per
     letter pair that occurs, and the table the pairs read never has more
     entries than there are pairs: all k x k letter pairs when they are no
-    more (a full grid always), else the sorted letter pairs that occur."""
+    more, else the sorted letter pairs that occur.
+
+    Without ``ix`` and ``iy`` the pairs are the full grid of ``symbols``
+    against itself, and the result is its rows by letter: row a holds
+    ``kernel(letters[a], letters[symbols[j]])`` for every j, so the rows of
+    any x are one row gather. Every pair of the letters present occurs, and
+    the kernel runs on them in the same ascending order."""
     k = len(letters)
+    if ix is None:
+        present = np.bincount(symbols, minlength=k).nonzero()[0].tolist()
+        table = np.zeros((k, k))
+        for a in present:
+            for b in present:
+                table[a, b] = kernel(letters[a], letters[b])
+        return table[:, symbols]
     pair = (symbols * k)[ix]
     pair += symbols[iy]
     if k * k <= pair.size:
@@ -470,7 +481,7 @@ class SmpProtocol:
     referee: object
     message_tail: float = 0.0
     _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _letter_sizes_read: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _per_letter: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -516,27 +527,40 @@ class SmpProtocol:
         """The most photons any message holds: the largest sum of letter
         maxima over the codeword rows. Above ``TABLE_N_CAP`` the rows are
         not all built, so each position is charged its heaviest letter."""
-        tops = np.array([letter.max_total_photons() for letter in self.letters])
+        tops = self._letter_values("tops", lambda i, letter: letter.max_total_photons())
         if self._table is None:
             return int(tops.max()) * self.rows(np.zeros(1, dtype=np.int64)).shape[1]
         return int(tops[self._table].sum(axis=1).max())
 
+    def _letter_values(self, key: str, value: Callable[[int, Message], object]) -> np.ndarray:
+        """``value(i, letter)`` of every letter ``i`` as a float array, one
+        entry or row per letter, cached under ``key``. Each letter's value
+        is computed once: letters that a truncated protocol projects on
+        demand join the sequence as rows are read, and only those extend
+        the array."""
+        known = self._per_letter.get(key)
+        count = 0 if known is None else len(known)
+        if count < len(self.letters) or known is None:
+            new = [value(i, letter) for i, letter in enumerate(self.letters[count:], count)]
+            known = np.array(new, dtype=float) if known is None else np.concatenate((known, new))
+            self._per_letter[key] = known
+        return known
+
     def _letter_sizes(self) -> np.ndarray:
-        """Mode count and mean photon number of every letter, one row each,
-        computed once per letter. Letters that a truncated protocol projects
-        on demand join the sequence as rows are read. Every letter must have
-        the first letter's mode count: letters of different sizes share no
-        occupation, so a position holding both would compare nothing."""
-        sizes = self._letter_sizes_read
-        for i, letter in enumerate(self.letters[len(sizes) :], len(sizes)):
-            if len(letter.factors) != 1:
-                raise ConfigError(f"letter {i} has {len(letter.factors)} factors, not one")
-            if letter.modes != self.letters[0].modes:
-                raise ConfigError(
-                    f"letter {i} has {letter.modes} modes, letter 0 has {self.letters[0].modes}"
-                )
-            sizes.append((letter.modes, mean_photon_number(letter)))
-        return np.array(sizes, dtype=float)
+        """Mode count and mean photon number of every letter, one row each.
+        Every letter must have the first letter's mode count: letters of
+        different sizes share no occupation, so a position holding both
+        would compare nothing."""
+        return self._letter_values("sizes", self._letter_size)
+
+    def _letter_size(self, i: int, letter: Message) -> tuple[int, float]:
+        if len(letter.factors) != 1:
+            raise ConfigError(f"letter {i} has {len(letter.factors)} factors, not one")
+        if letter.modes != self.letters[0].modes:
+            raise ConfigError(
+                f"letter {i} has {letter.modes} modes, letter 0 has {self.letters[0].modes}"
+            )
+        return letter.modes, mean_photon_number(letter)
 
     def _row_sums(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each row's mode count and mean photon number. The means are added
@@ -556,7 +580,9 @@ class SmpProtocol:
             and rows.dtype.kind in "iu"
         ):
             raise ConfigError(f"codewords must give one integer row per input, got shape {rows.shape}")
-        if rows.min() < 0 or rows.max() >= len(self.letters):
+        # One pass: viewed as unsigned, a negative entry is past every index.
+        unsigned = rows if rows.dtype.kind == "u" else rows.view(rows.dtype.str.replace("i", "u"))
+        if unsigned.max() >= len(self.letters):
             raise ConfigError(f"codeword entries must index the {len(self.letters)} letters")
         modes, means = self._row_sums(rows)
         bad = (modes != self.m) | (means > self.mu + 1e-9)
@@ -571,96 +597,13 @@ class SmpProtocol:
         )
 
 
-class PairErrors:
-    """The rows ``(x, y, f, p_error)`` of an :class:`ErrorReport` as Python
-    ints and floats, read from its columns in ascending (x, y) order.
-    ``len`` is the number of pairs."""
-
-    def __init__(self, report: "ErrorReport") -> None:
-        self._report = report
-
-    def __len__(self) -> int:
-        return self._report.p_error.size
-
-    def __iter__(self) -> Iterator[tuple[int, int, int, float]]:
-        r = self._report
-        for block in _row_blocks(r.x, r.y, r.f, r.p_error):
-            yield from zip(*(column.tolist() for column in block))
-
-    def __eq__(self, other) -> bool:
-        return list(self) == list(other)
-
-
-@dataclass(frozen=True, eq=False)
-class ErrorReport:
-    """Error probabilities of a protocol run, held as columns.
-
-    ``x``, ``y``, ``f`` (1 when ``x == y``, else 0) and ``p_error`` are
-    arrays of one length, one entry per evaluated pair in ascending (x, y)
-    order: the rows of :attr:`pair_errors`, and the columns of the CSV
-    serialization. ``mean_error`` and its standard error ``stderr_mean`` are
-    summed over the pairs in the order they were drawn. ``seed`` is the
-    sampling seed, and ``None`` for an exhaustive report.
-    """
-
-    protocol_name: str
-    n: int
-    x: np.ndarray
-    y: np.ndarray
-    f: np.ndarray
-    p_error: np.ndarray
-    mean_error: float
-    stderr_mean: float
-    seed: int | None = None
-
-    @property
-    def pair_errors(self) -> PairErrors:
-        return PairErrors(self)
-
-    @cached_property
-    def worst_error(self) -> float:
-        return float(self.p_error.max())
-
-    @property
-    def worst_pair(self) -> tuple[int, int]:
-        """The smallest ``(x, y)`` whose error lies within ``WORST_TIE`` of
-        the worst error."""
-        first = int(np.argmax(self.p_error >= self.worst_error - WORST_TIE))
-        return (int(self.x[first]), int(self.y[first]))
-
-
-def _mean_and_stderr(errors: np.ndarray) -> tuple[float, float]:
-    """``np.mean(errors)`` and ``np.std(errors, ddof=1) / sqrt(size)`` (0.0
-    for one error), bit for bit: the same reductions in the same order,
-    without the per-call overhead of numpy's Python wrappers, which is a
-    large share of an evaluation at n = 1 (four pairs)."""
-    size = errors.size
-    mean = np.add.reduce(errors) / size
-    if size == 1:
-        return float(mean), 0.0
-    square = errors - mean
-    np.multiply(square, square, out=square)
-    return float(mean), math.sqrt(np.add.reduce(square) / (size - 1)) / math.sqrt(size)
-
-
-def _row_blocks(*columns: np.ndarray) -> Iterator[list[np.ndarray]]:
-    """The columns, arrays of one length, in blocks of ``BLOCK_ROWS`` rows."""
-    for start in range(0, len(columns[0]), BLOCK_ROWS):
-        yield [column[start : start + BLOCK_ROWS] for column in columns]
-
-
-def csv_rows(*columns: np.ndarray) -> Iterator[str]:
-    """CSV lines of the columns, arrays of one length, in blocks of whole
-    lines, each ending in a newline. Each value prints as ``repr`` of its
-    Python int or float, formatted once per distinct value in a block."""
-    for block in _row_blocks(*columns):
-        yield "\n".join(map(",".join, zip(*map(_words, block)))) + "\n"
-
-
-def _words(column: np.ndarray) -> Iterator[str]:
-    values = column.tolist()
-    words = {v: repr(v) for v in set(values)}
-    return map(words.__getitem__, values)
+def _column_runs(rows: np.ndarray) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each run of equal consecutive codeword columns
+    (each block of a repetition code)."""
+    bounds = [0, rows.shape[1]]
+    if rows.shape[1] > 1:
+        bounds[1:1] = ((rows[:, 1:] != rows[:, :-1]).any(axis=0).nonzero()[0] + 1).tolist()
+    return list(zip(bounds, bounds[1:]))
 
 
 def evaluate_error(
@@ -677,8 +620,16 @@ def evaluate_error(
     exactly; the report gives the max observed error plus the mean and its
     standard error, taken in draw order. Every pair reads the protocol's
     codeword rows and the referee's letter-pair kernel; no message is built.
+
+    A pair's probability is one product over positions, from ones in
+    position order as the one-pair oracle takes it from 1.0. Consecutive
+    equal columns share one table of the letter-pair kernel, multiplied in
+    once per column. The exhaustive grid is filled in blocks of x rows,
+    each column run's block being one row gather of its table.
     """
     size = 1 << protocol.n
+    # Column runs share their letter pairs: each pair's kernel runs once.
+    kernel, letters = cache(protocol.referee.pair_probability), protocol.letters
     if samples is None:
         if seed is not None:
             raise ConfigError("a seed needs samples")
@@ -686,57 +637,51 @@ def evaluate_error(
             raise ConfigError(
                 f"exhaustive evaluation requires n <= {TABLE_N_CAP}, got n={protocol.n}"
             )
-        # Every (x, y), x-major; 4^12 pairs fit 32-bit indices.
-        x, y = np.divmod(np.arange(size * size, dtype=np.int32), size)
-        inputs, ix, iy = np.arange(size), x, y
-        draw_order = slice(None)
-    else:
-        if samples < 1:
-            raise ConfigError("sampled evaluation requires samples >= 1")
-        if seed is None or seed < 0:
-            raise ConfigError(f"sampled evaluation requires an explicit seed >= 0, got {seed}")
-        if protocol.n > INPUT_BITS_CAP:
-            raise InputCapError(
-                f"sampled evaluation holds inputs as 64-bit integers: n is {protocol.n}, "
-                f"above the {INPUT_BITS_CAP}-bit input limit"
-            )
-        seed = int(seed)
-        rng = np.random.default_rng([seed, protocol.n])
-        xs = rng.integers(0, size, size=samples)
-        ys = rng.integers(0, size, size=samples)
-        order = np.lexsort((ys, xs))  # stable: tied pairs keep draw order
-        x, y = xs[order], ys[order]
-        inputs, index = np.unique(np.concatenate((x, y)), return_inverse=True)
-        ix, iy = index[:samples], index[samples:]
-        draw_order = np.argsort(order)  # sorted position of each draw
+        rows = protocol.rows(np.arange(size))
+        runs = [
+            (_tabulated(kernel, letters, rows[:, start]), rows[:, start], stop - start)
+            for start, stop in _column_runs(rows)
+        ]
+        grid = np.ones((size, size))
+        step = max(1, BLOCK_ROWS >> protocol.n)  # whole x rows per block
+        for x_start in range(0, size, step):
+            block = grid[x_start : x_start + step]
+            for table, symbols, repeats in runs:
+                gather = table[symbols[x_start : x_start + step]]
+                for _ in range(repeats):
+                    block *= gather
+        p_error = grid.reshape(-1)
+        equal = p_error[:: size + 1]
+        np.subtract(1.0, equal, out=equal)
+        return ErrorReport(protocol.name, protocol.n, p_error)
 
+    if samples < 1:
+        raise ConfigError("sampled evaluation requires samples >= 1")
+    if seed is None or seed < 0:
+        raise ConfigError(f"sampled evaluation requires an explicit seed >= 0, got {seed}")
+    if protocol.n > INPUT_BITS_CAP:
+        raise InputCapError(
+            f"sampled evaluation holds inputs as 64-bit integers: n is {protocol.n}, "
+            f"above the {INPUT_BITS_CAP}-bit input limit"
+        )
+    seed = int(seed)
+    rng = np.random.default_rng([seed, protocol.n])
+    xs = rng.integers(0, size, size=samples)
+    ys = rng.integers(0, size, size=samples)
+    order = np.lexsort((ys, xs))  # stable: tied pairs keep draw order
+    x, y = xs[order], ys[order]
+    inputs, index = np.unique(np.concatenate((x, y)), return_inverse=True)
+    ix, iy = index[:samples], index[samples:]
     rows = protocol.rows(inputs)
-    # One product over positions, from ones in position order as the
-    # one-pair oracle takes it from 1.0. Consecutive equal columns (each
-    # block of a repetition code) share one gather of the letter-pair table.
-    kernel, letters = protocol.referee.pair_probability, protocol.letters
-    bounds = [0, rows.shape[1]]
-    if rows.shape[1] > 1:
-        bounds[1:1] = ((rows[:, 1:] != rows[:, :-1]).any(axis=0).nonzero()[0] + 1).tolist()
-    p_error = np.ones(ix.size)
-    for start, stop in zip(bounds, bounds[1:]):
+    p_error = np.ones(samples)
+    for start, stop in _column_runs(rows):
         gather = _tabulated(kernel, letters, rows[:, start], ix, iy)
         for _ in range(stop - start):
             p_error *= gather
-    equal = x == y
-    np.subtract(1.0, p_error, out=p_error, where=equal)
-    mean, stderr = _mean_and_stderr(p_error[draw_order])
-    return ErrorReport(
-        protocol_name=protocol.name,
-        n=protocol.n,
-        x=x,
-        y=y,
-        f=equal.view(np.uint8),
-        p_error=p_error,
-        mean_error=mean,
-        stderr_mean=stderr,
-        seed=seed,
-    )
+    np.subtract(1.0, p_error, out=p_error, where=x == y)
+    # Each draw's sorted position, for statistics in draw order.
+    drawn = (x, y, np.argsort(order))
+    return ErrorReport(protocol.name, protocol.n, p_error, seed=seed, drawn=drawn)
 
 
 # ---------------------------------------------------------------------------

@@ -73,10 +73,13 @@ class _Collector:
         self.failures: list[str] = []
 
     def add(self, slack: float, describe: Callable[[], str]) -> None:
+        """Record one case. A NaN slack fails, like a slack below the
+        requirement, and is the suite's minimum from then on: no comparison
+        with NaN is true, so it would otherwise pass unseen."""
         self.cases += 1
-        if slack < self.min_slack:
+        if slack < self.min_slack or math.isnan(slack):
             self.min_slack = slack
-        if slack < self.required and len(self.failures) < 5:
+        if not slack >= self.required and len(self.failures) < 5:
             self.failures.append(f"slack={slack!r} {describe()}")
 
     def result(self, name: str) -> SuiteResult:

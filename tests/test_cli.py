@@ -417,6 +417,47 @@ def test_simulate_exhaustive_output(tmp_path, capsys):
     assert float(p) == pytest.approx(math.exp(-2.0), abs=1e-9)
 
 
+def test_simulate_evaluates_each_protocol_once(tmp_path, capsys, monkeypatch):
+    # One evaluation per protocol, also when the cutoff is vacuous: every
+    # evaluation reports all 4^n pairs.
+    evaluate = cli.evaluate_error
+    pairs = []
+
+    def counted(*args, **kwargs):
+        report = evaluate(*args, **kwargs)
+        pairs.append(len(report.pair_errors))
+        return report
+
+    monkeypatch.setattr(cli, "evaluate_error", counted)
+    config = _write_config(tmp_path, "p.json", QFP2)
+    assert main(["simulate", "--config", config, "--truncate", "1e-4"]) == 0
+    assert pairs == [16, 16]
+
+
+def test_simulate_binding_truncation_columns_differ(tmp_path, capsys):
+    config = _write_config(tmp_path, "p.json", {"type": "qfp", "n": 3, "mu": 1, "code": _rep(1)})
+    assert main(["simulate", "--config", config, "--truncate", "0.3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split(",") for line in lines[lines.index("x,y,f,p_error,p_error_truncated") + 1 :]]
+    assert len(rows) == 64
+    assert sum(row[3] != row[4] for row in rows) > 32
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_out_file_gets_the_mode_a_plain_open_gives(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+        assert main(["rank", "5", "7", "--out", str(tmp_path / "out.txt")]) == 0
+    finally:
+        os.umask(previous)
+    mode = (tmp_path / "plain.txt").stat().st_mode & 0o777
+    assert mode == 0o666 & ~umask
+    assert (tmp_path / "out.txt").stat().st_mode & 0o777 == mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "plain.txt"]
+
+
 def test_simulate_truncate_budget_columns(tmp_path, capsys):
     config = _write_config(tmp_path, "p.json", QFP2)
     assert main(["simulate", "--config", config, "--truncate", "1e-4"]) == 0
@@ -702,6 +743,12 @@ GOLDEN = [
      "d0bb2b0ed96389bd6d7b62bc0b57fe74edac2cb5ffea7a99160dddc1e77c280a"),
     ("simulate", _qfp(8, _rep(2), 2), [], 0,
      "04d1d1cce71743f9c80ff0a4a1094faf11229ae16ea6c157e288208523b9ce5f"),
+    ("simulate", _qfp(6, _fold(5), 1.7), ["--truncate", "1e-4"], 0,
+     "4d24de169dce48c91db7b1a206c3ee37844dfa0fc4729fe17b422b22e24e3dfa"),
+    ("simulate", _qfp(3, _rep(1), 1), ["--truncate", "0.3"], 0,
+     "785d40ad1737244034e276cc975aafbdd16e8c2ce03e72eeed133f50bf9ebb33"),
+    ("simulate", {"type": "classical-trivial", "n": 7}, [], 0,
+     "a1153770b55a6bd03a4c3be6a2878d91000a81fc4f457a0fc81713558f4fb88d"),
     ("bounds", {"kind": "grid", "m": [2, 4, 8, 33], "mu": [0.5, 2], "delta": [1e-2, 1e-4]}, [], 0,
      "b7ff1ac35119c2714dc0dbca44d2166dbcd2871c288135fbdd681ccb12b0821b"),
     ("bounds", {"kind": "qfp", "n": [1, 2, 3, 5], "mu": 2, "delta": 1e-3, "repeats": 2}, [], 0,

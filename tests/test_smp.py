@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from optsmp import report as report_module
 from optsmp import smp, verify
 from optsmp.errors import ConfigError, ModeMismatchError, PhotonCapError
 from optsmp.fock import (
@@ -449,7 +450,7 @@ def test_exhaustive_evaluation_of_zero_error_protocol():
     assert len(report.pair_errors) == 4
     assert [r[:2] for r in report.pair_errors] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert report.seed is None
-    lines = "".join(smp.csv_rows(report.x, report.y, report.f, report.p_error)).splitlines()
+    lines = "".join(report_module.csv_rows(report)).splitlines()
     assert lines[0] == "0,0,1,0.0"
 
 
@@ -837,7 +838,7 @@ def test_mean_and_stderr_equal_numpy_bit_for_bit(size):
     rng = np.random.default_rng(size)
     for errors in (rng.random(size), np.exp(-0.37 * rng.integers(0, 20, size))):
         stderr = float(np.std(errors, ddof=1) / math.sqrt(size)) if size > 1 else 0.0
-        assert smp._mean_and_stderr(errors) == (float(np.mean(errors)), stderr)
+        assert report_module._mean_and_stderr(errors) == (float(np.mean(errors)), stderr)
 
 
 def test_sampled_statistics_are_taken_in_draw_order():
@@ -1005,3 +1006,52 @@ def test_load_protocol_field_errors():
         load_protocol({"type": "qfp", "n": 2, "mu": 1.0, "code": {"kind": "repetition"}})
     with pytest.raises(ConfigError, match="'m'"):
         load_protocol({"type": "qfp", "n": 2, "mu": 1.0, "m": 5})
+
+
+def test_range_check_reads_every_integer_dtype():
+    letters = _basis_letters((0,), (1,))
+    for dtype in (np.int8, np.int32, np.int64, np.uint8, np.uint64):
+        table = np.array([[0], [1]], dtype=dtype)
+        SmpProtocol("ok", 1, 1, 1.0, letters, lambda xs: table[xs], DiagonalMapReferee())
+        for bad in (-1, 2):
+            if bad < 0 and np.dtype(dtype).kind == "u":
+                continue
+            wrong = np.array([[0], [bad]], dtype=dtype)
+            with pytest.raises(ConfigError, match="must index the 2 letters"):
+                SmpProtocol("bad", 1, 1, 1.0, letters, lambda xs: wrong[xs], DiagonalMapReferee())
+
+
+def test_per_letter_values_are_computed_once_per_letter(monkeypatch):
+    # Above TABLE_N_CAP a binding truncation projects its letters as rows
+    # are read; each new letter's mean is computed once, the old ones kept,
+    # and each letter's photon maximum once, on first need.
+    means, tops = [], []
+    mean, top = smp.mean_photon_number, PureState.max_total_photons
+
+    def counted_mean(state):
+        means.append(state)
+        return mean(state)
+
+    def counted_top(state):
+        tops.append(state)
+        return top(state)
+
+    monkeypatch.setattr(smp, "mean_photon_number", counted_mean)
+    monkeypatch.setattr(PureState, "max_total_photons", counted_top)
+    protocol = coherent_fingerprint_protocol(4, XorFoldCode(4, 2), 1.0)
+    assert means == list(protocol.letters) and tops == []
+    assert protocol.max_total_photons() == protocol.max_total_photons()
+    assert tops == list(protocol.letters)
+
+    n = smp.TABLE_N_CAP + 1
+    truncated, _ = transform_protocol(
+        coherent_fingerprint_protocol(n, XorFoldCode(n, 2), 1.0), 0.5, original_error=0.0
+    )
+    means.clear()
+    truncated.rows(np.array([0]))
+    sizes = truncated._letter_sizes()
+    assert means == list(truncated.letters) and len(means) == 1
+    assert truncated._letter_sizes() is sizes
+    truncated.rows(np.arange(4))
+    assert means == list(truncated.letters) and len(means) == 4
+    assert np.array_equal(truncated._letter_sizes()[:1], sizes)

@@ -2,6 +2,8 @@
 distribution is built once, and the suites read the same numbers the
 per-element definitions give."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -73,3 +75,15 @@ def test_markov_tails_are_tail_probability_bit_for_bit(monkeypatch):
 def test_run_suites_refuses_a_size_below_one(size):
     with pytest.raises(ConfigError, match="size must be >= 1"):
         verify.run_suites(["binom"], size=size)
+
+
+def test_nan_slack_fails_its_suite():
+    collector = verify._Collector(-1e-9)
+    collector.add(0.5, lambda: "fine")
+    collector.add(float("nan"), lambda: "undefined")
+    collector.add(0.25, lambda: "fine again")
+    result = collector.result("nan")
+    assert not result.passed and result.cases == 3
+    assert result.failures == ("slack=nan undefined",)
+    assert math.isnan(result.min_slack)
+    assert result.summary_line() == "suite=nan cases=3 min_slack=nan result=FAIL"
