@@ -105,11 +105,22 @@ def _load_json(path: str) -> object:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
+#: Most points one ``bounds`` sweep may have. The count is taken from the
+#: range bounds and list lengths, before any range is expanded.
+SWEEP_POINT_CAP = 10**5
+
+
+def _check_sweep(points: int) -> None:
+    if points > SWEEP_POINT_CAP:
+        raise DimensionCapError(f"sweep has {points} points, above the cap of {SWEEP_POINT_CAP}")
+
+
 def _int_list(value, field: str) -> list[int]:
     if isinstance(value, Mapping):
         lo, hi = value.get("min"), value.get("max")
         if type(lo) is not int or type(hi) is not int or lo > hi:
             raise ConfigError(f"field '{field}' range needs integer min <= max")
+        _check_sweep(hi - lo + 1)
         return list(range(lo, hi + 1))
     if isinstance(value, list) and value and all(type(v) is int for v in value):
         return list(value)
@@ -135,6 +146,7 @@ def _bounds_points(config: Mapping, default_delta: float) -> tuple[list[ReportPo
         ms = _int_list(config.get("m"), "m")
         mus = _float_list(config.get("mu"), "mu")
         deltas = _float_list(config.get("delta", default_delta), "delta")
+        _check_sweep(len(ms) * len(mus) * len(deltas))
         points = [
             ReportPoint(m=m, mu=mu, delta=delta)
             for m in ms
@@ -144,6 +156,7 @@ def _bounds_points(config: Mapping, default_delta: float) -> tuple[list[ReportPo
         return points, "grid"
     if kind == "qfp":
         ns = _int_list(config.get("n"), "n")
+        _check_sweep(len(ns))
         mus = _float_list(config.get("mu"), "mu")
         if len(mus) != 1:
             raise ConfigError("field 'mu' must be a single number for the qfp preset")

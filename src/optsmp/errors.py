@@ -25,8 +25,8 @@ class SupportCapError(OptSmpError):
 
 
 class DimensionCapError(OptSmpError):
-    """A dense operator exceeds the dimension cap, or a dimension count has
-    more decimal digits than CPython prints."""
+    """A dense operator exceeds the dimension cap, a dimension count has
+    more decimal digits than CPython prints, or a sweep has too many points."""
 
 
 class PhotonCapError(OptSmpError):

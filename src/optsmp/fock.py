@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -81,18 +81,6 @@ def validate_index(occ: Iterable[int], modes: int | None = None) -> FockIndex:
 #: itself, not a function that calls it: the projection, the mean and the
 #: maximum photon number call it once per support term.
 total_photons = sum
-
-
-def _concentrated(cls, occ: Iterable[int]):
-    """The state of kind ``cls`` whose whole weight sits on one occupation.
-
-    Built directly: a single value of 1 needs neither pruning nor rescaling,
-    and the index is validated once.
-    """
-    idx = validate_index(occ)
-    state = object.__new__(cls)
-    state.modes, state._terms = len(idx), {idx: cls._coerce(1.0)}
-    return state
 
 
 class _SparseState:
@@ -206,7 +194,11 @@ class PureState(_SparseState):
         return {k: v * scale for k, v in amplitudes.items()}
 
     amplitudes = _SparseState.terms
-    basis_state = classmethod(_concentrated)
+
+    @classmethod
+    def basis_state(cls, occ: Iterable[int]) -> "PureState":
+        idx = validate_index(occ)
+        return cls(len(idx), {idx: 1.0})
 
     def amplitude(self, occ: Iterable[int]) -> complex:
         return self._terms.get(tuple(occ), 0.0 + 0.0j)
@@ -245,7 +237,11 @@ class FockDiagonalState(_SparseState):
         return {k: v / total for k, v in probabilities.items()}
 
     probabilities = _SparseState.terms
-    point_mass = classmethod(_concentrated)
+
+    @classmethod
+    def point_mass(cls, occ: Iterable[int]) -> "FockDiagonalState":
+        idx = validate_index(occ)
+        return cls(len(idx), {idx: 1.0})
 
     def probability(self, occ: Iterable[int]) -> float:
         return self._terms.get(tuple(occ), 0.0)
@@ -303,48 +299,37 @@ class ProductPureState:
         return f"ProductPureState(factors={len(self.factors)}, modes={self.modes})"
 
 
-#: Dense bases that passed :func:`_checked_basis`, by ``id``: each entry
-#: holds the object itself (kept alive, so no other object can take its id
-#: while it is listed), the validated basis and its photon totals.
-_CHECKED_BASES: dict[int, tuple[tuple, tuple[FockIndex, ...], np.ndarray]] = {}
-#: How many entries ``_CHECKED_BASES`` keeps; the oldest goes first.
-_CHECKED_BASES_CAP = 64
+class DenseBasis(tuple):
+    """An ordered occupation basis that passed the dense-basis checks, with
+    ``totals``, the photon total of each element as one read-only int array.
 
-
-def _checked_basis(basis) -> tuple[tuple[FockIndex, ...], np.ndarray]:
-    """``basis`` validated as a dense basis, with the photon total of each
-    element as one read-only int array.
-
-    The same basis object is checked once. The validated tuple is
-    remembered, and so is ``basis`` itself when it is a tuple of tuples,
-    which cannot change after the check; a list could, so it is checked
-    again on every use. Equality is never consulted: ``((True,),)`` equals
-    ``((1,),)`` but is refused.
+    Elements are validated occupation tuples, all distinct, all with one
+    mode count, at most ``DENSE_DIM_CAP`` of them. A basis that is already a
+    ``DenseBasis`` is returned as it is, so a :class:`DenseOperator` built
+    on one, or on another operator's ``basis``, skips the checks; a raw
+    tuple or list is checked again on every construction. Equality is never
+    consulted: ``((True,),)`` equals ``((1,),)`` but is refused.
     """
-    entry = _CHECKED_BASES.get(id(basis))
-    if entry is not None and entry[0] is basis:
-        return entry[1], entry[2]
-    checked = tuple(validate_index(occ) for occ in basis)
-    if len(checked) == 0:
-        raise DimensionCapError("empty basis")
-    if len(set(checked)) != len(checked):
-        raise ValueError("basis contains duplicate occupation tuples")
-    modes = len(checked[0])
-    for occ in checked:
-        if len(occ) != modes:
-            raise ModeMismatchError("basis mixes different mode counts")
-    if len(checked) > DENSE_DIM_CAP:
-        raise DimensionCapError(f"dimension {len(checked)} exceeds cap {DENSE_DIM_CAP}")
-    totals = np.array([total_photons(occ) for occ in checked])
-    totals.setflags(write=False)
-    keys = [checked]
-    if type(basis) is tuple and all(type(occ) is tuple for occ in basis):
-        keys.append(basis)
-    for key in keys:
-        if len(_CHECKED_BASES) >= _CHECKED_BASES_CAP:
-            del _CHECKED_BASES[next(iter(_CHECKED_BASES))]
-        _CHECKED_BASES[id(key)] = (key, checked, totals)
-    return checked, totals
+
+    totals: np.ndarray
+
+    def __new__(cls, basis: Iterable[Iterable[int]]) -> "DenseBasis":
+        if type(basis) is cls:
+            return basis
+        checked = super().__new__(cls, [validate_index(occ) for occ in basis])
+        if len(checked) == 0:
+            raise DimensionCapError("empty basis")
+        if len(set(checked)) != len(checked):
+            raise ValueError("basis contains duplicate occupation tuples")
+        modes = len(checked[0])
+        for occ in checked:
+            if len(occ) != modes:
+                raise ModeMismatchError("basis mixes different mode counts")
+        if len(checked) > DENSE_DIM_CAP:
+            raise DimensionCapError(f"dimension {len(checked)} exceeds cap {DENSE_DIM_CAP}")
+        checked.totals = np.array([total_photons(occ) for occ in checked])
+        checked.totals.setflags(write=False)
+        return checked
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,20 +339,17 @@ class DenseOperator:
     Only for small verification sweeps: the dimension cap is deliberate.
     Operators constructed here are used as observables or density operators,
     so finite entries and Hermiticity are enforced at construction. The
-    basis is checked once per basis object: an operator built on another
-    operator's ``basis``, or on a tuple already used, skips the basis checks
-    and reuses its photon totals. Equality and hashing are by identity, as
-    for the other kinds, so an operator can key a cache.
+    basis is held as a :class:`DenseBasis`, checked once for all the
+    operators built on it. Equality and hashing are by identity, as for the
+    other kinds, so an operator can key a cache.
     """
 
-    basis: tuple[FockIndex, ...]
+    basis: DenseBasis
     matrix: np.ndarray
-    _totals: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        basis, totals = _checked_basis(self.basis)
+        basis = DenseBasis(self.basis)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_totals", totals)
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (len(basis), len(basis)):
             raise ModeMismatchError(
@@ -409,11 +391,11 @@ class DenseOperator:
         return zip(self.basis, np.real(np.diagonal(self.matrix)).tolist())
 
     def max_total_photons(self) -> int:
-        return int(self._totals.max())
+        return int(self.basis.totals.max())
 
     def cutoff_mask(self, cutoff: float) -> np.ndarray:
         """Boolean mask of basis elements with total photons <= cutoff."""
-        return self._totals <= cutoff
+        return self.basis.totals <= cutoff
 
     @classmethod
     def from_pure_state(

@@ -107,23 +107,11 @@ class ErrorReport:
     @cached_property
     def _statistics(self) -> tuple[float, float]:
         drawn = self.p_error if self.drawn is None else self.p_error[self.drawn[2]]
-        return _mean_and_stderr(drawn)
+        stderr = float(np.std(drawn, ddof=1)) / math.sqrt(drawn.size) if drawn.size > 1 else 0.0
+        return float(np.mean(drawn)), stderr
 
     mean_error = property(lambda self: self._statistics[0])
     stderr_mean = property(lambda self: self._statistics[1])
-
-
-def _mean_and_stderr(errors: np.ndarray) -> tuple[float, float]:
-    """``np.mean(errors)`` and ``np.std(errors, ddof=1) / sqrt(size)`` (0.0
-    for one error), bit for bit: the same reductions in the same order,
-    without the per-call overhead of numpy's Python wrappers."""
-    size = errors.size
-    mean = np.add.reduce(errors) / size
-    if size == 1:
-        return float(mean), 0.0
-    square = errors - mean
-    np.multiply(square, square, out=square)
-    return float(mean), math.sqrt(np.add.reduce(square) / (size - 1)) / math.sqrt(size)
 
 
 def _blocks(size: int, step: int) -> Iterator[tuple[int, int]]:

@@ -405,28 +405,18 @@ class DiagonalMapReferee:
     Fock-diagonal and dense messages are all accepted. Outcomes of
     independent factors agree independently, so on a protocol's letters
     the probability is the product of :meth:`pair_probability` (the pair
-    kernel) over positions, each letter's weights read once and keyed on
-    the letter object. The one-pair oracle reads the joint weights of two
-    whole messages (a product is joined into its ket first), so the two
+    kernel) over positions. The one-pair oracle reads the joint weights of
+    two whole messages (a product is joined into its ket first), so the two
     need not be factored alike.
     """
 
-    def __init__(self) -> None:
-        self._weights: dict[Message, dict[FockIndex, float]] = {}
-
-    def _weights_of(self, letter: Message) -> dict[FockIndex, float]:
-        weights = self._weights.get(letter)
-        if weights is None:
-            weights = self._weights[letter] = dict(letter.weights())
-        return weights
-
     def pair_probability(self, a: Message, b: Message) -> float:
         """Agreement probability of one pair of letters."""
-        return _agreement(self._weights_of(a).items(), self._weights_of(b))
+        return _agreement(a.weights(), dict(b.weights()))
 
     def output_one_probability(self, a: Message, b: Message) -> float:
         a, b = (m.to_pure_state() if isinstance(m, ProductPureState) else m for m in (a, b))
-        return _agreement(a.weights(), dict(b.weights()))
+        return self.pair_probability(a, b)
 
 
 def _agreement(weights_a: Iterable, weights_b: Mapping[FockIndex, float]) -> float:
@@ -481,7 +471,6 @@ class SmpProtocol:
     referee: object
     message_tail: float = 0.0
     _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _per_letter: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -527,47 +516,29 @@ class SmpProtocol:
         """The most photons any message holds: the largest sum of letter
         maxima over the codeword rows. Above ``TABLE_N_CAP`` the rows are
         not all built, so each position is charged its heaviest letter."""
-        tops = self._letter_values("tops", lambda i, letter: letter.max_total_photons())
+        tops = np.array([letter.max_total_photons() for letter in self.letters])
         if self._table is None:
             return int(tops.max()) * self.rows(np.zeros(1, dtype=np.int64)).shape[1]
         return int(tops[self._table].sum(axis=1).max())
 
-    def _letter_values(self, key: str, value: Callable[[int, Message], object]) -> np.ndarray:
-        """``value(i, letter)`` of every letter ``i`` as a float array, one
-        entry or row per letter, cached under ``key``. Each letter's value
-        is computed once: letters that a truncated protocol projects on
-        demand join the sequence as rows are read, and only those extend
-        the array."""
-        known = self._per_letter.get(key)
-        count = 0 if known is None else len(known)
-        if count < len(self.letters) or known is None:
-            new = [value(i, letter) for i, letter in enumerate(self.letters[count:], count)]
-            known = np.array(new, dtype=float) if known is None else np.concatenate((known, new))
-            self._per_letter[key] = known
-        return known
-
-    def _letter_sizes(self) -> np.ndarray:
-        """Mode count and mean photon number of every letter, one row each.
-        Every letter must have the first letter's mode count: letters of
-        different sizes share no occupation, so a position holding both
-        would compare nothing."""
-        return self._letter_values("sizes", self._letter_size)
-
-    def _letter_size(self, i: int, letter: Message) -> tuple[int, float]:
-        if len(letter.factors) != 1:
-            raise ConfigError(f"letter {i} has {len(letter.factors)} factors, not one")
-        if letter.modes != self.letters[0].modes:
-            raise ConfigError(
-                f"letter {i} has {letter.modes} modes, letter 0 has {self.letters[0].modes}"
-            )
-        return letter.modes, mean_photon_number(letter)
-
     def _row_sums(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's mode count and mean photon number. The means are added
-        left to right in position order (the last of a running sum, which
-        numpy takes in order, unlike a reduction), as ``mean_photon_number``
-        adds a product's factor means; mode counts are exact in floats."""
-        sums = np.add.accumulate(self._letter_sizes()[rows], axis=1)[:, -1]
+        """Each row's mode count and mean photon number, from those of its
+        letters. Every letter must have the first letter's mode count:
+        letters of different sizes share no occupation, so a position
+        holding both would compare nothing. The means are added left to
+        right in position order (the last of a running sum, which numpy
+        takes in order, unlike a reduction), as ``mean_photon_number`` adds
+        a product's factor means; mode counts are exact in floats."""
+        sizes = []
+        for i, letter in enumerate(self.letters):
+            if len(letter.factors) != 1:
+                raise ConfigError(f"letter {i} has {len(letter.factors)} factors, not one")
+            if letter.modes != self.letters[0].modes:
+                raise ConfigError(
+                    f"letter {i} has {letter.modes} modes, letter 0 has {self.letters[0].modes}"
+                )
+            sizes.append((letter.modes, mean_photon_number(letter)))
+        sums = np.add.accumulate(np.array(sizes)[rows], axis=1)[:, -1]
         return sums[:, 0], sums[:, 1]
 
     def _check(self, xs: np.ndarray, rows: np.ndarray) -> None:

@@ -25,6 +25,7 @@ from .combinatorics import (
 )
 from .errors import ConfigError, PremiseViolationError
 from .fock import (
+    DenseBasis,
     DenseOperator,
     FockDiagonalState,
     PureState,
@@ -119,16 +120,9 @@ _DENSE_CUTOFF = {1: 31, 2: 6, 3: 3}
 
 
 @functools.cache
-def _dense_basis(modes: int) -> tuple[tuple[int, ...], ...]:
-    # One object per mode count, so DenseOperator checks each basis once.
+def _dense_basis(modes: int) -> DenseBasis:
     occs = iter_occupations(modes, _DENSE_CUTOFF[modes])
-    return tuple(sorted(occs, key=lambda o: (total_photons(o), o)))
-
-
-@functools.cache
-def _below_cutoff(modes: int, cutoff: int) -> tuple[int, ...]:
-    """Indices of the :func:`_dense_basis` elements with total photons <= cutoff."""
-    return tuple(i for i, occ in enumerate(_dense_basis(modes)) if total_photons(occ) <= cutoff)
+    return DenseBasis(sorted(occs, key=lambda o: (total_photons(o), o)))
 
 
 def _random_dense(rng: np.random.Generator, modes: int) -> DenseOperator:
@@ -145,7 +139,7 @@ def _random_dense_concentrated(
 ) -> DenseOperator:
     """Density operator with at most ``above_mass`` weight above the cutoff."""
     basis = _dense_basis(modes)
-    inside = _below_cutoff(modes, cutoff)
+    inside = np.flatnonzero(basis.totals <= cutoff)
     d = len(basis)
     k = len(inside)
     g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
@@ -181,7 +175,7 @@ def suite_metrics(seed: int, size: int, required: float) -> SuiteResult:
         col.add(tab - (1.0 - f), lambda: f"lower Fuchs-van de Graaf f={f!r}")
         col.add(math.sqrt(max(0.0, 1.0 - f * f)) - tab, lambda: f"upper Fuchs-van de Graaf f={f!r}")
         # Dense cross-check of the sparse pure-state computations.
-        basis = tuple(
+        basis = DenseBasis(
             sorted(set(a.amplitudes) | set(b.amplitudes), key=lambda o: (total_photons(o), o))
         )
         da = DenseOperator.from_pure_state(a, basis)

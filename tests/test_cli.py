@@ -386,6 +386,41 @@ def test_bounds_config_errors(tmp_path, capsys, data):
     assert main(["bounds", "--config", config]) == 2
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"kind": "grid", "m": {"min": 2, "max": 10**10}, "mu": 1},
+        {"kind": "qfp", "n": {"min": 2, "max": 10**10}, "mu": 1},
+        {"kind": "grid", "m": {"min": 2, "max": 1001}, "mu": list(range(1, 102))},
+    ],
+    ids=["grid-range", "qfp-range", "grid-product"],
+)
+def test_bounds_sweep_past_the_point_cap_is_an_internal_limit(tmp_path, capsys, data):
+    # The point count is taken from the range bounds, so no list of
+    # 10^10 values is built only to run out of memory.
+    config = _write_config(tmp_path, "big.json", data)
+    start = time.perf_counter()
+    assert main(["bounds", "--config", config]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal limit: sweep has ")
+    assert f"above the cap of {cli.SWEEP_POINT_CAP}" in captured.err
+
+
+@pytest.mark.parametrize("kind, field", [("grid", "m"), ("qfp", "n")])
+def test_bounds_sweep_at_the_point_cap_runs(tmp_path, capsys, monkeypatch, kind, field):
+    monkeypatch.setattr(cli, "SWEEP_POINT_CAP", 6)
+    for extra, code in ((0, 0), (1, 2)):
+        sweep = {"min": 2, "max": 7 + extra}
+        listed = list(range(2, 8 + extra))
+        for axis in (sweep, listed):
+            config = _write_config(tmp_path, "c.json", {"kind": kind, field: axis, "mu": 1.0})
+            assert main(["bounds", "--config", config]) == code
+            rows = capsys.readouterr().out.splitlines()[4:]
+            assert len(rows) == (6 if code == 0 else 0)
+
+
 def test_bounds_output_is_deterministic(tmp_path):
     config = _write_config(
         tmp_path, "grid.json", {"kind": "grid", "m": [2, 3], "mu": [1.0, 2.0]}

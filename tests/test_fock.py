@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from optsmp import fock
 from optsmp.errors import (
     BasisMismatchError,
     DimensionCapError,
@@ -18,6 +19,7 @@ from optsmp.errors import (
 )
 from optsmp.fock import (
     NORMALIZATION_TOL,
+    DenseBasis,
     DenseOperator,
     FockDiagonalState,
     ProductPureState,
@@ -35,6 +37,7 @@ from optsmp.fock import (
     trace_distance,
     validate_index,
 )
+from optsmp.truncation import project_below_cutoff
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -206,6 +209,30 @@ def test_dense_basis_reuse_keeps_the_refusal_set():
             with pytest.raises(error):
                 DenseOperator(basis, np.eye(d) / d)
     assert DenseOperator(good, np.eye(2) / 2).basis == good
+
+
+def test_dense_operator_skips_the_checks_of_a_validated_basis(monkeypatch):
+    calls = []
+    validate = fock.validate_index
+
+    def counted(occ, modes=None):
+        calls.append(occ)
+        return validate(occ, modes)
+
+    monkeypatch.setattr(fock, "validate_index", counted)
+    basis = DenseBasis([(0, 1), [1, 0], (2, 0)])
+    assert basis == ((0, 1), (1, 0), (2, 0)) and len(calls) == 3
+    assert basis.totals.tolist() == [1, 1, 2] and not basis.totals.flags.writeable
+    assert DenseBasis(basis) is basis
+    calls.clear()
+    op = DenseOperator(basis, np.eye(3) / 3)
+    projected, _ = project_below_cutoff(op, 1)
+    assert calls == [] and op.basis is basis and projected.basis is basis
+    for raw in (tuple(basis), [list(occ) for occ in basis]):
+        for _ in range(2):
+            calls.clear()
+            assert type(DenseOperator(raw, np.eye(3) / 3).basis) is DenseBasis
+            assert len(calls) == 3
 
 
 def test_dense_basis_is_checked_again_when_it_can_change():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from optsmp import report as report_module
-from optsmp import smp, verify
+from optsmp import smp, truncation, verify
 from optsmp.errors import ConfigError, ModeMismatchError, PhotonCapError
 from optsmp.fock import (
     DenseOperator,
@@ -835,10 +835,17 @@ def test_sampled_evaluation_memory_grows_with_draws_not_alphabet_squared():
 
 @pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 127, 128, 129, 1000, 4097, 100003])
 def test_mean_and_stderr_equal_numpy_bit_for_bit(size):
+    # A sampled report's statistics are numpy's mean and ddof=1 standard
+    # deviation over sqrt(size), 0.0 for one pair, taken in draw order.
     rng = np.random.default_rng(size)
     for errors in (rng.random(size), np.exp(-0.37 * rng.integers(0, 20, size))):
         stderr = float(np.std(errors, ddof=1) / math.sqrt(size)) if size > 1 else 0.0
-        assert report_module._mean_and_stderr(errors) == (float(np.mean(errors)), stderr)
+        order = rng.permutation(size)
+        pairs = np.zeros(size, dtype=np.int64)
+        report = report_module.ErrorReport(
+            "stats", 20, errors[order], seed=0, drawn=(pairs, pairs, np.argsort(order))
+        )
+        assert (report.mean_error, report.stderr_mean) == (float(np.mean(errors)), stderr)
 
 
 def test_sampled_statistics_are_taken_in_draw_order():
@@ -1022,36 +1029,34 @@ def test_range_check_reads_every_integer_dtype():
 
 
 def test_per_letter_values_are_computed_once_per_letter(monkeypatch):
-    # Above TABLE_N_CAP a binding truncation projects its letters as rows
-    # are read; each new letter's mean is computed once, the old ones kept,
-    # and each letter's photon maximum once, on first need.
-    means, tops = [], []
-    mean, top = smp.mean_photon_number, PureState.max_total_photons
+    # Construction checks every row from one mean per letter. Above
+    # TABLE_N_CAP a binding truncation projects its letters as rows are
+    # read: each distinct row once, however often it is read.
+    means = []
+    mean = smp.mean_photon_number
 
     def counted_mean(state):
         means.append(state)
         return mean(state)
 
-    def counted_top(state):
-        tops.append(state)
-        return top(state)
-
     monkeypatch.setattr(smp, "mean_photon_number", counted_mean)
-    monkeypatch.setattr(PureState, "max_total_photons", counted_top)
     protocol = coherent_fingerprint_protocol(4, XorFoldCode(4, 2), 1.0)
-    assert means == list(protocol.letters) and tops == []
-    assert protocol.max_total_photons() == protocol.max_total_photons()
-    assert tops == list(protocol.letters)
+    assert means == list(protocol.letters)
 
     n = smp.TABLE_N_CAP + 1
-    truncated, _ = transform_protocol(
-        coherent_fingerprint_protocol(n, XorFoldCode(n, 2), 1.0), 0.5, original_error=0.0
-    )
-    means.clear()
+    original = coherent_fingerprint_protocol(n, XorFoldCode(n, 2), 1.0)
+    projected = []
+    project = truncation.project_below_cutoff
+
+    def counted_project(state, cutoff):
+        projected.append(state)
+        return project(state, cutoff)
+
+    monkeypatch.setattr(truncation, "project_below_cutoff", counted_project)
+    truncated, _ = transform_protocol(original, 0.5, original_error=0.0)
     truncated.rows(np.array([0]))
-    sizes = truncated._letter_sizes()
-    assert means == list(truncated.letters) and len(means) == 1
-    assert truncated._letter_sizes() is sizes
+    assert len(projected) == len(truncated.letters) == 1
     truncated.rows(np.arange(4))
-    assert means == list(truncated.letters) and len(means) == 4
-    assert np.array_equal(truncated._letter_sizes()[:1], sizes)
+    truncated.rows(np.array([3, 0, 2]))
+    distinct = np.unique(original.rows(np.arange(4)), axis=0)
+    assert len(projected) == len(truncated.letters) == len(distinct) == 4

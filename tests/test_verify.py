@@ -39,7 +39,7 @@ def test_dense_cutoff_mask_and_distribution_match_their_definitions(modes):
             assert mask.dtype == expected.dtype
             assert (mask == expected).all()
         inside = [i for i, occ in enumerate(basis) if total_photons(occ) <= cutoff]
-        assert list(verify._below_cutoff(modes, cutoff)) == inside
+        assert np.flatnonzero(basis.totals <= cutoff).tolist() == inside
 
 
 def test_markov_tails_are_tail_probability_bit_for_bit(monkeypatch):
