@@ -372,12 +372,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run property suites")
     p_verify.add_argument("--suite", choices=sorted(SUITES), help="run one suite instead of all")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED, help="ensemble seed")
-    p_verify.add_argument("--max", type=int, help="suite size (cases or sweep bound)")
+    p_verify.add_argument(
+        "--max", type=int, help="suite size (cases or sweep bound), up to each suite's cap"
+    )
     p_verify.add_argument("--out", help="write the summary to this path")
     p_verify.add_argument(
         "--inject-fault",
         choices=sorted(SUITES),
-        help="test mode: make the named suite's tolerance unsatisfiable",
+        help="test mode: make the named suite's tolerance unsatisfiable (it must be in the run)",
     )
     p_verify.set_defaults(func=cmd_verify)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import ConfigError
 
@@ -153,30 +153,31 @@ def entropy_bound(cutoff: int, modes: int) -> tuple[float, float]:
     return rc.log2_rank, bound
 
 
-def entropy_profile(n_values: Iterator[int] | list[int]) -> list[dict]:
-    """Sweep a = m = ceil(sqrt(n)) over the given n values.
+def entropy_profile(n_values: Iterable[int]) -> Iterator[dict]:
+    """Sweep a = m = ceil(sqrt(n)) over the given n values, one row at a time.
 
-    One row per n with the exact log-rank, the entropy bound, and their
-    ratios to sqrt(n). Used for the square-root message-length profile.
+    Yields one row per n with the exact log-rank, the entropy bound, and
+    their ratios to sqrt(n). Used for the square-root message-length
+    profile. Many n share one k, so each distinct k's log-rank and bound
+    are computed once.
     """
-    rows = []
+    bounds: dict[int, tuple[float, float]] = {}
     for n in n_values:
         if n < 1:
             raise ConfigError(f"n must be >= 1, got {n}")
         k = math.isqrt(n)
         if k * k < n:
             k += 1
-        log2_rank, bound = entropy_bound(k, k)
+        if k not in bounds:
+            bounds[k] = entropy_bound(k, k)
+        log2_rank, bound = bounds[k]
         sqrt_n = math.sqrt(n)
-        rows.append(
-            {
-                "n": n,
-                "m": k,
-                "a": k,
-                "log2_rank": log2_rank,
-                "entropy_bound": bound,
-                "rank_over_sqrt_n": log2_rank / sqrt_n,
-                "bound_over_sqrt_n": bound / sqrt_n,
-            }
-        )
-    return rows
+        yield {
+            "n": n,
+            "m": k,
+            "a": k,
+            "log2_rank": log2_rank,
+            "entropy_bound": bound,
+            "rank_over_sqrt_n": log2_rank / sqrt_n,
+            "bound_over_sqrt_n": bound / sqrt_n,
+        }

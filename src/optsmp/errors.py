@@ -26,7 +26,8 @@ class SupportCapError(OptSmpError):
 
 class DimensionCapError(OptSmpError):
     """A dense operator exceeds the dimension cap, a dimension count has
-    more decimal digits than CPython prints, or a sweep has too many points."""
+    more decimal digits than CPython prints, a sweep has too many points, or
+    a verify suite's size is above its cap."""
 
 
 class PhotonCapError(OptSmpError):

@@ -8,7 +8,7 @@ of the package:
 * :class:`FockDiagonalState` -- a probability distribution over occupation
   tuples (classical messages, photon-count statistics),
 * :class:`DenseOperator` -- a small dense matrix over an explicit ordered
-  basis, for checks that need genuinely mixed states.
+  basis, or a stack of them, for checks that need genuinely mixed states.
 
 :class:`ProductPureState` keeps many-mode product messages factorized so a
 12-mode coherent message never has to be materialized as a joint ket.
@@ -342,6 +342,13 @@ class DenseOperator:
     basis is held as a :class:`DenseBasis`, checked once for all the
     operators built on it. Equality and hashing are by identity, as for the
     other kinds, so an operator can key a cache.
+
+    ``matrix`` is one ``d x d`` matrix or a stack of them, shape
+    ``(k, d, d)``, over the one basis. Trace distance, fidelity and
+    projection evaluate a stack in one array pass and return one value per
+    matrix; a single matrix is a stack of one and returns a float. numpy's
+    linear-algebra calls treat a 2-D input as a stack of one, so both give
+    the same bits. ``weights`` describes a single matrix.
     """
 
     basis: DenseBasis
@@ -351,17 +358,19 @@ class DenseOperator:
         basis = DenseBasis(self.basis)
         object.__setattr__(self, "basis", basis)
         mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (len(basis), len(basis)):
+        if mat.ndim not in (2, 3) or mat.shape[-2:] != (len(basis), len(basis)):
             raise ModeMismatchError(
                 f"matrix shape {mat.shape} does not match basis size {len(basis)}"
             )
         if not np.isfinite(mat).all():
             raise ValueError("matrix has a non-finite entry")
+        adjoint = _adjoint(mat)
         # One reduction: on finite entries, the same test as allclose with
         # atol=NORMALIZATION_TOL and rtol=0.
-        if not np.abs(mat - mat.conj().T).max() <= NORMALIZATION_TOL:
+        if not np.abs(mat - adjoint).max() <= NORMALIZATION_TOL:
             raise ValueError("matrix is not Hermitian within tolerance")
-        mat = (mat + mat.conj().T) / 2.0
+        mat = mat + adjoint
+        mat /= 2.0
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -378,23 +387,27 @@ class DenseOperator:
             raise BasisMismatchError("dense operands must share the same ordered basis")
         return other.matrix
 
-    def _trace_distance(self, other: "DenseOperator") -> float:
+    def _trace_distance(self, other: "DenseOperator") -> float | np.ndarray:
         eigs = np.linalg.eigvalsh(self.matrix - self._matrix_on_basis(other))
-        return float(0.5 * np.abs(eigs).sum())
+        return _per_matrix(0.5 * np.abs(eigs).sum(axis=-1))
 
-    def _fidelity(self, other: "DenseOperator") -> float:
+    def _fidelity(self, other: "DenseOperator") -> float | np.ndarray:
         sb = _sqrt_psd(self._matrix_on_basis(other))
-        return float(np.linalg.svd(_sqrt_psd(self.matrix) @ sb, compute_uv=False).sum())
+        singular = np.linalg.svd(_sqrt_psd(self.matrix) @ sb, compute_uv=False)
+        return _per_matrix(singular.sum(axis=-1))
 
     def weights(self) -> Iterator[tuple[FockIndex, float]]:
         """``(occupation, diagonal weight)`` pairs over the basis."""
+        if self.matrix.ndim != 2:
+            raise ModeMismatchError("weights describe one matrix, not a stack")
         return zip(self.basis, np.real(np.diagonal(self.matrix)).tolist())
 
     def max_total_photons(self) -> int:
         return int(self.basis.totals.max())
 
-    def cutoff_mask(self, cutoff: float) -> np.ndarray:
-        """Boolean mask of basis elements with total photons <= cutoff."""
+    def cutoff_mask(self, cutoff: float | np.ndarray) -> np.ndarray:
+        """Boolean mask of basis elements with total photons <= cutoff; an
+        array of cutoffs with a trailing axis of 1 gives one mask per row."""
         return self.basis.totals <= cutoff
 
     @classmethod
@@ -550,16 +563,29 @@ def overlap(a: PureState | ProductPureState, b: PureState | ProductPureState) ->
     return out
 
 
+def _adjoint(matrix: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(matrix.conj(), -1, -2)
+
+
+def _per_matrix(values: np.ndarray) -> float | np.ndarray:
+    """One value per matrix of a stack; a single matrix's as a float."""
+    return values if values.ndim else float(values)
+
+
 def _sqrt_psd(matrix: np.ndarray) -> np.ndarray:
-    """Matrix square root of a Hermitian PSD matrix via eigendecomposition.
+    """Matrix square root of a Hermitian PSD matrix, or of each matrix in a
+    stack, via eigendecomposition.
 
     Eigenvalues within rounding of zero (below dim * eps * max|lambda|) are
     set to zero: their square roots would turn 1e-16 of noise into 1e-8.
     """
     vals, vecs = np.linalg.eigh(matrix)
-    floor = len(vals) * np.finfo(float).eps * np.abs(vals).max()
+    floor = vals.shape[-1] * np.finfo(float).eps * np.abs(vals).max(axis=-1, keepdims=True)
     vals = np.where(vals > floor, vals, 0.0)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    adjoint = _adjoint(vecs)
+    vecs *= np.sqrt(vals)[..., None, :]
+    return vecs @ adjoint
 
 
 def _pure_fidelity(

@@ -33,6 +33,7 @@ from .fock import (
     PureState,
     SUPPORT_CAP,
     State,
+    _per_matrix,
     total_photons,
 )
 
@@ -44,8 +45,17 @@ def project_below_cutoff(state: State, cutoff: int) -> tuple[State, float]:
     projector retained. A projection that would remove everything raises
     :class:`VacuousTruncationError` instead of fabricating a state; a
     projected product too large to pair with another raises
-    :class:`SupportCapError`.
+    :class:`SupportCapError`. A stack of dense matrices is projected in one
+    array pass, and its weight is an array.
     """
+    return _project(state, int(cutoff))
+
+
+def _project(state: State, cutoff: int | np.ndarray) -> tuple[State, float | np.ndarray]:
+    """:func:`project_below_cutoff`, where a dense stack may also take an
+    array of one cutoff per matrix, as the checks below pass it."""
+    if isinstance(state, DenseOperator):
+        return _project_dense(state, cutoff)
     cutoff = int(cutoff)
     if cutoff < 0:
         raise ConfigError(f"cutoff must be >= 0, got {cutoff}")
@@ -54,19 +64,40 @@ def project_below_cutoff(state: State, cutoff: int) -> tuple[State, float]:
             # The projector acts as the identity on the whole joint support.
             return state, 1.0
         return _project_product(state, cutoff)
-    if isinstance(state, DenseOperator):
-        mask = state.cutoff_mask(cutoff)
-        weight = float(np.real(np.diagonal(state.matrix))[mask].sum())
-        if weight <= 0.0:
-            raise VacuousTruncationError(f"no weight at or below cutoff {cutoff}")
-        proj = np.where(mask, 1.0, 0.0)
-        mat = state.matrix * np.outer(proj, proj) / weight
-        return DenseOperator(state.basis, mat), weight
     kept = {idx: v for idx, v in state.terms.items() if total_photons(idx) <= cutoff}
     if not kept:
         raise VacuousTruncationError(f"no support at or below cutoff {cutoff}")
     weight = sum(w for idx, w in state.weights() if idx in kept)
     return type(state)(state.modes, kept, normalize=True), weight
+
+
+def _project_dense(
+    state: DenseOperator, cutoff: int | np.ndarray
+) -> tuple[DenseOperator, float | np.ndarray]:
+    """The dense branch of :func:`_project`, for one matrix or a stack of
+    them. ``cutoff`` is one cutoff or an array of one per matrix;
+    the weight is a float, or an array for a stack.
+
+    Each weight is the sum of the kept diagonal entries, gathered first as
+    for a single matrix. Matrices that share a cutoff share one such
+    reduction over contiguous rows, so a stack's weights have the bits of
+    its matrices' own.
+    """
+    cutoffs = np.broadcast_to(cutoff, state.matrix.shape[:-2])
+    if (cutoffs < 0).any():
+        raise ConfigError(f"cutoff must be >= 0, got {cutoff}")
+    diagonal = np.real(np.diagonal(state.matrix, axis1=-2, axis2=-1))
+    weight = np.empty(cutoffs.shape)
+    for c in set(cutoffs.ravel().tolist()):
+        rows = cutoffs == c
+        kept = np.ascontiguousarray(diagonal[rows][:, state.cutoff_mask(c)])
+        weight[rows] = kept.sum(axis=-1)
+    if (weight <= 0.0).any():
+        raise VacuousTruncationError(f"no weight at or below cutoff {cutoff}")
+    keep = np.where(state.cutoff_mask(cutoffs[..., None]), 1.0, 0.0)
+    mat = state.matrix * (keep[..., :, None] * keep[..., None, :])
+    mat /= weight[..., None, None]
+    return DenseOperator(state.basis, mat), _per_matrix(weight)
 
 
 def _project_product(state: ProductPureState, cutoff: int) -> tuple[PureState, float]:
@@ -116,11 +147,30 @@ def check_gentle_measurement(state: State, cutoff: int) -> float:
     """Slack of the gentle-measurement inequality for this state and cutoff.
 
     Returns ``F(state, projected) - sqrt(weight)``; nonnegative up to float
-    error whenever the projection is nonvacuous.
+    error whenever the projection is nonvacuous. A stack of dense matrices
+    gives one slack per matrix, with ``cutoff`` shared or one per matrix.
     """
-    projected, weight = project_below_cutoff(state, cutoff)
+    projected, weight = _project(state, cutoff)
     f = fock.fidelity(state, projected)
-    return f - math.sqrt(weight)
+    return _per_matrix(f - np.sqrt(weight))
+
+
+def projector_closeness(
+    state: State, cutoff: int, delta: float
+) -> tuple[float | np.ndarray, bool | np.ndarray]:
+    """``(gap, premise)`` with gap ``sqrt(delta) - trace_distance(state,
+    projected)``, the closeness bound's slack, and whether its premise
+    ``retained weight >= 1 - delta`` holds.
+
+    A stack of dense matrices gives one gap and one premise flag per
+    matrix; ``cutoff`` and ``delta`` are shared or one per matrix.
+    """
+    deltas = np.asarray(delta)
+    if not ((0.0 < deltas) & (deltas < 1.0)).all():
+        raise ConfigError(f"delta must be in (0, 1), got {delta}")
+    projected, weight = _project(state, cutoff)
+    gap = np.sqrt(delta) - fock.trace_distance(state, projected)
+    return _per_matrix(gap), np.logical_not(weight < 1.0 - delta - 1e-12)
 
 
 def check_projector_closeness(state: State, cutoff: int, delta: float) -> float:
@@ -128,17 +178,16 @@ def check_projector_closeness(state: State, cutoff: int, delta: float) -> float:
 
     Requires the premise ``retained weight >= 1 - delta``; a premise failure
     raises :class:`PremiseViolationError` (the bound was never claimed there),
-    which is distinct from a negative gap (a genuine bound failure).
+    which is distinct from a negative gap (a genuine bound failure). A dense
+    stack raises when the premise fails for any of its matrices;
+    :func:`projector_closeness` reports it per matrix instead.
     """
-    if not 0.0 < delta < 1.0:
-        raise ConfigError(f"delta must be in (0, 1), got {delta}")
-    projected, weight = project_below_cutoff(state, cutoff)
-    if weight < 1.0 - delta - 1e-12:
+    gap, premise = projector_closeness(state, cutoff, delta)
+    if not np.all(premise):
         raise PremiseViolationError(
-            f"retained weight {weight} below 1 - delta = {1.0 - delta}"
+            f"retained weight at cutoff {cutoff} is below 1 - delta = {1.0 - delta}"
         )
-    dist = fock.trace_distance(state, projected)
-    return math.sqrt(delta) - dist
+    return gap
 
 
 def perturbed_error_bound(error: float, message_distance: float) -> float:

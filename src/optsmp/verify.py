@@ -4,15 +4,18 @@ randomized ensembles and exact sweeps.
 Each suite reports its case count and the minimum slack it observed, where
 slack >= required_slack (normally -1e-9 or tighter) means the property held.
 Suites are deterministic functions of (seed, size); the CLI exposes them via
-``verify --suite NAME``.
+``verify --suite NAME``. ``gentle`` and ``closeness`` draw their cases one
+at a time but evaluate them as array passes over small stacks of dense
+matrices, with the bits the one-at-a-time evaluation gives.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,12 +26,13 @@ from .combinatorics import (
     iter_occupations,
     log_rank_bounds,
 )
-from .errors import ConfigError, PremiseViolationError
+from .errors import ConfigError, DimensionCapError
 from .fock import (
     DenseBasis,
     DenseOperator,
     FockDiagonalState,
     PureState,
+    _adjoint,
     total_photons,
 )
 from .smp import DiagonalMapReferee, SmpProtocol, evaluate_error, letter_per_input
@@ -83,6 +87,23 @@ class _Collector:
         if not slack >= self.required and len(self.failures) < 5:
             self.failures.append(f"slack={slack!r} {describe()}")
 
+    def extend(self, slacks: np.ndarray, describe: Callable[[int], str]) -> None:
+        """Record a block of cases in one array pass, with the result that
+        :meth:`add` gives them one at a time in order: the first of equal
+        minima, the last NaN, and the first failures. ``describe(i)`` names
+        the case of ``slacks[i]``."""
+        if not len(slacks):
+            return
+        self.cases += len(slacks)
+        nans = np.flatnonzero(np.isnan(slacks))
+        if len(nans):
+            self.min_slack = float(slacks[nans[-1]])
+        elif (low := float(slacks[np.argmin(slacks)])) < self.min_slack:
+            self.min_slack = low
+        room = 5 - len(self.failures)
+        for i in np.flatnonzero(~(slacks >= self.required))[:room].tolist():
+            self.failures.append(f"slack={float(slacks[i])!r} {describe(i)}")
+
     def result(self, name: str) -> SuiteResult:
         min_slack = self.min_slack if self.cases else 0.0
         return SuiteResult(
@@ -96,22 +117,27 @@ class _Collector:
 
 # ---------------------------------------------------------------------------
 # Random ensembles
+#
+# Every draw is one vector call per case: a Generator fills a vector from
+# the same stream, value by value, that scalar calls would read.
+
+def _random_occupations(
+    rng: np.random.Generator, modes: int, max_occ: int, max_terms: int
+) -> list[tuple[int, ...]]:
+    k = int(rng.integers(1, max_terms + 1))
+    return sorted({tuple(row) for row in rng.integers(0, max_occ + 1, size=(k, modes)).tolist()})
+
 
 def _random_sparse_pure(rng: np.random.Generator, modes: int, max_occ: int, max_terms: int) -> PureState:
-    k = int(rng.integers(1, max_terms + 1))
-    occs = {tuple(int(v) for v in row) for row in rng.integers(0, max_occ + 1, size=(k, modes))}
-    amps = {
-        occ: complex(rng.normal(), rng.normal())
-        for occ in sorted(occs)
-    }
-    return PureState(modes, amps, normalize=True)
+    occs = _random_occupations(rng, modes, max_occ, max_terms)
+    parts = rng.normal(size=(len(occs), 2)).tolist()
+    return PureState(modes, {occ: complex(re, im) for occ, (re, im) in zip(occs, parts)}, normalize=True)
 
 
 def _random_diagonal(rng: np.random.Generator, modes: int, max_occ: int, max_terms: int) -> FockDiagonalState:
-    k = int(rng.integers(1, max_terms + 1))
-    occs = {tuple(int(v) for v in row) for row in rng.integers(0, max_occ + 1, size=(k, modes))}
-    probs = {occ: float(rng.exponential()) + 1e-12 for occ in sorted(occs)}
-    return FockDiagonalState(modes, probs, normalize=True)
+    occs = _random_occupations(rng, modes, max_occ, max_terms)
+    weights = (rng.exponential(size=len(occs)) + 1e-12).tolist()
+    return FockDiagonalState(modes, dict(zip(occs, weights)), normalize=True)
 
 
 #: Largest total-photon cutoff per mode count keeping the dense dimension at
@@ -125,33 +151,70 @@ def _dense_basis(modes: int) -> DenseBasis:
     return DenseBasis(sorted(occs, key=lambda o: (total_photons(o), o)))
 
 
+def _gaussian(rng: np.random.Generator, d: int) -> np.ndarray:
+    """A d x d complex Gaussian matrix: real parts, then imaginary parts."""
+    parts = rng.normal(size=(2, d, d))
+    return parts[0] + 1j * parts[1]
+
+
+def _density(g: np.ndarray) -> np.ndarray:
+    """``g g^dagger`` at unit trace, for one matrix or a stack of them."""
+    rho = g @ _adjoint(g)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    return rho
+
+
 def _random_dense(rng: np.random.Generator, modes: int) -> DenseOperator:
     basis = _dense_basis(modes)
-    d = len(basis)
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    return DenseOperator(basis, rho)
+    return DenseOperator(basis, _density(_gaussian(rng, len(basis))))
 
 
-def _random_dense_concentrated(
-    rng: np.random.Generator, modes: int, cutoff: int, above_mass: float
-) -> DenseOperator:
-    """Density operator with at most ``above_mass`` weight above the cutoff."""
+def _concentrated_draws(
+    rng: np.random.Generator, modes: int, cutoff: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Gaussian draws of one state of :func:`_concentrated`: one over
+    the basis elements at or below the cutoff, one over them all."""
     basis = _dense_basis(modes)
-    inside = np.flatnonzero(basis.totals <= cutoff)
-    d = len(basis)
-    k = len(inside)
-    g = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-    low = g @ g.conj().T
-    low /= np.trace(low).real
-    rho = np.zeros((d, d), dtype=complex)
-    rho[np.ix_(inside, inside)] = low
-    g2 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    full = g2 @ g2.conj().T
-    full /= np.trace(full).real
-    mixed = (1.0 - above_mass) * rho + above_mass * full
+    inside = int(np.count_nonzero(basis.totals <= cutoff))
+    return _gaussian(rng, inside), _gaussian(rng, len(basis))
+
+
+def _concentrated(
+    basis: DenseBasis, draws: Sequence[tuple[np.ndarray, np.ndarray]], above_mass: np.ndarray
+) -> DenseOperator:
+    """A stack of density operators, each with at most ``above_mass`` weight
+    above its cutoff: a state inside the cutoff mixed with a full one."""
+    low = np.zeros((len(draws), len(basis), len(basis)), dtype=complex)
+    for rho, (g, _) in zip(low, draws):
+        # The basis is sorted by photon total: the kept elements lead it.
+        rho[: len(g), : len(g)] = _density(g)
+    above = above_mass[:, None, None]
+    low *= 1.0 - above
+    mixed = _density(np.stack([g for _, g in draws]))
+    mixed *= above
+    mixed += low
     return DenseOperator(basis, mixed)
+
+
+#: Dense cases per stack. A suite evaluates the dense cases of one mode
+#: count together, as soon as this many are drawn, and keeps only per-case
+#: floats: holding a whole suite's matrices would cost megabytes.
+STACK = 8
+
+
+def _stacks(cases: Iterable[tuple]) -> Iterator[tuple]:
+    """Group ``(modes, *fields)`` cases by mode count, in draw order, and
+    yield each group as ``(modes, *fields)`` with one tuple per field, as
+    soon as it holds ``STACK`` cases; partial groups follow once ``cases``
+    is spent."""
+    pending: dict[int, list[tuple]] = {}
+    for modes, *fields in cases:
+        group = pending.setdefault(modes, [])
+        group.append(fields)
+        if len(group) == STACK:
+            yield modes, *zip(*pending.pop(modes))
+    for modes, group in pending.items():
+        yield modes, *zip(*group)
 
 
 # ---------------------------------------------------------------------------
@@ -220,40 +283,74 @@ def suite_markov(seed: int, size: int, required: float) -> SuiteResult:
 
 def suite_gentle(seed: int, size: int, required: float) -> SuiteResult:
     rng = np.random.default_rng([seed, 3])
+    # Per case: the dense slack, the pure slack, and the mode count, dense
+    # cutoff and pure cutoff that name it.
+    slacks = np.empty((size, 2))
+    labels = np.empty((size, 3), dtype=np.int8)
+
+    def draws() -> Iterator[tuple]:
+        for i in range(size):
+            modes = int(rng.integers(1, 4))
+            g = _gaussian(rng, len(_dense_basis(modes)))
+            cutoff = int(rng.integers(0, _DENSE_CUTOFF[modes] + 1))
+            state = _random_sparse_pure(rng, modes, 6, 12)
+            min_total = min(total_photons(idx) for idx in state.amplitudes)
+            pc = int(rng.integers(min_total, state.max_total_photons() + 1))
+            slacks[i, 1] = truncation.check_gentle_measurement(state, pc)
+            labels[i] = modes, cutoff, pc
+            yield modes, i, g, cutoff
+
+    for modes, index, g, cutoff in _stacks(draws()):
+        state = DenseOperator(_dense_basis(modes), _density(np.stack(g)))
+        slacks[list(index), 0] = truncation.check_gentle_measurement(state, np.array(cutoff))
+
+    def describe(k: int) -> str:
+        i, check = divmod(k, 3)
+        modes, cutoff, pc = labels[i].tolist()
+        return (
+            f"dense modes={modes} cutoff={cutoff}",
+            f"pure modes={modes} cutoff={pc}",
+            "pure fidelity equals sqrt(weight)",
+        )[check]
+
     col = _Collector(required)
-    for i in range(size):
-        modes = int(rng.integers(1, 4))
-        dense = _random_dense(rng, modes)
-        cutoff = int(rng.integers(0, _DENSE_CUTOFF[modes] + 1))
-        slack = truncation.check_gentle_measurement(dense, cutoff)
-        col.add(slack, lambda: f"dense modes={modes} cutoff={cutoff}")
-        pure = _random_sparse_pure(rng, modes, 6, 12)
-        min_total = min(total_photons(idx) for idx in pure.amplitudes)
-        pc = int(rng.integers(min_total, pure.max_total_photons() + 1))
-        pslack = truncation.check_gentle_measurement(pure, pc)
-        col.add(pslack, lambda: f"pure modes={modes} cutoff={pc}")
-        col.add(1e-9 - abs(pslack), lambda: "pure fidelity equals sqrt(weight)")
+    col.extend(np.column_stack([slacks, 1e-9 - np.abs(slacks[:, 1])]).ravel(), describe)
     return col.result("gentle")
 
 
 def suite_closeness(seed: int, size: int, required: float) -> SuiteResult:
     rng = np.random.default_rng([seed, 4])
-    col = _Collector(required)
-    held = 0
-    for i in range(size):
-        delta = [0.3, 0.1, 0.02][i % 3]
-        modes = int(rng.integers(1, 4))
-        cutoff = int(rng.integers(1, _DENSE_CUTOFF[modes]))
-        above = float(rng.uniform(0.0, 1.5 * delta))
-        state = _random_dense_concentrated(rng, modes, cutoff, above)
-        try:
-            gap = truncation.check_projector_closeness(state, cutoff, delta)
-        except PremiseViolationError:
-            continue
-        held += 1
-        col.add(gap, lambda: f"delta={delta} cutoff={cutoff} modes={modes}")
-    if held == 0:
+    deltas = [0.3, 0.1, 0.02]
+    gaps = np.empty(size)
+    held = np.zeros(size, dtype=bool)
+    labels = np.empty((size, 2), dtype=np.int8)  # cutoff, mode count
+
+    def draws() -> Iterator[tuple]:
+        for i in range(size):
+            delta = deltas[i % 3]
+            modes = int(rng.integers(1, 4))
+            cutoff = int(rng.integers(1, _DENSE_CUTOFF[modes]))
+            above = float(rng.uniform(0.0, 1.5 * delta))
+            labels[i] = cutoff, modes
+            yield modes, i, delta, cutoff, above, _concentrated_draws(rng, modes, cutoff)
+
+    for modes, index, delta, cutoff, above, g in _stacks(draws()):
+        state = _concentrated(_dense_basis(modes), g, np.array(above))
+        index = list(index)
+        gaps[index], held[index] = truncation.projector_closeness(
+            state, np.array(cutoff), np.array(delta)
+        )
+    if not held.any():
         return SuiteResult("closeness", 0, 0.0, False, ("premise never held",))
+    kept = np.flatnonzero(held)
+
+    def describe(k: int) -> str:
+        i = int(kept[k])
+        cutoff, modes = labels[i].tolist()
+        return f"delta={deltas[i % 3]} cutoff={cutoff} modes={modes}"
+
+    col = _Collector(required)
+    col.extend(gaps[kept], describe)
     return col.result("closeness")
 
 
@@ -321,17 +418,26 @@ def suite_logrank(seed: int, size: int, required: float) -> SuiteResult:
 
 
 def suite_entropy(seed: int, size: int, required: float) -> SuiteResult:
+    """Per row of the profile: the entropy bound over the log-rank, and from
+    n = 100 on, the log-rank over sqrt(n) within [0.5, 2.1]. The rows are
+    checked in blocks of 512 as the profile streams them."""
     col = _Collector(required)
     step = 1 if size <= 2000 else 7
-    rows = entropy_profile(list(range(1, size + 1, step)))
-    for row in rows:
-        col.add(
-            row["entropy_bound"] - row["log2_rank"],
-            lambda: f"n={row['n']} m={row['m']}",
+    rows = entropy_profile(range(1, size + 1, step))
+    while block := list(itertools.islice(rows, 512)):
+        n, m, rank, bound, ratio = (
+            np.array([row[key] for row in block])
+            for key in ("n", "m", "log2_rank", "entropy_bound", "rank_over_sqrt_n")
         )
-        if row["n"] >= 100:
-            col.add(row["log2_rank"] / math.sqrt(row["n"]) - 0.5, lambda: f"ratio low n={row['n']}")
-            col.add(2.1 - row["log2_rank"] / math.sqrt(row["n"]), lambda: f"ratio high n={row['n']}")
+        slacks = np.column_stack([bound - rank, ratio - 0.5, 2.1 - ratio])
+        checked = np.column_stack([n >= 1, n >= 100, n >= 100])
+        which, check = np.nonzero(checked)
+
+        def describe(k: int) -> str:
+            i = which[k]
+            return (f"n={n[i]} m={m[i]}", f"ratio low n={n[i]}", f"ratio high n={n[i]}")[check[k]]
+
+        col.extend(slacks[checked], describe)
     return col.result("entropy")
 
 
@@ -357,6 +463,23 @@ DEFAULT_SIZES = {
     "entropy": 2000,
 }
 
+#: Largest size per suite. A larger one is refused as an internal limit
+#: before any case runs. Measured in-process at each cap (seed 1729, Python
+#: 3.11.7, numpy 2.4.6, one BLAS thread on a shared 2-vCPU VM): metrics
+#: 36 s, markov 37 s, gentle 48 s, closeness 40 s, perturb 41 s, binom
+#: (cap^2 pairs of exact integers) 41 s, logrank 17 s and entropy (a sweep
+#: over n, one row in seven) 21-28 s, each at most 45 MB of peak RSS.
+MAX_SIZES = {
+    "metrics": 100_000,
+    "markov": 500_000,
+    "gentle": 100_000,
+    "closeness": 200_000,
+    "perturb": 500_000,
+    "binom": 1_000,
+    "logrank": 4_096,
+    "entropy": 50_000_000,
+}
+
 
 def run_suites(
     names: list[str] | None = None,
@@ -367,10 +490,13 @@ def run_suites(
 ) -> list[SuiteResult]:
     """Run the named suites (all by default) and return their results.
 
-    ``inject_fault`` names a suite whose required slack is raised to an
-    unsatisfiable +0.1, for exercising the failure path end to end. A
-    ``size`` below 1 is refused, since no suite would check anything, and so
-    is a negative ``seed``, which numpy cannot seed a stream from.
+    ``inject_fault`` names a suite of this run whose required slack is
+    raised to an unsatisfiable +0.1, for exercising the failure path end to
+    end; naming a suite outside the run is refused, since its fault would
+    be lost. A ``size`` below 1 is refused, since no suite would check
+    anything, and so is a negative ``seed``, which numpy cannot seed a
+    stream from. A ``size`` above a suite's ``MAX_SIZES`` entry raises
+    :class:`DimensionCapError` before any suite runs.
     """
     if size is not None and size < 1:
         raise ConfigError(f"suite size must be >= 1, got {size}")
@@ -378,10 +504,19 @@ def run_suites(
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if names is None or not names:
         names = list(SUITES)
-    results = []
     for name in names:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+        if size is not None and size > MAX_SIZES[name]:
+            raise DimensionCapError(
+                f"suite {name} size {size} is above its cap of {MAX_SIZES[name]}"
+            )
+    if inject_fault is not None and inject_fault not in names:
+        raise ConfigError(
+            f"cannot inject a fault into suite {inject_fault!r}: it is not in this run {names}"
+        )
+    results = []
+    for name in names:
         required = NORMAL_TOLERANCE[name]
         if inject_fault == name:
             required = 0.1

@@ -24,6 +24,7 @@ from optsmp.combinatorics import (
 )
 from optsmp.errors import PremiseViolationError
 from optsmp.fock import (
+    DenseOperator,
     PureState,
     mean_photon_number,
     tail_probability,
@@ -45,11 +46,8 @@ from optsmp.truncation import (
     check_projector_closeness,
     transform_protocol,
 )
-from optsmp.verify import (
-    _random_dense,
-    _random_dense_concentrated,
-    _random_sparse_pure,
-)
+from optsmp.verify import _dense_basis, _random_dense, _random_sparse_pure
+from verify_oracle import random_dense_concentrated
 
 SEED = 20260814
 
@@ -164,7 +162,7 @@ def test_criterion_05_projector_closeness(criterion_report):
         basis_max = {1: 31, 2: 6, 3: 3}[modes]
         cutoff = int(rng.integers(1, basis_max))
         above = float(rng.uniform(0.0, 1.5 * delta))
-        state = _random_dense_concentrated(rng, modes, cutoff, above)
+        state = DenseOperator(_dense_basis(modes), random_dense_concentrated(rng, modes, cutoff, above))
         try:
             slack = check_projector_closeness(state, cutoff, delta)
         except PremiseViolationError:
@@ -314,7 +312,7 @@ def test_criterion_08b_fingerprint_matches_closed_form(criterion_report):
 
 def test_criterion_09_entropy_profile(criterion_report, tmp_path):
     t0 = time.perf_counter()
-    rows = entropy_profile(list(range(1, 10001)))
+    rows = list(entropy_profile(range(1, 10001)))
     min_gap = math.inf
     window_ok = True
     for row in rows:

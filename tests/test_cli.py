@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from optsmp import bounds, cli, combinatorics
 from optsmp.cli import main
+from optsmp.verify import MAX_SIZES
 
 
 def _write_config(tmp_path, name, data):
@@ -681,6 +682,27 @@ def test_verify_fault_injection_fails_loudly(capsys):
 
 def test_verify_rejects_unknown_suite(capsys):
     assert main(["verify", "--suite", "nope"]) == 2
+
+
+def test_verify_refuses_a_fault_in_a_suite_it_does_not_run(capsys):
+    # The fault would be lost: the run would print overall=pass.
+    assert main(["verify", "--suite", "binom", "--inject-fault", "gentle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot inject a fault into suite 'gentle'")
+
+
+@pytest.mark.parametrize("suite", ["entropy", "binom"])
+def test_verify_size_past_a_suite_cap_is_an_internal_limit(capsys, suite):
+    cap = MAX_SIZES[suite]
+    t0 = time.perf_counter()
+    assert main(["verify", "--suite", suite, "--max", str(cap + 1)]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: internal limit: suite {suite} size {cap + 1} is above its cap of {cap}\n"
+    )
 
 
 @pytest.mark.parametrize(

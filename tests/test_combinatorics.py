@@ -155,7 +155,7 @@ def test_entropy_bound_square_case():
 
 
 def test_entropy_profile_rows():
-    rows = entropy_profile([1, 9, 10, 100, 10000])
+    rows = list(entropy_profile([1, 9, 10, 100, 10000]))
     by_n = {r["n"]: r for r in rows}
     assert by_n[9]["m"] == 3
     assert by_n[10]["m"] == 4  # ceil(sqrt(10))
@@ -167,4 +167,4 @@ def test_entropy_profile_rows():
     for r in rows:
         assert r["log2_rank"] <= r["entropy_bound"] + 1e-9
     with pytest.raises(ConfigError):
-        entropy_profile([0])
+        list(entropy_profile([0]))

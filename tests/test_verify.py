@@ -1,16 +1,20 @@
 """Property-suite ensembles: each dense basis and each photon-number
-distribution is built once, and the suites read the same numbers the
-per-element definitions give."""
+distribution is built once, the suites read the same numbers the
+per-element definitions give, and the stacked suites return what their
+per-case oracle (``verify_oracle.py``) returns, bit for bit."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from optsmp import fock, verify
-from optsmp.errors import ConfigError
+import verify_oracle
+from optsmp import combinatorics, fock, truncation, verify
+from optsmp.errors import ConfigError, DimensionCapError, ModeMismatchError
 from optsmp.fock import DenseOperator, FockDiagonalState, PureState, total_photons
-from optsmp.truncation import project_below_cutoff
+from optsmp.truncation import check_gentle_measurement, project_below_cutoff, projector_closeness
 
 
 @pytest.mark.parametrize("modes", [1, 2, 3])
@@ -87,3 +91,160 @@ def test_nan_slack_fails_its_suite():
     assert result.failures == ("slack=nan undefined",)
     assert math.isnan(result.min_slack)
     assert result.summary_line() == "suite=nan cases=3 min_slack=nan result=FAIL"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    blocks=st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e-12, -2.0, math.inf, math.nan]), max_size=9),
+        max_size=4,
+    ),
+    required=st.sampled_from([-1e-9, 0.0, 0.1]),
+)
+def test_collector_extend_equals_add_one_at_a_time(blocks, required):
+    one, many = verify._Collector(required), verify._Collector(required)
+    for b, block in enumerate(blocks):
+        for i, slack in enumerate(block):
+            one.add(slack, lambda: f"block {b} case {i}")
+        many.extend(np.array(block, dtype=float), lambda i: f"block {b} case {i}")
+    assert one.result("s").summary_line() == many.result("s").summary_line()
+    assert one.result("s").failures == many.result("s").failures
+    assert math.copysign(1.0, one.result("s").min_slack) == math.copysign(1.0, many.result("s").min_slack)
+
+
+# ---------------------------------------------------------------------------
+# Stacked suites against their per-case oracle
+
+ORACLE_RUNS = [
+    (name, seed, size, fault)
+    for name in sorted(verify_oracle.ORACLES)
+    for seed in (1, 2, 3, 4, 5, 1729)
+    for size, fault in ((None, False), (20, False), (20, True))
+] + [(name, 1729, None, True) for name in sorted(verify_oracle.ORACLES)]
+
+
+@pytest.mark.parametrize("name,seed,size,fault", ORACLE_RUNS)
+def test_stacked_suite_equals_its_per_case_oracle(name, seed, size, fault):
+    size = verify.DEFAULT_SIZES[name] if size is None else size
+    required = 0.1 if fault else verify.NORMAL_TOLERANCE[name]
+    expected = verify_oracle.ORACLES[name](seed, size, required)
+    got = verify.SUITES[name](seed, size, required)
+    assert got == expected
+    assert got.summary_line() == expected.summary_line()
+    assert type(got.min_slack) is float
+
+
+def _recorded_stacks(monkeypatch, name, seed):
+    """The dense stacks, with their cutoffs, that suite ``name`` evaluates."""
+    calls = []
+    for attr in ("check_gentle_measurement", "projector_closeness"):
+        original = getattr(truncation, attr)
+
+        def record(state, cutoff, *rest, _original=original):
+            if isinstance(state, DenseOperator):
+                calls.append((state, cutoff))
+            return _original(state, cutoff, *rest)
+
+        monkeypatch.setattr(truncation, attr, record)
+    verify.run_suites([name], seed=seed)
+    assert calls and all(state.matrix.ndim == 3 for state, _ in calls)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["gentle", "closeness"])
+@pytest.mark.parametrize("seed", [1, 1729])
+def test_stacked_dense_kernels_equal_stack_of_one_calls(monkeypatch, name, seed):
+    for stack, cutoffs in _recorded_stacks(monkeypatch, name, seed):
+        projected, weights = truncation._project(stack, cutoffs)
+        fidelities = fock.fidelity(stack, projected)
+        distances = fock.trace_distance(stack, projected)
+        roots = fock._sqrt_psd(stack.matrix)
+        assert weights.shape == fidelities.shape == distances.shape == cutoffs.shape
+        for i, (matrix, cutoff) in enumerate(zip(stack.matrix, cutoffs.tolist())):
+            single = DenseOperator(stack.basis, matrix)
+            one, weight = project_below_cutoff(single, cutoff)
+            assert type(weight) is float and weight == weights[i]
+            assert np.array_equal(one.matrix, projected.matrix[i])
+            assert np.array_equal(fock._sqrt_psd(matrix), roots[i])
+            assert fock.fidelity(single, one) == fidelities[i]
+            assert fock.trace_distance(single, one) == distances[i]
+            assert fock.fidelity(single, one) == verify_oracle.fidelity(matrix, one.matrix)
+
+
+def test_stack_gentle_and_closeness_checks_are_per_matrix():
+    rng = np.random.default_rng(8)
+    basis = verify._dense_basis(2)
+    stack = DenseOperator(basis, verify._density(np.stack([verify._gaussian(rng, len(basis)) for _ in range(5)])))
+    cutoffs = np.array([0, 2, 2, 5, 6])
+    slacks = check_gentle_measurement(stack, cutoffs)
+    gaps, premise = projector_closeness(stack, cutoffs, 0.3)
+    for i, cutoff in enumerate(cutoffs.tolist()):
+        single = DenseOperator(basis, stack.matrix[i])
+        assert check_gentle_measurement(single, cutoff) == slacks[i]
+        gap, held = projector_closeness(single, cutoff, 0.3)
+        assert gap == gaps[i] and held == premise[i]
+    assert premise.tolist() == [False, False, False, True, True]
+
+
+def test_dense_operator_refuses_a_stack_where_one_matrix_is_bad():
+    basis = verify._dense_basis(1)
+    stack = np.stack([np.eye(len(basis), dtype=complex)] * 3)
+    stack[2, 0, 1] = 1.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DenseOperator(basis, stack)
+    with pytest.raises(ModeMismatchError):
+        DenseOperator(basis, np.zeros((2, 2, len(basis), len(basis))))
+    with pytest.raises(ModeMismatchError, match="one matrix, not a stack"):
+        fock.mean_photon_number(DenseOperator(basis, stack[:2]))
+
+
+def test_entropy_profile_streams_one_bound_per_distinct_k(monkeypatch):
+    calls = []
+    bound = combinatorics.entropy_bound
+
+    def counting(cutoff, modes):
+        calls.append((cutoff, modes))
+        return bound(cutoff, modes)
+
+    monkeypatch.setattr(combinatorics, "entropy_bound", counting)
+    rows = combinatorics.entropy_profile(range(1, 2001))
+    assert not isinstance(rows, list) and not calls
+    first = next(rows)
+    assert first["n"] == 1 and calls == [(1, 1)]
+    rest = list(rows)
+    assert len(rest) == 1999
+    assert calls == [(k, k) for k in range(1, 46)]
+
+
+# ---------------------------------------------------------------------------
+# Refusals: a fault outside the run, a size past its cap
+
+def test_inject_fault_outside_the_run_is_refused():
+    with pytest.raises(ConfigError, match="'gentle': it is not in this run"):
+        verify.run_suites(["binom"], inject_fault="gentle")
+    assert not verify.run_suites(["gentle"], size=3, inject_fault="gentle")[0].passed
+
+
+def test_every_suite_has_a_cap():
+    assert set(verify.MAX_SIZES) == set(verify.SUITES) == set(verify.DEFAULT_SIZES)
+    assert all(verify.DEFAULT_SIZES[name] <= cap for name, cap in verify.MAX_SIZES.items())
+
+
+@pytest.mark.parametrize("name", sorted(verify.SUITES))
+def test_size_past_the_cap_is_refused_before_any_suite_runs(monkeypatch, name):
+    ran = []
+    cap = verify.MAX_SIZES[name]
+    monkeypatch.setitem(verify.SUITES, "first", lambda *a: ran.append(a))
+    monkeypatch.setitem(verify.MAX_SIZES, "first", cap + 1)
+    with pytest.raises(DimensionCapError, match=f"suite {name} size {cap + 1} is above its cap of {cap}"):
+        verify.run_suites(["first", name], size=cap + 1)
+    assert not ran
+
+
+@pytest.mark.parametrize("name", sorted(verify.SUITES))
+def test_size_at_the_cap_runs(monkeypatch, name):
+    monkeypatch.setitem(verify.MAX_SIZES, name, 4)
+    (result,) = verify.run_suites([name], seed=3, size=4)
+    assert result.passed
+    with pytest.raises(DimensionCapError):
+        verify.run_suites([name], seed=3, size=5)
