@@ -7,11 +7,13 @@ of the package:
 * :class:`PureState` -- a normalized sparse ket,
 * :class:`FockDiagonalState` -- a probability distribution over occupation
   tuples (classical messages, photon-count statistics),
-* :class:`DenseOperator` -- a small dense matrix over an explicit ordered
-  basis, or a stack of them, for checks that need genuinely mixed states.
+* :class:`ProductPureState` -- a tensor product of pure factors, kept
+  factorized so a 12-mode coherent message never has to be materialized as
+  a joint ket.
 
-:class:`ProductPureState` keeps many-mode product messages factorized so a
-12-mode coherent message never has to be materialized as a joint ket.
+Dense density matrices, which only the property suites build to check the
+lemmas on genuinely mixed states, live with those suites in
+:mod:`optsmp.verify` and offer the same methods.
 
 The two sparse kinds share one implementation (``_SparseState``): a dict
 from occupation tuple to a stored value, with one validation and
@@ -23,7 +25,8 @@ pure factors, and every other kind is its own single factor. Each factor
 offers ``weights()``, the ``(occupation, photon-number weight)`` pairs
 (|c|^2, p, or the real diagonal). The mean photon number, the photon-number
 distribution and the overlap are therefore one loop over factors each, with
-no case per kind. Trace distance and fidelity are one method per kind.
+no case per kind. Trace distance, fidelity and the projection below a
+photon-number cutoff (``projected``) are one method per kind.
 
 States with infinite support (exact coherent states, thermal states) are not
 representable; they enter pre-truncated with the discarded tail recorded by
@@ -34,18 +37,16 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
 from .errors import (
-    BasisMismatchError,
-    DimensionCapError,
     ModeMismatchError,
     NormalizationError,
     SupportCapError,
+    VacuousTruncationError,
 )
 
 FockIndex = tuple[int, ...]
@@ -56,8 +57,6 @@ SUPPORT_CAP = 10**6
 AMPLITUDE_PRUNE = 1e-15
 #: Allowed deviation of total weight from 1 at construction.
 NORMALIZATION_TOL = 1e-9
-#: Dense operators are for lemma-scale verification only.
-DENSE_DIM_CAP = 256
 
 
 def validate_index(occ: Iterable[int], modes: int | None = None) -> FockIndex:
@@ -164,6 +163,15 @@ class _SparseState:
 
     def max_total_photons(self) -> int:
         return max(total_photons(idx) for idx in self._terms)
+
+    def projected(self, cutoff: int) -> tuple["_SparseState", float]:
+        """The terms with total photons <= ``cutoff``, renormalized, and the
+        weight they held."""
+        kept = {idx: v for idx, v in self._terms.items() if total_photons(idx) <= cutoff}
+        if not kept:
+            raise VacuousTruncationError(f"no support at or below cutoff {cutoff}")
+        weight = sum(w for idx, w in self.weights() if idx in kept)
+        return type(self)(self.modes, kept, normalize=True), weight
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(modes={self.modes}, support={len(self._terms)})"
@@ -295,135 +303,61 @@ class ProductPureState:
 
     _trace_distance = PureState._trace_distance
 
+    def projected(self, cutoff: int) -> tuple["ProductPureState | PureState", float]:
+        """Projection onto total photons <= ``cutoff``, renormalized, and the
+        weight it kept.
+
+        Within the cutoff the projector is the identity and the product comes
+        back as it is. Otherwise the projection is built from the
+        photon-number simplex only: occupations with total <= cutoff inside
+        every factor's support, each amplitude the product of its factor
+        amplitudes, so the full product ket is never formed. The kept terms
+        are counted first. A referee evaluates a projected message against
+        another one term pair by term pair, so a support whose square exceeds
+        ``SUPPORT_CAP`` raises :class:`SupportCapError` before any term is
+        built.
+        """
+        if self.max_total_photons() <= cutoff:
+            return self, 1.0
+        factor_terms = [
+            [(idx, amp, total_photons(idx)) for idx, amp in f.amplitudes.items()]
+            for f in self.factors
+        ]
+        counts = {0: 1}  # kept prefixes by photon total
+        for terms in factor_terms:
+            grown: dict[int, int] = {}
+            for n, count in counts.items():
+                for _, _, k in terms:
+                    if n + k <= cutoff:
+                        grown[n + k] = grown.get(n + k, 0) + count
+            counts = grown
+        size = sum(counts.values())
+        if size == 0:
+            raise VacuousTruncationError(f"no support at or below cutoff {cutoff}")
+        if size * size > SUPPORT_CAP:
+            raise SupportCapError(
+                f"projected support {size} is too large to interfere: a pair of such "
+                f"messages spans {size * size} terms, above cap {SUPPORT_CAP}"
+            )
+        kept = [((), 1.0 + 0.0j, 0)]
+        for terms in factor_terms:
+            kept = [
+                (idx + fidx, amp * famp, n + k)
+                for idx, amp, n in kept
+                for fidx, famp, k in terms
+                if n + k <= cutoff
+            ]
+        amps = {idx: amp for idx, amp, _ in kept}
+        weight = sum(abs(amp) ** 2 for amp in amps.values())
+        return PureState(self.modes, amps, normalize=True), weight
+
     def __repr__(self) -> str:
         return f"ProductPureState(factors={len(self.factors)}, modes={self.modes})"
 
 
-class DenseBasis(tuple):
-    """An ordered occupation basis that passed the dense-basis checks, with
-    ``totals``, the photon total of each element as one read-only int array.
-
-    Elements are validated occupation tuples, all distinct, all with one
-    mode count, at most ``DENSE_DIM_CAP`` of them. A basis that is already a
-    ``DenseBasis`` is returned as it is, so a :class:`DenseOperator` built
-    on one, or on another operator's ``basis``, skips the checks; a raw
-    tuple or list is checked again on every construction. Equality is never
-    consulted: ``((True,),)`` equals ``((1,),)`` but is refused.
-    """
-
-    totals: np.ndarray
-
-    def __new__(cls, basis: Iterable[Iterable[int]]) -> "DenseBasis":
-        if type(basis) is cls:
-            return basis
-        checked = super().__new__(cls, [validate_index(occ) for occ in basis])
-        if len(checked) == 0:
-            raise DimensionCapError("empty basis")
-        if len(set(checked)) != len(checked):
-            raise ValueError("basis contains duplicate occupation tuples")
-        modes = len(checked[0])
-        for occ in checked:
-            if len(occ) != modes:
-                raise ModeMismatchError("basis mixes different mode counts")
-        if len(checked) > DENSE_DIM_CAP:
-            raise DimensionCapError(f"dimension {len(checked)} exceeds cap {DENSE_DIM_CAP}")
-        checked.totals = np.array([total_photons(occ) for occ in checked])
-        checked.totals.setflags(write=False)
-        return checked
-
-
-@dataclass(frozen=True, eq=False)
-class DenseOperator:
-    """Dense operator over an explicit ordered occupation basis.
-
-    Only for small verification sweeps: the dimension cap is deliberate.
-    Operators constructed here are used as observables or density operators,
-    so finite entries and Hermiticity are enforced at construction. The
-    basis is held as a :class:`DenseBasis`, checked once for all the
-    operators built on it. Equality and hashing are by identity, as for the
-    other kinds, so an operator can key a cache.
-
-    ``matrix`` is one ``d x d`` matrix or a stack of them, shape
-    ``(k, d, d)``, over the one basis. Trace distance, fidelity and
-    projection evaluate a stack in one array pass and return one value per
-    matrix; a single matrix is a stack of one and returns a float. numpy's
-    linear-algebra calls treat a 2-D input as a stack of one, so both give
-    the same bits. ``weights`` describes a single matrix.
-    """
-
-    basis: DenseBasis
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        basis = DenseBasis(self.basis)
-        object.__setattr__(self, "basis", basis)
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim not in (2, 3) or mat.shape[-2:] != (len(basis), len(basis)):
-            raise ModeMismatchError(
-                f"matrix shape {mat.shape} does not match basis size {len(basis)}"
-            )
-        if not np.isfinite(mat).all():
-            raise ValueError("matrix has a non-finite entry")
-        adjoint = _adjoint(mat)
-        # One reduction: on finite entries, the same test as allclose with
-        # atol=NORMALIZATION_TOL and rtol=0.
-        if not np.abs(mat - adjoint).max() <= NORMALIZATION_TOL:
-            raise ValueError("matrix is not Hermitian within tolerance")
-        mat = mat + adjoint
-        mat /= 2.0
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def modes(self) -> int:
-        return len(self.basis[0])
-
-    @property
-    def factors(self) -> tuple["DenseOperator"]:
-        return (self,)
-
-    def _matrix_on_basis(self, other: "DenseOperator") -> np.ndarray:
-        if self.basis != other.basis:
-            raise BasisMismatchError("dense operands must share the same ordered basis")
-        return other.matrix
-
-    def _trace_distance(self, other: "DenseOperator") -> float | np.ndarray:
-        eigs = np.linalg.eigvalsh(self.matrix - self._matrix_on_basis(other))
-        return _per_matrix(0.5 * np.abs(eigs).sum(axis=-1))
-
-    def _fidelity(self, other: "DenseOperator") -> float | np.ndarray:
-        sb = _sqrt_psd(self._matrix_on_basis(other))
-        singular = np.linalg.svd(_sqrt_psd(self.matrix) @ sb, compute_uv=False)
-        return _per_matrix(singular.sum(axis=-1))
-
-    def weights(self) -> Iterator[tuple[FockIndex, float]]:
-        """``(occupation, diagonal weight)`` pairs over the basis."""
-        if self.matrix.ndim != 2:
-            raise ModeMismatchError("weights describe one matrix, not a stack")
-        return zip(self.basis, np.real(np.diagonal(self.matrix)).tolist())
-
-    def max_total_photons(self) -> int:
-        return int(self.basis.totals.max())
-
-    def cutoff_mask(self, cutoff: float | np.ndarray) -> np.ndarray:
-        """Boolean mask of basis elements with total photons <= cutoff; an
-        array of cutoffs with a trailing axis of 1 gives one mask per row."""
-        return self.basis.totals <= cutoff
-
-    @classmethod
-    def from_pure_state(
-        cls, state: PureState, basis: tuple[FockIndex, ...] | None = None
-    ) -> "DenseOperator":
-        if basis is None:
-            basis = tuple(sorted(state.amplitudes, key=lambda occ: (total_photons(occ), occ)))
-        vec = np.array([state.amplitude(occ) for occ in basis], dtype=complex)
-        missing = 1.0 - float(np.vdot(vec, vec).real)
-        if abs(missing) > NORMALIZATION_TOL:
-            raise BasisMismatchError("basis does not cover the state's support")
-        return cls(basis, np.outer(vec, vec.conj()))
-
-
-State = Union[PureState, FockDiagonalState, DenseOperator, ProductPureState]
+#: The kinds defined here. Functions taking a ``State`` also accept any kind
+#: with the same methods, such as the dense operators of :mod:`optsmp.verify`.
+State = Union[PureState, FockDiagonalState, ProductPureState]
 
 
 # ---------------------------------------------------------------------------
@@ -561,31 +495,6 @@ def overlap(a: PureState | ProductPureState, b: PureState | ProductPureState) ->
         else:
             out *= sum(fa.amplitude(idx).conjugate() * amp for idx, amp in fb.amplitudes.items())
     return out
-
-
-def _adjoint(matrix: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix, or of each matrix in a stack."""
-    return np.swapaxes(matrix.conj(), -1, -2)
-
-
-def _per_matrix(values: np.ndarray) -> float | np.ndarray:
-    """One value per matrix of a stack; a single matrix's as a float."""
-    return values if values.ndim else float(values)
-
-
-def _sqrt_psd(matrix: np.ndarray) -> np.ndarray:
-    """Matrix square root of a Hermitian PSD matrix, or of each matrix in a
-    stack, via eigendecomposition.
-
-    Eigenvalues within rounding of zero (below dim * eps * max|lambda|) are
-    set to zero: their square roots would turn 1e-16 of noise into 1e-8.
-    """
-    vals, vecs = np.linalg.eigh(matrix)
-    floor = vals.shape[-1] * np.finfo(float).eps * np.abs(vals).max(axis=-1, keepdims=True)
-    vals = np.where(vals > floor, vals, 0.0)
-    adjoint = _adjoint(vecs)
-    vecs *= np.sqrt(vals)[..., None, :]
-    return vecs @ adjoint
 
 
 def _pure_fidelity(

@@ -45,12 +45,11 @@ from .errors import (
     SupportCapError,
 )
 from .fock import (
-    DenseOperator,
-    FockDiagonalState,
     FockIndex,
     ProductPureState,
     PureState,
     SUPPORT_CAP,
+    State,
     coherent_state,
     cutoff_for_tail,
     mean_photon_number,
@@ -59,7 +58,7 @@ from .fock import (
 )
 from .report import BLOCK_ROWS, ErrorReport
 
-Message = Union[PureState, FockDiagonalState, DenseOperator, ProductPureState]
+Message = State
 
 #: Coherent fingerprint messages are pre-truncated so that each whole message
 #: discards mass below this bound (recorded as ``message_tail``).

@@ -4,9 +4,12 @@ randomized ensembles and exact sweeps.
 Each suite reports its case count and the minimum slack it observed, where
 slack >= required_slack (normally -1e-9 or tighter) means the property held.
 Suites are deterministic functions of (seed, size); the CLI exposes them via
-``verify --suite NAME``. ``gentle`` and ``closeness`` draw their cases one
-at a time but evaluate them as array passes over small stacks of dense
-matrices, with the bits the one-at-a-time evaluation gives.
+``verify --suite NAME``.
+
+Only the suites build dense density matrices (:class:`DenseOperator`), to
+check the lemmas on mixed states, so they live here. ``gentle`` and
+``closeness`` draw their cases one at a time but evaluate them as array
+passes over small stacks of them, with the bits of the one-at-a-time checks.
 """
 
 from __future__ import annotations
@@ -26,13 +29,18 @@ from .combinatorics import (
     iter_occupations,
     log_rank_bounds,
 )
-from .errors import ConfigError, DimensionCapError
+from .errors import (
+    BasisMismatchError,
+    ConfigError,
+    DimensionCapError,
+    ModeMismatchError,
+    VacuousTruncationError,
+)
 from .fock import (
-    DenseBasis,
-    DenseOperator,
+    NORMALIZATION_TOL,
     FockDiagonalState,
+    FockIndex,
     PureState,
-    _adjoint,
     total_photons,
 )
 from .smp import DiagonalMapReferee, SmpProtocol, evaluate_error, letter_per_input
@@ -113,6 +121,205 @@ class _Collector:
             passed=not self.failures,
             failures=tuple(self.failures),
         )
+
+
+# ---------------------------------------------------------------------------
+# Dense operators, with the methods of the kinds in :mod:`optsmp.fock`
+
+#: Dense operators are for lemma-scale verification only.
+DENSE_DIM_CAP = 256
+
+
+class DenseBasis(tuple):
+    """An ordered occupation basis that passed the dense-basis checks, with
+    ``totals``, the photon total of each element as one read-only int array.
+
+    Elements are validated occupation tuples, all distinct, all with one
+    mode count, at most ``DENSE_DIM_CAP`` of them. A basis that is already a
+    ``DenseBasis`` is returned as it is, so a :class:`DenseOperator` built
+    on one, or on another operator's ``basis``, skips the checks; a raw
+    tuple or list is checked again on every construction. Equality is never
+    consulted: ``((True,),)`` equals ``((1,),)`` but is refused.
+    """
+
+    totals: np.ndarray
+
+    def __new__(cls, basis: Iterable[Iterable[int]]) -> "DenseBasis":
+        if type(basis) is cls:
+            return basis
+        checked = super().__new__(cls, [fock.validate_index(occ) for occ in basis])
+        if len(checked) == 0:
+            raise DimensionCapError("empty basis")
+        if len(set(checked)) != len(checked):
+            raise ValueError("basis contains duplicate occupation tuples")
+        modes = len(checked[0])
+        for occ in checked:
+            if len(occ) != modes:
+                raise ModeMismatchError("basis mixes different mode counts")
+        if len(checked) > DENSE_DIM_CAP:
+            raise DimensionCapError(f"dimension {len(checked)} exceeds cap {DENSE_DIM_CAP}")
+        checked.totals = np.array([total_photons(occ) for occ in checked])
+        checked.totals.setflags(write=False)
+        return checked
+
+
+@dataclass(frozen=True, eq=False)
+class DenseOperator:
+    """Dense operator over an explicit ordered occupation basis.
+
+    Only for small verification sweeps: the dimension cap is deliberate.
+    Operators constructed here are used as observables or density operators,
+    so finite entries and Hermiticity are enforced at construction. The
+    basis is held as a :class:`DenseBasis`, checked once for all the
+    operators built on it. Equality and hashing are by identity, as for the
+    other kinds, so an operator can key a cache.
+
+    ``matrix`` is one ``d x d`` matrix or a stack of them, shape
+    ``(k, d, d)``, over the one basis. Trace distance, fidelity and
+    projection evaluate a stack in one array pass and return one value per
+    matrix; a single matrix is a stack of one and returns a float. numpy's
+    linear-algebra calls treat a 2-D input as a stack of one, so both give
+    the same bits. ``weights`` describes a single matrix.
+    """
+
+    basis: DenseBasis
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        basis = DenseBasis(self.basis)
+        object.__setattr__(self, "basis", basis)
+        mat = np.asarray(self.matrix, dtype=complex)
+        if mat.ndim not in (2, 3) or mat.shape[-2:] != (len(basis), len(basis)):
+            raise ModeMismatchError(
+                f"matrix shape {mat.shape} does not match basis size {len(basis)}"
+            )
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix has a non-finite entry")
+        adjoint = _adjoint(mat)
+        # One reduction: on finite entries, the same test as allclose with
+        # atol=NORMALIZATION_TOL and rtol=0.
+        if not np.abs(mat - adjoint).max() <= NORMALIZATION_TOL:
+            raise ValueError("matrix is not Hermitian within tolerance")
+        mat = mat + adjoint
+        mat /= 2.0
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
+
+    @property
+    def modes(self) -> int:
+        return len(self.basis[0])
+
+    @property
+    def factors(self) -> tuple["DenseOperator"]:
+        return (self,)
+
+    def _matrix_on_basis(self, other: "DenseOperator") -> np.ndarray:
+        if self.basis != other.basis:
+            raise BasisMismatchError("dense operands must share the same ordered basis")
+        return other.matrix
+
+    def _trace_distance(self, other: "DenseOperator") -> float | np.ndarray:
+        eigs = np.linalg.eigvalsh(self.matrix - self._matrix_on_basis(other))
+        return _per_matrix(0.5 * np.abs(eigs).sum(axis=-1))
+
+    def _fidelity(self, other: "DenseOperator") -> float | np.ndarray:
+        sb = _sqrt_psd(self._matrix_on_basis(other))
+        singular = np.linalg.svd(_sqrt_psd(self.matrix) @ sb, compute_uv=False)
+        return _per_matrix(singular.sum(axis=-1))
+
+    def weights(self) -> Iterator[tuple[FockIndex, float]]:
+        """``(occupation, diagonal weight)`` pairs over the basis."""
+        if self.matrix.ndim != 2:
+            raise ModeMismatchError("weights describe one matrix, not a stack")
+        return zip(self.basis, np.real(np.diagonal(self.matrix)).tolist())
+
+    def max_total_photons(self) -> int:
+        return int(self.basis.totals.max())
+
+    def cutoff_mask(self, cutoff: float | np.ndarray) -> np.ndarray:
+        """Boolean mask of basis elements with total photons <= cutoff; an
+        array of cutoffs with a trailing axis of 1 gives one mask per row."""
+        return self.basis.totals <= cutoff
+
+    def projected(self, cutoff: int | np.ndarray) -> tuple["DenseOperator", float | np.ndarray]:
+        """Projection onto total photons <= cutoff, renormalized, and the
+        weight it kept. ``cutoff`` is one cutoff, or for a stack an array of
+        one per matrix; the weight is a float, or an array for a stack.
+
+        Each weight is the sum of the kept diagonal entries, gathered first as
+        for a single matrix. Matrices that share a cutoff share one such
+        reduction over contiguous rows, so a stack's weights have the bits of
+        its matrices' own: a boolean column gather returns a Fortran-ordered
+        block, whose row sums differ in the last bit.
+        """
+        cutoffs = np.broadcast_to(cutoff, self.matrix.shape[:-2])
+        diagonal = np.real(np.diagonal(self.matrix, axis1=-2, axis2=-1))
+        weight = np.empty(cutoffs.shape)
+        for c in set(cutoffs.ravel().tolist()):
+            rows = cutoffs == c
+            kept = np.ascontiguousarray(diagonal[rows][:, self.cutoff_mask(c)])
+            weight[rows] = kept.sum(axis=-1)
+        if (weight <= 0.0).any():
+            raise VacuousTruncationError(f"no weight at or below cutoff {cutoff}")
+        keep = np.where(self.cutoff_mask(cutoffs[..., None]), 1.0, 0.0)
+        mat = self.matrix * (keep[..., :, None] * keep[..., None, :])
+        mat /= weight[..., None, None]
+        return DenseOperator(self.basis, mat), _per_matrix(weight)
+
+    @classmethod
+    def from_pure_state(
+        cls, state: PureState, basis: tuple[FockIndex, ...] | None = None
+    ) -> "DenseOperator":
+        if basis is None:
+            basis = tuple(sorted(state.amplitudes, key=lambda occ: (total_photons(occ), occ)))
+        vec = np.array([state.amplitude(occ) for occ in basis], dtype=complex)
+        missing = 1.0 - float(np.vdot(vec, vec).real)
+        if abs(missing) > NORMALIZATION_TOL:
+            raise BasisMismatchError("basis does not cover the state's support")
+        return cls(basis, np.outer(vec, vec.conj()))
+
+
+def _adjoint(matrix: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(matrix.conj(), -1, -2)
+
+
+def _per_matrix(values: np.ndarray) -> float | np.ndarray:
+    """One value per matrix of a stack; a single matrix's as a float."""
+    return values if values.ndim else float(values)
+
+
+def _sqrt_psd(matrix: np.ndarray) -> np.ndarray:
+    """Matrix square root of a Hermitian PSD matrix, or of each matrix in a
+    stack, via eigendecomposition.
+
+    Eigenvalues within rounding of zero (below dim * eps * max|lambda|) are
+    set to zero: their square roots would turn 1e-16 of noise into 1e-8.
+    """
+    vals, vecs = np.linalg.eigh(matrix)
+    floor = vals.shape[-1] * np.finfo(float).eps * np.abs(vals).max(axis=-1, keepdims=True)
+    vals = np.where(vals > floor, vals, 0.0)
+    adjoint = _adjoint(vecs)
+    vecs *= np.sqrt(vals)[..., None, :]
+    return vecs @ adjoint
+
+
+def _gentle_slacks(state: DenseOperator, cutoffs: np.ndarray) -> np.ndarray:
+    """:func:`~optsmp.truncation.check_gentle_measurement` of each matrix of
+    a stack at its own cutoff, in one array pass, with the same bits."""
+    projected, weight = state.projected(cutoffs)
+    return fock.fidelity(state, projected) - np.sqrt(weight)
+
+
+def _closeness_gaps(
+    state: DenseOperator, cutoffs: np.ndarray, deltas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The gap of :func:`~optsmp.truncation.check_projector_closeness` of
+    each matrix of a stack at its own cutoff and delta, with the same bits,
+    and whether its premise ``retained weight >= 1 - delta`` holds."""
+    projected, weight = state.projected(cutoffs)
+    gaps = np.sqrt(deltas) - fock.trace_distance(state, projected)
+    return gaps, ~(weight < 1.0 - deltas - 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +509,7 @@ def suite_gentle(seed: int, size: int, required: float) -> SuiteResult:
 
     for modes, index, g, cutoff in _stacks(draws()):
         state = DenseOperator(_dense_basis(modes), _density(np.stack(g)))
-        slacks[list(index), 0] = truncation.check_gentle_measurement(state, np.array(cutoff))
+        slacks[list(index), 0] = _gentle_slacks(state, np.array(cutoff))
 
     def describe(k: int) -> str:
         i, check = divmod(k, 3)
@@ -337,9 +544,7 @@ def suite_closeness(seed: int, size: int, required: float) -> SuiteResult:
     for modes, index, delta, cutoff, above, g in _stacks(draws()):
         state = _concentrated(_dense_basis(modes), g, np.array(above))
         index = list(index)
-        gaps[index], held[index] = truncation.projector_closeness(
-            state, np.array(cutoff), np.array(delta)
-        )
+        gaps[index], held[index] = _closeness_gaps(state, np.array(cutoff), np.array(delta))
     if not held.any():
         return SuiteResult("closeness", 0, 0.0, False, ("premise never held",))
     kept = np.flatnonzero(held)

@@ -24,7 +24,6 @@ from optsmp.combinatorics import (
 )
 from optsmp.errors import PremiseViolationError
 from optsmp.fock import (
-    DenseOperator,
     PureState,
     mean_photon_number,
     tail_probability,
@@ -46,7 +45,7 @@ from optsmp.truncation import (
     check_projector_closeness,
     transform_protocol,
 )
-from optsmp.verify import _dense_basis, _random_dense, _random_sparse_pure
+from optsmp.verify import DenseOperator, _dense_basis, _random_dense, _random_sparse_pure
 from verify_oracle import random_dense_concentrated
 
 SEED = 20260814

@@ -19,8 +19,6 @@ from optsmp.errors import (
 )
 from optsmp.fock import (
     NORMALIZATION_TOL,
-    DenseBasis,
-    DenseOperator,
     FockDiagonalState,
     ProductPureState,
     PureState,
@@ -38,6 +36,7 @@ from optsmp.fock import (
     validate_index,
 )
 from optsmp.truncation import project_below_cutoff
+from optsmp.verify import DenseBasis, DenseOperator
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

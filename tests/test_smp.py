@@ -11,7 +11,6 @@ from optsmp import report as report_module
 from optsmp import smp, truncation, verify
 from optsmp.errors import ConfigError, ModeMismatchError, PhotonCapError
 from optsmp.fock import (
-    DenseOperator,
     FockDiagonalState,
     ProductPureState,
     PureState,
@@ -38,6 +37,7 @@ from optsmp.smp import (
     trivial_classical_protocol,
 )
 from optsmp.truncation import transform_protocol
+from optsmp.verify import DenseOperator
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

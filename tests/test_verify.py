@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import verify_oracle
-from optsmp import combinatorics, fock, truncation, verify
-from optsmp.errors import ConfigError, DimensionCapError, ModeMismatchError
-from optsmp.fock import DenseOperator, FockDiagonalState, PureState, total_photons
-from optsmp.truncation import check_gentle_measurement, project_below_cutoff, projector_closeness
+from optsmp import combinatorics, fock, verify
+from optsmp.errors import ConfigError, DimensionCapError, ModeMismatchError, PremiseViolationError
+from optsmp.fock import FockDiagonalState, PureState, total_photons
+from optsmp.truncation import check_gentle_measurement, check_projector_closeness, project_below_cutoff
+from optsmp.verify import DenseOperator
 
 
 @pytest.mark.parametrize("modes", [1, 2, 3])
@@ -137,15 +138,14 @@ def test_stacked_suite_equals_its_per_case_oracle(name, seed, size, fault):
 def _recorded_stacks(monkeypatch, name, seed):
     """The dense stacks, with their cutoffs, that suite ``name`` evaluates."""
     calls = []
-    for attr in ("check_gentle_measurement", "projector_closeness"):
-        original = getattr(truncation, attr)
+    for attr in ("_gentle_slacks", "_closeness_gaps"):
+        original = getattr(verify, attr)
 
         def record(state, cutoff, *rest, _original=original):
-            if isinstance(state, DenseOperator):
-                calls.append((state, cutoff))
+            calls.append((state, cutoff))
             return _original(state, cutoff, *rest)
 
-        monkeypatch.setattr(truncation, attr, record)
+        monkeypatch.setattr(verify, attr, record)
     verify.run_suites([name], seed=seed)
     assert calls and all(state.matrix.ndim == 3 for state, _ in calls)
     return calls
@@ -155,17 +155,17 @@ def _recorded_stacks(monkeypatch, name, seed):
 @pytest.mark.parametrize("seed", [1, 1729])
 def test_stacked_dense_kernels_equal_stack_of_one_calls(monkeypatch, name, seed):
     for stack, cutoffs in _recorded_stacks(monkeypatch, name, seed):
-        projected, weights = truncation._project(stack, cutoffs)
+        projected, weights = stack.projected(cutoffs)
         fidelities = fock.fidelity(stack, projected)
         distances = fock.trace_distance(stack, projected)
-        roots = fock._sqrt_psd(stack.matrix)
+        roots = verify._sqrt_psd(stack.matrix)
         assert weights.shape == fidelities.shape == distances.shape == cutoffs.shape
         for i, (matrix, cutoff) in enumerate(zip(stack.matrix, cutoffs.tolist())):
             single = DenseOperator(stack.basis, matrix)
             one, weight = project_below_cutoff(single, cutoff)
             assert type(weight) is float and weight == weights[i]
             assert np.array_equal(one.matrix, projected.matrix[i])
-            assert np.array_equal(fock._sqrt_psd(matrix), roots[i])
+            assert np.array_equal(verify._sqrt_psd(matrix), roots[i])
             assert fock.fidelity(single, one) == fidelities[i]
             assert fock.trace_distance(single, one) == distances[i]
             assert fock.fidelity(single, one) == verify_oracle.fidelity(matrix, one.matrix)
@@ -176,14 +176,58 @@ def test_stack_gentle_and_closeness_checks_are_per_matrix():
     basis = verify._dense_basis(2)
     stack = DenseOperator(basis, verify._density(np.stack([verify._gaussian(rng, len(basis)) for _ in range(5)])))
     cutoffs = np.array([0, 2, 2, 5, 6])
-    slacks = check_gentle_measurement(stack, cutoffs)
-    gaps, premise = projector_closeness(stack, cutoffs, 0.3)
+    slacks = verify._gentle_slacks(stack, cutoffs)
+    gaps, premise = verify._closeness_gaps(stack, cutoffs, np.full(5, 0.3))
     for i, cutoff in enumerate(cutoffs.tolist()):
         single = DenseOperator(basis, stack.matrix[i])
         assert check_gentle_measurement(single, cutoff) == slacks[i]
-        gap, held = projector_closeness(single, cutoff, 0.3)
-        assert gap == gaps[i] and held == premise[i]
+        projected, _ = project_below_cutoff(single, cutoff)
+        assert math.sqrt(0.3) - fock.trace_distance(single, projected) == gaps[i]
+        if premise[i]:
+            assert check_projector_closeness(single, cutoff, 0.3) == gaps[i]
+        else:
+            with pytest.raises(PremiseViolationError):
+                check_projector_closeness(single, cutoff, 0.3)
     assert premise.tolist() == [False, False, False, True, True]
+
+
+def test_project_dense_operator():
+    basis = ((0,), (1,), (2,))
+    rho = np.array(
+        [
+            [0.5, 0.1, 0.2],
+            [0.1, 0.3, 0.0],
+            [0.2, 0.0, 0.2],
+        ]
+    )
+    op = DenseOperator(basis, rho)
+    projected, weight = project_below_cutoff(op, 1)
+    assert weight == pytest.approx(0.8, abs=1e-12)
+    assert float(np.trace(projected.matrix).real) == pytest.approx(1.0, abs=1e-12)
+    # the block above the cutoff is wiped, coherences included
+    assert projected.matrix[0, 2] == 0.0
+    assert projected.matrix[2, 2] == 0.0
+    assert projected.matrix[0, 1] == pytest.approx(0.1 / 0.8, abs=1e-12)
+
+
+def test_gentle_measurement_dense_states():
+    rng = np.random.default_rng(3)
+    basis = tuple((k,) for k in range(12))
+    for _ in range(25):
+        g = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        op = DenseOperator(basis, rho)
+        cutoff = int(rng.integers(0, 12))
+        assert check_gentle_measurement(op, cutoff) >= -1e-9
+
+
+def test_projector_closeness_dense():
+    basis = ((0,), (1,), (2,))
+    rho = np.diag([0.9, 0.08, 0.02]).astype(complex)
+    op = DenseOperator(basis, rho)
+    slack = check_projector_closeness(op, 1, 0.1)
+    assert slack >= -1e-9
 
 
 def test_dense_operator_refuses_a_stack_where_one_matrix_is_bad():

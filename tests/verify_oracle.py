@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from optsmp import fock, truncation
+from optsmp import fock, truncation, verify
 from optsmp.combinatorics import entropy_bound
 from optsmp.fock import FockDiagonalState, PureState, total_photons
 from optsmp.verify import _DENSE_CUTOFF, SuiteResult, _Collector, _dense_basis
@@ -100,7 +100,7 @@ def suite_markov(seed: int, size: int, required: float) -> SuiteResult:
         elif kind == 1:
             state = random_diagonal(rng, modes, 6, 12)
         else:
-            state = fock.DenseOperator(_dense_basis(modes), random_dense(rng, modes))
+            state = verify.DenseOperator(_dense_basis(modes), random_dense(rng, modes))
         mean = fock.mean_photon_number(state)
         dist = fock.photon_number_distribution(state)
         for a in thresholds:
