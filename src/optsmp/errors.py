@@ -36,7 +36,8 @@ class PhotonCapError(OptSmpError):
 
 
 class InputCapError(OptSmpError):
-    """Inputs have more bits than the 64-bit integers that hold them."""
+    """Inputs have more bits than the 64-bit integers that hold them, or
+    their codeword rows more entries than are built at once."""
 
 
 class BasisMismatchError(OptSmpError):

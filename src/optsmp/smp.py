@@ -70,6 +70,18 @@ TABLE_N_CAP = 12
 #: Sampled evaluation draws inputs as 64-bit integers, so it takes inputs of
 #: at most this many bits.
 INPUT_BITS_CAP = 63
+#: Most codeword entries built at once, counted as rows x (n + m): each row's
+#: input bits and its codeword. Checked before any row is built: the 2^n rows
+#: at construction for n <= TABLE_N_CAP, and two rows per drawn pair before
+#: sampled evaluation draws; past it the run is refused as an internal limit.
+#: Measured at the cap in a fresh process (Python 3.11.7, numpy 2.4.6, a
+#: shared 2-vCPU VM): building qfp n=12 with repeats 2033 (99,975,168
+#: entries) peaks at 795 MB of RSS in 1.3-1.9 s; `simulate --out` of
+#: classical-trivial n=20 with 1,250,000 samples peaks at 404 MB in 4.0 s,
+#: and of qfp n=40 with repeats 3 and 312,500 samples (all rows distinct) at
+#: 822 MB in 5.0 s. The per-pair arrays of a sampled run, about 140 bytes a
+#: pair, are not counted: at n=1, 2,500,000 samples peak at 371 MB.
+CODEWORD_ENTRY_CAP = 10**8
 #: Most photons one mode pair may hold in an exact interference computation:
 #: past it the scaled dark-port sums leave floating-point range.
 PAIR_PHOTON_CAP = 512
@@ -481,6 +493,7 @@ class SmpProtocol:
         if not hasattr(self.referee, "pair_probability"):
             raise ConfigError("referee must provide pair_probability")
         if self.n <= TABLE_N_CAP:
+            self._check_table_size(1 << self.n)
             object.__setattr__(self, "_table", self.rows(np.arange(1 << self.n)))
 
     def renamed(self, name: str) -> "SmpProtocol":
@@ -520,15 +533,18 @@ class SmpProtocol:
             return int(tops.max()) * self.rows(np.zeros(1, dtype=np.int64)).shape[1]
         return int(tops[self._table].sum(axis=1).max())
 
-    def _row_sums(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's mode count and mean photon number, from those of its
-        letters. Every letter must have the first letter's mode count:
-        letters of different sizes share no occupation, so a position
-        holding both would compare nothing. The means are added left to
-        right in position order (the last of a running sum, which numpy
-        takes in order, unlike a reduction), as ``mean_photon_number`` adds
-        a product's factor means; mode counts are exact in floats."""
-        sizes = []
+    def _row_sums(self, rows: np.ndarray) -> tuple[int, np.ndarray]:
+        """The mode count of every row and each row's mean photon number,
+        from those of its letters. Every letter must have the first letter's
+        mode count: letters of different sizes share no occupation, so a
+        position holding both would compare nothing. A row's mode count is
+        therefore its positions times that count. The means are one running
+        sum, column by column in position order, as ``mean_photon_number``
+        adds a product's factor means (and as ``np.add.accumulate`` adds
+        along a row, unlike a reduction). The columns are gathered in blocks
+        of at most ``BLOCK_ROWS`` entries, or one column: a block's first
+        column takes the sums so far, so every add stays in order."""
+        means = []
         for i, letter in enumerate(self.letters):
             if len(letter.factors) != 1:
                 raise ConfigError(f"letter {i} has {len(letter.factors)} factors, not one")
@@ -536,9 +552,15 @@ class SmpProtocol:
                 raise ConfigError(
                     f"letter {i} has {letter.modes} modes, letter 0 has {self.letters[0].modes}"
                 )
-            sizes.append((letter.modes, mean_photon_number(letter)))
-        sums = np.add.accumulate(np.array(sizes)[rows], axis=1)[:, -1]
-        return sums[:, 0], sums[:, 1]
+            means.append(mean_photon_number(letter))
+        means = np.array(means)
+        sums = means[rows[:, 0]]
+        step = max(1, BLOCK_ROWS // len(rows))
+        for start in range(1, rows.shape[1], step):
+            block = means[rows[:, start : start + step]]
+            block[:, 0] += sums
+            sums = np.add.accumulate(block, axis=1)[:, -1]
+        return rows.shape[1] * self.letters[0].modes, sums
 
     def _check(self, xs: np.ndarray, rows: np.ndarray) -> None:
         """Refuse the first input whose row has the wrong shape, a wrong mode
@@ -555,16 +577,26 @@ class SmpProtocol:
         if unsigned.max() >= len(self.letters):
             raise ConfigError(f"codeword entries must index the {len(self.letters)} letters")
         modes, means = self._row_sums(rows)
-        bad = (modes != self.m) | (means > self.mu + 1e-9)
+        if modes != self.m:
+            raise ConfigError(f"encoder output for x={int(xs[0])} has {modes} modes, expected {self.m}")
+        bad = means > self.mu + 1e-9
         i = int(bad.argmax())
-        if not bad[i]:
-            return
-        x = int(xs[i])
-        if modes[i] != self.m:
-            raise ConfigError(f"encoder output for x={x} has {int(modes[i])} modes, expected {self.m}")
-        raise ConfigError(
-            f"encoder output for x={x} has mean photon number {float(means[i])} above mu={self.mu}"
-        )
+        if bad[i]:
+            raise ConfigError(
+                f"encoder output for x={int(xs[i])} has mean photon number {float(means[i])} "
+                f"above mu={self.mu}"
+            )
+
+    def _check_table_size(self, rows: int) -> None:
+        """Refuse, before building any, ``rows`` codeword rows whose entries
+        (``n + m`` per row: the input bits and the codeword) pass
+        ``CODEWORD_ENTRY_CAP``."""
+        entries = rows * (self.n + self.m)
+        if entries > CODEWORD_ENTRY_CAP:
+            raise InputCapError(
+                f"{rows} codeword rows of n + m = {self.n + self.m} entries hold {entries} "
+                f"entries, above the cap of {CODEWORD_ENTRY_CAP} built at once"
+            )
 
 
 def _column_runs(rows: np.ndarray) -> list[tuple[int, int]]:
@@ -634,6 +666,8 @@ def evaluate_error(
             f"sampled evaluation holds inputs as 64-bit integers: n is {protocol.n}, "
             f"above the {INPUT_BITS_CAP}-bit input limit"
         )
+    # Each drawn pair reads two codeword rows.
+    protocol._check_table_size(2 * samples)
     seed = int(seed)
     rng = np.random.default_rng([seed, protocol.n])
     xs = rng.integers(0, size, size=samples)

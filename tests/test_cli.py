@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optsmp import bounds, cli, combinatorics
+from optsmp import bounds, cli, combinatorics, smp
 from optsmp.cli import main
 from optsmp.verify import MAX_SIZES
 
@@ -517,6 +517,31 @@ def test_simulate_truncate_past_the_support_cap_is_an_internal_limit(tmp_path, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: internal limit: projected support 646490 ")
+
+
+@pytest.mark.parametrize(
+    "spec, samples",
+    [
+        ({"type": "qfp", "n": 1, "mu": 2, "code": {"kind": "repetition", "repeats": 10**9}}, None),
+        ({"type": "qfp", "n": 12, "mu": 2, "code": {"kind": "repetition", "repeats": 20000}}, None),
+        ({"type": "classical-trivial", "n": 20}, 10**9),
+    ],
+    ids=["qfp-n1-wide", "qfp-n12-wide", "classical-n20-many-samples"],
+)
+def test_simulate_past_the_codeword_entry_cap_is_an_internal_limit(tmp_path, capsys, spec, samples):
+    # Each of these needs gigabytes of codeword entries; the cap refuses
+    # them before any row is built or any pair drawn.
+    config = _write_config(tmp_path, "w.json", spec)
+    argv = ["simulate", "--config", config]
+    if samples is not None:
+        argv += ["--samples", str(samples), "--seed", "1"]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal limit: ")
+    assert f"above the cap of {smp.CODEWORD_ENTRY_CAP} built at once" in captured.err
 
 
 @pytest.mark.parametrize("mu", [5000, 1e6, 1e300])

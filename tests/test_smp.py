@@ -9,7 +9,7 @@ import pytest
 
 from optsmp import report as report_module
 from optsmp import smp, truncation, verify
-from optsmp.errors import ConfigError, ModeMismatchError, PhotonCapError
+from optsmp.errors import ConfigError, InputCapError, ModeMismatchError, PhotonCapError
 from optsmp.fock import (
     FockDiagonalState,
     ProductPureState,
@@ -680,7 +680,7 @@ def test_message_check_computes_each_factor_mean_once(monkeypatch):
     modes, means = protocol._row_sums(protocol.rows(inputs))
     for x in inputs.tolist():
         msg = protocol.message(x)
-        assert means[x] == mean(msg) and modes[x] == msg.modes == 12
+        assert means[x] == mean(msg) and modes == msg.modes == 12
 
 
 def test_row_means_add_left_to_right():
@@ -702,6 +702,85 @@ def test_row_means_add_left_to_right():
             expected[x] += letter_means[s]
     assert means.tolist() == expected
     assert expected != np.sum(np.array(letter_means)[table], axis=1).tolist()
+
+
+@pytest.mark.parametrize(
+    "dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+)
+def test_row_means_are_the_last_of_a_running_sum(dtype):
+    rng = np.random.default_rng(12)
+    letters = tuple(
+        PureState(1, {(0,): math.sqrt(1.0 - w), (1,): math.sqrt(w)}) for w in rng.random(40) ** 3
+    )
+    table = rng.integers(0, 40, size=(64, 37)).astype(dtype)
+    protocol = SmpProtocol(
+        "sums", 6, 37, 37.0, letters, lambda xs: table[xs], InterferenceVacuumReferee()
+    )
+    modes, means = protocol._row_sums(table)
+    letter_means = np.array([mean_photon_number(letter) for letter in letters])
+    expected = np.add.accumulate(letter_means[table], axis=1)[:, -1]
+    assert modes == 37 and means.dtype == expected.dtype
+    assert means.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(100_000, 40), (2, 200_000)])
+def test_row_sums_gather_a_bounded_block_of_columns(shape):
+    # A gather of every (row, position, field) would hold 64 MB (6.4 MB for
+    # the short wide table); one column of 100,000 rows holds 800 kB.
+    letters = (PureState.basis_state((0,)), PureState.basis_state((1,)))
+    protocol = SmpProtocol("wide", 1, 1, 1.0, letters, letter_per_input, DiagonalMapReferee())
+    rows = np.random.default_rng(3).integers(0, 2, size=shape, dtype=np.int8)
+    tracemalloc.start()
+    try:
+        protocol._row_sums(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * max(shape[0], smp.BLOCK_ROWS)
+
+
+def _wide_codewords(calls):
+    def codewords(xs):
+        calls.append(len(xs))
+        return np.zeros((len(xs), 3), dtype=np.int64)
+
+    return codewords
+
+
+def test_codeword_table_at_the_entry_cap_is_built(monkeypatch):
+    # n = 2 and m = 3: 4 rows of 5 entries at construction.
+    letters = (PureState.basis_state((0,)), PureState.basis_state((1,)))
+    for cap, built in ((20, True), (19, False)):
+        monkeypatch.setattr(smp, "CODEWORD_ENTRY_CAP", cap)
+        calls = []
+        make = lambda: SmpProtocol(
+            "cap", 2, 3, 3.0, letters, _wide_codewords(calls), DiagonalMapReferee()
+        )
+        if built:
+            assert make()._table.shape == (4, 3)
+        else:
+            with pytest.raises(InputCapError, match="4 codeword rows of n \\+ m = 5 entries hold 20 entries, above the cap of 19"):
+                make()
+        assert calls == ([4] if built else [])
+
+
+def test_sampled_draws_at_the_entry_cap_run(monkeypatch):
+    # n = 13 has no table; each drawn pair reads two rows of 13 + 13 entries.
+    protocol = trivial_classical_protocol(13)
+    draws = []
+    rng = np.random.default_rng
+
+    def counted_rng(seed):
+        draws.append(seed)
+        return rng(seed)
+
+    monkeypatch.setattr(smp.np.random, "default_rng", counted_rng)
+    monkeypatch.setattr(smp, "CODEWORD_ENTRY_CAP", 2 * 3 * 26)
+    assert len(evaluate_error(protocol, samples=3, seed=1).pair_errors) == 3
+    assert len(draws) == 1
+    with pytest.raises(InputCapError, match="8 codeword rows of n \\+ m = 26 entries hold 208 entries"):
+        evaluate_error(protocol, samples=4, seed=1)
+    assert len(draws) == 1
 
 
 @pytest.mark.parametrize("n", range(1, 9))
