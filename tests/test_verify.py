@@ -1,7 +1,9 @@
 """Property-suite ensembles: each dense basis and each photon-number
 distribution is built once, the suites read the same numbers the
 per-element definitions give, and the stacked suites return what their
-per-case oracle (``verify_oracle.py``) returns, bit for bit."""
+per-case oracle (``verify_oracle.py``) returns, bit for bit. Also the dense
+operators that this module owns: their projection, and the stacked checks
+against the one-state checks of ``optsmp.truncation``."""
 
 import math
 
