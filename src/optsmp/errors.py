@@ -36,8 +36,9 @@ class PhotonCapError(OptSmpError):
 
 
 class InputCapError(OptSmpError):
-    """Inputs have more bits than the 64-bit integers that hold them, or
-    their codeword rows more entries than are built at once."""
+    """Inputs have more bits than the 64-bit integers that hold them, their
+    codeword rows more entries than are built at once, or a sampled run
+    more pairs than are drawn at once."""
 
 
 class BasisMismatchError(OptSmpError):

@@ -72,16 +72,21 @@ TABLE_N_CAP = 12
 INPUT_BITS_CAP = 63
 #: Most codeword entries built at once, counted as rows x (n + m): each row's
 #: input bits and its codeword. Checked before any row is built: the 2^n rows
-#: at construction for n <= TABLE_N_CAP, and two rows per drawn pair before
-#: sampled evaluation draws; past it the run is refused as an internal limit.
+#: at construction for n <= TABLE_N_CAP, and above it, before sampled
+#: evaluation draws, the rows its distinct inputs can need (two per drawn
+#: pair, at most 2^n); past it the run is refused as an internal limit.
 #: Measured at the cap in a fresh process (Python 3.11.7, numpy 2.4.6, a
 #: shared 2-vCPU VM): building qfp n=12 with repeats 2033 (99,975,168
-#: entries) peaks at 795 MB of RSS in 1.3-1.9 s; `simulate --out` of
-#: classical-trivial n=20 with 1,250,000 samples peaks at 404 MB in 4.0 s,
-#: and of qfp n=40 with repeats 3 and 312,500 samples (all rows distinct) at
-#: 822 MB in 5.0 s. The per-pair arrays of a sampled run, about 140 bytes a
-#: pair, are not counted: at n=1, 2,500,000 samples peak at 371 MB.
+#: entries) peaks at 795 MB of RSS in 1.3-1.9 s; `simulate --out` of qfp
+#: n=40 with repeats 3 and 312,500 samples (625,000 distinct rows) at 822 MB
+#: in 5.0 s.
 CODEWORD_ENTRY_CAP = 10**8
+#: Most pairs one sampled evaluation draws, checked before drawing: its
+#: per-pair arrays (drawn inputs, sort order, unique index, errors) take
+#: about 135 bytes a pair. Measured at the cap as above: `simulate --out` of
+#: classical-trivial with 5,000,000 samples peaks at 695 MB in 3.4 s at
+#: n=1 and at 704 MB in 13.5 s at n=20.
+SAMPLES_CAP = 5 * 10**6
 #: Most photons one mode pair may hold in an exact interference computation:
 #: past it the scaled dark-port sums leave floating-point range.
 PAIR_PHOTON_CAP = 512
@@ -666,8 +671,14 @@ def evaluate_error(
             f"sampled evaluation holds inputs as 64-bit integers: n is {protocol.n}, "
             f"above the {INPUT_BITS_CAP}-bit input limit"
         )
-    # Each drawn pair reads two codeword rows.
-    protocol._check_table_size(2 * samples)
+    if samples > SAMPLES_CAP:
+        raise InputCapError(
+            f"sampled evaluation of {samples} pairs is above the cap of {SAMPLES_CAP} pairs"
+        )
+    # Up to TABLE_N_CAP the rows are a gather of the checked table; above it
+    # each distinct drawn input builds its row.
+    if protocol.n > TABLE_N_CAP:
+        protocol._check_table_size(min(2 * samples, size))
     seed = int(seed)
     rng = np.random.default_rng([seed, protocol.n])
     xs = rng.integers(0, size, size=samples)

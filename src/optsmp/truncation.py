@@ -26,6 +26,10 @@ from .combinatorics import markov_photon_cutoff
 from .errors import ConfigError, PremiseViolationError
 from .fock import State
 
+#: Float slack on the closeness premise: a retained weight below
+#: ``1 - delta - PREMISE_TOL`` fails it.
+PREMISE_TOL = 1e-12
+
 
 def project_below_cutoff(state: State, cutoff: int) -> tuple[State, float]:
     """Project onto total photons <= cutoff and renormalize.
@@ -63,7 +67,7 @@ def check_projector_closeness(state: State, cutoff: int, delta: float) -> float:
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"delta must be in (0, 1), got {delta}")
     projected, weight = project_below_cutoff(state, cutoff)
-    if weight < 1.0 - delta - 1e-12:
+    if weight < 1.0 - delta - PREMISE_TOL:
         raise PremiseViolationError(
             f"retained weight at cutoff {cutoff} is below 1 - delta = {1.0 - delta}"
         )

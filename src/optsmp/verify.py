@@ -319,7 +319,7 @@ def _closeness_gaps(
     and whether its premise ``retained weight >= 1 - delta`` holds."""
     projected, weight = state.projected(cutoffs)
     gaps = np.sqrt(deltas) - fock.trace_distance(state, projected)
-    return gaps, ~(weight < 1.0 - deltas - 1e-12)
+    return gaps, ~(weight < 1.0 - deltas - truncation.PREMISE_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -520,17 +520,20 @@ def test_simulate_truncate_past_the_support_cap_is_an_internal_limit(tmp_path, c
 
 
 @pytest.mark.parametrize(
-    "spec, samples",
+    "spec, samples, cap",
     [
-        ({"type": "qfp", "n": 1, "mu": 2, "code": {"kind": "repetition", "repeats": 10**9}}, None),
-        ({"type": "qfp", "n": 12, "mu": 2, "code": {"kind": "repetition", "repeats": 20000}}, None),
-        ({"type": "classical-trivial", "n": 20}, 10**9),
+        ({"type": "qfp", "n": 1, "mu": 2, "code": {"kind": "repetition", "repeats": 10**9}}, None,
+         f"above the cap of {smp.CODEWORD_ENTRY_CAP} built at once"),
+        ({"type": "qfp", "n": 12, "mu": 2, "code": {"kind": "repetition", "repeats": 20000}}, None,
+         f"above the cap of {smp.CODEWORD_ENTRY_CAP} built at once"),
+        ({"type": "classical-trivial", "n": 20}, 10**9,
+         f"sampled evaluation of {10**9} pairs is above the cap of {smp.SAMPLES_CAP} pairs"),
     ],
     ids=["qfp-n1-wide", "qfp-n12-wide", "classical-n20-many-samples"],
 )
-def test_simulate_past_the_codeword_entry_cap_is_an_internal_limit(tmp_path, capsys, spec, samples):
-    # Each of these needs gigabytes of codeword entries; the cap refuses
-    # them before any row is built or any pair drawn.
+def test_simulate_past_the_codeword_entry_cap_is_an_internal_limit(tmp_path, capsys, spec, samples, cap):
+    # Each of these needs gigabytes of codeword entries or per-pair arrays;
+    # the caps refuse them before any row is built or any pair drawn.
     config = _write_config(tmp_path, "w.json", spec)
     argv = ["simulate", "--config", config]
     if samples is not None:
@@ -541,7 +544,7 @@ def test_simulate_past_the_codeword_entry_cap_is_an_internal_limit(tmp_path, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: internal limit: ")
-    assert f"above the cap of {smp.CODEWORD_ENTRY_CAP} built at once" in captured.err
+    assert cap in captured.err
 
 
 @pytest.mark.parametrize("mu", [5000, 1e6, 1e300])

@@ -783,6 +783,33 @@ def test_sampled_draws_at_the_entry_cap_run(monkeypatch):
     assert len(draws) == 1
 
 
+def test_sampled_rows_above_the_table_cap_count_at_most_every_input(monkeypatch):
+    # n = 13 has 8192 inputs: 5000 pairs can read no more distinct rows.
+    protocol = trivial_classical_protocol(13)
+    monkeypatch.setattr(smp, "CODEWORD_ENTRY_CAP", 8192 * 26)
+    assert len(evaluate_error(protocol, samples=5000, seed=1).pair_errors) == 5000
+    monkeypatch.setattr(smp, "CODEWORD_ENTRY_CAP", 8192 * 26 - 1)
+    with pytest.raises(InputCapError, match="^8192 codeword rows of n \\+ m = 26 entries "):
+        evaluate_error(protocol, samples=5000, seed=1)
+
+
+def test_sampled_rows_of_a_built_table_are_not_counted_again():
+    # 256 rows of 8 + 8000 entries are built and checked at construction;
+    # 10,000 sampled pairs gather from them, whatever 2 * 10,000 * 8008 is.
+    protocol = coherent_fingerprint_protocol(8, RepetitionCode(8, 1000), 2.0)
+    assert 2 * 10_000 * (8 + 8000) > smp.CODEWORD_ENTRY_CAP
+    report = evaluate_error(protocol, samples=10_000, seed=1)
+    assert len(report.pair_errors) == 10_000
+
+
+def test_sampled_pairs_at_the_samples_cap_are_drawn(monkeypatch):
+    protocol = trivial_classical_protocol(2)
+    monkeypatch.setattr(smp, "SAMPLES_CAP", 7)
+    assert len(evaluate_error(protocol, samples=7, seed=1).pair_errors) == 7
+    with pytest.raises(InputCapError, match="^sampled evaluation of 8 pairs is above the cap of 7 "):
+        evaluate_error(protocol, samples=8, seed=1)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_fingerprint_matches_closed_form_at_every_n(n):
     repeats, mu = 2, 2.0
