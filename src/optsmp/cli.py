@@ -210,7 +210,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     lines.append(
         f"# worst_error={report.worst_error!r} worst_pair={report.worst_pair[0]},{report.worst_pair[1]}"
     )
-    truncated_errors = None
+    t_report = None
     if args.truncate is None:
         lines.append("x,y,f,p_error")
     else:
@@ -225,8 +225,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"worst_error_after={t_report.worst_error!r} error_budget={budget!r}"
         )
         lines.append("x,y,f,p_error,p_error_truncated")
-        truncated_errors = t_report.p_error
-    _emit(itertools.chain(["\n".join(lines) + "\n"], csv_rows(report, truncated_errors)), args.out)
+    _emit(itertools.chain(["\n".join(lines) + "\n"], csv_rows(report, t_report)), args.out)
     return 0
 
 

@@ -392,16 +392,17 @@ def poisson_tail(mean: float, cutoff: int) -> float:
     return total
 
 
-def cutoff_for_tail(mean: float, tail_bound: float) -> int:
-    """Smallest cutoff whose Poisson tail falls below ``tail_bound``."""
+def cutoff_for_tail(mean: float, tail_bound: float) -> tuple[int, float]:
+    """Smallest cutoff whose Poisson tail falls below ``tail_bound``, and
+    that tail, ``poisson_tail(mean, cutoff)``."""
     if not 0.0 < tail_bound < 1.0:
         raise ValueError(f"tail_bound must be in (0, 1), got {tail_bound}")
     cutoff = 0
-    while poisson_tail(mean, cutoff) >= tail_bound:
+    while (tail := poisson_tail(mean, cutoff)) >= tail_bound:
         cutoff += 1
         if cutoff > 10**6:
             raise ValueError("cutoff search did not converge")
-    return cutoff
+    return cutoff, tail
 
 
 def coherent_state(alpha: complex, cutoff: int) -> PureState:

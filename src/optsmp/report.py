@@ -2,15 +2,15 @@
 
 An :class:`ErrorReport` holds one error per evaluated input pair in
 ascending (x, y) order. An exhaustive report keeps the 4^n pairs implicit
-in the pair index, so it holds 8 bytes per pair; a sampled one holds its
-drawn pairs. :func:`csv_rows` writes the rows that ``simulate`` prints,
-formatting each distinct error tuple of a block once.
+in the pair index, so it holds 8 bytes per pair, or only 2^n errors when
+they depend on x XOR y alone; a sampled one holds its drawn pairs.
+:func:`csv_rows` writes the rows that ``simulate`` prints, formatting each
+distinct error tuple of a block once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -38,19 +38,18 @@ class PairErrors:
         self._report = report
 
     def __len__(self) -> int:
-        return self._report.p_error.size
+        return self._report.pairs
 
     def __iter__(self) -> Iterator[tuple[int, int, int, float]]:
         r = self._report
         for start, stop in _blocks(len(self), BLOCK_ROWS):
-            columns = (*r.columns(start, stop), r.p_error[start:stop])
+            columns = (*r.columns(start, stop), r.errors(start, stop))
             yield from zip(*(column.tolist() for column in columns))
 
     def __eq__(self, other) -> bool:
         return list(self) == list(other)
 
 
-@dataclass(frozen=True, eq=False)
 class ErrorReport:
     """Error probabilities of a protocol run.
 
@@ -58,24 +57,49 @@ class ErrorReport:
     order. An exhaustive report (``seed`` is ``None``) evaluates all 4^n
     pairs and keeps their grid implicit: pair i is x = i >> n,
     y = i & (2^n - 1), and f (1 when x == y, else 0) is 1 exactly at
-    i = x * (2^n + 1). A sampled report holds its pairs in ``drawn``: the
-    sorted x and y columns and each draw's position in them. The columns
-    :attr:`x`, :attr:`y` and :attr:`f` are derived on each read, and are the
-    rows of :attr:`pair_errors` and of the CSV serialization.
-    ``mean_error`` and its standard error ``stderr_mean`` are summed over
-    the pairs in the order they were drawn, on first read.
+    i = x * (2^n + 1). An exhaustive report may hold ``xor_errors`` instead
+    of ``p_error``: the error of every pair as a function of z = x XOR y,
+    which is the errors of the pairs (0, z). Row 0 of the grid then holds
+    every error of the grid, first, so the worst error, the worst pair and
+    the CSV read ``xor_errors``, and ``p_error`` is built only when read. A
+    sampled report holds its pairs in ``drawn``: the sorted x and y columns
+    and each draw's position in them. The columns :attr:`x`, :attr:`y` and
+    :attr:`f` are derived on each read, and are the rows of
+    :attr:`pair_errors` and of the CSV serialization. ``mean_error`` and
+    its standard error ``stderr_mean`` are summed over the pairs in the
+    order they were drawn, on first read.
     """
 
-    protocol_name: str
-    n: int
-    p_error: np.ndarray
-    seed: int | None = None
-    drawn: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    def __init__(
+        self,
+        protocol_name: str,
+        n: int,
+        p_error: np.ndarray | None = None,
+        seed: int | None = None,
+        drawn: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+        *,
+        xor_errors: np.ndarray | None = None,
+    ) -> None:
+        if (p_error is None) == (xor_errors is None):
+            raise ValueError("an error report holds either p_error or xor_errors")
+        self.protocol_name, self.n, self.seed, self.drawn = protocol_name, n, seed, drawn
+        self.xor_errors = xor_errors
+        if p_error is not None:
+            self.p_error = p_error
+
+    @cached_property
+    def p_error(self) -> np.ndarray:
+        return self.errors()
+
+    @property
+    def pairs(self) -> int:
+        """The number of evaluated pairs."""
+        return 4**self.n if self.drawn is None else len(self.drawn[0])
 
     def columns(self, start: int = 0, stop: int | None = None) -> tuple[np.ndarray, ...]:
         """The x, y and f columns of pairs ``start`` to ``stop - 1``."""
         if stop is None:
-            stop = self.p_error.size
+            stop = self.pairs
         if self.drawn is None:
             # 4^12 pairs fit 32-bit indices.
             index = np.arange(start, stop, dtype=np.int32)
@@ -83,6 +107,13 @@ class ErrorReport:
         else:
             x, y = self.drawn[0][start:stop], self.drawn[1][start:stop]
         return x, y, (x == y).view(np.uint8)
+
+    def errors(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The errors of pairs ``start`` to ``stop - 1``."""
+        if self.xor_errors is None:
+            return self.p_error[start:stop]
+        x, y, _ = self.columns(start, stop)
+        return self.xor_errors[x ^ y]
 
     x = property(lambda self: self.columns()[0])
     y = property(lambda self: self.columns()[1])
@@ -94,15 +125,23 @@ class ErrorReport:
 
     @cached_property
     def worst_error(self) -> float:
-        return float(self.p_error.max())
+        return float(self._leading_errors.max())
 
-    @property
+    @cached_property
     def worst_pair(self) -> tuple[int, int]:
         """The smallest ``(x, y)`` whose error lies within ``WORST_TIE`` of
         the worst error."""
-        first = int(np.argmax(self.p_error >= self.worst_error - WORST_TIE))
-        x, y, _ = self.columns(first, first + 1)
-        return (int(x[0]), int(y[0]))
+        first = int(np.argmax(self._leading_errors >= self.worst_error - WORST_TIE))
+        if self.drawn is None:
+            return divmod(first, 1 << self.n)
+        return (int(self.drawn[0][first]), int(self.drawn[1][first]))
+
+    @property
+    def _leading_errors(self) -> np.ndarray:
+        """Every error value, each first met at the report's first pair
+        with it: ``xor_errors`` (the pairs (0, z), row 0 of the grid) when
+        held, else ``p_error``."""
+        return self.p_error if self.xor_errors is None else self.xor_errors
 
     @cached_property
     def _statistics(self) -> tuple[float, float]:
@@ -120,31 +159,40 @@ def _blocks(size: int, step: int) -> Iterator[tuple[int, int]]:
         yield start, min(start + step, size)
 
 
-def csv_rows(report: ErrorReport, truncated: np.ndarray | None = None) -> Iterator[str]:
+def csv_rows(report: ErrorReport, truncated: ErrorReport | None = None) -> Iterator[str]:
     """CSV lines ``x,y,f,p_error`` of a report, with ``,p_error_truncated``
-    appended when ``truncated`` holds the errors of the same pairs, in
-    blocks of whole lines, each ending in a newline. Each value prints as
-    ``repr`` of its Python int or float.
+    appended when ``truncated`` is a report of the same pairs, in blocks of
+    whole lines, each ending in a newline. Each value prints as ``repr`` of
+    its Python int or float.
 
     Each distinct error tuple of a block is formatted once, as one tail
-    word. An exhaustive report is formatted one x row at a time from the
-    words ``"y,0,"``, built once (the row's own y reads ``"x,1,"``), each
-    followed by its tail word and joined by ``"\\n" + "x,"``. A sampled
-    report's x, y and f columns are formatted per distinct value."""
-    errors = [report.p_error] if truncated is None else [report.p_error, truncated]
+    word; when both reports hold ``xor_errors``, each distinct tuple of the
+    2^n values of z is formatted once for the whole report, and pair
+    (x, y) reads the word of z = x ^ y. An exhaustive report is formatted
+    one x row at a time from the words ``"y,0,"``, built once (the row's
+    own y reads ``"x,1,"``), each followed by its tail word and joined by
+    ``"\\n" + "x,"``. A sampled report's x, y and f columns are formatted
+    per distinct value."""
+    reports = [report] if truncated is None else [report, truncated]
     if report.drawn is not None:
-        for start, stop in _blocks(report.p_error.size, BLOCK_ROWS):
+        for start, stop in _blocks(report.pairs, BLOCK_ROWS):
             words = [_words(column) for column in report.columns(start, stop)]
-            words.append(_tails([column[start:stop] for column in errors]))
+            words.append(_tails([r.errors(start, stop) for r in reports]))
             yield "\n".join(map(",".join, zip(*words))) + "\n"
         return
     size = 1 << report.n
+    z, z_words = np.arange(size), None
+    if all(r.xor_errors is not None for r in reports):
+        z_words = np.array(_tails([r.xor_errors for r in reports]), dtype=object)
     ys = [f"{y},0," for y in range(size)]
     # One line per y: the separator before it, its y word and its tail word.
     parts = [""] * (3 * size)
     parts[1::3] = ys
     for x_start, x_stop in _blocks(size, max(1, BLOCK_ROWS >> report.n)):
-        tails = _tails([column[x_start * size : x_stop * size] for column in errors])
+        if z_words is None:
+            tails = _tails([r.errors(x_start * size, x_stop * size) for r in reports])
+        else:
+            tails = z_words[(np.arange(x_start, x_stop)[:, None] ^ z).reshape(-1)].tolist()
         lines = []
         for x in range(x_start, x_stop):
             parts[0::3] = [f"\n{x},"] * size

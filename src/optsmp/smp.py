@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import copy
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -321,10 +322,10 @@ def _tabulated(
     more, else the sorted letter pairs that occur.
 
     Without ``ix`` and ``iy`` the pairs are the full grid of ``symbols``
-    against itself, and the result is its rows by letter: row a holds
-    ``kernel(letters[a], letters[symbols[j]])`` for every j, so the rows of
-    any x are one row gather. Every pair of the letters present occurs, and
-    the kernel runs on them in the same ascending order."""
+    against itself, and the result is the k x k letter table: entry (a, b)
+    is ``kernel(letters[a], letters[b])`` for the letters a and b present in
+    ``symbols`` and 0 elsewhere. The kernel runs on them in ascending
+    order."""
     k = len(letters)
     if ix is None:
         present = np.bincount(symbols, minlength=k).nonzero()[0].tolist()
@@ -332,7 +333,7 @@ def _tabulated(
         for a in present:
             for b in present:
                 table[a, b] = kernel(letters[a], letters[b])
-        return table[:, symbols]
+        return table
     pair = (symbols * k)[ix]
     pair += symbols[iy]
     if k * k <= pair.size:
@@ -584,7 +585,13 @@ class SmpProtocol:
         modes, means = self._row_sums(rows)
         if modes != self.m:
             raise ConfigError(f"encoder output for x={int(xs[0])} has {modes} modes, expected {self.m}")
-        bad = means > self.mu + 1e-9
+        # Each add of the running sum over the p positions rounds by up to
+        # eps/2 of the sum so far, so a row whose exact mean is at most mu
+        # sums to at most about (1 + (p - 1) * eps/2) * mu. Allow twice that
+        # drift, above an absolute 1e-9 for the rounding of each letter's
+        # own mean.
+        drift = (rows.shape[1] - 1) * sys.float_info.epsilon * self.mu
+        bad = means > self.mu + 1e-9 + drift
         i = int(bad.argmax())
         if bad[i]:
             raise ConfigError(
@@ -613,6 +620,55 @@ def _column_runs(rows: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
+@cache
+def _xor_halves(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """x & (x - 1) and x & -x for x = 0 .. size - 1: the XOR of the two is
+    x, and both are 0 at x = 0."""
+    x = np.arange(size)
+    return x & (x - 1), x & -x
+
+
+def _xor_errors(table: np.ndarray, columns: np.ndarray, repeats: Sequence[int]) -> np.ndarray | None:
+    """The error of every pair as a function of z = x XOR y, or None when
+    the structure that makes it one does not hold.
+
+    Column j of ``columns`` is the first codeword column of run j, which
+    evaluation multiplies in ``repeats[j]`` times, and ``table`` is the
+    k x k letter table that every run reads (0 at letters that do not
+    occur). Evaluation reads only these columns, so the structure is
+    checked there, exactly:
+
+    * k is a power of two and the table depends only on the XOR of its
+      letters: T[a, b] has the bits of T[0, a ^ b] (compared as bit
+      patterns, so neither a signed zero nor a NaN passes on ``==`` alone);
+    * the columns are linear over GF(2): row 0 is zero and row x is the XOR
+      of the rows of x & (x - 1) and x & -x, so row(x) ^ row(y) is
+      row(x ^ y).
+
+    Then each factor of pair (x, y) has the bits of the one of pair
+    (0, x ^ y), and the position-order products are the same IEEE
+    multiplications: with g(z) the product for pair (0, z), the error is
+    g(x ^ y) off the diagonal and 1 - g(0) on it, bit for bit. The result
+    holds the errors of the pairs (0, z): 1 - g(0) at z = 0, g(z) elsewhere.
+    """
+    k, size = len(table), len(columns)
+    bits = table.view(np.int64)
+    first = bits[0].tolist()
+    # One row at a time, in as many steps as the kernel took.
+    if k & (k - 1) or any(bits[a].tolist() != [first[a ^ b] for b in range(k)] for a in range(1, k)):
+        return None
+    # Both halves of x = 0 are 0: row 0 must equal row 0 ^ row 0, zero.
+    high, low = _xor_halves(size)
+    if (columns != columns[high] ^ columns[low]).any():
+        return None
+    errors = np.ones(size)
+    for factor, count in zip(table[0, columns.T], repeats):
+        for _ in range(count):
+            errors *= factor
+    errors[0] = 1.0 - errors[0]
+    return errors
+
+
 def evaluate_error(
     protocol: SmpProtocol,
     *,
@@ -630,13 +686,17 @@ def evaluate_error(
 
     A pair's probability is one product over positions, from ones in
     position order as the one-pair oracle takes it from 1.0. Consecutive
-    equal columns share one table of the letter-pair kernel, multiplied in
-    once per column. The exhaustive grid is filled in blocks of x rows,
-    each column run's block being one row gather of its table.
+    equal columns (a run) are multiplied in once per column from one
+    gather of the letter-pair kernel. An exhaustive run tabulates the
+    kernel once on the letters that occur in its rows. When the rows are
+    linear and the table depends only on the XOR of two letters (every
+    protocol the CLI builds, checked by :func:`_xor_errors`), it computes
+    the 2^n errors of the pairs (0, z), and pair (x, y) reads the one at
+    z = x ^ y. Otherwise the grid is filled in blocks of x rows, each run's
+    block being one row gather of the table.
     """
-    size = 1 << protocol.n
-    # Column runs share their letter pairs: each pair's kernel runs once.
-    kernel, letters = cache(protocol.referee.pair_probability), protocol.letters
+    size, letters = 1 << protocol.n, protocol.letters
+    kernel = protocol.referee.pair_probability
     if samples is None:
         if seed is not None:
             raise ConfigError("a seed needs samples")
@@ -645,17 +705,25 @@ def evaluate_error(
                 f"exhaustive evaluation requires n <= {TABLE_N_CAP}, got n={protocol.n}"
             )
         rows = protocol.rows(np.arange(size))
-        runs = [
-            (_tabulated(kernel, letters, rows[:, start]), rows[:, start], stop - start)
-            for start, stop in _column_runs(rows)
-        ]
+        runs = _column_runs(rows)
+        # The first column of each run: the rows themselves when no column
+        # repeats the one before it.
+        columns = rows if len(runs) == rows.shape[1] else rows[:, [start for start, _ in runs]]
+        repeats = [stop - start for start, stop in runs]
+        # One table of the letters that occur serves every run.
+        table = _tabulated(kernel, letters, columns.reshape(-1))
+        xor_errors = _xor_errors(table, columns, repeats)
+        if xor_errors is not None:
+            return ErrorReport(protocol.name, protocol.n, xor_errors=xor_errors)
+        # Row a of each run's gather holds T[a, row y] for every y.
+        gathers = [(table[:, column], column, count) for column, count in zip(columns.T, repeats)]
         grid = np.ones((size, size))
         step = max(1, BLOCK_ROWS >> protocol.n)  # whole x rows per block
         for x_start in range(0, size, step):
             block = grid[x_start : x_start + step]
-            for table, symbols, repeats in runs:
-                gather = table[symbols[x_start : x_start + step]]
-                for _ in range(repeats):
+            for by_letter, symbols, count in gathers:
+                gather = by_letter[symbols[x_start : x_start + step]]
+                for _ in range(count):
                     block *= gather
         p_error = grid.reshape(-1)
         equal = p_error[:: size + 1]
@@ -689,6 +757,7 @@ def evaluate_error(
     ix, iy = index[:samples], index[samples:]
     rows = protocol.rows(inputs)
     p_error = np.ones(samples)
+    kernel = cache(kernel)  # column runs share their letter pairs
     for start, stop in _column_runs(rows):
         gather = _tabulated(kernel, letters, rows[:, start], ix, iy)
         for _ in range(stop - start):
@@ -743,8 +812,7 @@ def coherent_fingerprint_protocol(n: int, code: Code, mu_total: float) -> SmpPro
             f"photons to keep its tail below {per_mode_tail!r}; a pair of such modes "
             f"would pass {PAIR_PHOTON_CAP} photons"
         )
-    cutoff = cutoff_for_tail(alpha**2, per_mode_tail) if mu_total > 0 else 0
-    actual_tail = poisson_tail(alpha**2, cutoff)
+    cutoff, actual_tail = cutoff_for_tail(alpha**2, per_mode_tail) if mu_total > 0 else (0, 0.0)
     message_tail = 1.0 - (1.0 - actual_tail) ** m
     return SmpProtocol(
         name=f"qfp-n{n}-m{m}",

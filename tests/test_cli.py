@@ -9,6 +9,7 @@ import os
 import tempfile
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -560,6 +561,33 @@ def test_simulate_past_the_interference_photon_cap_is_an_internal_limit(tmp_path
     assert captured.out == ""
     assert captured.err.startswith("error: internal limit: a Poisson mean of ")
     assert "above 256 photons" in captured.err
+
+
+#: 5000 letter means of 8.6 photons add up to 2.7e-9 above mu in floats.
+DRIFTING_SUM = {"type": "qfp", "n": 1, "mu": 43000.5, "code": {"kind": "repetition", "repeats": 5000}}
+
+
+def test_simulate_accepts_a_row_mean_above_mu_by_its_rounding_only(tmp_path):
+    # The row mean is a running sum over 5000 positions, which may round
+    # by up to about 4999 * 2^-53 of its size, 2.4e-8 here.
+    row_sums = smp.SmpProtocol._row_sums
+    protocol = smp.load_protocol(DRIFTING_SUM)
+    assert 43000.5 + 1e-9 < row_sums(protocol, protocol.rows(np.arange(1)))[1][0] < 43000.5 + 1e-8
+    config = _write_config(tmp_path, "p.json", DRIFTING_SUM)
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "out.csv")]) == 0
+
+
+def test_simulate_refuses_a_row_mean_truly_above_mu(tmp_path, capsys, monkeypatch):
+    # Amplitudes brighter by 1e-10 raise the mean by 2e-10 of its size,
+    # 8.6e-6 photons, far past the rounding of the sum.
+    coherent_state = smp.coherent_state
+    monkeypatch.setattr(smp, "coherent_state", lambda alpha, cutoff: coherent_state(alpha * (1 + 1e-10), cutoff))
+    config = _write_config(tmp_path, "p.json", DRIFTING_SUM)
+    assert main(["simulate", "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: encoder output for x=0 has mean photon number 43000.50000")
+    assert captured.err.rstrip().endswith("above mu=43000.5")
 
 
 @pytest.mark.parametrize(

@@ -287,8 +287,8 @@ def test_poisson_tail_is_one_where_its_first_term_underflows(mean, cutoff):
 def test_cutoff_for_tail_is_minimal():
     for mean in (0.2, 1.0, 3.0):
         for bound in (1e-2, 1e-6, 1e-10):
-            c = cutoff_for_tail(mean, bound)
-            assert poisson_tail(mean, c) < bound
+            c, tail = cutoff_for_tail(mean, bound)
+            assert tail == poisson_tail(mean, c) < bound
             if c > 0:
                 assert poisson_tail(mean, c - 1) >= bound
     with pytest.raises(ValueError):

@@ -62,7 +62,7 @@ def test_grid_rows_equal_rows_written_pair_by_pair(monkeypatch, n, block_rows):
     other = evaluate_error(coherent_fingerprint_protocol(n, RepetitionCode(n, 2), 0.4))
     pairs = _grid_pairs(n)
     assert "".join(report_module.csv_rows(report)) == _reference_rows(pairs, report.p_error)
-    assert "".join(report_module.csv_rows(report, other.p_error)) == _reference_rows(
+    assert "".join(report_module.csv_rows(report, other)) == _reference_rows(
         pairs, report.p_error, other.p_error
     )
     # Errors drawn at random: nearly every tuple is distinct, and equal
@@ -71,7 +71,9 @@ def test_grid_rows_equal_rows_written_pair_by_pair(monkeypatch, n, block_rows):
     noisy = report_module.ErrorReport("noise", n, rng.random(4**n).round(rng.integers(1, 4)))
     second = rng.random(4**n)
     assert "".join(report_module.csv_rows(noisy)) == _reference_rows(pairs, noisy.p_error)
-    assert "".join(report_module.csv_rows(noisy, second)) == _reference_rows(pairs, noisy.p_error, second)
+    assert "".join(report_module.csv_rows(noisy, report_module.ErrorReport("noise", n, second))) == (
+        _reference_rows(pairs, noisy.p_error, second)
+    )
 
 
 @pytest.mark.parametrize("block_rows", [report_module.BLOCK_ROWS, 8])
@@ -86,6 +88,6 @@ def test_sampled_rows_equal_rows_written_pair_by_pair(monkeypatch, n, block_rows
     ys = rng.integers(0, 1 << n, size=samples).tolist()
     pairs = sorted(zip(xs, ys))
     assert "".join(report_module.csv_rows(report)) == _reference_rows(pairs, report.p_error)
-    assert "".join(report_module.csv_rows(report, other.p_error)) == _reference_rows(
+    assert "".join(report_module.csv_rows(report, other)) == _reference_rows(
         pairs, report.p_error, other.p_error
     )

@@ -616,7 +616,7 @@ def test_fingerprint_refuses_cutoffs_past_half_the_pair_photon_cap(monkeypatch):
     search = smp.cutoff_for_tail
     monkeypatch.setattr(smp, "cutoff_for_tail", lambda *a: searched.append(a) or search(*a))
     protocol = coherent_fingerprint_protocol(1, RepetitionCode(1, 1), 100.0)
-    assert protocol.letters[0].max_total_photons() == search(100.0, 1e-10) <= 256
+    assert protocol.letters[0].max_total_photons() == search(100.0, 1e-10)[0] <= 256
     assert len(searched) == 1
     for mu in (300.0, 1666.7, 1e6):
         with pytest.raises(PhotonCapError, match="above 256 photons"):
@@ -851,6 +851,20 @@ def _vacuous_truncation():
     return truncated
 
 
+def _split_letters():
+    # Column 0 holds letters 0 and 1, column 1 letters 0 and 2: three
+    # letters, no power of two, so the grid reads one table of all three.
+    return SmpProtocol(
+        name="split",
+        n=2,
+        m=2,
+        mu=3.0,
+        letters=_basis_letters((0,), (1,), (2,)),
+        codewords=lambda xs: smp._input_bits(xs, 2) * np.array([1, 2]),
+        referee=DiagonalMapReferee(),
+    )
+
+
 ONE_PAIR_CASES = {
     "qfp-rep-n1": _qfp_case(1, RepetitionCode(1, 3), 1.1),
     "qfp-rep-n2": _qfp_case(2, RepetitionCode(2, 2), 0.9),
@@ -863,6 +877,7 @@ ONE_PAIR_CASES = {
     "classical-rep-n3": lambda: trivial_classical_protocol(3, RepetitionCode(3, 2)),
     "classical-xor-n5-m3": lambda: trivial_classical_protocol(5, XorFoldCode(5, 3)),
     "perturbed-toy": lambda: verify._perturbed_toy(0.3, 0.2)[0],
+    "split-letters": _split_letters,
 }
 
 
@@ -890,10 +905,12 @@ def test_exhaustive_rows_equal_the_one_pair_api_bit_for_bit(case):
 
 def test_repeated_factor_columns_reuse_one_gather(monkeypatch):
     # Repeats 4: each input bit fills four consecutive positions with the
-    # same factor objects, so three gathers serve twelve positions; each
+    # same factor objects, so three runs serve twelve positions; each run's
     # gather is multiplied in four times, bit for bit like the one-pair API.
-    calls = []
-    tabulated = smp._tabulated
+    # Both letters occur in every run, so one letter table serves all three,
+    # on the grid (here forced) as in the error profile of x XOR y.
+    calls, runs = [], []
+    tabulated, column_runs = smp._tabulated, smp._column_runs
 
     def counted(*args):
         calls.append(args)
@@ -901,8 +918,14 @@ def test_repeated_factor_columns_reuse_one_gather(monkeypatch):
 
     protocol = coherent_fingerprint_protocol(3, RepetitionCode(3, 4), 1.7)
     monkeypatch.setattr(smp, "_tabulated", counted)
+    monkeypatch.setattr(smp, "_column_runs", lambda rows: runs.append(column_runs(rows)) or runs[-1])
+    with monkeypatch.context() as patch:
+        patch.setattr(smp, "_xor_errors", lambda *args: None)
+        report = evaluate_error(protocol)
+    assert protocol.m == 12 and runs == [[(0, 4), (4, 8), (8, 12)]] and len(calls) == 1
+    _assert_rows_match_one_pair_api(protocol, report)
     report = evaluate_error(protocol)
-    assert protocol.m == 12 and len(calls) == 3
+    assert report.xor_errors is not None and len(calls) == 2
     _assert_rows_match_one_pair_api(protocol, report)
 
 
