@@ -78,9 +78,10 @@ INPUT_BITS_CAP = 63
 #: pair, at most 2^n); past it the run is refused as an internal limit.
 #: Measured at the cap in a fresh process (Python 3.11.7, numpy 2.4.6, a
 #: shared 2-vCPU VM): building qfp n=12 with repeats 2033 (99,975,168
-#: entries) peaks at 795 MB of RSS in 1.3-1.9 s; `simulate --out` of qfp
-#: n=40 with repeats 3 and 312,500 samples (625,000 distinct rows) at 822 MB
-#: in 5.0 s.
+#: entries) peaks at 795 MB of RSS in 1.3-1.9 s, and its exhaustive
+#: `simulate --out` at 889 MB in 4.9 s, as does the same run with a vacuous
+#: `--truncate 1e-5` (5.4 s); `simulate --out` of qfp n=40 with repeats 3 and
+#: 312,500 samples (625,000 distinct rows) at 822 MB in 5.0 s.
 CODEWORD_ENTRY_CAP = 10**8
 #: Most pairs one sampled evaluation draws, checked before drawing: its
 #: per-pair arrays (drawn inputs, sort order, unique index, errors) take
@@ -537,19 +538,16 @@ class SmpProtocol:
         tops = np.array([letter.max_total_photons() for letter in self.letters])
         if self._table is None:
             return int(tops.max()) * self.rows(np.zeros(1, dtype=np.int64)).shape[1]
-        return int(tops[self._table].sum(axis=1).max())
+        return int(_position_sums(tops, self._table).max())
 
     def _row_sums(self, rows: np.ndarray) -> tuple[int, np.ndarray]:
         """The mode count of every row and each row's mean photon number,
         from those of its letters. Every letter must have the first letter's
         mode count: letters of different sizes share no occupation, so a
         position holding both would compare nothing. A row's mode count is
-        therefore its positions times that count. The means are one running
-        sum, column by column in position order, as ``mean_photon_number``
-        adds a product's factor means (and as ``np.add.accumulate`` adds
-        along a row, unlike a reduction). The columns are gathered in blocks
-        of at most ``BLOCK_ROWS`` entries, or one column: a block's first
-        column takes the sums so far, so every add stays in order."""
+        therefore its positions times that count. The means are summed by
+        :func:`_position_sums` in position order, as ``mean_photon_number``
+        adds a product's factor means."""
         means = []
         for i, letter in enumerate(self.letters):
             if len(letter.factors) != 1:
@@ -559,14 +557,7 @@ class SmpProtocol:
                     f"letter {i} has {letter.modes} modes, letter 0 has {self.letters[0].modes}"
                 )
             means.append(mean_photon_number(letter))
-        means = np.array(means)
-        sums = means[rows[:, 0]]
-        step = max(1, BLOCK_ROWS // len(rows))
-        for start in range(1, rows.shape[1], step):
-            block = means[rows[:, start : start + step]]
-            block[:, 0] += sums
-            sums = np.add.accumulate(block, axis=1)[:, -1]
-        return rows.shape[1] * self.letters[0].modes, sums
+        return rows.shape[1] * self.letters[0].modes, _position_sums(np.array(means), rows)
 
     def _check(self, xs: np.ndarray, rows: np.ndarray) -> None:
         """Refuse the first input whose row has the wrong shape, a wrong mode
@@ -609,6 +600,22 @@ class SmpProtocol:
                 f"{rows} codeword rows of n + m = {self.n + self.m} entries hold {entries} "
                 f"entries, above the cap of {CODEWORD_ENTRY_CAP} built at once"
             )
+
+
+def _position_sums(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each row's sum of ``values`` at its letters: one running sum, column
+    by column in position order (as ``np.add.accumulate`` adds along a row,
+    unlike a reduction). The columns are gathered in blocks of at most
+    ``BLOCK_ROWS`` entries, or one column: a block's first column takes the
+    sums so far, so every add stays in order and no gather of the whole
+    table is made."""
+    sums = values[rows[:, 0]]
+    step = max(1, BLOCK_ROWS // len(rows))
+    for start in range(1, rows.shape[1], step):
+        block = values[rows[:, start : start + step]]
+        block[:, 0] += sums
+        sums = np.add.accumulate(block, axis=1)[:, -1]
+    return sums
 
 
 def _column_runs(rows: np.ndarray) -> list[tuple[int, int]]:
@@ -704,7 +711,7 @@ def evaluate_error(
             raise ConfigError(
                 f"exhaustive evaluation requires n <= {TABLE_N_CAP}, got n={protocol.n}"
             )
-        rows = protocol.rows(np.arange(size))
+        rows = protocol._table  # checked at construction; read in place
         runs = _column_runs(rows)
         # The first column of each run: the rows themselves when no column
         # repeats the one before it.

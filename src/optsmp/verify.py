@@ -47,19 +47,6 @@ from .smp import DiagonalMapReferee, SmpProtocol, evaluate_error, letter_per_inp
 
 DEFAULT_SEED = 1729
 
-#: Required slack per suite under normal operation.
-NORMAL_TOLERANCE = {
-    "metrics": -1e-9,
-    "markov": -1e-12,
-    "gentle": -1e-9,
-    "closeness": -1e-9,
-    "perturb": -1e-9,
-    "binom": 0.0,
-    "logrank": -1e-9,
-    "entropy": -1e-9,
-}
-
-
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
@@ -646,43 +633,32 @@ def suite_entropy(seed: int, size: int, required: float) -> SuiteResult:
     return col.result("entropy")
 
 
-SUITES: dict[str, Callable[[int, int, float], SuiteResult]] = {
-    "metrics": suite_metrics,
-    "markov": suite_markov,
-    "gentle": suite_gentle,
-    "closeness": suite_closeness,
-    "perturb": suite_perturb,
-    "binom": suite_binom,
-    "logrank": suite_logrank,
-    "entropy": suite_entropy,
-}
+@dataclass(frozen=True)
+class Suite:
+    """A suite's function of ``(seed, size, required)``, its required slack
+    under normal operation, its default size and its largest size. A larger
+    size is refused as an internal limit before any case runs."""
 
-DEFAULT_SIZES = {
-    "metrics": 120,
-    "markov": 150,
-    "gentle": 150,
-    "closeness": 300,
-    "perturb": 60,
-    "binom": 50,
-    "logrank": 64,
-    "entropy": 2000,
-}
+    run: Callable[[int, int, float], SuiteResult]
+    required: float
+    size: int
+    cap: int
 
-#: Largest size per suite. A larger one is refused as an internal limit
-#: before any case runs. Measured in-process at each cap (seed 1729, Python
-#: 3.11.7, numpy 2.4.6, one BLAS thread on a shared 2-vCPU VM): metrics
-#: 36 s, markov 37 s, gentle 48 s, closeness 40 s, perturb 41 s, binom
-#: (cap^2 pairs of exact integers) 41 s, logrank 17 s and entropy (a sweep
-#: over n, one row in seven) 21-28 s, each at most 45 MB of peak RSS.
-MAX_SIZES = {
-    "metrics": 100_000,
-    "markov": 500_000,
-    "gentle": 100_000,
-    "closeness": 200_000,
-    "perturb": 500_000,
-    "binom": 1_000,
-    "logrank": 4_096,
-    "entropy": 50_000_000,
+
+#: The suites by name. Each cap was measured in-process at the cap (seed
+#: 1729, Python 3.11.7, numpy 2.4.6, one BLAS thread on a shared 2-vCPU VM):
+#: metrics 36 s, markov 37 s, gentle 48 s, closeness 40 s, perturb 41 s,
+#: binom (cap^2 pairs of exact integers) 41 s, logrank 17 s and entropy (a
+#: sweep over n, one row in seven) 21-28 s, each at most 45 MB of peak RSS.
+SUITES: dict[str, Suite] = {
+    "metrics": Suite(suite_metrics, -1e-9, 120, 100_000),
+    "markov": Suite(suite_markov, -1e-12, 150, 500_000),
+    "gentle": Suite(suite_gentle, -1e-9, 150, 100_000),
+    "closeness": Suite(suite_closeness, -1e-9, 300, 200_000),
+    "perturb": Suite(suite_perturb, -1e-9, 60, 500_000),
+    "binom": Suite(suite_binom, 0.0, 50, 1_000),
+    "logrank": Suite(suite_logrank, -1e-9, 64, 4_096),
+    "entropy": Suite(suite_entropy, -1e-9, 2000, 50_000_000),
 }
 
 
@@ -700,7 +676,7 @@ def run_suites(
     end; naming a suite outside the run is refused, since its fault would
     be lost. A ``size`` below 1 is refused, since no suite would check
     anything, and so is a negative ``seed``, which numpy cannot seed a
-    stream from. A ``size`` above a suite's ``MAX_SIZES`` entry raises
+    stream from. A ``size`` above a suite's ``cap`` raises
     :class:`DimensionCapError` before any suite runs.
     """
     if size is not None and size < 1:
@@ -712,9 +688,9 @@ def run_suites(
     for name in names:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        if size is not None and size > MAX_SIZES[name]:
+        if size is not None and size > SUITES[name].cap:
             raise DimensionCapError(
-                f"suite {name} size {size} is above its cap of {MAX_SIZES[name]}"
+                f"suite {name} size {size} is above its cap of {SUITES[name].cap}"
             )
     if inject_fault is not None and inject_fault not in names:
         raise ConfigError(
@@ -722,9 +698,7 @@ def run_suites(
         )
     results = []
     for name in names:
-        required = NORMAL_TOLERANCE[name]
-        if inject_fault == name:
-            required = 0.1
-        suite_size = size if size is not None else DEFAULT_SIZES[name]
-        results.append(SUITES[name](seed, suite_size, required))
+        suite = SUITES[name]
+        required = 0.1 if inject_fault == name else suite.required
+        results.append(suite.run(seed, suite.size if size is None else size, required))
     return results

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from optsmp import bounds, cli, combinatorics, smp
 from optsmp.cli import main
-from optsmp.verify import MAX_SIZES
+from optsmp.verify import SUITES
 
 
 def _write_config(tmp_path, name, data):
@@ -509,7 +509,8 @@ def test_simulate_truncate_budget_columns(tmp_path, capsys):
 
 
 def test_simulate_truncate_past_the_support_cap_is_an_internal_limit(tmp_path, capsys):
-    # m=12 at cutoff 10: each projected message would keep 646490 terms.
+    # m=12 at cutoff 10: the first five modes of a projected message already
+    # keep 2973 prefixes, and every one extends to a kept term.
     qfp4 = {"type": "qfp", "n": 4, "mu": 2.0, "code": {"kind": "repetition", "repeats": 3}}
     config = _write_config(tmp_path, "p.json", qfp4)
     start = time.perf_counter()
@@ -517,7 +518,24 @@ def test_simulate_truncate_past_the_support_cap_is_an_internal_limit(tmp_path, c
     assert time.perf_counter() - start < 30.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: internal limit: projected support 646490 ")
+    assert captured.err == (
+        "error: internal limit: projected support of at least 2973 terms is too large to "
+        "interfere: a pair of such messages spans 8838729 terms or more, above cap 1000000\n"
+    )
+
+
+@pytest.mark.parametrize("repeats, delta", [(1000, "0.001"), (7000, "1e-4")])
+def test_simulate_truncate_refuses_a_wide_projection_fast(tmp_path, capsys, repeats, delta):
+    # m = repeats modes at cutoff 2000 or 20000: the kept prefixes pass
+    # 1000 within the first few modes, long before the last one.
+    spec = {"type": "qfp", "n": 1, "mu": 2.0, "code": {"kind": "repetition", "repeats": repeats}}
+    config = _write_config(tmp_path, "p.json", spec)
+    start = time.perf_counter()
+    assert main(["simulate", "--config", config, "--truncate", delta]) == 2
+    assert time.perf_counter() - start < 2.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal limit: projected support of at least ")
 
 
 @pytest.mark.parametrize(
@@ -750,7 +768,7 @@ def test_verify_refuses_a_fault_in_a_suite_it_does_not_run(capsys):
 
 @pytest.mark.parametrize("suite", ["entropy", "binom"])
 def test_verify_size_past_a_suite_cap_is_an_internal_limit(capsys, suite):
-    cap = MAX_SIZES[suite]
+    cap = SUITES[suite].cap
     t0 = time.perf_counter()
     assert main(["verify", "--suite", suite, "--max", str(cap + 1)]) == 2
     assert time.perf_counter() - t0 < 1.0

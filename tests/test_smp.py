@@ -739,6 +739,34 @@ def test_row_sums_gather_a_bounded_block_of_columns(shape):
     assert peak < 6 * 8 * max(shape[0], smp.BLOCK_ROWS)
 
 
+@pytest.fixture(scope="module")
+def wide_qfp():
+    # 256 rows of 16,000 int64 letter indices: a 32.8 MB codeword table.
+    return load_protocol({"type": "qfp", "n": 8, "mu": 2, "code": {"kind": "repetition", "repeats": 2000}})
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_max_total_photons_sums_the_table_in_column_blocks(wide_qfp):
+    tops = np.array([letter.max_total_photons() for letter in wide_qfp.letters])
+    top, peak = _traced_peak(wide_qfp.max_total_photons)
+    assert top == int(tops[wide_qfp._table].sum(axis=1).max())
+    assert peak < wide_qfp._table.nbytes / 4
+
+
+def test_exhaustive_evaluation_reads_the_table_in_place(wide_qfp):
+    report, peak = _traced_peak(lambda: evaluate_error(wide_qfp))
+    assert report.worst_error == pytest.approx(coherent_accept_probability(2.0, 16000, 2000), rel=1e-9)
+    assert peak < wide_qfp._table.nbytes / 4
+
+
 def _wide_codewords(calls):
     def codewords(xs):
         calls.append(len(xs))

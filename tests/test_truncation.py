@@ -118,11 +118,16 @@ def test_project_product_enumerates_the_simplex_only(monkeypatch, cutoff):
 
 
 def test_project_product_refuses_a_support_too_large_to_interfere():
-    # m=12 at cutoff 10 keeps 646490 of the C(22, 12) = 646646 occupations
-    # (a mode holds at most 9 photons); pairing two needs 4.2e11 terms.
+    # m=12 at cutoff 10 would keep hundreds of thousands of occupations;
+    # the first five modes already keep 2973 prefixes, each of which extends
+    # to a kept term, and 2973^2 passes the cap.
     msg = coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.0).message(0)
-    with pytest.raises(SupportCapError, match="projected support 646490 "):
+    with pytest.raises(SupportCapError) as refused:
         project_below_cutoff(msg, 10)
+    assert str(refused.value) == (
+        "projected support of at least 2973 terms is too large to interfere: a pair of such "
+        "messages spans 8838729 terms or more, above cap 1000000"
+    )
 
 
 def _ladder_projection(state, cutoff):

@@ -5,6 +5,7 @@ per-case oracle (``verify_oracle.py``) returns, bit for bit. Also the dense
 operators that this module owns: their projection, and the stacked checks
 against the one-state checks of ``optsmp.truncation``."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -128,10 +129,11 @@ ORACLE_RUNS = [
 
 @pytest.mark.parametrize("name,seed,size,fault", ORACLE_RUNS)
 def test_stacked_suite_equals_its_per_case_oracle(name, seed, size, fault):
-    size = verify.DEFAULT_SIZES[name] if size is None else size
-    required = 0.1 if fault else verify.NORMAL_TOLERANCE[name]
+    suite = verify.SUITES[name]
+    size = suite.size if size is None else size
+    required = 0.1 if fault else suite.required
     expected = verify_oracle.ORACLES[name](seed, size, required)
-    got = verify.SUITES[name](seed, size, required)
+    got = suite.run(seed, size, required)
     assert got == expected
     assert got.summary_line() == expected.summary_line()
     assert type(got.min_slack) is float
@@ -272,16 +274,14 @@ def test_inject_fault_outside_the_run_is_refused():
 
 
 def test_every_suite_has_a_cap():
-    assert set(verify.MAX_SIZES) == set(verify.SUITES) == set(verify.DEFAULT_SIZES)
-    assert all(verify.DEFAULT_SIZES[name] <= cap for name, cap in verify.MAX_SIZES.items())
+    assert all(suite.size <= suite.cap for suite in verify.SUITES.values())
 
 
 @pytest.mark.parametrize("name", sorted(verify.SUITES))
 def test_size_past_the_cap_is_refused_before_any_suite_runs(monkeypatch, name):
     ran = []
-    cap = verify.MAX_SIZES[name]
-    monkeypatch.setitem(verify.SUITES, "first", lambda *a: ran.append(a))
-    monkeypatch.setitem(verify.MAX_SIZES, "first", cap + 1)
+    cap = verify.SUITES[name].cap
+    monkeypatch.setitem(verify.SUITES, "first", verify.Suite(lambda *a: ran.append(a), 0.0, 1, cap + 1))
     with pytest.raises(DimensionCapError, match=f"suite {name} size {cap + 1} is above its cap of {cap}"):
         verify.run_suites(["first", name], size=cap + 1)
     assert not ran
@@ -289,7 +289,7 @@ def test_size_past_the_cap_is_refused_before_any_suite_runs(monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(verify.SUITES))
 def test_size_at_the_cap_runs(monkeypatch, name):
-    monkeypatch.setitem(verify.MAX_SIZES, name, 4)
+    monkeypatch.setitem(verify.SUITES, name, dataclasses.replace(verify.SUITES[name], cap=4))
     (result,) = verify.run_suites([name], seed=3, size=4)
     assert result.passed
     with pytest.raises(DimensionCapError):
