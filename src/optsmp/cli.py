@@ -7,7 +7,7 @@ family), ``simulate`` (exact protocol error evaluation), ``verify``
 of (config, seed): identical runs produce byte-identical files. Exit codes:
 0 success, 1 internal failure or failed verification, 2 invalid
 configuration or an internal limit (support, dimension, photon or input cap)
-reached.
+reached, 141 when the reader of stdout closed it before the output ended.
 """
 
 from __future__ import annotations
@@ -405,7 +405,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: write no more, not even in the final
+        # flush at exit, and exit as a shell reports a SIGPIPE (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (SupportCapError, DimensionCapError, PhotonCapError, InputCapError) as exc:
         print(f"error: internal limit: {exc}", file=sys.stderr)
         return 2

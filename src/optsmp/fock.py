@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import accumulate
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -306,47 +305,11 @@ class ProductPureState:
 
     def projected(self, cutoff: int) -> tuple["ProductPureState | PureState", float]:
         """Projection onto total photons <= ``cutoff``, renormalized, and the
-        weight it kept.
-
-        Within the cutoff the projector is the identity and the product comes
-        back as it is. Otherwise the projection is built from the
-        photon-number simplex only: occupations with total <= cutoff inside
-        every factor's support, each amplitude the product of its factor
-        amplitudes, so the full product ket is never formed. A prefix is kept
-        only while the later factors' lightest terms still fit, so the kept
-        lists only grow. A referee evaluates a projected message against
-        another one term pair by term pair, so once a list's square exceeds
-        ``SUPPORT_CAP`` :class:`SupportCapError` is raised with that list's
-        length as a lower bound on the support.
-        """
+        weight it kept: the product itself within the cutoff, else the
+        projection of its joined ket (:meth:`to_pure_state`)."""
         if self.max_total_photons() <= cutoff:
             return self, 1.0
-        factor_terms = [
-            [(idx, amp, total_photons(idx)) for idx, amp in f.amplitudes.items()]
-            for f in self.factors
-        ]
-        # reserve[i]: the fewest photons factors i, i + 1, ... hold together.
-        lightest = (min(k for _, _, k in terms) for terms in reversed(factor_terms))
-        reserve = list(accumulate(lightest, initial=0))[::-1]
-        if reserve[0] > cutoff:
-            raise VacuousTruncationError(f"no support at or below cutoff {cutoff}")
-        kept = [((), 1.0 + 0.0j, 0)]
-        for terms, later in zip(factor_terms, reserve[1:]):
-            room = cutoff - later
-            kept = [
-                (idx + fidx, amp * famp, n + k)
-                for idx, amp, n in kept
-                for fidx, famp, k in terms
-                if n + k <= room
-            ]
-            if len(kept) ** 2 > SUPPORT_CAP:
-                raise SupportCapError(
-                    f"projected support of at least {len(kept)} terms is too large to interfere: "
-                    f"a pair of such messages spans {len(kept) ** 2} terms or more, above cap {SUPPORT_CAP}"
-                )
-        amps = {idx: amp for idx, amp, _ in kept}
-        weight = sum(abs(amp) ** 2 for amp in amps.values())
-        return PureState(self.modes, amps, normalize=True), weight
+        return self.to_pure_state().projected(cutoff)
 
     def __repr__(self) -> str:
         return f"ProductPureState(factors={len(self.factors)}, modes={self.modes})"

@@ -5,25 +5,17 @@ The table is a short sequence of letters (single-factor states, such as the
 coherent states |+alpha> and |-alpha> of one mode) and a codeword map from
 inputs to rows of letter indices, one column per factor position: the
 message for input x is the product of its row's letters. Every protocol
-here is a symmetric fingerprint that decides equality, so a pair's error is
-the referee's chance of answering other than ``x == y``. Referee rules come
-in exactly two classes:
-
-* the dark-port test after balanced beamsplitters pair mode i of one message
-  with mode i of the other (:class:`InterferenceVacuumReferee`), and
-* the same-outcome test: measure both messages in the occupation basis
-  and accept exactly when the two outcomes agree
-  (:class:`DiagonalMapReferee`), which reads each message's photon-number
-  weights.
-
-Both acceptance events factorize over positions, so each referee is a pair
-kernel on letters (``pair_probability``) and a pair's probability is the
-product of the kernel over positions. Evaluation tabulates the kernel for
-each letter pair that occurs and multiplies table gathers over the codeword
-columns; the interference kernel's dark-port sum runs once per sign class of
-letter pairs that occurs, which :class:`InterferenceVacuumReferee` shows to
-be exact. Worst-case error is exact, without sampling noise. Adaptive
-referees (measure one message, choose the next measurement) are
+decides equality, so a pair's error is the referee's chance of answering
+other than ``x == y``. The dark-port test after balanced beamsplitters pair
+mode i of one message with mode i of the other
+(:class:`InterferenceVacuumReferee`) and the same-outcome test of both
+messages measured in the occupation basis (:class:`DiagonalMapReferee`)
+factorize over positions: each is a pair kernel on letters
+(``pair_probability``), tabulated once per letter pair that occurs and
+multiplied over the codeword columns. Messages projected below a binding
+photon cutoff do not factorize; their referee
+(:class:`CollectiveModeReferee`) is read at each pair's codeword distance.
+Worst-case error is exact, without sampling noise. Adaptive referees are
 deliberately not modeled.
 """
 
@@ -46,6 +38,7 @@ from .errors import (
     SupportCapError,
 )
 from .fock import (
+    AMPLITUDE_PRUNE,
     FockIndex,
     ProductPureState,
     PureState,
@@ -403,6 +396,14 @@ class InterferenceVacuumReferee:
             p = self._pair_cache[key] = _clamp01(_dark_probability(fa.amplitudes, fb.amplitudes))
         return p
 
+    def at_cutoff(self, protocol: "SmpProtocol", cutoff: int) -> "CollectiveModeReferee":
+        """This referee on fingerprint messages projected onto at most ``cutoff`` photons."""
+        alpha, top = math.sqrt(protocol.mu / protocol.m), protocol.letters[0].max_total_photons()
+        coherent = [coherent_state(sign * alpha, top).amplitudes for sign in (1, -1)]
+        if [getattr(letter, "amplitudes", None) for letter in protocol.letters] != coherent:
+            raise ConfigError(f"a binding cutoff of {cutoff} photons needs a fingerprint's two coherent letters")
+        return CollectiveModeReferee(self.pair_probability, protocol.m, protocol.mu, cutoff)
+
     def output_one_probability(self, a: Message, b: Message) -> float:
         """The product of :meth:`pair_probability` over corresponding
         factors, taken in factor order from 1.0 as evaluation takes it over
@@ -413,6 +414,59 @@ class InterferenceVacuumReferee:
         for fa, fb in zip(a.factors, b.factors):
             p *= self.pair_probability(fa, fb)
         return _clamp01(p)
+
+
+class CollectiveModeReferee:
+    """The interference referee on fingerprint messages projected onto at
+    most ``cutoff`` photons, as a function of codeword distance d.
+
+    A product of |+alpha> and |-alpha> over m modes is |sqrt(mu)> in one
+    collective mode, so the projection cuts that mode alone; turning both
+    parties' modes alike commutes with the beamsplitters, so the two modes
+    may be taken as A and c A + sqrt(1 - c^2) B, c = 1 - 2d/m. The kets end
+    past the mean once sqrt(mu)^k / sqrt(k!), a bound on every amplitude at
+    k photons, is below ``AMPLITUDE_PRUNE``. They are the exact coherent
+    messages: past the letters' per-mode cut, about 2 * ``message_tail`` off.
+    """
+
+    def __init__(self, pair_probability: Callable, m: int, mu: float, cutoff: int) -> None:
+        self._pair, self.m, self.cutoff, self._accepted = pair_probability, m, cutoff, {}
+        self._amplitudes = [1.0]  # sqrt(mu)^k / sqrt(k!)
+        for k in range(1, cutoff + 1):
+            term = self._amplitudes[-1] * math.sqrt(mu / k)
+            if k > mu and term < AMPLITUDE_PRUNE:
+                break
+            if 2 * k > PAIR_PHOTON_CAP:
+                raise PhotonCapError(
+                    f"a projected message of mean {mu!r} keeps more than {k - 1} photons, "
+                    f"half the {PAIR_PHOTON_CAP}-photon limit of a mode pair"
+                )
+            self._amplitudes.append(term)
+
+    def _ket(self, d: int) -> PureState:
+        """The projected ket at codeword distance ``d`` from the one in A."""
+        c, s = (self.m - 2 * d) / self.m, 2.0 * math.sqrt(d * (self.m - d)) / self.m
+        terms = {
+            (j, k - j): amp * math.sqrt(math.comb(k, j)) * c**j * s ** (k - j)
+            for k, amp in enumerate(self._amplitudes)
+            for j in range(k + 1)
+        }
+        return PureState(2, terms, normalize=True)
+
+    def accept(self, d: int) -> float:
+        """The acceptance at codeword distance ``d``, computed once."""
+        if d not in self._accepted:
+            self._accepted[d] = self._pair(self._ket(0), self._ket(d))
+        return self._accepted[d]
+
+    def by_distance(self, distances: np.ndarray) -> np.ndarray:
+        """:meth:`accept` at each entry of an integer array."""
+        values, index = np.unique(distances, return_inverse=True)
+        return np.array([self.accept(d) for d in values.tolist()])[index]
+
+    def output_one_probability(self, a: Message, b: Message) -> float:
+        """:meth:`accept` at the distance of two of the protocol's messages."""
+        return self.accept(sum(fa is not fb for fa, fb in zip(a.factors, b.factors, strict=True)))
 
 
 class DiagonalMapReferee:
@@ -476,8 +530,8 @@ class SmpProtocol:
     letters were built from pre-truncated infinite states; it feeds error
     budgets downstream. The ``referee`` gives the output-1 ("equal")
     probability of one letter pair (``pair_probability``, the kernel that
-    evaluation tabulates) and of one message pair
-    (``output_one_probability``, the one-pair oracle).
+    evaluation tabulates) or of a codeword distance (``by_distance``), and
+    of one message pair (``output_one_probability``, the one-pair oracle).
     """
 
     name: str
@@ -503,12 +557,12 @@ class SmpProtocol:
             self._check_table_size(1 << self.n)
             object.__setattr__(self, "_table", self.rows(np.arange(1 << self.n)))
 
-    def renamed(self, name: str) -> "SmpProtocol":
-        """This protocol under another name. The copy shares the checked
-        codeword table, which ``dataclasses.replace`` would build and check
-        again."""
+    def renamed(self, name: str, referee: object | None = None) -> "SmpProtocol":
+        """This protocol under another name, and ``referee`` if given; the copy
+        shares the checked table, which ``dataclasses.replace`` would rebuild."""
         twin = copy.copy(self)
         object.__setattr__(twin, "name", name)
+        object.__setattr__(twin, "referee", referee or self.referee)
         return twin
 
     def rows(self, xs: np.ndarray) -> np.ndarray:
@@ -519,17 +573,12 @@ class SmpProtocol:
         self._check(xs, rows)
         return rows
 
-    def joined(self, row: Sequence[int]) -> Message:
-        """The message whose codeword row is ``row``."""
-        if len(row) == 1:
-            return self.letters[row[0]]
-        return ProductPureState(self.letters[s] for s in row)
-
     def message(self, x: int) -> Message:
         """The message for input ``x``, built from its row on each call."""
         if not 0 <= x < 1 << self.n:
             raise ConfigError(f"input {x} is outside 0..2^{self.n}-1")
-        return self.joined(self.rows(np.array([x]))[0].tolist())
+        row = self.rows(np.array([x]))[0].tolist()
+        return self.letters[row[0]] if len(row) == 1 else ProductPureState(self.letters[s] for s in row)
 
     def max_total_photons(self) -> int:
         """The most photons any message holds: the largest sum of letter
@@ -627,12 +676,16 @@ def _column_runs(rows: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-@cache
-def _xor_halves(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """x & (x - 1) and x & -x for x = 0 .. size - 1: the XOR of the two is
-    x, and both are 0 at x = 0."""
-    x = np.arange(size)
-    return x & (x - 1), x & -x
+def _linear(columns: np.ndarray) -> bool:
+    """Whether row x of ``columns`` is row(x & (x - 1)) ^ row(x & -x) for
+    every x (so row 0 is zero), which makes row(x) ^ row(y) row(x ^ y)."""
+    x = np.arange(len(columns))
+    return not (columns != columns[x & (x - 1)] ^ columns[x & -x]).any()
+
+
+def _distances(rows: np.ndarray, runs: list, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
+    """The codeword distance of each pair of rows ``(ix[i], iy[i])``."""
+    return sum((stop - start) * (rows[ix, start] != rows[iy, start]) for start, stop in runs)
 
 
 def _xor_errors(table: np.ndarray, columns: np.ndarray, repeats: Sequence[int]) -> np.ndarray | None:
@@ -648,9 +701,7 @@ def _xor_errors(table: np.ndarray, columns: np.ndarray, repeats: Sequence[int]) 
     * k is a power of two and the table depends only on the XOR of its
       letters: T[a, b] has the bits of T[0, a ^ b] (compared as bit
       patterns, so neither a signed zero nor a NaN passes on ``==`` alone);
-    * the columns are linear over GF(2): row 0 is zero and row x is the XOR
-      of the rows of x & (x - 1) and x & -x, so row(x) ^ row(y) is
-      row(x ^ y).
+    * the columns are linear over GF(2) (:func:`_linear`).
 
     Then each factor of pair (x, y) has the bits of the one of pair
     (0, x ^ y), and the position-order products are the same IEEE
@@ -664,9 +715,7 @@ def _xor_errors(table: np.ndarray, columns: np.ndarray, repeats: Sequence[int]) 
     # One row at a time, in as many steps as the kernel took.
     if k & (k - 1) or any(bits[a].tolist() != [first[a ^ b] for b in range(k)] for a in range(1, k)):
         return None
-    # Both halves of x = 0 are 0: row 0 must equal row 0 ^ row 0, zero.
-    high, low = _xor_halves(size)
-    if (columns != columns[high] ^ columns[low]).any():
+    if not _linear(columns):
         return None
     errors = np.ones(size)
     for factor, count in zip(table[0, columns.T], repeats):
@@ -688,22 +737,21 @@ def evaluate_error(
     enforced). With ``samples``, that many pairs are drawn from a
     deterministic stream of the required ``seed`` and each is evaluated
     exactly; the report gives the max observed error plus the mean and its
-    standard error, taken in draw order. Every pair reads the protocol's
-    codeword rows and the referee's letter-pair kernel; no message is built.
+    standard error, taken in draw order. No message is built.
 
-    A pair's probability is one product over positions, from ones in
-    position order as the one-pair oracle takes it from 1.0. Consecutive
-    equal columns (a run) are multiplied in once per column from one
-    gather of the letter-pair kernel. An exhaustive run tabulates the
-    kernel once on the letters that occur in its rows. When the rows are
-    linear and the table depends only on the XOR of two letters (every
-    protocol the CLI builds, checked by :func:`_xor_errors`), it computes
-    the 2^n errors of the pairs (0, z), and pair (x, y) reads the one at
-    z = x ^ y. Otherwise the grid is filled in blocks of x rows, each run's
-    block being one row gather of the table.
+    A pair's probability is the product of the letter-pair kernel over
+    positions, from ones in position order as the one-pair oracle takes it;
+    a run of equal columns multiplies one gather in once per column. An
+    exhaustive run tabulates the kernel once on the letters that occur.
+    When the rows are linear and the table depends only on the XOR of two
+    letters (every protocol the CLI builds, checked by :func:`_xor_errors`),
+    it computes the 2^n errors of the pairs (0, z), and pair (x, y) reads
+    the one at z = x ^ y; otherwise it fills the grid in blocks of x rows. A
+    referee with ``by_distance`` is read at each pair's codeword distance
+    instead: the weight of row z when the rows are linear, else on the grid.
     """
     size, letters = 1 << protocol.n, protocol.letters
-    kernel = protocol.referee.pair_probability
+    by_distance = getattr(protocol.referee, "by_distance", None)
     if samples is None:
         if seed is not None:
             raise ConfigError("a seed needs samples")
@@ -717,22 +765,32 @@ def evaluate_error(
         # repeats the one before it.
         columns = rows if len(runs) == rows.shape[1] else rows[:, [start for start, _ in runs]]
         repeats = [stop - start for start, stop in runs]
-        # One table of the letters that occur serves every run.
-        table = _tabulated(kernel, letters, columns.reshape(-1))
-        xor_errors = _xor_errors(table, columns, repeats)
-        if xor_errors is not None:
-            return ErrorReport(protocol.name, protocol.n, xor_errors=xor_errors)
-        # Row a of each run's gather holds T[a, row y] for every y.
-        gathers = [(table[:, column], column, count) for column, count in zip(columns.T, repeats)]
-        grid = np.ones((size, size))
-        step = max(1, BLOCK_ROWS >> protocol.n)  # whole x rows per block
-        for x_start in range(0, size, step):
-            block = grid[x_start : x_start + step]
-            for by_letter, symbols, count in gathers:
-                gather = by_letter[symbols[x_start : x_start + step]]
-                for _ in range(count):
-                    block *= gather
-        p_error = grid.reshape(-1)
+        if by_distance is not None:
+            if _linear(columns):  # pair (x, y) is at the weight of row x ^ y
+                xor_errors = by_distance(columns @ np.array(repeats))
+                xor_errors[0] = 1.0 - xor_errors[0]
+                return ErrorReport(protocol.name, protocol.n, xor_errors=xor_errors)
+            p_error = np.empty(size * size)
+            for start in range(0, size * size, BLOCK_ROWS):
+                x, y = np.divmod(np.arange(start, min(start + BLOCK_ROWS, size * size)), size)
+                p_error[start : start + BLOCK_ROWS] = by_distance(_distances(rows, runs, x, y))
+        else:
+            # One table of the letters that occur serves every run.
+            table = _tabulated(protocol.referee.pair_probability, letters, columns.reshape(-1))
+            xor_errors = _xor_errors(table, columns, repeats)
+            if xor_errors is not None:
+                return ErrorReport(protocol.name, protocol.n, xor_errors=xor_errors)
+            # Row a of each run's gather holds T[a, row y] for every y.
+            gathers = [(table[:, column], column, count) for column, count in zip(columns.T, repeats)]
+            grid = np.ones((size, size))
+            step = max(1, BLOCK_ROWS >> protocol.n)  # whole x rows per block
+            for x_start in range(0, size, step):
+                block = grid[x_start : x_start + step]
+                for by_letter, symbols, count in gathers:
+                    gather = by_letter[symbols[x_start : x_start + step]]
+                    for _ in range(count):
+                        block *= gather
+            p_error = grid.reshape(-1)
         equal = p_error[:: size + 1]
         np.subtract(1.0, equal, out=equal)
         return ErrorReport(protocol.name, protocol.n, p_error)
@@ -763,12 +821,16 @@ def evaluate_error(
     inputs, index = np.unique(np.concatenate((x, y)), return_inverse=True)
     ix, iy = index[:samples], index[samples:]
     rows = protocol.rows(inputs)
-    p_error = np.ones(samples)
-    kernel = cache(kernel)  # column runs share their letter pairs
-    for start, stop in _column_runs(rows):
-        gather = _tabulated(kernel, letters, rows[:, start], ix, iy)
-        for _ in range(stop - start):
-            p_error *= gather
+    runs = _column_runs(rows)
+    if by_distance is not None:
+        p_error = by_distance(_distances(rows, runs, ix, iy))
+    else:
+        p_error = np.ones(samples)
+        kernel = cache(protocol.referee.pair_probability)  # column runs share their letter pairs
+        for start, stop in runs:
+            gather = _tabulated(kernel, letters, rows[:, start], ix, iy)
+            for _ in range(stop - start):
+                p_error *= gather
     np.subtract(1.0, p_error, out=p_error, where=x == y)
     # Each draw's sorted position, for statistics in draw order.
     drawn = (x, y, np.argsort(order))

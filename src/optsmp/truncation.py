@@ -16,10 +16,7 @@ check takes one state and returns one float.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-
-import numpy as np
 
 from . import fock
 from .combinatorics import markov_photon_cutoff
@@ -34,12 +31,9 @@ PREMISE_TOL = 1e-12
 def project_below_cutoff(state: State, cutoff: int) -> tuple[State, float]:
     """Project onto total photons <= cutoff and renormalize.
 
-    Returns ``(projected_state, weight)`` where ``weight`` is the mass the
-    projector retained; the state's own ``projected`` method builds both. A
-    projection that would remove everything raises
-    :class:`VacuousTruncationError` instead of fabricating a state; a
-    projected product too large to pair with another raises
-    :class:`SupportCapError`.
+    Returns ``(projected_state, weight)``, ``weight`` being the mass kept,
+    from the state's own ``projected`` method. A projection that would
+    remove everything raises :class:`VacuousTruncationError`.
     """
     cutoff = int(cutoff)
     if cutoff < 0:
@@ -89,48 +83,21 @@ def perturbed_error_bound(error: float, message_distance: float) -> float:
 def transform_protocol(protocol, delta: float, original_error: float):
     """Truncate every message of a protocol at cutoff floor(mu/delta).
 
-    Returns ``(truncated_protocol, error_bound)`` with
-    ``error_bound = original_error + 2 * sqrt(delta)``, where
-    ``original_error`` is the protocol's worst-case error; the truncated
-    protocol's exact worst-case error never exceeds the bound (each projected
-    message sits within sqrt(delta) of the original in trace distance).
-
-    Vacuity is decided on the codeword table in one array pass
-    (:meth:`~optsmp.smp.SmpProtocol.max_total_photons`): when no message
-    holds more photons than the cutoff, the projector is the identity on
-    every message and the checked table is kept as it is, not built again.
-    At a binding cutoff the truncated protocol has one position whose
-    letters are the projected messages: each distinct row is projected
-    once, all of them at construction up to ``TABLE_N_CAP`` and each on
-    first read above it.
+    Returns ``(truncated_protocol, original_error + 2 * sqrt(delta))``: each
+    projected message sits within sqrt(delta) of its original in trace
+    distance, so the truncated protocol's worst-case error stays within the
+    bound. The truncated protocol keeps the letters, codewords and checked
+    table. When no row holds more photons than the cutoff
+    (:meth:`~optsmp.smp.SmpProtocol.max_total_photons`) it keeps the referee
+    too; otherwise the referee's ``at_cutoff`` gives the referee of the
+    projected messages, and a referee without one refuses.
     """
     cutoff = markov_photon_cutoff(protocol.mu, delta)
     name = f"{protocol.name}+cutoff{cutoff}"
     bound = perturbed_error_bound(original_error, math.sqrt(delta))
     if protocol.max_total_photons() <= cutoff:
         return protocol.renamed(name), bound
-
-    letters: list = []
-    symbols: dict[bytes, int] = {}
-
-    def codewords(xs: np.ndarray) -> np.ndarray:
-        rows = protocol.rows(xs)
-        out = np.empty((len(rows), 1), dtype=np.intp)
-        for i, row in enumerate(rows):
-            key = row.tobytes()
-            symbol = symbols.get(key)
-            if symbol is None:
-                symbol = symbols[key] = len(letters)
-                letter = project_below_cutoff(protocol.joined(row.tolist()), cutoff)[0]
-                if len(letter.factors) > 1:
-                    # A product within the cutoff comes back unprojected;
-                    # a letter is one factor, so join it into its ket.
-                    letter = letter.to_pure_state()
-                letters.append(letter)
-            out[i, 0] = symbol
-        return out
-
-    truncated_protocol = dataclasses.replace(
-        protocol, name=name, letters=letters, codewords=codewords
-    )
-    return truncated_protocol, bound
+    at_cutoff = getattr(protocol.referee, "at_cutoff", None)
+    if at_cutoff is None:
+        raise ConfigError(f"a binding cutoff of {cutoff} photons needs the interference referee")
+    return protocol.renamed(name, at_cutoff(protocol, cutoff)), bound

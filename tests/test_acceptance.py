@@ -309,6 +309,36 @@ def test_criterion_08b_fingerprint_matches_closed_form(criterion_report):
     assert elapsed < 120.0
 
 
+def test_criterion_08c_binding_truncation_at_paper_scale(criterion_report):
+    # qfp n=63 with repeats 3 (m=189) at delta 0.19: the cutoff a=10 binds,
+    # far past any per-mode projection. Each projected pair's acceptance must
+    # stay within 2*sqrt(delta) of the untruncated exp(-2*mu*d/m), and the
+    # worst sampled error within the certified budget.
+    t0 = time.perf_counter()
+    mu, delta = 2.0, 0.19
+    protocol = coherent_fingerprint_protocol(63, RepetitionCode(63, 3), mu)
+    before = evaluate_error(protocol, samples=1000, seed=1)
+    truncated, budget = transform_protocol(protocol, delta, original_error=before.worst_error)
+    after = evaluate_error(truncated, samples=1000, seed=1)
+    max_dev = 0.0
+    for x, y, f, p_error in after.pair_errors:
+        if f == 0:
+            accept = coherent_accept_probability(mu, protocol.m, 3 * bin(x ^ y).count("1"))
+            max_dev = max(max_dev, abs(p_error - accept))
+    cutoff = truncated.referee.cutoff
+    elapsed = time.perf_counter() - t0
+    ok = max_dev <= 2.0 * math.sqrt(delta) and after.worst_error <= budget and elapsed < 30.0
+    criterion_report(
+        _line("08c", "n=63, m=189, a=10 binding truncation within its budget", ok,
+              f"cutoff={cutoff} worst_error_after={after.worst_error!r} budget={budget!r} "
+              f"max_deviation={max_dev:.3e} elapsed={elapsed:.2f}s")
+    )
+    assert cutoff == 10 < protocol.max_total_photons()
+    assert max_dev <= 2.0 * math.sqrt(delta)
+    assert after.worst_error <= budget
+    assert elapsed < 30.0
+
+
 def test_criterion_09_entropy_profile(criterion_report, tmp_path):
     t0 = time.perf_counter()
     rows = list(entropy_profile(range(1, 10001)))

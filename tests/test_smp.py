@@ -232,19 +232,38 @@ def test_equal_magnitudes_without_a_per_mode_sign_pattern_get_their_own_sum(monk
     assert p_cb == smp._clamp01(smp._dark_probability(c.amplitudes, b.amplitudes)) != p_ab
 
 
-@pytest.mark.parametrize("n, repeats, mu, delta", [(1, 3, 1.1, 0.3), (1, 4, 1.0, 0.3), (2, 2, 1.0, 0.4)])
+@pytest.mark.parametrize(
+    "n, repeats, mu, delta",
+    [
+        (1, 3, 1.1, 0.3),
+        (1, 4, 1.0, 0.3),
+        (2, 2, 1.0, 0.4),
+        (1, 2, 2.0, 0.1),
+        (2, 1, 2.0, 0.08),
+        (1, 2, 1.0, 0.06),
+    ],
+)
 def test_dark_port_sum_matches_materialised_beamsplitter_on_projected_messages(n, repeats, mu, delta):
+    # The referee of a binding truncation runs one collective dark-port sum
+    # per codeword distance; the reference joins each message into its
+    # m-mode ket, projects it and interferes a pair on m beamsplitters.
+    # Within the letters' per-mode cut c1 both project the same state. Past
+    # it (the last three cases: a = 20, 25 and 16 against c1 = 13, 13 and
+    # 10) the referee projects the exact coherent messages, which the cut
+    # letters miss by about twice message_tail.
     protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, repeats), mu)
     truncated, _ = transform_protocol(protocol, delta, original_error=0.0)
-    cutoff = int(mu / delta)
+    cutoff, c1 = truncated.referee.cutoff, protocol.letters[0].max_total_photons()
     assert protocol.message(0).max_total_photons() > cutoff
-    referee = truncated.referee
-    for x in range(1 << n):
-        for y in range(1 << n):
-            a, b = truncated.message(x), truncated.message(y)
-            assert a.max_total_photons() <= cutoff
-            expected = _materialised_dark_probability(a, b)
-            assert referee.output_one_probability(a, b) == pytest.approx(expected, abs=1e-12)
+    tol = 1e-13 if cutoff <= c1 else 2.0 * protocol.message_tail + 1e-13
+    # One pair (0, y) per codeword distance: y = 2^k - 1 has distance k * repeats.
+    first = protocol.message(0)
+    projected = truncation.project_below_cutoff(first, cutoff)[0]
+    for y in (2**k - 1 for k in range(n + 1)):
+        message = protocol.message(y)
+        expected = _materialised_dark_probability(projected, truncation.project_below_cutoff(message, cutoff)[0])
+        got = truncated.referee.output_one_probability(first, message)
+        assert got == pytest.approx(expected, abs=tol), (y, got - expected)
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.6, -0.6), (1.5j, -1.5j), (8.0, 7.5)])
@@ -560,21 +579,20 @@ def test_pair_cache_interferes_each_factor_pair_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_binding_truncation_runs_one_sum_per_sign_class(monkeypatch):
-    # At a=2 each of the 16 projected messages is a per-mode sign flip of
-    # the first, so the 256 letter pairs fall into 16 sign classes.
+def test_binding_truncation_runs_one_sum_per_distance(monkeypatch):
+    # At a=2 the 256 pairs of qfp n=4 with repeats 3 meet the five codeword
+    # distances 0, 3, 6, 9 and 12: five dark-port sums, and every pair reads
+    # the one at its distance.
     protocol = coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.0)
     truncated, _ = transform_protocol(protocol, 0.667, original_error=0.0)
-    assert len(truncated.letters) == 16
-    assert protocol.message(0).max_total_photons() > 2 == truncated.letters[0].max_total_photons()
+    assert protocol.message(0).max_total_photons() > 2 == truncated.referee.cutoff
     calls = _counted_sums(monkeypatch)
     report = evaluate_error(truncated)
-    assert len(calls) == 16
-    letters = [truncated.letters[s] for s in truncated.rows(np.arange(16))[:, 0].tolist()]
+    assert len(calls) == 5
     for x, y, f, p_error in report.pair_errors:
-        direct = InterferenceVacuumReferee().pair_probability(letters[x], letters[y])
+        direct = truncated.referee.accept(3 * bin(x ^ y).count("1"))
         assert p_error == (1.0 - direct if f else direct)
-    assert len(calls) == 16 + 256
+    assert len(calls) == 5
 
 
 def test_fingerprint_matches_closed_form():
@@ -862,11 +880,11 @@ def _qfp_case(n, code, mu):
 
 def _binding_truncation():
     # qfp n=2, one mode per bit, mu=1 at delta=0.4: cutoff a=2 lies below
-    # the messages' maximum photon number, so each message is a joint ket.
+    # the messages' maximum photon number, so the referee reads each pair's
+    # codeword distance.
     protocol = coherent_fingerprint_protocol(2, RepetitionCode(2, 1), 1.0)
     truncated, _ = transform_protocol(protocol, 0.4, original_error=0.0)
-    assert protocol.message(0).max_total_photons() > 2
-    assert len(truncated.message(0).factors) == 1
+    assert protocol.message(0).max_total_photons() > 2 == truncated.referee.cutoff
     return truncated
 
 
@@ -1187,8 +1205,8 @@ def test_range_check_reads_every_integer_dtype():
 
 def test_per_letter_values_are_computed_once_per_letter(monkeypatch):
     # Construction checks every row from one mean per letter. Above
-    # TABLE_N_CAP a binding truncation projects its letters as rows are
-    # read: each distinct row once, however often it is read.
+    # TABLE_N_CAP each read of rows computes one mean per letter; a binding
+    # truncation keeps the letters and projects none of them.
     means = []
     mean = smp.mean_photon_number
 
@@ -1211,9 +1229,8 @@ def test_per_letter_values_are_computed_once_per_letter(monkeypatch):
 
     monkeypatch.setattr(truncation, "project_below_cutoff", counted_project)
     truncated, _ = transform_protocol(original, 0.5, original_error=0.0)
-    truncated.rows(np.array([0]))
-    assert len(projected) == len(truncated.letters) == 1
+    del means[:]
     truncated.rows(np.arange(4))
     truncated.rows(np.array([3, 0, 2]))
-    distinct = np.unique(original.rows(np.arange(4)), axis=0)
-    assert len(projected) == len(truncated.letters) == len(distinct) == 4
+    assert means == list(original.letters) * 2
+    assert projected == [] and truncated.letters is original.letters

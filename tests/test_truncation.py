@@ -15,10 +15,11 @@ from optsmp.fock import (
     coherent_state,
     fidelity,
     mean_photon_number,
-    photon_number_distribution,
+    poisson_tail,
     trace_distance,
 )
 from optsmp.smp import (
+    CollectiveModeReferee,
     DiagonalMapReferee,
     InterferenceVacuumReferee,
     RepetitionCode,
@@ -93,47 +94,21 @@ def test_project_product_above_cutoff_materializes():
     assert projected.max_total_photons() <= 1
 
 
-@pytest.mark.parametrize("cutoff", [2, 4, 6])
-def test_project_product_enumerates_the_simplex_only(monkeypatch, cutoff):
-    msg = coherent_fingerprint_protocol(2, RepetitionCode(2, 2), 1.0).message(1)
-    assert msg.max_total_photons() > cutoff
-    full = msg.to_pure_state()
-    kept = {idx: c for idx, c in full.amplitudes.items() if sum(idx) <= cutoff}
-    expected = PureState(msg.modes, kept, normalize=True)
-
-    def refuse(self):
-        raise AssertionError("the full product ket was built")
-
-    monkeypatch.setattr(ProductPureState, "to_pure_state", refuse)
-    projected, weight = project_below_cutoff(msg, cutoff)
-    # The materialised ket renormalizes itself after each tensor step and
-    # sits about 8e-15 from the exact weight; the photon-number convolution
-    # does not.
-    assert weight == pytest.approx(sum(abs(c) ** 2 for c in kept.values()), abs=1e-13)
-    dist = photon_number_distribution(msg)
-    assert weight == pytest.approx(sum(p for n, p in dist.items() if n <= cutoff), abs=1e-15)
-    assert set(projected.amplitudes) == set(expected.amplitudes)
-    for idx, c in expected.amplitudes.items():
-        assert abs(projected.amplitude(idx) - c) <= 1e-15
-
-
 def test_project_product_refuses_a_support_too_large_to_interfere():
-    # m=12 at cutoff 10 would keep hundreds of thousands of occupations;
-    # the first five modes already keep 2973 prefixes, each of which extends
-    # to a kept term, and 2973^2 passes the cap.
+    # m=12 coherent factors of 9 terms each (cut at 8 photons): the joined
+    # ket that a binding projection starts from has 9^12 terms, far past
+    # the cap.
     msg = coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.0).message(0)
     with pytest.raises(SupportCapError) as refused:
         project_below_cutoff(msg, 10)
-    assert str(refused.value) == (
-        "projected support of at least 2973 terms is too large to interfere: a pair of such "
-        "messages spans 8838729 terms or more, above cap 1000000"
-    )
+    assert str(refused.value) == "joint support 282429536481 exceeds cap 1000000"
 
 
 def _ladder_projection(state, cutoff):
     """The projection as one function with a case per kind, as it was
-    before each kind got its own ``projected`` method: the reference the
-    methods must match bit for bit."""
+    before each kind got its own ``projected`` method, except that a product
+    past the cutoff is joined into its ket first: the reference the methods
+    must match bit for bit."""
     if isinstance(state, DenseOperator):
         diagonal = np.real(np.diagonal(state.matrix))
         mask = state.cutoff_mask(cutoff)
@@ -147,19 +122,7 @@ def _ladder_projection(state, cutoff):
     if isinstance(state, ProductPureState):
         if state.max_total_photons() <= cutoff:
             return state, 1.0
-        kept = [((), 1.0 + 0.0j, 0)]
-        for f in state.factors:
-            kept = [
-                (idx + fidx, amp * famp, n + sum(fidx))
-                for idx, amp, n in kept
-                for fidx, famp in f.amplitudes.items()
-                if n + sum(fidx) <= cutoff
-            ]
-        if not kept:
-            raise VacuousTruncationError(f"no support at or below cutoff {cutoff}")
-        amps = {idx: amp for idx, amp, _ in kept}
-        weight = sum(abs(amp) ** 2 for amp in amps.values())
-        return PureState(state.modes, amps, normalize=True), weight
+        state = state.to_pure_state()
     kept = {idx: v for idx, v in state.terms.items() if sum(idx) <= cutoff}
     if not kept:
         raise VacuousTruncationError(f"no support at or below cutoff {cutoff}")
@@ -268,28 +231,29 @@ def test_transform_classical_protocol_preserves_zero_error():
 
 def test_transform_messages_change_under_aggressive_cutoff():
     # delta = 0.9 on a mu=1 protocol truncates at a = floor(1/0.9) = 1 photon,
-    # which genuinely reshapes the coherent factors.
+    # which genuinely reshapes the coherent messages: the referee's projected
+    # kets hold at most one photon at every distance, and the errors move.
     protocol = coherent_fingerprint_protocol(1, RepetitionCode(1, 2), 1.0)
     truncated, _ = transform_protocol(protocol, 0.9, original_error=0.0)
-    msg = truncated.message(0)
-    assert msg.max_total_photons() <= 1
-    original = protocol.message(0)
-    assert original.max_total_photons() > 1
+    assert all(truncated.referee._ket(d).max_total_photons() <= 1 for d in range(protocol.m + 1))
+    assert protocol.message(0).max_total_photons() > 1
+    assert evaluate_error(truncated).worst_error != evaluate_error(protocol).worst_error
 
 
 @pytest.mark.parametrize("n, repeats, delta", [(2, 3, 0.5), (1, 8, 0.6)])
 def test_binding_cutoff_stays_within_the_inflation_bound(n, repeats, delta):
     # mu = 2 gives cutoff floor(2/delta) = 4 (m=6) and 3 (m=8), far below a
-    # message's maximum photon number.
+    # message's maximum photon number. Every projected message is the
+    # coherent state of amplitude sqrt(mu) in one collective mode, cut at
+    # the cutoff, so each keeps the Poisson weight below it.
     protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, repeats), 2.0)
     before = evaluate_error(protocol).worst_error
     truncated, budget = transform_protocol(protocol, delta, original_error=before)
     cutoff = markov_photon_cutoff(protocol.mu, delta)
     for x in range(1 << n):
-        message = protocol.message(x)
-        assert message.max_total_photons() > cutoff
-        _, weight = project_below_cutoff(message, cutoff)
-        assert 1.0 - delta <= weight < 1.0
+        assert protocol.message(x).max_total_photons() > cutoff
+    weight = 1.0 - poisson_tail(protocol.mu, cutoff)
+    assert 1.0 - delta <= weight < 1.0
     after = evaluate_error(truncated).worst_error
     bound = 2.0 * math.sqrt(delta)
     assert budget == pytest.approx(before + bound, abs=1e-15)
@@ -308,29 +272,24 @@ def _counted_projections(monkeypatch) -> list:
     return calls
 
 
-def test_transform_projects_each_message_once(monkeypatch):
-    # Construction checks every row and exhaustive evaluation reads each one
-    # 2^n times; each of the 2^n distinct rows is projected exactly once
-    # across both.
+def test_binding_transform_projects_no_row(monkeypatch):
+    # An xor-fold code folds 16 inputs onto 4 codewords, and at cutoff 2
+    # every row binds. The truncated protocol keeps the letters and the
+    # checked table; its referee builds one pair of collective kets, at
+    # distance 0 and d, per codeword distance d that occurs (0, 1 and 2),
+    # once however many pairs read it, and no message is projected.
     calls = _counted_projections(monkeypatch)
-    n = 2
-    protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, 3), 2.0)
-    truncated, _ = transform_protocol(protocol, 0.5, original_error=0.0)
-    evaluate_error(truncated)
-    assert calls == [4] * (1 << n)
-    assert protocol.message(0).max_total_photons() > 4
-
-
-def test_binding_transform_projects_each_distinct_row_once(monkeypatch):
-    # An xor-fold code folds 16 inputs onto 4 codewords; at cutoff 2 every
-    # row binds, and the 4 distinct rows are projected once each.
-    calls = _counted_projections(monkeypatch)
+    kets = []
+    build = CollectiveModeReferee._ket
+    monkeypatch.setattr(CollectiveModeReferee, "_ket", lambda self, d: kets.append(d) or build(self, d))
     protocol = coherent_fingerprint_protocol(4, XorFoldCode(4, 2), 1.0)
     truncated, _ = transform_protocol(protocol, 0.5, original_error=0.0)
-    report = evaluate_error(truncated)
-    assert calls == [2] * 4
-    assert len(truncated.letters) == 4 and len(report.pair_errors) == 256
     assert protocol.message(0).max_total_photons() > 2
+    assert truncated.letters is protocol.letters and truncated._table is protocol._table
+    exhaustive = evaluate_error(truncated)
+    sampled = evaluate_error(truncated, samples=500, seed=3)
+    assert calls == [] and sorted(kets) == [0, 0, 0, 0, 1, 2]
+    assert len(exhaustive.pair_errors) == 256 and len(sampled.pair_errors) == 500
 
 
 def test_vacuous_transform_keeps_the_table_and_projects_nothing(monkeypatch):
@@ -360,18 +319,20 @@ def test_vacuous_transform_keeps_the_table_and_projects_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("referee", [DiagonalMapReferee, InterferenceVacuumReferee])
-def test_binding_transform_joins_rows_within_the_cutoff(referee):
-    # Letters |0> and one reaching 5 photons; at cutoff 3 the all-vacuum row
-    # needs no projection, the others bind. Every truncated letter is one
-    # two-mode ket, and evaluation equals the one-pair oracle.
+def test_binding_transform_refuses_letters_other_than_the_coherent_pair(referee):
+    # Letters |0> and one reaching 5 photons bind at cutoff 3. Only the two
+    # coherent letters of a fingerprint protocol, under the interference
+    # referee, have a projected referee; anything else is refused.
     spread = PureState(1, {(0,): math.sqrt(0.6), (1,): math.sqrt(0.3), (5,): math.sqrt(0.1)})
     letters = (PureState.basis_state((0,)), spread)
     protocol = SmpProtocol(
         "spread", 2, 2, 1.6, letters, RepetitionCode(2, 1).codewords, referee()
     )
-    truncated, _ = transform_protocol(protocol, 0.5, original_error=0.0)
-    assert [letter.max_total_photons() for letter in truncated.letters] == [0, 1, 1, 2]
-    assert all(len(letter.factors) == 1 and letter.modes == 2 for letter in truncated.letters)
-    for x, y, f, p_error in evaluate_error(truncated).pair_errors:
-        p = truncated.referee.output_one_probability(truncated.message(x), truncated.message(y))
-        assert p_error == (1.0 - p if f else p)
+    with pytest.raises(ConfigError, match="a binding cutoff of 3 photons"):
+        transform_protocol(protocol, 0.5, original_error=0.0)
+    # The same referee over coherent letters of another amplitude than
+    # sqrt(mu/m) is refused as well.
+    qfp = coherent_fingerprint_protocol(2, RepetitionCode(2, 1), 1.6)
+    other = SmpProtocol("other", 2, 2, 2.0, qfp.letters, qfp.codewords, referee())
+    with pytest.raises(ConfigError, match="a binding cutoff of 4 photons"):
+        transform_protocol(other, 0.5, original_error=0.0)

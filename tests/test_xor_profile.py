@@ -28,7 +28,10 @@ FAMILIES = {
 
 
 def _grid_only(monkeypatch):
+    """Fail both structure checks: the letter-pair grid for a per-position
+    referee, the distance grid for the referee of a binding truncation."""
     monkeypatch.setattr(smp, "_xor_errors", lambda *args: None)
+    monkeypatch.setattr(smp, "_linear", lambda columns: False)
 
 
 def _truncations(spec):
@@ -60,8 +63,9 @@ def test_profile_and_grid_agree_bit_for_bit(monkeypatch, tmp_path, family, n):
         protocol = original
         if delta is not None:
             protocol = transform_protocol(original, delta, original_error=0.0)[0]
-            # A binding cutoff projects the rows into new letters.
-            assert (protocol.letters is original.letters) == (delta < 0.5)
+            # Every cutoff keeps the letters; a binding one swaps the referee.
+            assert protocol.letters is original.letters
+            assert (protocol.referee is original.referee) == (delta < 0.5)
         profile = evaluate_error(protocol)
         csv = _simulate(tmp_path, spec, delta)
         with monkeypatch.context() as patch:
