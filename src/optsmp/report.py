@@ -20,9 +20,11 @@ import numpy as np
 #: pair is chosen: pairs that tie exactly on paper differ in the last bits of
 #: their float products.
 WORST_TIE = 1e-12
-#: Pairs per block when the exhaustive grid is filled, or a report's rows are
-#: read one by one or formatted as CSV (whole x rows of the grid, at least
-#: one); bounds the memory of the temporaries and Python objects per block.
+#: Entries (pairs x codeword runs) per block when pairs are evaluated, and
+#: pairs per block when the grid's pair indices are built or a report's rows
+#: are read one by one or formatted as CSV (whole x rows of the grid, at
+#: least one); bounds the memory of the temporaries and Python objects per
+#: block.
 BLOCK_ROWS = 1 << 16
 #: Blocks of at least this many pairs find their distinct CSV values by
 #: sorting; smaller ones through a dict, which costs less per call.

@@ -11,10 +11,11 @@ mode i of one message with mode i of the other
 (:class:`InterferenceVacuumReferee`) and the same-outcome test of both
 messages measured in the occupation basis (:class:`DiagonalMapReferee`)
 factorize over positions: each is a pair kernel on letters
-(``pair_probability``), tabulated once per letter pair that occurs and
-multiplied over the codeword columns. Messages projected below a binding
-photon cutoff do not factorize; their referee
-(:class:`CollectiveModeReferee`) is read at each pair's codeword distance.
+(``pair_probability``), tabulated once per evaluation on the letters
+present. Messages projected below a binding photon cutoff do not
+factorize; their referee (:class:`CollectiveModeReferee`) is read at a
+pair's codeword distance. One evaluator reads either over the codeword
+columns, for every pair list: exhaustive, through x XOR y, or sampled.
 Worst-case error is exact, without sampling noise. Adaptive referees are
 deliberately not modeled.
 """
@@ -25,7 +26,7 @@ import copy
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -74,7 +75,7 @@ INPUT_BITS_CAP = 63
 #: entries) peaks at 795 MB of RSS in 1.3-1.9 s, and its exhaustive
 #: `simulate --out` at 889 MB in 4.9 s, as does the same run with a vacuous
 #: `--truncate 1e-5` (5.4 s); `simulate --out` of qfp n=40 with repeats 3 and
-#: 312,500 samples (625,000 distinct rows) at 822 MB in 5.0 s.
+#: 312,500 samples (625,000 distinct rows) at 827 MB in 5.2 s.
 CODEWORD_ENTRY_CAP = 10**8
 #: Most pairs one sampled evaluation draws, checked before drawing: its
 #: per-pair arrays (drawn inputs, sort order, unique index, errors) take
@@ -302,42 +303,18 @@ def _sign_flip(
     return s
 
 
-def _tabulated(
-    kernel: Callable,
-    letters: Sequence,
-    symbols: np.ndarray,
-    ix: np.ndarray | None = None,
-    iy: np.ndarray | None = None,
-) -> np.ndarray:
-    """``kernel(letters[symbols[i]], letters[symbols[j]])`` for every pair
-    (i, j) of the index arrays ``ix`` and ``iy``. The kernel runs once per
-    letter pair that occurs, and the table the pairs read never has more
-    entries than there are pairs: all k x k letter pairs when they are no
-    more, else the sorted letter pairs that occur.
-
-    Without ``ix`` and ``iy`` the pairs are the full grid of ``symbols``
-    against itself, and the result is the k x k letter table: entry (a, b)
-    is ``kernel(letters[a], letters[b])`` for the letters a and b present in
+def _tabulated(kernel: Callable, letters: Sequence, symbols: np.ndarray) -> np.ndarray:
+    """The k x k letter table of ``symbols``: entry (a, b) is
+    ``kernel(letters[a], letters[b])`` for the letters a and b present in
     ``symbols`` and 0 elsewhere. The kernel runs on them in ascending
     order."""
     k = len(letters)
-    if ix is None:
-        present = np.bincount(symbols, minlength=k).nonzero()[0].tolist()
-        table = np.zeros((k, k))
-        for a in present:
-            for b in present:
-                table[a, b] = kernel(letters[a], letters[b])
-        return table
-    pair = (symbols * k)[ix]
-    pair += symbols[iy]
-    if k * k <= pair.size:
-        codes = np.bincount(pair, minlength=k * k).nonzero()[0]
-        table, slots = np.zeros(k * k), codes
-    else:
-        codes, pair = np.unique(pair, return_inverse=True)
-        table, slots = np.zeros(codes.size), np.arange(codes.size)
-    table[slots] = [kernel(letters[s // k], letters[s % k]) for s in codes.tolist()]
-    return table[pair]
+    present = np.bincount(symbols, minlength=k).nonzero()[0].tolist()
+    table = np.zeros((k, k))
+    for a in present:
+        for b in present:
+            table[a, b] = kernel(letters[a], letters[b])
+    return table
 
 
 class InterferenceVacuumReferee:
@@ -466,7 +443,9 @@ class CollectiveModeReferee:
 
     def output_one_probability(self, a: Message, b: Message) -> float:
         """:meth:`accept` at the distance of two of the protocol's messages."""
-        return self.accept(sum(fa is not fb for fa, fb in zip(a.factors, b.factors, strict=True)))
+        if len(a.factors) != len(b.factors):
+            raise ModeMismatchError("messages have different factor counts")
+        return self.accept(sum(fa is not fb for fa, fb in zip(a.factors, b.factors)))
 
 
 class DiagonalMapReferee:
@@ -676,53 +655,62 @@ def _column_runs(rows: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _linear(columns: np.ndarray) -> bool:
-    """Whether row x of ``columns`` is row(x & (x - 1)) ^ row(x & -x) for
-    every x (so row 0 is zero), which makes row(x) ^ row(y) row(x ^ y)."""
-    x = np.arange(len(columns))
-    return not (columns != columns[x & (x - 1)] ^ columns[x & -x]).any()
+def _xor_invariant(table: np.ndarray | None, columns: np.ndarray) -> bool:
+    """Whether every pair (x, y) is accepted as pair (0, x ^ y), bit for bit.
 
-
-def _distances(rows: np.ndarray, runs: list, ix: np.ndarray, iy: np.ndarray) -> np.ndarray:
-    """The codeword distance of each pair of rows ``(ix[i], iy[i])``."""
-    return sum((stop - start) * (rows[ix, start] != rows[iy, start]) for start, stop in runs)
-
-
-def _xor_errors(table: np.ndarray, columns: np.ndarray, repeats: Sequence[int]) -> np.ndarray | None:
-    """The error of every pair as a function of z = x XOR y, or None when
-    the structure that makes it one does not hold.
-
-    Column j of ``columns`` is the first codeword column of run j, which
-    evaluation multiplies in ``repeats[j]`` times, and ``table`` is the
-    k x k letter table that every run reads (0 at letters that do not
-    occur). Evaluation reads only these columns, so the structure is
-    checked there, exactly:
+    Column j of ``columns`` is the first codeword column of run j, and
+    ``table`` is the k x k letter table that every run reads (0 at letters
+    that do not occur), or None for a referee read at codeword distance.
+    Evaluation reads only these, so the structure is checked there, exactly:
 
     * k is a power of two and the table depends only on the XOR of its
       letters: T[a, b] has the bits of T[0, a ^ b] (compared as bit
       patterns, so neither a signed zero nor a NaN passes on ``==`` alone);
-    * the columns are linear over GF(2) (:func:`_linear`).
+    * row x of the columns is row(x & (x - 1)) ^ row(x & -x) for every x
+      (so row 0 is zero), which makes row(x) ^ row(y) row(x ^ y).
 
     Then each factor of pair (x, y) has the bits of the one of pair
-    (0, x ^ y), and the position-order products are the same IEEE
-    multiplications: with g(z) the product for pair (0, z), the error is
-    g(x ^ y) off the diagonal and 1 - g(0) on it, bit for bit. The result
-    holds the errors of the pairs (0, z): 1 - g(0) at z = 0, g(z) elsewhere.
+    (0, x ^ y), so the position-order products are the same IEEE
+    multiplications, and the two pairs are at one codeword distance.
     """
-    k, size = len(table), len(columns)
-    bits = table.view(np.int64)
-    first = bits[0].tolist()
-    # One row at a time, in as many steps as the kernel took.
-    if k & (k - 1) or any(bits[a].tolist() != [first[a ^ b] for b in range(k)] for a in range(1, k)):
-        return None
-    if not _linear(columns):
-        return None
-    errors = np.ones(size)
-    for factor, count in zip(table[0, columns.T], repeats):
-        for _ in range(count):
-            errors *= factor
-    errors[0] = 1.0 - errors[0]
-    return errors
+    if table is not None:
+        k, bits = len(table), table.view(np.int64)
+        first = bits[0].tolist()
+        # One row at a time, in as many steps as the kernel took.
+        if k & (k - 1) or any(bits[a].tolist() != [first[a ^ b] for b in range(k)] for a in range(1, k)):
+            return False
+    x = np.arange(len(columns))
+    return not (columns != columns[x & (x - 1)] ^ columns[x & -x]).any()
+
+
+def _accepted(
+    protocol: SmpProtocol, table: np.ndarray | None, columns: np.ndarray, repeats: Sequence[int],
+    ix: np.ndarray, iy: np.ndarray,
+) -> np.ndarray:
+    """The output-1 probability of each pair of rows ``(ix[i], iy[i])`` of
+    ``columns``, whose column j is the first codeword column of run j.
+
+    With a letter ``table``, it is the product of ``table[a, b]`` over the
+    letters a and b of the runs, each multiplied in ``repeats[j]`` times,
+    from ones in position order as the one-pair oracle takes it; without
+    one, the referee's ``by_distance`` at the pair's codeword distance. The
+    pairs are read in blocks of at most ``BLOCK_ROWS`` entries (pairs x
+    runs), or one pair.
+    """
+    accepted, weights = np.empty(len(ix)), np.array(repeats)
+    step = max(1, BLOCK_ROWS // len(repeats))
+    for start in range(0, len(ix), step):
+        # Row j of each gather is run j, so that each factor is contiguous.
+        a, b = columns[ix[start : start + step]].T, columns[iy[start : start + step]].T
+        block = accepted[start : start + step]
+        if table is None:
+            block[:] = protocol.referee.by_distance(weights @ (a != b))
+            continue
+        block.fill(1.0)
+        for factor, count in zip(table[a, b], repeats):
+            for _ in range(count):
+                block *= factor
+    return accepted
 
 
 def evaluate_error(
@@ -739,19 +727,14 @@ def evaluate_error(
     exactly; the report gives the max observed error plus the mean and its
     standard error, taken in draw order. No message is built.
 
-    A pair's probability is the product of the letter-pair kernel over
-    positions, from ones in position order as the one-pair oracle takes it;
-    a run of equal columns multiplies one gather in once per column. An
-    exhaustive run tabulates the kernel once on the letters that occur.
-    When the rows are linear and the table depends only on the XOR of two
-    letters (every protocol the CLI builds, checked by :func:`_xor_errors`),
-    it computes the 2^n errors of the pairs (0, z), and pair (x, y) reads
-    the one at z = x ^ y; otherwise it fills the grid in blocks of x rows. A
-    referee with ``by_distance`` is read at each pair's codeword distance
-    instead: the weight of row z when the rows are linear, else on the grid.
+    Every pair is read by :func:`_accepted`: the drawn pairs when sampling;
+    exhaustively, the 2^n pairs (0, z) when :func:`_xor_invariant` holds
+    (every protocol the CLI builds), pair (x, y) reading the one at
+    z = x ^ y, else all 4^n pairs, their indices built block by block. The
+    kernel is tabulated once on the letters present, unless the referee
+    reads codeword distances (``by_distance``).
     """
-    size, letters = 1 << protocol.n, protocol.letters
-    by_distance = getattr(protocol.referee, "by_distance", None)
+    size = 1 << protocol.n
     if samples is None:
         if seed is not None:
             raise ConfigError("a seed needs samples")
@@ -760,81 +743,58 @@ def evaluate_error(
                 f"exhaustive evaluation requires n <= {TABLE_N_CAP}, got n={protocol.n}"
             )
         rows = protocol._table  # checked at construction; read in place
-        runs = _column_runs(rows)
-        # The first column of each run: the rows themselves when no column
-        # repeats the one before it.
-        columns = rows if len(runs) == rows.shape[1] else rows[:, [start for start, _ in runs]]
-        repeats = [stop - start for start, stop in runs]
-        if by_distance is not None:
-            if _linear(columns):  # pair (x, y) is at the weight of row x ^ y
-                xor_errors = by_distance(columns @ np.array(repeats))
-                xor_errors[0] = 1.0 - xor_errors[0]
-                return ErrorReport(protocol.name, protocol.n, xor_errors=xor_errors)
-            p_error = np.empty(size * size)
-            for start in range(0, size * size, BLOCK_ROWS):
-                x, y = np.divmod(np.arange(start, min(start + BLOCK_ROWS, size * size)), size)
-                p_error[start : start + BLOCK_ROWS] = by_distance(_distances(rows, runs, x, y))
-        else:
-            # One table of the letters that occur serves every run.
-            table = _tabulated(protocol.referee.pair_probability, letters, columns.reshape(-1))
-            xor_errors = _xor_errors(table, columns, repeats)
-            if xor_errors is not None:
-                return ErrorReport(protocol.name, protocol.n, xor_errors=xor_errors)
-            # Row a of each run's gather holds T[a, row y] for every y.
-            gathers = [(table[:, column], column, count) for column, count in zip(columns.T, repeats)]
-            grid = np.ones((size, size))
-            step = max(1, BLOCK_ROWS >> protocol.n)  # whole x rows per block
-            for x_start in range(0, size, step):
-                block = grid[x_start : x_start + step]
-                for by_letter, symbols, count in gathers:
-                    gather = by_letter[symbols[x_start : x_start + step]]
-                    for _ in range(count):
-                        block *= gather
-            p_error = grid.reshape(-1)
-        equal = p_error[:: size + 1]
-        np.subtract(1.0, equal, out=equal)
-        return ErrorReport(protocol.name, protocol.n, p_error)
-
-    if samples < 1:
-        raise ConfigError("sampled evaluation requires samples >= 1")
-    if seed is None or seed < 0:
-        raise ConfigError(f"sampled evaluation requires an explicit seed >= 0, got {seed}")
-    if protocol.n > INPUT_BITS_CAP:
-        raise InputCapError(
-            f"sampled evaluation holds inputs as 64-bit integers: n is {protocol.n}, "
-            f"above the {INPUT_BITS_CAP}-bit input limit"
-        )
-    if samples > SAMPLES_CAP:
-        raise InputCapError(
-            f"sampled evaluation of {samples} pairs is above the cap of {SAMPLES_CAP} pairs"
-        )
-    # Up to TABLE_N_CAP the rows are a gather of the checked table; above it
-    # each distinct drawn input builds its row.
-    if protocol.n > TABLE_N_CAP:
-        protocol._check_table_size(min(2 * samples, size))
-    seed = int(seed)
-    rng = np.random.default_rng([seed, protocol.n])
-    xs = rng.integers(0, size, size=samples)
-    ys = rng.integers(0, size, size=samples)
-    order = np.lexsort((ys, xs))  # stable: tied pairs keep draw order
-    x, y = xs[order], ys[order]
-    inputs, index = np.unique(np.concatenate((x, y)), return_inverse=True)
-    ix, iy = index[:samples], index[samples:]
-    rows = protocol.rows(inputs)
-    runs = _column_runs(rows)
-    if by_distance is not None:
-        p_error = by_distance(_distances(rows, runs, ix, iy))
     else:
-        p_error = np.ones(samples)
-        kernel = cache(protocol.referee.pair_probability)  # column runs share their letter pairs
-        for start, stop in runs:
-            gather = _tabulated(kernel, letters, rows[:, start], ix, iy)
-            for _ in range(stop - start):
-                p_error *= gather
-    np.subtract(1.0, p_error, out=p_error, where=x == y)
-    # Each draw's sorted position, for statistics in draw order.
-    drawn = (x, y, np.argsort(order))
-    return ErrorReport(protocol.name, protocol.n, p_error, seed=seed, drawn=drawn)
+        if samples < 1:
+            raise ConfigError("sampled evaluation requires samples >= 1")
+        if seed is None or seed < 0:
+            raise ConfigError(f"sampled evaluation requires an explicit seed >= 0, got {seed}")
+        if protocol.n > INPUT_BITS_CAP:
+            raise InputCapError(
+                f"sampled evaluation holds inputs as 64-bit integers: n is {protocol.n}, "
+                f"above the {INPUT_BITS_CAP}-bit input limit"
+            )
+        if samples > SAMPLES_CAP:
+            raise InputCapError(
+                f"sampled evaluation of {samples} pairs is above the cap of {SAMPLES_CAP} pairs"
+            )
+        # Up to TABLE_N_CAP the rows are a gather of the checked table; above
+        # it each distinct drawn input builds its row.
+        if protocol.n > TABLE_N_CAP:
+            protocol._check_table_size(min(2 * samples, size))
+        seed = int(seed)
+        rng = np.random.default_rng([seed, protocol.n])
+        xs = rng.integers(0, size, size=samples)
+        ys = rng.integers(0, size, size=samples)
+        order = np.lexsort((ys, xs))  # stable: tied pairs keep draw order
+        x, y = xs[order], ys[order]
+        inputs, index = np.unique(np.concatenate((x, y)), return_inverse=True)
+        rows = protocol.rows(inputs)
+    runs = _column_runs(rows)
+    # The first column of each run: the rows themselves when no column
+    # repeats the one before it, else a copy in row order.
+    columns = rows if len(runs) == rows.shape[1] else rows.take([start for start, _ in runs], axis=1)
+    repeats = [stop - start for start, stop in runs]
+    table = None
+    if not hasattr(protocol.referee, "by_distance"):
+        # One table of the letters present serves every run.
+        table = _tabulated(protocol.referee.pair_probability, protocol.letters, columns.reshape(-1))
+    if samples is not None:
+        p_error = _accepted(protocol, table, columns, repeats, index[:samples], index[samples:])
+        np.subtract(1.0, p_error, out=p_error, where=x == y)
+        # Each draw's sorted position, for statistics in draw order.
+        drawn = (x, y, np.argsort(order))
+        return ErrorReport(protocol.name, protocol.n, p_error, seed=seed, drawn=drawn)
+    if _xor_invariant(table, columns):
+        xor_errors = _accepted(protocol, table, columns, repeats, np.zeros(size, int), np.arange(size))
+        xor_errors[0] = 1.0 - xor_errors[0]
+        return ErrorReport(protocol.name, protocol.n, xor_errors=xor_errors)
+    p_error = np.empty(size * size)
+    for start in range(0, size * size, BLOCK_ROWS):
+        x, y = np.divmod(np.arange(start, min(start + BLOCK_ROWS, size * size)), size)
+        p_error[start : start + BLOCK_ROWS] = _accepted(protocol, table, columns, repeats, x, y)
+    equal = p_error[:: size + 1]
+    np.subtract(1.0, equal, out=equal)
+    return ErrorReport(protocol.name, protocol.n, p_error)
 
 
 # ---------------------------------------------------------------------------

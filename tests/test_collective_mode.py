@@ -8,7 +8,8 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from optsmp.errors import PhotonCapError
+from optsmp.errors import ModeMismatchError, PhotonCapError
+from optsmp.fock import ProductPureState
 from optsmp.smp import (
     CollectiveModeReferee,
     InterferenceVacuumReferee,
@@ -112,3 +113,14 @@ def test_a_projection_past_half_the_pair_photon_limit_is_refused():
     # built.
     with pytest.raises(PhotonCapError, match="keeps more than 256 photons"):
         _referee(600, 5000.0, 5555)
+
+
+@pytest.mark.parametrize("binding", [False, True], ids=["interference", "collective-mode"])
+def test_messages_of_different_factor_counts_are_refused(binding):
+    protocol = coherent_fingerprint_protocol(2, RepetitionCode(2, 1), 1.0)
+    if binding:
+        protocol, _ = transform_protocol(protocol, 0.4, original_error=0.0)
+    short = protocol.message(1)
+    long = ProductPureState((*short.factors, short.factors[0]))
+    with pytest.raises(ModeMismatchError, match="different factor counts"):
+        protocol.referee.output_one_probability(short, long)

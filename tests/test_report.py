@@ -51,8 +51,8 @@ def test_report_statistics_are_computed_on_first_read():
 @pytest.mark.parametrize("block_rows", [report_module.BLOCK_ROWS, 8])
 @pytest.mark.parametrize("n", range(1, 8))
 def test_grid_rows_equal_rows_written_pair_by_pair(monkeypatch, n, block_rows):
-    # Blocks of 8 pairs hold one x row or less, so every row starts a block,
-    # in the grid fill and in the CSV.
+    # Blocks of 8 pairs hold one x row or less, so every CSV row starts a
+    # block; blocks of 8 entries split the pairs (0, z) that evaluation reads.
     protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, 2), 1.3)
     whole = evaluate_error(protocol).p_error
     monkeypatch.setattr(report_module, "BLOCK_ROWS", block_rows)

@@ -952,26 +952,32 @@ def test_exhaustive_rows_equal_the_one_pair_api_bit_for_bit(case):
 def test_repeated_factor_columns_reuse_one_gather(monkeypatch):
     # Repeats 4: each input bit fills four consecutive positions with the
     # same factor objects, so three runs serve twelve positions; each run's
-    # gather is multiplied in four times, bit for bit like the one-pair API.
-    # Both letters occur in every run, so one letter table serves all three,
-    # on the grid (here forced) as in the error profile of x XOR y.
-    calls, runs = [], []
+    # factor is multiplied in four times, bit for bit like the one-pair API.
+    # Both letters occur in every run, so each evaluation builds one letter
+    # table for all three runs, running the kernel once per letter pair, on
+    # the grid (here forced) as in the error profile of x XOR y.
+    tables, kernel_calls, runs = [], [], []
     tabulated, column_runs = smp._tabulated, smp._column_runs
-
-    def counted(*args):
-        calls.append(args)
-        return tabulated(*args)
-
     protocol = coherent_fingerprint_protocol(3, RepetitionCode(3, 4), 1.7)
-    monkeypatch.setattr(smp, "_tabulated", counted)
+    kernel = protocol.referee.pair_probability
+
+    def counted_kernel(a, b):
+        kernel_calls.append((a, b))
+        return kernel(a, b)
+
+    monkeypatch.setattr(smp, "_tabulated", lambda *args: tables.append(args) or tabulated(*args))
     monkeypatch.setattr(smp, "_column_runs", lambda rows: runs.append(column_runs(rows)) or runs[-1])
+    monkeypatch.setattr(protocol.referee, "pair_probability", counted_kernel)
     with monkeypatch.context() as patch:
-        patch.setattr(smp, "_xor_errors", lambda *args: None)
+        patch.setattr(smp, "_xor_invariant", lambda table, columns: False)
         report = evaluate_error(protocol)
-    assert protocol.m == 12 and runs == [[(0, 4), (4, 8), (8, 12)]] and len(calls) == 1
+    assert protocol.m == 12 and runs == [[(0, 4), (4, 8), (8, 12)]]
+    assert report.xor_errors is None and len(tables) == 1 and len(kernel_calls) == 4
     _assert_rows_match_one_pair_api(protocol, report)
+    tables.clear()
+    kernel_calls.clear()
     report = evaluate_error(protocol)
-    assert report.xor_errors is not None and len(calls) == 2
+    assert report.xor_errors is not None and len(tables) == 1 and len(kernel_calls) == 4
     _assert_rows_match_one_pair_api(protocol, report)
 
 
@@ -986,8 +992,8 @@ def test_sampled_rows_equal_the_one_pair_api_bit_for_bit():
 
 @pytest.mark.parametrize("case", sorted(ONE_PAIR_CASES))
 def test_sampled_rows_with_more_symbol_pairs_than_draws_equal_the_one_pair_api(case):
-    # Three draws are fewer than the symbol pairs of any alphabet with two
-    # symbols, so the tables hold only the symbol pairs that occur.
+    # Three draws meet fewer letter pairs than the table of the letters
+    # present holds, and every row still reads its own pair's factors.
     protocol = ONE_PAIR_CASES[case]()
     report = evaluate_error(protocol, samples=3, seed=7)
     assert len(_assert_rows_match_one_pair_api(protocol, report)) == 3
@@ -1006,6 +1012,47 @@ def test_sampled_evaluation_memory_grows_with_draws_not_alphabet_squared():
     assert len(set(report.x.tolist()) | set(report.y.tolist())) > 3900
     assert report.worst_error == 0.0 and len(report.pair_errors) == 2000
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_evaluation_blocks_split_anywhere_bit_for_bit(monkeypatch, n):
+    # Blocks of 8 entries (pairs x runs) hold at most 8 // n pairs, so they
+    # split the x rows of the grid (forced) and the drawn pairs alike, on the
+    # letter table and on the codeword distances of a binding truncation.
+    protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, 2), 1.3)
+    binding, _ = transform_protocol(protocol, 0.6 if n <= 4 else 0.9, original_error=0.0)
+    assert hasattr(binding.referee, "by_distance") and not hasattr(protocol.referee, "by_distance")
+    monkeypatch.setattr(smp, "_xor_invariant", lambda table, columns: False)
+
+    def errors():
+        return [
+            evaluate_error(p, **kwargs).p_error.tobytes()
+            for p in (protocol, binding)
+            for kwargs in ({}, {"samples": 50, "seed": n})
+        ]
+
+    whole = errors()
+    monkeypatch.setattr(smp, "BLOCK_ROWS", 8)
+    assert errors() == whole
+
+
+def test_grid_holds_its_errors_and_one_block_of_indices():
+    # x -> 3x mod 2^10 is not linear over GF(2), so all 4^10 pairs are read.
+    # Beyond the 8 bytes of each error, only a block's index and gather
+    # arrays are held: indices of the whole grid would add 24 bytes a pair.
+    n = 10
+    protocol = SmpProtocol(
+        name="times-three",
+        n=n,
+        m=n,
+        mu=float(n),
+        letters=_basis_letters((0,), (1,)),
+        codewords=lambda xs: smp._input_bits(3 * np.asarray(xs) % (1 << n), n),
+        referee=DiagonalMapReferee(),
+    )
+    report, peak = _traced_peak(lambda: evaluate_error(protocol))
+    assert report.xor_errors is None and report.p_error.size == 4**n and not report.p_error.any()
+    assert peak <= 8 * 4**n + 80 * smp.BLOCK_ROWS
 
 
 @pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 127, 128, 129, 1000, 4097, 100003])

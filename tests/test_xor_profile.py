@@ -28,10 +28,8 @@ FAMILIES = {
 
 
 def _grid_only(monkeypatch):
-    """Fail both structure checks: the letter-pair grid for a per-position
-    referee, the distance grid for the referee of a binding truncation."""
-    monkeypatch.setattr(smp, "_xor_errors", lambda *args: None)
-    monkeypatch.setattr(smp, "_linear", lambda columns: False)
+    """Fail the structure check, so that every pair of the grid is read."""
+    monkeypatch.setattr(smp, "_xor_invariant", lambda table, columns: False)
 
 
 def _truncations(spec):
