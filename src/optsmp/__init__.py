@@ -5,154 +5,110 @@ number basis, truncates them below a mean-photon cutoff with certified error
 bounds, counts the dimension of the surviving subspace, and evaluates the
 exact error of concrete simultaneous-message protocols before and after
 truncation.
+
+The names in ``__all__`` are exported lazily (PEP 562): ``optsmp.X`` and
+``from optsmp import X`` import X's module on first use. ``import optsmp``
+therefore loads no submodule, and the counting side (``combinatorics``,
+``bounds``, ``errors``) never loads numpy.
 """
 
-from .bounds import (
-    ComplexityReference,
-    ReportPoint,
-    TradeoffRow,
-    build_report,
-    default_references,
-    qfp_report_points,
-    quantum_tradeoff_lhs,
-)
-from .combinatorics import (
-    LogRankBounds,
-    RankCount,
-    binary_entropy,
-    binomial_power_bound,
-    count_rank,
-    entropy_bound,
-    entropy_profile,
-    iter_occupations,
-    log_rank_bounds,
-    markov_photon_cutoff,
-)
-from .errors import (
-    BasisMismatchError,
-    ConfigError,
-    DimensionCapError,
-    InputCapError,
-    ModeMismatchError,
-    NormalizationError,
-    OptSmpError,
-    PhotonCapError,
-    PremiseViolationError,
-    SupportCapError,
-    VacuousTruncationError,
-)
-from .fock import (
-    FockDiagonalState,
-    ProductPureState,
-    PureState,
-    coherent_state,
-    cutoff_for_tail,
-    fidelity,
-    mean_photon_number,
-    overlap,
-    photon_number_distribution,
-    poisson_tail,
-    tail_probability,
-    tensor,
-    total_photons,
-    trace_distance,
-)
-from .report import ErrorReport
-from .smp import (
-    DiagonalMapReferee,
-    InterferenceVacuumReferee,
-    RepetitionCode,
-    SmpProtocol,
-    XorFoldCode,
-    apply_beamsplitter,
-    beamsplitter_pair,
-    coherent_accept_probability,
-    coherent_fingerprint_protocol,
-    deterministic_cc_matrix,
-    equality_function,
-    evaluate_error,
-    letter_per_input,
-    load_protocol,
-    trivial_classical_protocol,
-)
-from .truncation import (
-    check_gentle_measurement,
-    check_projector_closeness,
-    perturbed_error_bound,
-    project_below_cutoff,
-    transform_protocol,
-)
-from .verify import SUITES, DenseBasis, DenseOperator, SuiteResult, run_suites
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisMismatchError",
-    "ComplexityReference",
-    "ConfigError",
-    "DenseBasis",
-    "DenseOperator",
-    "DiagonalMapReferee",
-    "DimensionCapError",
-    "ErrorReport",
-    "FockDiagonalState",
-    "InputCapError",
-    "InterferenceVacuumReferee",
-    "LogRankBounds",
-    "ModeMismatchError",
-    "NormalizationError",
-    "OptSmpError",
-    "PhotonCapError",
-    "PremiseViolationError",
-    "ProductPureState",
-    "PureState",
-    "RankCount",
-    "RepetitionCode",
-    "ReportPoint",
-    "SUITES",
-    "SmpProtocol",
-    "SuiteResult",
-    "SupportCapError",
-    "TradeoffRow",
-    "VacuousTruncationError",
-    "XorFoldCode",
-    "apply_beamsplitter",
-    "beamsplitter_pair",
-    "binary_entropy",
-    "binomial_power_bound",
-    "build_report",
-    "check_gentle_measurement",
-    "check_projector_closeness",
-    "coherent_accept_probability",
-    "coherent_fingerprint_protocol",
-    "coherent_state",
-    "count_rank",
-    "cutoff_for_tail",
-    "default_references",
-    "deterministic_cc_matrix",
-    "entropy_bound",
-    "entropy_profile",
-    "equality_function",
-    "evaluate_error",
-    "fidelity",
-    "iter_occupations",
-    "letter_per_input",
-    "load_protocol",
-    "log_rank_bounds",
-    "markov_photon_cutoff",
-    "mean_photon_number",
-    "overlap",
-    "perturbed_error_bound",
-    "photon_number_distribution",
-    "poisson_tail",
-    "project_below_cutoff",
-    "qfp_report_points",
-    "quantum_tradeoff_lhs",
-    "run_suites",
-    "tail_probability",
-    "tensor",
-    "total_photons",
-    "trace_distance",
-    "trivial_classical_protocol",
-    "transform_protocol",
-]
+#: Module of each exported name, grouped by module.
+_EXPORTS = {
+    "bounds": (
+        "ComplexityReference",
+        "ReportPoint",
+        "TradeoffRow",
+        "build_report",
+        "default_references",
+        "qfp_report_points",
+        "quantum_tradeoff_lhs",
+    ),
+    "combinatorics": (
+        "LogRankBounds",
+        "RankCount",
+        "binary_entropy",
+        "binomial_power_bound",
+        "count_rank",
+        "deterministic_cc_matrix",
+        "entropy_bound",
+        "entropy_profile",
+        "equality_function",
+        "iter_occupations",
+        "log_rank_bounds",
+        "markov_photon_cutoff",
+    ),
+    "errors": (
+        "BasisMismatchError",
+        "ConfigError",
+        "DimensionCapError",
+        "InputCapError",
+        "ModeMismatchError",
+        "NormalizationError",
+        "OptSmpError",
+        "PhotonCapError",
+        "PremiseViolationError",
+        "SupportCapError",
+        "VacuousTruncationError",
+    ),
+    "fock": (
+        "FockDiagonalState",
+        "ProductPureState",
+        "PureState",
+        "coherent_state",
+        "cutoff_for_tail",
+        "fidelity",
+        "mean_photon_number",
+        "overlap",
+        "photon_number_distribution",
+        "poisson_tail",
+        "tail_probability",
+        "tensor",
+        "total_photons",
+        "trace_distance",
+    ),
+    "report": ("ErrorReport",),
+    "smp": (
+        "DiagonalMapReferee",
+        "InterferenceVacuumReferee",
+        "RepetitionCode",
+        "SmpProtocol",
+        "XorFoldCode",
+        "apply_beamsplitter",
+        "beamsplitter_pair",
+        "coherent_accept_probability",
+        "coherent_fingerprint_protocol",
+        "evaluate_error",
+        "letter_per_input",
+        "load_protocol",
+        "trivial_classical_protocol",
+    ),
+    "truncation": (
+        "check_gentle_measurement",
+        "check_projector_closeness",
+        "perturbed_error_bound",
+        "project_below_cutoff",
+        "transform_protocol",
+    ),
+    "verify": ("SUITES", "DenseBasis", "DenseOperator", "SuiteResult", "run_suites"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import an exported name's module on first access and keep the name."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -14,9 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .combinatorics import entropy_bound, markov_photon_cutoff
+from .combinatorics import (
+    DCC_N_CAP,
+    deterministic_cc_matrix,
+    entropy_bound,
+    equality_function,
+    markov_photon_cutoff,
+)
 from .errors import ConfigError
-from .smp import DCC_N_CAP, RepetitionCode, deterministic_cc_matrix, equality_function
 
 #: Fixed column order of the tradeoff CSV.
 CSV_HEADER = "n,m,mu,delta,a,log2_rank,term_photon,term_mode,lhs_min,classical_lhs,entropy_bound,D_exact,notes"
@@ -202,13 +207,15 @@ def qfp_report_points(
 ) -> list[ReportPoint]:
     """Report points for a coherent-fingerprint family, one per input size.
 
-    Each point takes the protocol's m from its repetition code and its mu as
-    given, and the notes column tabulates log2(m)/log2(n) as a trend; nothing
-    asymptotic is asserted.
+    Each point takes the protocol's m = n * repeats from its repetition code
+    and its mu as given, and the notes column tabulates log2(m)/log2(n) as a
+    trend; nothing asymptotic is asserted.
     """
     points = []
     for n in n_values:
-        m = RepetitionCode(n, repeats).m
+        if n < 1 or repeats < 1:
+            raise ConfigError("repetition code needs n >= 1 and repeats >= 1")
+        m = n * repeats
         ratio = math.log2(m) / math.log2(n) if n > 1 else float("inf")
         points.append(
             ReportPoint(

@@ -8,6 +8,11 @@ of (config, seed): identical runs produce byte-identical files. Exit codes:
 0 success, 1 internal failure or failed verification, 2 invalid
 configuration or an internal limit (support, dimension, photon or input cap)
 reached, 141 when the reader of stdout closed it before the output ended.
+
+This module imports only the numpy-free modules (``bounds``,
+``combinatorics``, ``errors``), so ``rank``, ``dcc`` and ``bounds`` run
+without loading numpy, which would take most of a fresh process's time.
+``simulate`` and ``verify`` import what they use when they run.
 """
 
 from __future__ import annotations
@@ -27,7 +32,14 @@ from .bounds import (
     build_report,
     qfp_report_points,
 )
-from .combinatorics import count_rank, log_rank_bounds, markov_photon_cutoff
+from .combinatorics import (
+    DCC_N_CAP,
+    count_rank,
+    deterministic_cc_matrix,
+    equality_function,
+    log_rank_bounds,
+    markov_photon_cutoff,
+)
 from .errors import (
     ConfigError,
     DimensionCapError,
@@ -36,22 +48,17 @@ from .errors import (
     PhotonCapError,
     SupportCapError,
 )
-from .report import csv_rows
-from .smp import (
-    DCC_N_CAP,
-    deterministic_cc_matrix,
-    equality_function,
-    evaluate_error,
-    load_protocol,
-)
-from .truncation import transform_protocol
-from .verify import DEFAULT_SEED, SUITES, run_suites
 
 DCC_CONVENTION = (
     "protocol-tree depth; leaves are monochromatic rectangles; answer bit not charged"
 )
 MU_CONVENTION = "per-party-max"
 DEFAULT_DELTA = 1e-4
+#: ``sorted(verify.SUITES)`` and ``verify.DEFAULT_SEED``, written out so that
+#: building the parser does not import ``verify`` and numpy with it
+#: (``tests/test_cli.py`` checks that they agree).
+SUITE_NAMES = ("binom", "closeness", "entropy", "gentle", "logrank", "markov", "metrics", "perturb")
+DEFAULT_SEED = 1729
 
 
 #: Fresh temp-file names tried before an atomic write gives up.
@@ -191,6 +198,10 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 # simulate
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .report import csv_rows
+    from .smp import evaluate_error, load_protocol
+    from .truncation import transform_protocol
+
     spec = _load_json(args.config)
     protocol = load_protocol(spec)
     # One set of pairs for both protocols: a sample is drawn from (seed, n).
@@ -233,6 +244,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # verify
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # One thread for the BLAS and OpenMP pools behind verify's small dense
+    # eigh calls, unless the user chose a count: set before numpy first
+    # loads, which in a fresh process is the import below. Extra threads
+    # only contend for the cores under load.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    from .verify import run_suites
+
     names = [args.suite] if args.suite else None
     results = run_suites(
         names, seed=args.seed, size=args.max, inject_fault=args.inject_fault
@@ -283,11 +302,17 @@ def cmd_dcc(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # rank
 
+@functools.cache
+def _power_of_ten(digits: int) -> int:
+    """10**digits, built once per digit limit rather than once per rank."""
+    return 10**digits
+
+
 def _check_printable(rank: int, log2_rank: float) -> None:
     """Refuse, as an internal limit, a rank with more decimal digits than
     CPython converts from int to str (``sys.get_int_max_str_digits``)."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and rank >= 10**limit:
+    if limit and rank >= _power_of_ten(limit):
         raise DimensionCapError(
             f"rank has {math.floor(math.log10(rank)) + 1} decimal digits, above the "
             f"{limit}-digit int-to-str limit; log2_rank={log2_rank!r}"
@@ -369,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_verify = sub.add_parser("verify", help="run property suites")
-    p_verify.add_argument("--suite", choices=sorted(SUITES), help="run one suite instead of all")
+    p_verify.add_argument("--suite", choices=SUITE_NAMES, help="run one suite instead of all")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED, help="ensemble seed")
     p_verify.add_argument(
         "--max", type=int, help="suite size (cases or sweep bound), up to each suite's cap"
@@ -377,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", help="write the summary to this path")
     p_verify.add_argument(
         "--inject-fault",
-        choices=sorted(SUITES),
+        choices=SUITE_NAMES,
         help="test mode: make the named suite's tolerance unsatisfiable (it must be in the run)",
     )
     p_verify.set_defaults(func=cmd_verify)

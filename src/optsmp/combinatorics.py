@@ -1,20 +1,26 @@
-"""Exact counting for photon-truncated subspaces and the bounds on its log.
+"""Exact counting: photon-truncated subspaces, the bounds on their log, and
+the brute-force deterministic communication cost of a small 0/1 matrix.
 
 Everything here is exact integer arithmetic; logarithms are taken of the
 exact big integers (CPython's ``math.log2`` handles arbitrary-precision
 ints by exponent extraction, so nothing ever passes through a float
-factorial).
+factorial). The module imports no numpy, so that the ``rank``, ``dcc`` and
+``bounds`` subcommands never load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError
 
 FockIndex = tuple[int, ...]
+
+#: Brute-force deterministic-communication search is exponential in 2^n, so
+#: it takes tables of at most 2^DCC_N_CAP rows and columns.
+DCC_N_CAP = 3
 
 
 def markov_photon_cutoff(mu: float, delta: float) -> int:
@@ -181,3 +187,102 @@ def entropy_profile(n_values: Iterable[int]) -> Iterator[dict]:
             "rank_over_sqrt_n": log2_rank / sqrt_n,
             "bound_over_sqrt_n": bound / sqrt_n,
         }
+
+
+# ---------------------------------------------------------------------------
+# Deterministic communication complexity (exact, brute force)
+
+def equality_function(n: int) -> list[list[int]]:
+    """Equality on n-bit strings as a 0/1 matrix, row x and column y."""
+    size = 1 << n
+    return [[int(x == y) for y in range(size)] for x in range(size)]
+
+
+def deterministic_cc_matrix(values: Sequence[Sequence[int]]) -> int:
+    """Exact deterministic communication cost of an arbitrary 0/1 matrix.
+
+    Convention: a monochromatic rectangle costs 0; otherwise one party sends
+    one bit splitting its side, costing 1 plus the worse branch, minimized
+    over senders and bipartitions. The final answer bit is not charged.
+    ``values`` is a sequence of row sequences whose entries are the Python
+    ints 0 and 1 (not bools), with at most 2^``DCC_N_CAP`` rows and columns.
+    """
+    if not isinstance(values, Sequence) or not all(isinstance(row, Sequence) for row in values):
+        raise ConfigError("values must be a sequence of row sequences")
+    n_rows = len(values)
+    if n_rows == 0 or not values[0] or any(len(row) != len(values[0]) for row in values):
+        raise ConfigError("values must be a nonempty rectangular matrix")
+    n_cols = len(values[0])
+    cap = 1 << DCC_N_CAP
+    if n_rows > cap or n_cols > cap:
+        raise ConfigError(f"matrix {n_rows}x{n_cols} exceeds the {cap}x{cap} search cap")
+    if not all(type(v) is int and v in (0, 1) for row in values for v in row):
+        raise ConfigError("matrix entries must be the integers 0 or 1")
+
+    # A matrix is a tuple of row bitmasks over ``width`` columns. Removing a
+    # duplicate row or column does not change the cost (the twin follows its
+    # copy through any protocol), so the search runs on reduced matrices
+    # only, and a reduced matrix is monochromatic exactly when it is 1x1.
+    # Cost is the same for a matrix and its transpose.
+
+    def transpose(rows: Sequence[int], width: int) -> list[int]:
+        return [sum((r >> j & 1) << i for i, r in enumerate(rows)) for j in range(width)]
+
+    def reduced(rows: Sequence[int], width: int) -> tuple[tuple[int, ...], int]:
+        rows = sorted(set(rows))
+        cols = sorted(set(transpose(rows, width)))
+        return tuple(sorted(transpose(cols, len(rows)))), len(cols)
+
+    def rank(rows: Iterable[int], width: int) -> int:
+        # Over the integers mod a prime: the rank over any field bounds the
+        # leaf count, and no minor of a 0/1 8x8 matrix is a nonzero multiple
+        # of this prime, so this is the rational rank.
+        prime = 2**31 - 1
+        vecs = [[r >> j & 1 for j in range(width)] for r in rows]
+        found = 0
+        for j in range(width):
+            pivot = next((v for v in vecs if v[j]), None)
+            if pivot is None:
+                continue
+            vecs.remove(pivot)
+            inv = pow(pivot[j], -1, prime)
+            for v in vecs:
+                if v[j]:
+                    f = v[j] * inv % prime
+                    v[j:] = [(x - f * y) % prime for x, y in zip(v[j:], pivot[j:])]
+            found += 1
+        return found
+
+    memo: dict[tuple[tuple[int, ...], int], int] = {}
+
+    def cost(rows: tuple[int, ...], width: int) -> int:
+        key = (rows, width)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        height = len(rows)
+        if height == 1 and width == 1:
+            memo[key] = 0
+            return 0
+        # Bounds. A depth-c tree has at most 2^c leaves, and the 1-leaves
+        # (0-leaves) sum to the matrix (its complement), so their number is
+        # at least its rank. Sending one's line index and then the answer
+        # bit costs ceil(log2 lines) + 1.
+        full = (1 << width) - 1
+        low = (rank(rows, width) + rank((full ^ r for r in rows), width) - 1).bit_length()
+        best = (min(height, width) - 1).bit_length() + 1
+        for lines, length in ((rows, width), (transpose(rows, width), height)):
+            count = len(lines)
+            # Canonical bipartitions: the half containing line 0.
+            for half in range(1, (1 << count) - 1, 2):
+                if best == low:
+                    break
+                a = cost(*reduced([r for i, r in enumerate(lines) if half >> i & 1], length))
+                if 1 + a >= best:
+                    continue
+                b = cost(*reduced([r for i, r in enumerate(lines) if not half >> i & 1], length))
+                best = min(best, 1 + max(a, b))
+        memo[key] = best
+        return best
+
+    return cost(*reduced([sum(v << j for j, v in enumerate(row)) for row in values], n_cols))

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optsmp import bounds, cli, combinatorics, smp
+from optsmp import bounds, cli, combinatorics, smp, verify
 from optsmp.cli import main
 from optsmp.verify import SUITES
 
@@ -459,8 +459,9 @@ def test_simulate_exhaustive_output(tmp_path, capsys):
 
 def test_simulate_evaluates_each_protocol_once(tmp_path, capsys, monkeypatch):
     # One evaluation per protocol, also when the cutoff is vacuous: every
-    # evaluation reports all 4^n pairs.
-    evaluate = cli.evaluate_error
+    # evaluation reports all 4^n pairs. ``cmd_simulate`` imports
+    # ``evaluate_error`` from ``smp`` when it runs, so it is counted there.
+    evaluate = smp.evaluate_error
     pairs = []
 
     def counted(*args, **kwargs):
@@ -468,7 +469,7 @@ def test_simulate_evaluates_each_protocol_once(tmp_path, capsys, monkeypatch):
         pairs.append(len(report.pair_errors))
         return report
 
-    monkeypatch.setattr(cli, "evaluate_error", counted)
+    monkeypatch.setattr(smp, "evaluate_error", counted)
     config = _write_config(tmp_path, "p.json", QFP2)
     assert main(["simulate", "--config", config, "--truncate", "1e-4"]) == 0
     assert pairs == [16, 16]
@@ -782,6 +783,35 @@ def test_verify_rejects_unknown_suite(capsys):
     assert main(["verify", "--suite", "nope"]) == 2
 
 
+def test_parser_names_the_suites_and_seed_of_verify():
+    # The parser spells them out so that building it imports no numpy.
+    assert list(cli.SUITE_NAMES) == sorted(SUITES)
+    assert cli.DEFAULT_SEED == verify.DEFAULT_SEED
+    parser = cli.build_parser()
+    assert parser.parse_args(["verify"]).seed == verify.DEFAULT_SEED
+    for name in SUITES:
+        args = parser.parse_args(["verify", "--suite", name, "--inject-fault", name])
+        assert args.suite == args.inject_fault == name
+
+
+def test_verify_runs_one_blas_thread_unless_the_user_chose(tmp_path):
+    # A fresh process first loads numpy in cmd_verify, after it fills in
+    # the thread counts the user left unset.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), OPENBLAS_NUM_THREADS="3")
+    env.pop("OMP_NUM_THREADS", None)
+    code = (
+        "import os, sys\n"
+        "from optsmp.cli import main\n"
+        "assert main(['verify', '--suite', 'binom', '--max', '5', '--out', sys.argv[1]]) == 0\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "v.txt")], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "3 1\n"
+
+
 def test_verify_refuses_a_fault_in_a_suite_it_does_not_run(capsys):
     # The fault would be lost: the run would print overall=pass.
     assert main(["verify", "--suite", "binom", "--inject-fault", "gentle"]) == 2
@@ -829,6 +859,45 @@ def test_verify_output_deterministic(tmp_path):
 
 # ---------------------------------------------------------------------------
 # top-level behavior
+
+def test_counting_subcommands_never_import_numpy(tmp_path):
+    # rank, dcc and bounds are exact integer work; numpy would cost most of
+    # a fresh process's time. The steps run in order in one fresh interpreter.
+    eq = _write_config(tmp_path, "eq.json", {"type": "equality", "n": 3})
+    grid = _write_config(tmp_path, "grid.json", {"kind": "grid", "m": [2, 5], "mu": [0.5, 2.0]})
+    qfp = _write_config(tmp_path, "qfp.json", {"kind": "qfp", "n": [1, 2, 3, 8], "mu": 1.0})
+    argvs = [
+        ["rank", "5", "7"],
+        ["rank", "6", "--mu", "0.3"],
+        ["dcc", "--config", eq],
+        ["bounds", "--config", grid],
+        ["bounds", "--config", qfp],
+    ]
+    code = (
+        "import json, sys\n"
+        "steps = []\n"
+        "import optsmp\n"
+        "steps.append(['import optsmp', 0, 'numpy' in sys.modules])\n"
+        "import optsmp.cli\n"
+        "steps.append(['import optsmp.cli', 0, 'numpy' in sys.modules])\n"
+        "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    exit_code = optsmp.cli.main(argv + ['--out', f'{sys.argv[2]}/out{i}.txt'])\n"
+        "    steps.append([' '.join(argv[:2]), exit_code, 'numpy' in sys.modules])\n"
+        "print(json.dumps(steps))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    steps = json.loads(result.stdout)
+    names = ["import optsmp", "import optsmp.cli"] + [" ".join(argv[:2]) for argv in argvs]
+    assert steps == [[name, 0, False] for name in names]
+    # The qfp report ran the brute-force oracle: D_exact is 2, 3, 4 at n = 1-3.
+    rows = (tmp_path / "out4.txt").read_text().splitlines()[4:]
+    assert [row.split(",")[11] for row in rows] == ["2", "3", "4", ""]
+
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
