@@ -6,8 +6,9 @@ family), ``simulate`` (exact protocol error evaluation), ``verify``
 ``rank`` (truncated-subspace dimension). Outputs are deterministic functions
 of (config, seed): identical runs produce byte-identical files. Exit codes:
 0 success, 1 internal failure or failed verification, 2 invalid
-configuration or an internal limit (support, dimension, photon or input cap)
-reached, 141 when the reader of stdout closed it before the output ended.
+configuration, a config or output path that cannot be used, or an internal
+limit (support, dimension, photon or input cap) reached, 141 when the
+reader of stdout closed it before the output ended.
 
 This module imports only the numpy-free modules (``bounds``,
 ``combinatorics``, ``errors``), so ``rank``, ``dcc`` and ``bounds`` run
@@ -70,28 +71,34 @@ def _write_atomic(path: str, chunks: Iterable[str]) -> None:
 
     The temp file is created with mode 0o666 less the umask, the mode a
     plain ``open`` gives a new file (``tempfile.mkstemp`` would give 0o600,
-    which the rename keeps)."""
+    which the rename keeps). A directory is refused before any temp file is
+    made, and a path that cannot be written is a :class:`ConfigError`."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write output file {path}: Is a directory")
     directory = os.path.dirname(os.path.abspath(path))
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_NOFOLLOW", 0)
-    for _ in range(TEMP_NAME_TRIES):
-        tmp = os.path.join(directory, f".optsmp-{os.urandom(6).hex()}.tmp")
-        try:
-            fd = os.open(tmp, flags, 0o666)
-            break
-        except FileExistsError:
-            continue
-    else:
-        raise FileExistsError(f"no free temporary file name in {directory}")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
+        for _ in range(TEMP_NAME_TRIES):
+            tmp = os.path.join(directory, f".optsmp-{os.urandom(6).hex()}.tmp")
+            try:
+                fd = os.open(tmp, flags, 0o666)
+                break
+            except FileExistsError:
+                continue
+        else:
+            raise FileExistsError(f"no free temporary file name in {directory}")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w") as handle:
+                handle.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc.strerror or exc}") from exc
 
 
 def _emit(chunks: Iterable[str], out_path: str | None) -> None:
@@ -108,7 +115,9 @@ def _load_json(path: str) -> object:
             return json.load(handle)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, or nested too deep
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
@@ -200,7 +209,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .report import csv_rows
     from .smp import evaluate_error, load_protocol
-    from .truncation import transform_protocol
+    from .truncation import perturbed_error_bound, transform_protocol
 
     spec = _load_json(args.config)
     protocol = load_protocol(spec)
@@ -225,10 +234,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.truncate is None:
         lines.append("x,y,f,p_error")
     else:
-        truncated, budget = transform_protocol(
-            protocol, args.truncate, original_error=report.worst_error
-        )
+        truncated = transform_protocol(protocol, args.truncate)
         t_report = evaluate_error(truncated, samples=args.samples, seed=args.seed)
+        budget = perturbed_error_bound(report.worst_error, math.sqrt(args.truncate))
         cutoff = markov_photon_cutoff(protocol.mu, args.truncate)
         lines.append(f"# truncate_delta={args.truncate!r} cutoff={cutoff}")
         lines.append(

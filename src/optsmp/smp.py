@@ -231,20 +231,23 @@ def _clamp01(p: float) -> float:
 def _dark_probability(
     a: Mapping[FockIndex, complex], b: Mapping[FockIndex, complex]
 ) -> float:
-    """Probability that every difference port stays dark when mode i of ket
-    ``a`` meets mode i of ket ``b`` on a balanced beamsplitter.
+    """Probability, clamped to [0, 1], that every difference port stays dark
+    when mode i of ket ``a`` meets mode i of ket ``b`` on a balanced beamsplitter.
 
     The beamsplitter sends |n, l> to the dark-port outcome |n+l, 0> with
     amplitude sqrt(C(n+l, n) / 2^(n+l)), so
 
         P = sum_t prod(t_i!) / 2^|t| * |sum_{n+l=t} a(n) b(l) / sqrt(n! l!)|^2,
 
-    one double loop over the two supports. Each amplitude is scaled by
-    rho^|n| and each weight by rho^(-2|t|), which leaves P unchanged and keeps
-    both in floating-point range up to the 512-photon limit per mode pair.
-    Occupations are keyed by their digits in base ``top + 1``; no digit of
-    n + l exceeds ``top``, so n + l is one integer addition.
+    one double loop over at most ``SUPPORT_CAP`` pairs of terms. Each amplitude
+    is scaled by rho^|n| and each weight by rho^(-2|t|), which leaves P
+    unchanged and keeps both in floating-point range up to the 512-photon
+    limit per mode pair. Occupations are keyed by their digits in base
+    ``top + 1``: no digit of n + l exceeds ``top``, so n + l is one addition.
     """
+    pairs = len(a) * len(b)
+    if pairs > SUPPORT_CAP:
+        raise SupportCapError(f"pair support {pairs} exceeds cap {SUPPORT_CAP}")
     top = max(x + y for x, y in zip(map(max, zip(*a)), map(max, zip(*b))))
     if top > PAIR_PHOTON_CAP:
         raise ConfigError(f"interference input too energetic: {top} photons in one mode pair")
@@ -279,7 +282,7 @@ def _dark_probability(
             key, t = divmod(key, base)
             w *= weight[t]
         p += w * abs(amp) ** 2
-    return p
+    return _clamp01(p)
 
 
 def _sign_flip(
@@ -363,14 +366,11 @@ class InterferenceVacuumReferee:
         """Dark-port probability of one pair of corresponding factors."""
         if fa.modes != fb.modes:
             raise ModeMismatchError(f"factor mode mismatch: {fa.modes} vs {fb.modes}")
-        pairs = fa.support_size() * fb.support_size()
-        if pairs > SUPPORT_CAP:
-            raise SupportCapError(f"pair support {pairs} exceeds cap {SUPPORT_CAP}")
         (rep_a, s_a), (rep_b, s_b) = self._sign_class(fa), self._sign_class(fb)
         key = (rep_a, rep_b, s_a ^ s_b)
         p = self._pair_cache.get(key)
         if p is None:
-            p = self._pair_cache[key] = _clamp01(_dark_probability(fa.amplitudes, fb.amplitudes))
+            p = self._pair_cache[key] = _dark_probability(fa.amplitudes, fb.amplitudes)
         return p
 
     def at_cutoff(self, protocol: "SmpProtocol", cutoff: int) -> "CollectiveModeReferee":
@@ -379,7 +379,7 @@ class InterferenceVacuumReferee:
         coherent = [coherent_state(sign * alpha, top).amplitudes for sign in (1, -1)]
         if [getattr(letter, "amplitudes", None) for letter in protocol.letters] != coherent:
             raise ConfigError(f"a binding cutoff of {cutoff} photons needs a fingerprint's two coherent letters")
-        return CollectiveModeReferee(self.pair_probability, protocol.m, protocol.mu, cutoff)
+        return CollectiveModeReferee(protocol.m, protocol.mu, cutoff)
 
     def output_one_probability(self, a: Message, b: Message) -> float:
         """The product of :meth:`pair_probability` over corresponding
@@ -404,10 +404,11 @@ class CollectiveModeReferee:
     past the mean once sqrt(mu)^k / sqrt(k!), a bound on every amplitude at
     k photons, is below ``AMPLITUDE_PRUNE``. They are the exact coherent
     messages: past the letters' per-mode cut, about 2 * ``message_tail`` off.
+    Each distance read costs its ket and one dark-port sum with distance 0's.
     """
 
-    def __init__(self, pair_probability: Callable, m: int, mu: float, cutoff: int) -> None:
-        self._pair, self.m, self.cutoff, self._accepted = pair_probability, m, cutoff, {}
+    def __init__(self, m: int, mu: float, cutoff: int) -> None:
+        self.m, self.cutoff, self._accepted = m, cutoff, {}
         self._amplitudes = [1.0]  # sqrt(mu)^k / sqrt(k!)
         for k in range(1, cutoff + 1):
             term = self._amplitudes[-1] * math.sqrt(mu / k)
@@ -419,6 +420,7 @@ class CollectiveModeReferee:
                     f"half the {PAIR_PHOTON_CAP}-photon limit of a mode pair"
                 )
             self._amplitudes.append(term)
+        self._ket0 = self._ket(0).amplitudes
 
     def _ket(self, d: int) -> PureState:
         """The projected ket at codeword distance ``d`` from the one in A."""
@@ -433,7 +435,7 @@ class CollectiveModeReferee:
     def accept(self, d: int) -> float:
         """The acceptance at codeword distance ``d``, computed once."""
         if d not in self._accepted:
-            self._accepted[d] = self._pair(self._ket(0), self._ket(d))
+            self._accepted[d] = _dark_probability(self._ket0, self._ket(d).amplitudes)
         return self._accepted[d]
 
     def by_distance(self, distances: np.ndarray) -> np.ndarray:
@@ -739,7 +741,7 @@ def evaluate_error(
         if seed is not None:
             raise ConfigError("a seed needs samples")
         if protocol.n > TABLE_N_CAP:
-            raise ConfigError(
+            raise InputCapError(
                 f"exhaustive evaluation requires n <= {TABLE_N_CAP}, got n={protocol.n}"
             )
         rows = protocol._table  # checked at construction; read in place

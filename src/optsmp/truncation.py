@@ -9,9 +9,10 @@ here on concrete states rather than assumed.
 
 A cutoff is a plain nonnegative integer everywhere in this module;
 :func:`transform_protocol` derives floor(mu/delta) with
-:func:`~optsmp.combinatorics.markov_photon_cutoff`. Each state kind projects
-itself (its ``projected`` method): this module checks the cutoff, and each
-check takes one state and returns one float.
+:func:`~optsmp.combinatorics.markov_photon_cutoff` and returns only the
+truncated protocol, whose budget :func:`perturbed_error_bound` gives. Each
+state kind projects itself (its ``projected`` method): this module checks the
+cutoff, and each check takes one state and returns one float.
 """
 
 from __future__ import annotations
@@ -80,24 +81,23 @@ def perturbed_error_bound(error: float, message_distance: float) -> float:
     return error + 2.0 * message_distance
 
 
-def transform_protocol(protocol, delta: float, original_error: float):
-    """Truncate every message of a protocol at cutoff floor(mu/delta).
+def transform_protocol(protocol, delta: float):
+    """The protocol with every message truncated at cutoff floor(mu/delta).
 
-    Returns ``(truncated_protocol, original_error + 2 * sqrt(delta))``: each
-    projected message sits within sqrt(delta) of its original in trace
-    distance, so the truncated protocol's worst-case error stays within the
-    bound. The truncated protocol keeps the letters, codewords and checked
-    table. When no row holds more photons than the cutoff
+    Each projected message sits within sqrt(delta) of its original in trace
+    distance, so the truncated protocol's worst-case error is at most
+    ``perturbed_error_bound(error, sqrt(delta))`` of the original's. The
+    truncated protocol keeps the letters, codewords and checked table. When
+    no row holds more photons than the cutoff
     (:meth:`~optsmp.smp.SmpProtocol.max_total_photons`) it keeps the referee
     too; otherwise the referee's ``at_cutoff`` gives the referee of the
     projected messages, and a referee without one refuses.
     """
     cutoff = markov_photon_cutoff(protocol.mu, delta)
     name = f"{protocol.name}+cutoff{cutoff}"
-    bound = perturbed_error_bound(original_error, math.sqrt(delta))
     if protocol.max_total_photons() <= cutoff:
-        return protocol.renamed(name), bound
+        return protocol.renamed(name)
     at_cutoff = getattr(protocol.referee, "at_cutoff", None)
     if at_cutoff is None:
         raise ConfigError(f"a binding cutoff of {cutoff} photons needs the interference referee")
-    return protocol.renamed(name, at_cutoff(protocol, cutoff)), bound
+    return protocol.renamed(name, at_cutoff(protocol, cutoff))

@@ -43,6 +43,7 @@ from optsmp.smp import (
 from optsmp.truncation import (
     check_gentle_measurement,
     check_projector_closeness,
+    perturbed_error_bound,
     transform_protocol,
 )
 from optsmp.verify import DenseOperator, _dense_basis, _random_dense, _random_sparse_pure
@@ -184,7 +185,8 @@ def test_criterion_06_protocol_transform_budget(criterion_report):
     t0 = time.perf_counter()
     protocol = _qfp4()
     before = evaluate_error(protocol).worst_error
-    truncated, budget = transform_protocol(protocol, 1e-4, original_error=before)
+    truncated = transform_protocol(protocol, 1e-4)
+    budget = perturbed_error_bound(before, math.sqrt(1e-4))
     after = evaluate_error(truncated).worst_error
     qfp_ok = after <= before + 2.0 * math.sqrt(1e-4) + 1e-9
 
@@ -318,7 +320,8 @@ def test_criterion_08c_binding_truncation_at_paper_scale(criterion_report):
     mu, delta = 2.0, 0.19
     protocol = coherent_fingerprint_protocol(63, RepetitionCode(63, 3), mu)
     before = evaluate_error(protocol, samples=1000, seed=1)
-    truncated, budget = transform_protocol(protocol, delta, original_error=before.worst_error)
+    truncated = transform_protocol(protocol, delta)
+    budget = perturbed_error_bound(before.worst_error, math.sqrt(delta))
     after = evaluate_error(truncated, samples=1000, seed=1)
     max_dev = 0.0
     for x, y, f, p_error in after.pair_errors:

@@ -324,6 +324,50 @@ def test_malformed_json_is_a_config_error(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+def _bad_path(tmp_path, case):
+    """The argv of one unreadable or unwritable path case, and the path it
+    names."""
+    if case == "out-is-a-directory":
+        return ["rank", "4", "3", "--out", str(tmp_path)], str(tmp_path)
+    if case == "out-in-a-missing-directory":
+        path = str(tmp_path / "missing" / "x.txt")
+        return ["rank", "4", "3", "--out", path], path
+    if case == "config-is-a-directory":
+        return ["bounds", "--config", str(tmp_path)], str(tmp_path)
+    path = tmp_path / "config.json"
+    if case == "config-not-utf8":
+        path.write_bytes(bytes(range(128, 192)))
+    elif case == "config-integer-too-long":
+        path.write_text('{"kind": "grid", "m": [' + "1" * 5000 + '], "mu": 1}')
+    else:
+        path.write_text("[" * 100_000)
+    return ["bounds", "--config", str(path)], str(path)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "out-is-a-directory",
+        "out-in-a-missing-directory",
+        "config-is-a-directory",
+        "config-not-utf8",
+        "config-integer-too-long",
+        "config-nested-too-deep",
+    ],
+)
+def test_unreadable_or_unwritable_paths_are_config_errors(tmp_path, capsys, case):
+    # Permission errors take the same path, but root reads and writes
+    # through any mode bits, so they are not tested here.
+    argv, path = _bad_path(tmp_path, case)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and not captured.err.startswith("error: internal limit:")
+    assert path in captured.err
+    for directory in (tmp_path, tmp_path.parent):
+        assert not list(directory.glob(".optsmp-*.tmp"))
+
+
 # ---------------------------------------------------------------------------
 # bounds
 
@@ -589,6 +633,16 @@ def test_simulate_past_the_codeword_entry_cap_is_an_internal_limit(tmp_path, cap
     assert captured.out == ""
     assert captured.err.startswith("error: internal limit: ")
     assert cap in captured.err
+
+
+def test_simulate_exhaustive_past_n_12_is_an_internal_limit(tmp_path, capsys):
+    config = _write_config(tmp_path, "p.json", {"type": "qfp", "n": 13, "mu": 2})
+    start = time.perf_counter()
+    assert main(["simulate", "--config", config]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal limit: exhaustive evaluation requires n <= 12, got n=13\n"
 
 
 @pytest.mark.parametrize("mu", [5000, 1e6, 1e300])

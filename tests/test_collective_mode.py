@@ -15,6 +15,7 @@ from optsmp.smp import (
     InterferenceVacuumReferee,
     RepetitionCode,
     SmpProtocol,
+    _dark_probability,
     _input_bits,
     coherent_fingerprint_protocol,
     evaluate_error,
@@ -50,17 +51,13 @@ def _reference(mu: float, m: int, a: int, d: int) -> Decimal:
         return norm / (weight * weight)
 
 
-def _referee(m: int, mu: float, cutoff: int) -> CollectiveModeReferee:
-    return CollectiveModeReferee(InterferenceVacuumReferee().pair_probability, m, mu, cutoff)
-
-
 @pytest.mark.parametrize("mu", [0.5, 2.0, 5.0])
 def test_acceptance_matches_a_50_digit_evaluation(mu):
     # Every distance at m = 4 and 12, from the vacuum cutoff to a = 30.
     worst = Decimal(0)
     for a in (0, 1, 3, 10, 30):
         for m in (4, 12):
-            referee = _referee(m, mu, a)
+            referee = CollectiveModeReferee(m, mu, a)
             for d in range(m + 1):
                 worst = max(worst, abs(Decimal(referee.accept(d)) - _reference(mu, m, a, d)))
     assert worst <= Decimal("4e-15")
@@ -68,20 +65,56 @@ def test_acceptance_matches_a_50_digit_evaluation(mu):
 
 def test_vacuum_cutoff_accepts_every_pair():
     # At a = 0 both projected messages are the vacuum: no port ever lights.
-    referee = _referee(12, 2.0, 0)
+    referee = CollectiveModeReferee(12, 2.0, 0)
     assert [referee.accept(d) for d in range(13)] == [1.0] * 13
     protocol = coherent_fingerprint_protocol(3, RepetitionCode(3, 2), 0.5)
-    truncated, _ = transform_protocol(protocol, 0.9, original_error=0.0)
+    truncated = transform_protocol(protocol, 0.9)
     assert truncated.referee.cutoff == 0
     report = evaluate_error(truncated)
     assert report.p_error.tolist() == [float(x != y) for x in range(8) for y in range(8)]
 
 
 def test_each_distance_runs_one_sum_and_every_read_shares_it():
-    referee = _referee(6, 2.0, 4)
+    referee = CollectiveModeReferee(6, 2.0, 4)
     values = referee.by_distance(np.array([6, 0, 3, 6, 3, 0, 0]))
     assert sorted(referee._accepted) == [0, 3, 6]
     assert values.tolist() == [referee.accept(d) for d in (6, 0, 3, 6, 3, 0, 0)]
+
+
+def test_the_distance_zero_ket_is_built_once(monkeypatch):
+    # However many distances and reads, ket(0) is built once, at
+    # construction, and each distance read builds its own ket once. Each
+    # acceptance is the clamped dark-port sum of the two kets, the value
+    # the interference referee's pair kernel gives them.
+    kets = []
+    build = CollectiveModeReferee._ket
+    monkeypatch.setattr(CollectiveModeReferee, "_ket", lambda self, d: kets.append(d) or build(self, d))
+    referee = CollectiveModeReferee(12, 2.0, 5)
+    assert kets == [0]
+    for distances in ([1, 5, 3, 1], [12, 7, 3], [5, 1, 12, 7]):
+        referee.by_distance(np.array(distances))
+    assert sorted(kets) == [0, 1, 3, 5, 7, 12]
+    ket0 = build(referee, 0)
+    for d in (1, 3, 5, 7, 12):
+        ket = build(referee, d)
+        assert referee.accept(d) == _dark_probability(ket0.amplitudes, ket.amplitudes)
+        assert referee.accept(d) == InterferenceVacuumReferee().pair_probability(ket0, ket)
+
+
+def test_binding_evaluation_leaves_the_fingerprint_caches_to_the_letters():
+    # The projected referee sums its own kets: after exhaustive and sampled
+    # runs of both protocols, the fingerprint referee's sign classes and
+    # pair cache hold the two letters only.
+    protocol = coherent_fingerprint_protocol(3, RepetitionCode(3, 2), 1.0)
+    truncated = transform_protocol(protocol, 0.5)
+    assert isinstance(truncated.referee, CollectiveModeReferee)
+    for evaluated in (protocol, truncated):
+        evaluate_error(evaluated)
+        evaluate_error(evaluated, samples=50, seed=2)
+    fingerprint, letters = protocol.referee, set(protocol.letters)
+    assert set(fingerprint._classes) == letters
+    assert fingerprint._pair_cache
+    assert {rep for key in fingerprint._pair_cache for rep in key[:2]} <= letters
 
 
 def test_nonlinear_codewords_fill_the_distance_grid():
@@ -98,7 +131,7 @@ def test_nonlinear_codewords_fill_the_distance_grid():
         codewords=lambda xs: _input_bits(3 * np.asarray(xs) % 8, 3),
         referee=InterferenceVacuumReferee(),
     )
-    truncated, _ = transform_protocol(protocol, 0.4, original_error=0.0)
+    truncated = transform_protocol(protocol, 0.4)
     assert truncated.referee.cutoff == 2
     report = evaluate_error(truncated)
     assert report.xor_errors is None and report.p_error.size == 64
@@ -112,14 +145,14 @@ def test_a_projection_past_half_the_pair_photon_limit_is_refused():
     # of the two projected kets would pass 512: refused before any ket is
     # built.
     with pytest.raises(PhotonCapError, match="keeps more than 256 photons"):
-        _referee(600, 5000.0, 5555)
+        CollectiveModeReferee(600, 5000.0, 5555)
 
 
 @pytest.mark.parametrize("binding", [False, True], ids=["interference", "collective-mode"])
 def test_messages_of_different_factor_counts_are_refused(binding):
     protocol = coherent_fingerprint_protocol(2, RepetitionCode(2, 1), 1.0)
     if binding:
-        protocol, _ = transform_protocol(protocol, 0.4, original_error=0.0)
+        protocol = transform_protocol(protocol, 0.4)
     short = protocol.message(1)
     long = ProductPureState((*short.factors, short.factors[0]))
     with pytest.raises(ModeMismatchError, match="different factor counts"):

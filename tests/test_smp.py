@@ -213,7 +213,7 @@ def test_sign_flipped_letters_share_one_dark_port_sum(monkeypatch):
         for s_a, s_b in flips:
             fa = PureState(modes, _flipped(a.amplitudes, s_a))
             fb = PureState(modes, _flipped(b.amplitudes, s_b))
-            direct = smp._clamp01(smp._dark_probability(fa.amplitudes, fb.amplitudes))
+            direct = smp._dark_probability(fa.amplitudes, fb.amplitudes)
             assert referee.pair_probability(fa, fb) == direct
         assert len(calls) == 8 + len({s_a ^ s_b for s_a, s_b in flips})
 
@@ -229,7 +229,7 @@ def test_equal_magnitudes_without_a_per_mode_sign_pattern_get_their_own_sum(monk
     referee = InterferenceVacuumReferee()
     p_ab, p_cb = referee.pair_probability(a, b), referee.pair_probability(c, b)
     assert len(calls) == 2
-    assert p_cb == smp._clamp01(smp._dark_probability(c.amplitudes, b.amplitudes)) != p_ab
+    assert p_cb == smp._dark_probability(c.amplitudes, b.amplitudes) != p_ab
 
 
 @pytest.mark.parametrize(
@@ -252,7 +252,7 @@ def test_dark_port_sum_matches_materialised_beamsplitter_on_projected_messages(n
     # 10) the referee projects the exact coherent messages, which the cut
     # letters miss by about twice message_tail.
     protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, repeats), mu)
-    truncated, _ = transform_protocol(protocol, delta, original_error=0.0)
+    truncated = transform_protocol(protocol, delta)
     cutoff, c1 = truncated.referee.cutoff, protocol.letters[0].max_total_photons()
     assert protocol.message(0).max_total_photons() > cutoff
     tol = 1e-13 if cutoff <= c1 else 2.0 * protocol.message_tail + 1e-13
@@ -584,7 +584,7 @@ def test_binding_truncation_runs_one_sum_per_distance(monkeypatch):
     # distances 0, 3, 6, 9 and 12: five dark-port sums, and every pair reads
     # the one at its distance.
     protocol = coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.0)
-    truncated, _ = transform_protocol(protocol, 0.667, original_error=0.0)
+    truncated = transform_protocol(protocol, 0.667)
     assert protocol.message(0).max_total_photons() > 2 == truncated.referee.cutoff
     calls = _counted_sums(monkeypatch)
     report = evaluate_error(truncated)
@@ -883,7 +883,7 @@ def _binding_truncation():
     # the messages' maximum photon number, so the referee reads each pair's
     # codeword distance.
     protocol = coherent_fingerprint_protocol(2, RepetitionCode(2, 1), 1.0)
-    truncated, _ = transform_protocol(protocol, 0.4, original_error=0.0)
+    truncated = transform_protocol(protocol, 0.4)
     assert protocol.message(0).max_total_photons() > 2 == truncated.referee.cutoff
     return truncated
 
@@ -892,7 +892,7 @@ def _vacuous_truncation():
     # qfp n=3 at delta=1e-4: cutoff 13000 lies far above every message's
     # maximum photon number, so the table is kept as it is.
     protocol = coherent_fingerprint_protocol(3, RepetitionCode(3, 2), 1.3)
-    truncated, _ = transform_protocol(protocol, 1e-4, original_error=0.0)
+    truncated = transform_protocol(protocol, 1e-4)
     assert truncated.letters is protocol.letters
     return truncated
 
@@ -1020,7 +1020,7 @@ def test_evaluation_blocks_split_anywhere_bit_for_bit(monkeypatch, n):
     # split the x rows of the grid (forced) and the drawn pairs alike, on the
     # letter table and on the codeword distances of a binding truncation.
     protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, 2), 1.3)
-    binding, _ = transform_protocol(protocol, 0.6 if n <= 4 else 0.9, original_error=0.0)
+    binding = transform_protocol(protocol, 0.6 if n <= 4 else 0.9)
     assert hasattr(binding.referee, "by_distance") and not hasattr(protocol.referee, "by_distance")
     monkeypatch.setattr(smp, "_xor_invariant", lambda table, columns: False)
 
@@ -1275,7 +1275,7 @@ def test_per_letter_values_are_computed_once_per_letter(monkeypatch):
         return project(state, cutoff)
 
     monkeypatch.setattr(truncation, "project_below_cutoff", counted_project)
-    truncated, _ = transform_protocol(original, 0.5, original_error=0.0)
+    truncated = transform_protocol(original, 0.5)
     del means[:]
     truncated.rows(np.arange(4))
     truncated.rows(np.array([3, 0, 2]))

@@ -214,7 +214,8 @@ def test_perturbed_error_bound_formula():
 def test_transform_fingerprint_protocol_budget():
     protocol = coherent_fingerprint_protocol(2, RepetitionCode(2, 3), 2.0)
     before = evaluate_error(protocol).worst_error
-    truncated, bound = transform_protocol(protocol, 1e-4, original_error=before)
+    truncated = transform_protocol(protocol, 1e-4)
+    bound = perturbed_error_bound(before, math.sqrt(1e-4))
     assert truncated.name == "qfp-n2-m6+cutoff20000"
     after = evaluate_error(truncated).worst_error
     assert bound == pytest.approx(before + 2.0 * math.sqrt(1e-4), abs=1e-12)
@@ -223,7 +224,8 @@ def test_transform_fingerprint_protocol_budget():
 
 def test_transform_classical_protocol_preserves_zero_error():
     protocol = trivial_classical_protocol(2)
-    truncated, bound = transform_protocol(protocol, 0.5, original_error=0.0)
+    truncated = transform_protocol(protocol, 0.5)
+    bound = perturbed_error_bound(0.0, math.sqrt(0.5))
     report = evaluate_error(truncated)
     assert report.worst_error == 0.0
     assert bound == pytest.approx(2.0 * math.sqrt(0.5), abs=1e-12)
@@ -234,7 +236,7 @@ def test_transform_messages_change_under_aggressive_cutoff():
     # which genuinely reshapes the coherent messages: the referee's projected
     # kets hold at most one photon at every distance, and the errors move.
     protocol = coherent_fingerprint_protocol(1, RepetitionCode(1, 2), 1.0)
-    truncated, _ = transform_protocol(protocol, 0.9, original_error=0.0)
+    truncated = transform_protocol(protocol, 0.9)
     assert all(truncated.referee._ket(d).max_total_photons() <= 1 for d in range(protocol.m + 1))
     assert protocol.message(0).max_total_photons() > 1
     assert evaluate_error(truncated).worst_error != evaluate_error(protocol).worst_error
@@ -248,7 +250,8 @@ def test_binding_cutoff_stays_within_the_inflation_bound(n, repeats, delta):
     # the cutoff, so each keeps the Poisson weight below it.
     protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, repeats), 2.0)
     before = evaluate_error(protocol).worst_error
-    truncated, budget = transform_protocol(protocol, delta, original_error=before)
+    truncated = transform_protocol(protocol, delta)
+    budget = perturbed_error_bound(before, math.sqrt(delta))
     cutoff = markov_photon_cutoff(protocol.mu, delta)
     for x in range(1 << n):
         assert protocol.message(x).max_total_photons() > cutoff
@@ -275,20 +278,20 @@ def _counted_projections(monkeypatch) -> list:
 def test_binding_transform_projects_no_row(monkeypatch):
     # An xor-fold code folds 16 inputs onto 4 codewords, and at cutoff 2
     # every row binds. The truncated protocol keeps the letters and the
-    # checked table; its referee builds one pair of collective kets, at
-    # distance 0 and d, per codeword distance d that occurs (0, 1 and 2),
+    # checked table; its referee builds the collective ket at distance 0
+    # once, and one ket per codeword distance that occurs (0, 1 and 2),
     # once however many pairs read it, and no message is projected.
     calls = _counted_projections(monkeypatch)
     kets = []
     build = CollectiveModeReferee._ket
     monkeypatch.setattr(CollectiveModeReferee, "_ket", lambda self, d: kets.append(d) or build(self, d))
     protocol = coherent_fingerprint_protocol(4, XorFoldCode(4, 2), 1.0)
-    truncated, _ = transform_protocol(protocol, 0.5, original_error=0.0)
+    truncated = transform_protocol(protocol, 0.5)
     assert protocol.message(0).max_total_photons() > 2
     assert truncated.letters is protocol.letters and truncated._table is protocol._table
     exhaustive = evaluate_error(truncated)
     sampled = evaluate_error(truncated, samples=500, seed=3)
-    assert calls == [] and sorted(kets) == [0, 0, 0, 0, 1, 2]
+    assert calls == [] and sorted(kets) == [0, 0, 1, 2]
     assert len(exhaustive.pair_errors) == 256 and len(sampled.pair_errors) == 500
 
 
@@ -309,7 +312,7 @@ def test_vacuous_transform_keeps_the_table_and_projects_nothing(monkeypatch):
     monkeypatch.setattr(SmpProtocol, "_check", counted_check)
     protocol = coherent_fingerprint_protocol(3, RepetitionCode(3, 2), 1.3)
     assert built == checked == [8]
-    truncated, _ = transform_protocol(protocol, 1e-4, original_error=0.0)
+    truncated = transform_protocol(protocol, 1e-4)
     before, after = evaluate_error(protocol), evaluate_error(truncated)
     assert calls == []
     assert built == checked == [8]
@@ -329,10 +332,10 @@ def test_binding_transform_refuses_letters_other_than_the_coherent_pair(referee)
         "spread", 2, 2, 1.6, letters, RepetitionCode(2, 1).codewords, referee()
     )
     with pytest.raises(ConfigError, match="a binding cutoff of 3 photons"):
-        transform_protocol(protocol, 0.5, original_error=0.0)
+        transform_protocol(protocol, 0.5)
     # The same referee over coherent letters of another amplitude than
     # sqrt(mu/m) is refused as well.
     qfp = coherent_fingerprint_protocol(2, RepetitionCode(2, 1), 1.6)
     other = SmpProtocol("other", 2, 2, 2.0, qfp.letters, qfp.codewords, referee())
     with pytest.raises(ConfigError, match="a binding cutoff of 4 photons"):
-        transform_protocol(other, 0.5, original_error=0.0)
+        transform_protocol(other, 0.5)

@@ -60,7 +60,7 @@ def test_profile_and_grid_agree_bit_for_bit(monkeypatch, tmp_path, family, n):
     for delta in _truncations(spec):
         protocol = original
         if delta is not None:
-            protocol = transform_protocol(original, delta, original_error=0.0)[0]
+            protocol = transform_protocol(original, delta)
             # Every cutoff keeps the letters; a binding one swaps the referee.
             assert protocol.letters is original.letters
             assert (protocol.referee is original.referee) == (delta < 0.5)
