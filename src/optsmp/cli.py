@@ -68,15 +68,24 @@ TEMP_NAME_TRIES = 100
 def _write_atomic(path: str, chunks: Iterable[str]) -> None:
     """Write via a sibling temp file and rename; no partial files on failure.
 
-    The temp file is created with mode 0o666 less the umask, the mode a
-    plain ``open`` gives a new file (``tempfile.mkstemp`` would give 0o600,
-    which the rename keeps). A directory is refused before any temp file is
-    made, and a path that cannot be written is a :class:`ConfigError`."""
+    A symlink is followed: its target is replaced and the link stays a
+    link. An existing target that is not a regular file (a FIFO or a
+    device) is written in place with a plain ``open``, since a rename would
+    replace it with a file. The temp file is created with mode 0o666 less
+    the umask, the mode a plain ``open`` gives a new file
+    (``tempfile.mkstemp`` would give 0o600, which the rename keeps). A
+    directory is refused before any temp file is made, and a path that
+    cannot be written is a :class:`ConfigError`."""
     if os.path.isdir(path):
         raise ConfigError(f"cannot write output file {path}: Is a directory")
-    directory = os.path.dirname(os.path.abspath(path))
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    directory = os.path.dirname(os.path.abspath(target))
     flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_NOFOLLOW", 0)
     try:
+        if not os.path.isfile(target) and os.path.exists(target):
+            with open(target, "w") as handle:
+                handle.writelines(chunks)
+            return
         for _ in range(TEMP_NAME_TRIES):
             tmp = os.path.join(directory, f".optsmp-{os.urandom(6).hex()}.tmp")
             try:
@@ -89,7 +98,7 @@ def _write_atomic(path: str, chunks: Iterable[str]) -> None:
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.writelines(chunks)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             try:
                 os.unlink(tmp)

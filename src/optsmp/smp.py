@@ -3,11 +3,11 @@
 A protocol is one message table that both parties use, plus a referee rule.
 The table is a short sequence of letters (single-factor states, such as the
 coherent states |+alpha> and |-alpha> of one mode) and a codeword map from
-inputs to rows of letter indices, one column per factor position: the
-message for input x is the product of its row's letters. Every protocol
-decides equality, so a pair's error is the referee's chance of answering
-other than ``x == y``. The dark-port test after balanced beamsplitters pair
-mode i of one message with mode i of the other
+inputs to rows of letter indices, one column per run of equal factor
+positions: the message for input x is the product of its row's letters, each
+over its run. Every protocol decides equality, so a pair's error is the
+referee's chance of answering other than ``x == y``. The dark-port test
+after balanced beamsplitters pair mode i of one message with mode i of the other
 (:class:`InterferenceVacuumReferee`) and the same-outcome test of both
 messages measured in the occupation basis (:class:`DiagonalMapReferee`)
 factorize over positions: each is a pair kernel on letters
@@ -69,22 +69,22 @@ TABLE_N_CAP = 12
 #: at most this many bits.
 INPUT_BITS_CAP = 63
 #: Most codeword entries built at once, counted as rows x (n + m): each row's
-#: input bits and its codeword. Checked before any row is built: the 2^n rows
-#: at construction for n <= TABLE_N_CAP, and above it, before sampled
-#: evaluation draws, the rows its distinct inputs can need (two per drawn
-#: pair, at most 2^n); past it the run is refused as an internal limit.
-#: Measured at the cap in a fresh process (Python 3.11.7, numpy 2.4.6, a
-#: shared 2-vCPU VM): building qfp n=12 with repeats 2033 (99,975,168
-#: entries) peaks at 795 MB of RSS in 1.3-1.9 s, and its exhaustive
-#: `simulate --out` at 889 MB in 4.9 s, as does the same run with a vacuous
-#: `--truncate 1e-5` (5.4 s); `simulate --out` of qfp n=40 with repeats 3 and
-#: 312,500 samples (625,000 distinct rows) at 827 MB in 5.2 s.
+#: input bits and its whole codeword, one multiplication per position in
+#: evaluation, though a code gives one uint8 column per run of them. Checked
+#: before any row is built: the 2^n rows at construction for n <= TABLE_N_CAP,
+#: and above it, before sampled evaluation draws, the rows its distinct
+#: inputs can need (two per drawn pair, at most 2^n); past it the run is
+#: refused as an internal limit. Measured at the cap in a fresh process
+#: (Python 3.11.7, numpy 2.4.6, a shared 2-vCPU VM): building qfp n=12 with
+#: repeats 2033 (99,975,168 entries) peaks at 29 MB of RSS, its exhaustive
+#: `simulate --out` at 39 MB in 2.3 s (43 MB with a vacuous `--truncate
+#: 1e-5`), and that of qfp n=40, repeats 3, 312,500 samples at 97 MB in 2.1 s.
 CODEWORD_ENTRY_CAP = 10**8
 #: Most pairs one sampled evaluation draws, checked before drawing: its
 #: per-pair arrays (drawn inputs, sort order, unique index, errors) take
 #: about 135 bytes a pair. Measured at the cap as above: `simulate --out` of
-#: classical-trivial with 5,000,000 samples peaks at 695 MB in 3.4 s at
-#: n=1 and at 704 MB in 13.5 s at n=20.
+#: classical-trivial with 5,000,000 samples peaks at 695 MB in 3.1 s at
+#: n=1 and at 705 MB in 11.7 s at n=20.
 SAMPLES_CAP = 5 * 10**6
 #: Most photons one mode pair may hold in an exact interference computation:
 #: past it the scaled dark-port sums leave floating-point range.
@@ -95,8 +95,10 @@ PAIR_PHOTON_CAP = 512
 # Codes (input -> codeword maps; a codeword bit picks a letter per position)
 
 def _input_bits(xs: np.ndarray, n: int) -> np.ndarray:
-    """Bit i of every input in column i; bit 0 is the least significant."""
-    return (np.asarray(xs, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    """Bit i of every input in uint8 column i; bit 0 is the least
+    significant. Unpacked from the inputs' little-endian bytes."""
+    octets = np.ascontiguousarray(xs, dtype="<i8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=n, bitorder="little")
 
 
 @dataclass(frozen=True)
@@ -119,11 +121,12 @@ class RepetitionCode:
         return self.repeats
 
     def codewords(self, xs: np.ndarray) -> np.ndarray:
-        """The codeword of every input in ``xs``, one row each."""
-        return np.repeat(_input_bits(xs, self.n), self.repeats, axis=1)
+        """The codeword of every input in ``xs``, one row each and one column
+        per input bit, each standing for ``repeats`` positions."""
+        return _input_bits(xs, self.n)
 
     def encode(self, x: int) -> tuple[int, ...]:
-        return tuple(self.codewords(np.array([x]))[0].tolist())
+        return tuple(np.repeat(self.codewords(np.array([x]))[0], self.repeats).tolist())
 
 
 @dataclass(frozen=True)
@@ -136,6 +139,7 @@ class XorFoldCode:
 
     n: int
     m: int
+    repeats = 1  # each column is one position
 
     def __post_init__(self) -> None:
         if not 1 <= self.m <= self.n:
@@ -310,9 +314,13 @@ def _tabulated(kernel: Callable, letters: Sequence, symbols: np.ndarray) -> np.n
     """The k x k letter table of ``symbols``: entry (a, b) is
     ``kernel(letters[a], letters[b])`` for the letters a and b present in
     ``symbols`` and 0 elsewhere. The kernel runs on them in ascending
-    order."""
+    order. The letters present are marked a block of ``BLOCK_ROWS`` symbols
+    at a time, as an index copy of all of them would take 8 bytes each."""
     k = len(letters)
-    present = np.bincount(symbols, minlength=k).nonzero()[0].tolist()
+    present = np.zeros(k, dtype=bool)
+    for start in range(0, len(symbols), BLOCK_ROWS):
+        present[symbols[start : start + BLOCK_ROWS]] = True
+    present = present.nonzero()[0].tolist()
     table = np.zeros((k, k))
     for a in present:
         for b in present:
@@ -499,15 +507,17 @@ class SmpProtocol:
     Both parties use one message table: a short sequence of ``letters``
     (single-factor states) and a ``codewords`` map from an array of inputs
     to a 2-D array of letter indices, one row per input and one column per
-    factor position. The message for input x is the product of its row's
-    letters in position order (the letter itself at one position); it is
-    built only on demand by :meth:`message`, never by evaluation.
+    run of ``repeats`` factor positions. The message for input x is the
+    product of its row's letters in position order, each ``repeats`` times
+    (the letter itself at one position); it is built only on demand by
+    :meth:`message`, never by evaluation, which reads each column once.
 
     ``mu`` is the declared per-party maximum mean photon number. The mode
-    count and mean of each letter are computed once; each row's sums of
-    them, taken left to right in position order, are checked against ``m``
-    and ``mu``: all 2^n rows at construction for n <= ``TABLE_N_CAP``, the
-    rows read above it. ``message_tail`` records mass discarded when the
+    count and mean of each letter are computed once; each row's mode count
+    (columns x ``repeats`` x letter modes) and its sum of ``repeats`` x mean,
+    taken left to right in column order, are checked against ``m`` and
+    ``mu``: all 2^n rows at construction for n <= ``TABLE_N_CAP``, the rows
+    read above it. ``message_tail`` records mass discarded when the
     letters were built from pre-truncated infinite states; it feeds error
     budgets downstream. The ``referee`` gives the output-1 ("equal")
     probability of one letter pair (``pair_probability``, the kernel that
@@ -523,6 +533,7 @@ class SmpProtocol:
     codewords: Callable[[np.ndarray], np.ndarray]
     referee: object
     message_tail: float = 0.0
+    repeats: int = 1
     _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -556,28 +567,28 @@ class SmpProtocol:
 
     def message(self, x: int) -> Message:
         """The message for input ``x``, built from its row on each call."""
-        if not 0 <= x < 1 << self.n:
+        if x < 0 or x >> self.n:
             raise ConfigError(f"input {x} is outside 0..2^{self.n}-1")
-        row = self.rows(np.array([x]))[0].tolist()
+        row = np.repeat(self.rows(np.array([x]))[0], self.repeats).tolist()
         return self.letters[row[0]] if len(row) == 1 else ProductPureState(self.letters[s] for s in row)
 
     def max_total_photons(self) -> int:
-        """The most photons any message holds: the largest sum of letter
-        maxima over the codeword rows. Above ``TABLE_N_CAP`` the rows are
-        not all built, so each position is charged its heaviest letter."""
+        """The most photons any message holds: ``repeats`` times the largest
+        sum of letter maxima over the codeword rows, or above ``TABLE_N_CAP``,
+        where not all rows are built, every position's heaviest letter."""
         tops = np.array([letter.max_total_photons() for letter in self.letters])
         if self._table is None:
-            return int(tops.max()) * self.rows(np.zeros(1, dtype=np.int64)).shape[1]
-        return int(_position_sums(tops, self._table).max())
+            return int(tops.max()) * (self.m // self.letters[0].modes)
+        return int(_position_sums(tops, self._table).max()) * self.repeats
 
     def _row_sums(self, rows: np.ndarray) -> tuple[int, np.ndarray]:
         """The mode count of every row and each row's mean photon number,
         from those of its letters. Every letter must have the first letter's
         mode count: letters of different sizes share no occupation, so a
         position holding both would compare nothing. A row's mode count is
-        therefore its positions times that count. The means are summed by
-        :func:`_position_sums` in position order, as ``mean_photon_number``
-        adds a product's factor means."""
+        therefore its columns times ``repeats`` times that count. Each
+        letter's ``repeats`` x mean is summed by :func:`_position_sums` in
+        column order."""
         means = []
         for i, letter in enumerate(self.letters):
             if len(letter.factors) != 1:
@@ -586,8 +597,8 @@ class SmpProtocol:
                 raise ConfigError(
                     f"letter {i} has {letter.modes} modes, letter 0 has {self.letters[0].modes}"
                 )
-            means.append(mean_photon_number(letter))
-        return rows.shape[1] * self.letters[0].modes, _position_sums(np.array(means), rows)
+            means.append(self.repeats * mean_photon_number(letter))
+        return rows.shape[1] * self.repeats * self.letters[0].modes, _position_sums(np.array(means), rows)
 
     def _check(self, xs: np.ndarray, rows: np.ndarray) -> None:
         """Refuse the first input whose row has the wrong shape, a wrong mode
@@ -606,12 +617,12 @@ class SmpProtocol:
         modes, means = self._row_sums(rows)
         if modes != self.m:
             raise ConfigError(f"encoder output for x={int(xs[0])} has {modes} modes, expected {self.m}")
-        # Each add of the running sum over the p positions rounds by up to
-        # eps/2 of the sum so far, so a row whose exact mean is at most mu
+        # A row of c columns is p = c * repeats positions; its sum rounds at
+        # most p - 1 times (c - 1 adds, and c products when repeats > 1), each
+        # by up to eps/2 of the sum, so a row whose exact mean is at most mu
         # sums to at most about (1 + (p - 1) * eps/2) * mu. Allow twice that
-        # drift, above an absolute 1e-9 for the rounding of each letter's
-        # own mean.
-        drift = (rows.shape[1] - 1) * sys.float_info.epsilon * self.mu
+        # drift, above an absolute 1e-9 for the rounding of each letter's mean.
+        drift = (rows.shape[1] * self.repeats - 1) * sys.float_info.epsilon * self.mu
         bad = means > self.mu + 1e-9 + drift
         i = int(bad.argmax())
         if bad[i]:
@@ -648,22 +659,13 @@ def _position_sums(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _column_runs(rows: np.ndarray) -> list[tuple[int, int]]:
-    """``(start, stop)`` of each run of equal consecutive codeword columns
-    (each block of a repetition code)."""
-    bounds = [0, rows.shape[1]]
-    if rows.shape[1] > 1:
-        bounds[1:1] = ((rows[:, 1:] != rows[:, :-1]).any(axis=0).nonzero()[0] + 1).tolist()
-    return list(zip(bounds, bounds[1:]))
-
-
 def _xor_invariant(table: np.ndarray | None, columns: np.ndarray) -> bool:
     """Whether every pair (x, y) is accepted as pair (0, x ^ y), bit for bit.
 
-    Column j of ``columns`` is the first codeword column of run j, and
-    ``table`` is the k x k letter table that every run reads (0 at letters
-    that do not occur), or None for a referee read at codeword distance.
-    Evaluation reads only these, so the structure is checked there, exactly:
+    ``columns`` are the codeword rows, and ``table`` is the k x k letter
+    table that every column reads (0 at letters that do not occur), or None
+    for a referee read at codeword distance. Evaluation reads only these, so
+    the structure is checked there, exactly:
 
     * k is a power of two and the table depends only on the XOR of its
       letters: T[a, b] has the bits of T[0, a ^ b] (compared as bit
@@ -686,31 +688,30 @@ def _xor_invariant(table: np.ndarray | None, columns: np.ndarray) -> bool:
 
 
 def _accepted(
-    protocol: SmpProtocol, table: np.ndarray | None, columns: np.ndarray, repeats: Sequence[int],
-    ix: np.ndarray, iy: np.ndarray,
+    protocol: SmpProtocol, table: np.ndarray | None, columns: np.ndarray, ix: np.ndarray, iy: np.ndarray
 ) -> np.ndarray:
-    """The output-1 probability of each pair of rows ``(ix[i], iy[i])`` of
-    ``columns``, whose column j is the first codeword column of run j.
+    """The output-1 probability of each pair of codeword rows
+    ``(ix[i], iy[i])`` of ``columns``.
 
     With a letter ``table``, it is the product of ``table[a, b]`` over the
-    letters a and b of the runs, each multiplied in ``repeats[j]`` times,
-    from ones in position order as the one-pair oracle takes it; without
-    one, the referee's ``by_distance`` at the pair's codeword distance. The
-    pairs are read in blocks of at most ``BLOCK_ROWS`` entries (pairs x
-    runs), or one pair.
+    letters a and b of the columns, each multiplied in ``protocol.repeats``
+    times, from ones in position order as the one-pair oracle takes it;
+    without one, the referee's ``by_distance`` at the pair's codeword
+    distance. The pairs are read in blocks of at most ``BLOCK_ROWS`` entries
+    (pairs x columns), or one pair.
     """
-    accepted, weights = np.empty(len(ix)), np.array(repeats)
-    step = max(1, BLOCK_ROWS // len(repeats))
+    accepted, repeats = np.empty(len(ix)), protocol.repeats
+    step = max(1, BLOCK_ROWS // columns.shape[1])
     for start in range(0, len(ix), step):
-        # Row j of each gather is run j, so that each factor is contiguous.
+        # Row j of each gather is column j, so that each factor is contiguous.
         a, b = columns[ix[start : start + step]].T, columns[iy[start : start + step]].T
         block = accepted[start : start + step]
         if table is None:
-            block[:] = protocol.referee.by_distance(weights @ (a != b))
+            block[:] = protocol.referee.by_distance(repeats * np.count_nonzero(a != b, axis=0))
             continue
         block.fill(1.0)
-        for factor, count in zip(table[a, b], repeats):
-            for _ in range(count):
+        for factor in table[a, b]:
+            for _ in range(repeats):
                 block *= factor
     return accepted
 
@@ -736,7 +737,6 @@ def evaluate_error(
     kernel is tabulated once on the letters present, unless the referee
     reads codeword distances (``by_distance``).
     """
-    size = 1 << protocol.n
     if samples is None:
         if seed is not None:
             raise ConfigError("a seed needs samples")
@@ -744,7 +744,8 @@ def evaluate_error(
             raise InputCapError(
                 f"exhaustive evaluation requires n <= {TABLE_N_CAP}, got n={protocol.n}"
             )
-        rows = protocol._table  # checked at construction; read in place
+        size = 1 << protocol.n
+        columns = protocol._table  # checked at construction; read in place
     else:
         if samples < 1:
             raise ConfigError("sampled evaluation requires samples >= 1")
@@ -761,6 +762,7 @@ def evaluate_error(
             )
         # Up to TABLE_N_CAP the rows are a gather of the checked table; above
         # it each distinct drawn input builds its row.
+        size = 1 << protocol.n
         if protocol.n > TABLE_N_CAP:
             protocol._check_table_size(min(2 * samples, size))
         seed = int(seed)
@@ -770,30 +772,25 @@ def evaluate_error(
         order = np.lexsort((ys, xs))  # stable: tied pairs keep draw order
         x, y = xs[order], ys[order]
         inputs, index = np.unique(np.concatenate((x, y)), return_inverse=True)
-        rows = protocol.rows(inputs)
-    runs = _column_runs(rows)
-    # The first column of each run: the rows themselves when no column
-    # repeats the one before it, else a copy in row order.
-    columns = rows if len(runs) == rows.shape[1] else rows.take([start for start, _ in runs], axis=1)
-    repeats = [stop - start for start, stop in runs]
+        columns = protocol.rows(inputs)
     table = None
     if not hasattr(protocol.referee, "by_distance"):
-        # One table of the letters present serves every run.
+        # One table of the letters present serves every column.
         table = _tabulated(protocol.referee.pair_probability, protocol.letters, columns.reshape(-1))
     if samples is not None:
-        p_error = _accepted(protocol, table, columns, repeats, index[:samples], index[samples:])
+        p_error = _accepted(protocol, table, columns, index[:samples], index[samples:])
         np.subtract(1.0, p_error, out=p_error, where=x == y)
         # Each draw's sorted position, for statistics in draw order.
         drawn = (x, y, np.argsort(order))
         return ErrorReport(protocol.name, protocol.n, p_error, seed=seed, drawn=drawn)
     if _xor_invariant(table, columns):
-        xor_errors = _accepted(protocol, table, columns, repeats, np.zeros(size, int), np.arange(size))
+        xor_errors = _accepted(protocol, table, columns, np.zeros(size, int), np.arange(size))
         xor_errors[0] = 1.0 - xor_errors[0]
         return ErrorReport(protocol.name, protocol.n, xor_errors=xor_errors)
     p_error = np.empty(size * size)
     for start in range(0, size * size, BLOCK_ROWS):
         x, y = np.divmod(np.arange(start, min(start + BLOCK_ROWS, size * size)), size)
-        p_error[start : start + BLOCK_ROWS] = _accepted(protocol, table, columns, repeats, x, y)
+        p_error[start : start + BLOCK_ROWS] = _accepted(protocol, table, columns, x, y)
     equal = p_error[:: size + 1]
     np.subtract(1.0, equal, out=equal)
     return ErrorReport(protocol.name, protocol.n, p_error)
@@ -854,6 +851,7 @@ def coherent_fingerprint_protocol(n: int, code: Code, mu_total: float) -> SmpPro
         codewords=code.codewords,
         referee=InterferenceVacuumReferee(),
         message_tail=message_tail,
+        repeats=code.repeats,
     )
 
 
@@ -881,6 +879,7 @@ def trivial_classical_protocol(n: int, code: Code | None = None) -> SmpProtocol:
         letters=(PureState.basis_state((0,)), PureState.basis_state((1,))),
         codewords=code.codewords,
         referee=DiagonalMapReferee(),
+        repeats=code.repeats,
     )
 
 

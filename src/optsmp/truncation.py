@@ -87,11 +87,12 @@ def transform_protocol(protocol, delta: float):
     Each projected message sits within sqrt(delta) of its original in trace
     distance, so the truncated protocol's worst-case error is at most
     ``perturbed_error_bound(error, sqrt(delta))`` of the original's. The
-    truncated protocol keeps the letters, codewords and checked table. When
-    no row holds more photons than the cutoff
-    (:meth:`~optsmp.smp.SmpProtocol.max_total_photons`) it keeps the referee
-    too; otherwise the referee's ``at_cutoff`` gives the referee of the
-    projected messages, and a referee without one refuses.
+    truncated protocol keeps the letters, codewords, ``repeats`` and checked
+    table of one column per run of positions. When no message holds more
+    photons than the cutoff (:meth:`~optsmp.smp.SmpProtocol.max_total_photons`,
+    ``repeats`` times the heaviest row) it keeps the referee too; otherwise
+    the referee's ``at_cutoff`` gives the referee of the projected messages,
+    and a referee without one refuses.
     """
     cutoff = markov_photon_cutoff(protocol.mu, delta)
     name = f"{protocol.name}+cutoff{cutoff}"

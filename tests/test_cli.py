@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -577,6 +578,35 @@ def test_out_file_gets_the_mode_a_plain_open_gives(tmp_path, umask):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt", "plain.txt"]
 
 
+def test_out_through_a_symlink_replaces_its_target(tmp_path):
+    # The target is replaced in its own directory; the link stays a link.
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "rank.txt"
+    target.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    assert main(["rank", "4", "3", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == "m=4 a=3 rank=35 log2_rank=5.129283016944966\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "link.txt"]
+    assert [p.name for p in (tmp_path / "data").iterdir()] == ["rank.txt"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_out_to_a_fifo_writes_into_it(tmp_path):
+    # A rename would put a regular file where the FIFO was; the output is
+    # written into the FIFO instead, to a reader on another thread.
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert main(["rank", "4", "3", "--out", str(fifo)]) == 0
+    reader.join(10)
+    assert not reader.is_alive() and received == ["m=4 a=3 rank=35 log2_rank=5.129283016944966\n"]
+    assert fifo.is_fifo() and [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
+
+
 def test_simulate_truncate_budget_columns(tmp_path, capsys):
     config = _write_config(tmp_path, "p.json", QFP2)
     assert main(["simulate", "--config", config, "--truncate", "1e-4"]) == 0
@@ -676,16 +706,22 @@ def test_simulate_past_the_interference_photon_cap_is_an_internal_limit(tmp_path
     assert "above 256 photons" in captured.err
 
 
-#: 5000 letter means of 8.6 photons add up to 2.7e-9 above mu in floats.
+#: 5000 letter means of 8.6 photons add up to 2.7e-9 above mu in floats, one
+#: at a time; 5000 times the mean is 1.1e-9 below it.
 DRIFTING_SUM = {"type": "qfp", "n": 1, "mu": 43000.5, "code": {"kind": "repetition", "repeats": 5000}}
 
 
 def test_simulate_accepts_a_row_mean_above_mu_by_its_rounding_only(tmp_path):
-    # The row mean is a running sum over 5000 positions, which may round
-    # by up to about 4999 * 2^-53 of its size, 2.4e-8 here.
+    # A table of 5000 columns of one letter, each one position, sums its
+    # row mean in 4999 adds, which may round by up to about 4999 * 2^-53 of
+    # its size, 2.4e-8 here: past mu, and accepted at construction.
     row_sums = smp.SmpProtocol._row_sums
-    protocol = smp.load_protocol(DRIFTING_SUM)
+    qfp = smp.load_protocol(DRIFTING_SUM)
+    table = np.zeros((2, 5000), dtype=np.uint8)
+    protocol = smp.SmpProtocol("drift", 1, qfp.m, qfp.mu, qfp.letters, lambda xs: table[xs], qfp.referee)
     assert 43000.5 + 1e-9 < row_sums(protocol, protocol.rows(np.arange(1)))[1][0] < 43000.5 + 1e-8
+    # The repetition code's one column adds its mean times 5000 once.
+    assert qfp.repeats == 5000 and row_sums(qfp, qfp.rows(np.arange(1)))[1][0] == 43000.49999999892
     config = _write_config(tmp_path, "p.json", DRIFTING_SUM)
     assert main(["simulate", "--config", config, "--out", str(tmp_path / "out.csv")]) == 0
 

@@ -146,7 +146,10 @@ def test_a_protocol_built_with_the_collective_referee_evaluates():
     # of the truncated fingerprint at the same cutoff, bit for bit.
     qfp = coherent_fingerprint_protocol(3, RepetitionCode(3, 2), 1.0)
     truncated = transform_protocol(qfp, 0.4)
-    fields = dict(name="direct", n=qfp.n, m=qfp.m, mu=qfp.mu, letters=qfp.letters, codewords=qfp.codewords)
+    fields = dict(
+        name="direct", n=qfp.n, m=qfp.m, mu=qfp.mu, letters=qfp.letters, codewords=qfp.codewords,
+        repeats=qfp.repeats,
+    )
     direct = SmpProtocol(**fields, referee=CollectiveModeReferee(qfp.m, qfp.mu, truncated.referee.cutoff))
     for kwargs in ({}, {"samples": 40, "seed": 3}):
         expected, got = evaluate_error(truncated, **kwargs), evaluate_error(direct, **kwargs)

@@ -72,6 +72,58 @@ def test_identity_and_xor_fold_codes():
         XorFoldCode(2, 3)
 
 
+def _full_codeword(code, x):
+    """The codeword of ``x`` with one entry per position, bit by bit: each
+    input bit ``repeats`` times, or the input bits XORed into m slots."""
+    bits = [(x >> i) & 1 for i in range(code.n)]
+    if isinstance(code, XorFoldCode):
+        word = [0] * code.m
+        for i, bit in enumerate(bits):
+            word[i % code.m] ^= bit
+        return tuple(word)
+    return tuple(bit for bit in bits for _ in range(code.repeats))
+
+
+@pytest.mark.parametrize("n", [13, 40, 63])
+def test_input_bits_are_the_bits_of_wide_inputs(n):
+    xs = np.random.default_rng(n).integers(0, 1 << n, size=200)
+    bits = smp._input_bits(xs, n)
+    assert bits.dtype == np.uint8
+    assert bits.tolist() == [[(x >> i) & 1 for i in range(n)] for x in xs.tolist()]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_codes_declare_their_runs_of_equal_positions(n):
+    specs = [{"kind": "repetition", "repeats": r} for r in (1, 2, 3, 5)] + [{"kind": "identity"}]
+    specs += [{"kind": "xor-fold", "m": m} for m in range(1, n + 1)]
+    xs = np.arange(1 << n)
+    for spec in specs:
+        code = smp._load_code(spec, n)
+        columns = code.codewords(xs)
+        assert columns.dtype == np.uint8 and columns.shape == (1 << n, code.m // code.repeats)
+        full = np.array([code.encode(x) for x in xs.tolist()])
+        assert [tuple(row) for row in full.tolist()] == [_full_codeword(code, x) for x in xs.tolist()]
+        assert (full == np.repeat(columns, code.repeats, axis=1)).all()
+        # Each run of equal consecutive columns of the whole table is one
+        # declared column of ``repeats`` positions.
+        starts = ((full[:, 1:] != full[:, :-1]).any(axis=0).nonzero()[0] + 1).tolist()
+        bounds = [0, *starts, code.m]
+        assert {stop - start for start, stop in zip(bounds, bounds[1:])} == {code.repeats}
+        protocol = trivial_classical_protocol(n, code)
+        assert protocol.repeats == code.repeats
+        assert [len(protocol.message(x).factors) for x in (0, (1 << n) - 1)] == [code.m] * 2
+        heaviest = max(protocol.message(x).max_total_photons() for x in xs.tolist())
+        assert protocol.max_total_photons() == heaviest == code.m
+
+
+def test_max_total_photons_above_the_table_charges_every_position():
+    # No table is built at n = 20: each of the m positions is charged its
+    # heaviest letter, the photons of the all-ones message.
+    protocol = trivial_classical_protocol(20, RepetitionCode(20, 3))
+    assert protocol._table is None
+    assert protocol.max_total_photons() == protocol.message((1 << 20) - 1).max_total_photons() == 60
+
+
 # ---------------------------------------------------------------------------
 # Beamsplitter
 
@@ -692,17 +744,24 @@ def test_message_check_computes_each_factor_mean_once(monkeypatch):
         return mean(state)
 
     monkeypatch.setattr(smp, "mean_photon_number", counted)
-    protocol = coherent_fingerprint_protocol(6, RepetitionCode(6, 2), 2.0)
-    # Two single-mode letters (+alpha and -alpha) across 64 messages.
+    protocol = coherent_fingerprint_protocol(9, RepetitionCode(9, 2), 2.0)
+    # Two single-mode letters (+alpha and -alpha) across 512 messages.
     assert calls == list(protocol.letters) and len(calls) == 2
     assert all(state.modes == 1 for state in calls)
-    # Each row's mean is the factor-order sum of its message, bit for bit,
-    # across 12 positions (past numpy's 8-wide pairwise blocks).
-    inputs = np.arange(1 << 6)
-    modes, means = protocol._row_sums(protocol.rows(inputs))
+    # Each row's mean is the column-order sum of 2 * mean of its letters,
+    # bit for bit, across 9 columns (past numpy's 8-wide pairwise blocks);
+    # it is its message's factor-order sum over 18 positions up to rounding.
+    letter_means = [2 * mean(letter) for letter in protocol.letters]
+    inputs = np.arange(1 << 9)
+    columns = protocol.rows(inputs)
+    modes, means = protocol._row_sums(columns)
     for x in inputs.tolist():
+        expected = 0.0
+        for s in columns[x].tolist():
+            expected += letter_means[s]
         msg = protocol.message(x)
-        assert means[x] == mean(msg) and modes == msg.modes == 12
+        assert means[x] == expected and modes == msg.modes == 18
+        assert means[x] == pytest.approx(mean(msg), rel=1e-14)
 
 
 def test_row_means_add_left_to_right():
@@ -763,7 +822,8 @@ def test_row_sums_gather_a_bounded_block_of_columns(shape):
 
 @pytest.fixture(scope="module")
 def wide_qfp():
-    # 256 rows of 16,000 int64 letter indices: a 32.8 MB codeword table.
+    # 256 rows of 8 uint8 columns, each standing for 2000 positions: 2 kB,
+    # where 16,000 int64 letter indices a row would take 32.8 MB.
     return load_protocol({"type": "qfp", "n": 8, "mu": 2, "code": {"kind": "repetition", "repeats": 2000}})
 
 
@@ -779,14 +839,24 @@ def _traced_peak(call):
 def test_max_total_photons_sums_the_table_in_column_blocks(wide_qfp):
     tops = np.array([letter.max_total_photons() for letter in wide_qfp.letters])
     top, peak = _traced_peak(wide_qfp.max_total_photons)
-    assert top == int(tops[wide_qfp._table].sum(axis=1).max())
-    assert peak < wide_qfp._table.nbytes / 4
+    assert wide_qfp._table.shape == (256, 8) and wide_qfp.repeats == 2000
+    assert top == 2000 * int(tops[wide_qfp._table].sum(axis=1).max())
+    assert peak < 2**20
 
 
 def test_exhaustive_evaluation_reads_the_table_in_place(wide_qfp):
     report, peak = _traced_peak(lambda: evaluate_error(wide_qfp))
     assert report.worst_error == pytest.approx(coherent_accept_probability(2.0, 16000, 2000), rel=1e-9)
-    assert peak < wide_qfp._table.nbytes / 4
+    assert peak < 2**20
+
+
+def test_letters_present_are_found_without_an_index_copy():
+    # 4,000,000 uint8 symbols: cast to 64-bit indices they would take 32 MB.
+    symbols = np.tile(np.array([0, 2], dtype=np.uint8), 2_000_000)
+    kernel = DiagonalMapReferee().pair_probability
+    table, peak = _traced_peak(lambda: smp._tabulated(kernel, _basis_letters((0,), (1,), (2,)), symbols))
+    assert table.tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    assert peak < 2**20
 
 
 def _wide_codewords(calls):
@@ -850,6 +920,25 @@ def test_sampled_rows_of_a_built_table_are_not_counted_again():
     assert 2 * 10_000 * (8 + 8000) > smp.CODEWORD_ENTRY_CAP
     report = evaluate_error(protocol, samples=10_000, seed=1)
     assert len(report.pair_errors) == 10_000
+
+
+def test_inputs_past_the_caps_are_refused_before_any_2_to_the_n():
+    # 2^n at n = 10^9 is a 125 MB integer: each refusal comes before it.
+    protocol = load_protocol({"type": "qfp", "n": 10**9, "mu": 2})
+    refusals = (
+        (lambda: evaluate_error(protocol), InputCapError, "^exhaustive evaluation requires n <= 12"),
+        (lambda: evaluate_error(protocol, samples=3, seed=1), InputCapError, "above the 63-bit input limit$"),
+        (lambda: protocol.message(-1), ConfigError, "^input -1 is outside 0..2\\^1000000000-1$"),
+    )
+    tracemalloc.start()
+    try:
+        for call, error, match in refusals:
+            with pytest.raises(error, match=match):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_sampled_pairs_at_the_samples_cap_are_drawn(monkeypatch):
@@ -955,13 +1044,14 @@ def test_exhaustive_rows_equal_the_one_pair_api_bit_for_bit(case):
 
 def test_repeated_factor_columns_reuse_one_gather(monkeypatch):
     # Repeats 4: each input bit fills four consecutive positions with the
-    # same factor objects, so three runs serve twelve positions; each run's
-    # factor is multiplied in four times, bit for bit like the one-pair API.
-    # Both letters occur in every run, so each evaluation builds one letter
-    # table for all three runs, running the kernel once per letter pair, on
-    # the grid (here forced) as in the error profile of x XOR y.
-    tables, kernel_calls, runs = [], [], []
-    tabulated, column_runs = smp._tabulated, smp._column_runs
+    # same factor objects, and the code gives one column for the four, so
+    # three columns serve twelve positions; each column's factor is
+    # multiplied in four times, bit for bit like the one-pair API. Both
+    # letters occur in every column, so each evaluation builds one letter
+    # table for all three, running the kernel once per letter pair, on the
+    # grid (here forced) as in the error profile of x XOR y.
+    tables, kernel_calls, gathered = [], [], []
+    tabulated, accepted = smp._tabulated, smp._accepted
     protocol = coherent_fingerprint_protocol(3, RepetitionCode(3, 4), 1.7)
     kernel = protocol.referee.pair_probability
 
@@ -969,13 +1059,17 @@ def test_repeated_factor_columns_reuse_one_gather(monkeypatch):
         kernel_calls.append((a, b))
         return kernel(a, b)
 
+    def counted_accepted(protocol, table, columns, ix, iy):
+        gathered.append(columns.shape)
+        return accepted(protocol, table, columns, ix, iy)
+
     monkeypatch.setattr(smp, "_tabulated", lambda *args: tables.append(args) or tabulated(*args))
-    monkeypatch.setattr(smp, "_column_runs", lambda rows: runs.append(column_runs(rows)) or runs[-1])
+    monkeypatch.setattr(smp, "_accepted", counted_accepted)
     monkeypatch.setattr(protocol.referee, "pair_probability", counted_kernel)
     with monkeypatch.context() as patch:
         patch.setattr(smp, "_xor_invariant", lambda table, columns: False)
         report = evaluate_error(protocol)
-    assert protocol.m == 12 and runs == [[(0, 4), (4, 8), (8, 12)]]
+    assert protocol.m == 12 and protocol.repeats == 4 and gathered == [(8, 3)]
     assert report.xor_errors is None and len(tables) == 1 and len(kernel_calls) == 4
     _assert_rows_match_one_pair_api(protocol, report)
     tables.clear()
