@@ -14,8 +14,10 @@ factorize over positions: each is a pair kernel on letters
 (``pair_probability``), tabulated once per evaluation on the letters
 present. Messages projected below a binding photon cutoff do not
 factorize; their referee (:class:`CollectiveModeReferee`) is read at a
-pair's codeword distance. One evaluator reads either over the codeword
-columns, for every pair list: exhaustive, through x XOR y, or sampled.
+pair's codeword distance, a closed form computed once per distinct
+distance in one array pass, with no ket built. One evaluator reads either
+over the codeword columns, for every pair list: exhaustive, through
+x XOR y, or sampled.
 Worst-case error is exact, without sampling noise. Adaptive referees are
 deliberately not modeled.
 """
@@ -87,7 +89,10 @@ CODEWORD_ENTRY_CAP = 10**8
 #: n=1 and at 705 MB in 11.7 s at n=20.
 SAMPLES_CAP = 5 * 10**6
 #: Most photons one mode pair may hold in an exact interference computation:
-#: past it the scaled dark-port sums leave floating-point range.
+#: past it the scaled dark-port sums of letter pairs leave floating-point
+#: range. The collective-mode referee, whose weights are exact integer ratios
+#: and whose binomial terms are at most 1, keeps its projected kets to half of
+#: it too: its sums are checked only that far.
 PAIR_PHOTON_CAP = 512
 
 
@@ -384,8 +389,9 @@ class InterferenceVacuumReferee:
     def at_cutoff(self, protocol: "SmpProtocol", cutoff: int) -> "CollectiveModeReferee":
         """This referee on fingerprint messages projected onto at most ``cutoff`` photons."""
         alpha, top = math.sqrt(protocol.mu / protocol.m), protocol.letters[0].max_total_photons()
-        coherent = [coherent_state(sign * alpha, top).amplitudes for sign in (1, -1)]
-        if [getattr(letter, "amplitudes", None) for letter in protocol.letters] != coherent:
+        plus = coherent_state(alpha, top).amplitudes
+        minus = {idx: -amp if idx[0] & 1 else amp for idx, amp in plus.items()}  # |-alpha>, bit for bit
+        if [getattr(letter, "amplitudes", None) for letter in protocol.letters] != [plus, minus]:
             raise ConfigError(f"a binding cutoff of {cutoff} photons needs a fingerprint's two coherent letters")
         return CollectiveModeReferee(protocol.m, protocol.mu, cutoff)
 
@@ -401,6 +407,29 @@ class InterferenceVacuumReferee:
         return _clamp01(p)
 
 
+@lru_cache(maxsize=32)
+def _binomial_halves(top: int) -> np.ndarray:
+    """The (2 top + 1) x (top + 1) table of C(t, j) / 2^t, each correctly
+    rounded (an exact integer, then an exact halving), at t - top <= j <= top
+    and 0 elsewhere. Read-only: referees of one cutoff share it."""
+    table = np.zeros((2 * top + 1, top + 1))
+    row = [1]  # C(t, j) for j = 0..t
+    for t in range(2 * top + 1):
+        lo, hi = max(0, t - top), min(t, top)
+        table[t, lo : hi + 1] = np.ldexp(np.array(row[lo : hi + 1], dtype=float), -t)
+        row = [a + b for a, b in zip(row + [0], [0] + row)]
+    table.flags.writeable = False
+    return table
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` as hi + lo, each of at most 26 significant bits (Dekker's
+    split by 2^27 + 1), so that products of such halves are exact."""
+    c = x * 134217729.0
+    hi = c - (c - x)
+    return hi, x - hi
+
+
 class CollectiveModeReferee:
     """The interference referee on fingerprint messages projected onto at
     most ``cutoff`` photons, as a function of codeword distance d.
@@ -408,48 +437,106 @@ class CollectiveModeReferee:
     A product of |+alpha> and |-alpha> over m modes is |sqrt(mu)> in one
     collective mode, so the projection cuts that mode alone; turning both
     parties' modes alike commutes with the beamsplitters, so the two modes
-    may be taken as A and c A + sqrt(1 - c^2) B, c = 1 - 2d/m. The kets end
-    past the mean once sqrt(mu)^k / sqrt(k!), a bound on every amplitude at
-    k photons, is below ``AMPLITUDE_PRUNE``. They are the exact coherent
-    messages: past the letters' per-mode cut, about 2 * ``message_tail`` off.
-    Each distance read costs its ket and one dark-port sum with distance 0's.
+    may be taken as A and c A + s B, c = 1 - 2d/m and s = sqrt(1 - c^2).
+    The kets end at ``top`` = K photons: the cutoff, or past the mean once
+    sqrt(mu)^k / sqrt(k!), a bound on every amplitude at k photons, is below
+    ``AMPLITUDE_PRUNE``. They are the exact coherent messages: past the
+    letters' per-mode cut, about 2 * ``message_tail`` off.
+
+    Distance 0's ket lives in mode A alone, so the dark-port sum is a small
+    matrix product: C = Toeplitz(a) B(d), with a_n = sqrt(mu)^n / n! and
+    B(d) the outer product of (sqrt(mu) c)^j / j! and (sqrt(mu) s)^i / i!
+    at i + j <= K, and P(d) = w_A^T (C o C) w_B / norm^4, with w(t) = t! /
+    2^t and norm^2 the sum of mu^k / k! to K. Gathering the factorials, the
+    term at ports (tA, tB) is pi(tA) * (mu s^2 / 2)^tB / tB! * G(tA, K - tB)^2,
+    where pi(t) = (2 mu)^t / t! / norm^4 and G(t, J) sums C(t, j) / 2^t * c^j
+    over j <= J (:func:`_binomial_halves`): one cumulative sum gives every
+    column, and no factorial leaves floating-point range up to the 512-photon
+    pair limit. pi is built once from exact integers, as a correctly rounded
+    double plus its rounded remainder; each distance's row sums meet it in
+    exact (split) products, and one ``math.fsum`` rounds the total once. c^j
+    is (m - 2d)^j / m^j, correctly rounded from integers, so it keeps its
+    digits where c is near 1 and no bit depends on a math library. Each
+    distinct distance is computed once, in blocks of at most ``BLOCK_ROWS``
+    terms, and no ket is built.
     """
 
     def __init__(self, m: int, mu: float, cutoff: int) -> None:
-        self.m, self.cutoff, self._accepted = m, cutoff, {}
-        self._amplitudes = [1.0]  # sqrt(mu)^k / sqrt(k!)
+        self.m, self.mu, self.cutoff, self._values = m, mu, cutoff, {}
+        top, amplitude = 0, 1.0  # sqrt(mu)^k / sqrt(k!)
         for k in range(1, cutoff + 1):
-            term = self._amplitudes[-1] * math.sqrt(mu / k)
-            if k > mu and term < AMPLITUDE_PRUNE:
+            amplitude *= math.sqrt(mu / k)
+            if k > mu and amplitude < AMPLITUDE_PRUNE:
                 break
             if 2 * k > PAIR_PHOTON_CAP:
                 raise PhotonCapError(
                     f"a projected message of mean {mu!r} keeps more than {k - 1} photons, "
                     f"half the {PAIR_PHOTON_CAP}-photon limit of a mode pair"
                 )
-            self._amplitudes.append(term)
-        self._ket0 = self._ket(0).amplitudes
+            top = k
+        if top and top * math.log(mu / 2) - math.lgamma(top + 1) > 700:
+            raise PhotonCapError(
+                f"a projected message of mean {mu!r} has port weights past floating-point range"
+            )
+        # pi(t) = tops[t] bottoms[top]^2 / (bottoms[t] norm^2), exactly.
+        num, den = float(mu).as_integer_ratio()
+        tops, bottoms = [1], [1]  # (2 num)^t and den^t t!
+        for t in range(1, 2 * top + 1):
+            tops.append(tops[-1] * 2 * num)
+            bottoms.append(bottoms[-1] * den * t)
+        norm = sum((tops[k] >> k) * (bottoms[top] // bottoms[k]) for k in range(top + 1))
+        scale, norm = bottoms[top] ** 2, norm**2
+        hi, lo = [], []
+        for a, b in zip(tops, bottoms):
+            a, b = a * scale, b * norm
+            hi.append(a / b)
+            h, k = hi[-1].as_integer_ratio()
+            lo.append((a * k - h * b) / (b * k))
+        self._pi_split, self._pi_lo = _split(np.array(hi)), np.array(lo)
+        self._halves = _binomial_halves(top)
+        self.top = top
+        self._step = max(1, BLOCK_ROWS // self._halves.size)
 
-    def _ket(self, d: int) -> PureState:
-        """The projected ket at codeword distance ``d`` from the one in A."""
-        c, s = (self.m - 2 * d) / self.m, 2.0 * math.sqrt(d * (self.m - d)) / self.m
-        terms = {
-            (j, k - j): amp * math.sqrt(math.comb(k, j)) * c**j * s ** (k - j)
-            for k, amp in enumerate(self._amplitudes)
-            for j in range(k + 1)
-        }
-        return PureState(2, terms, normalize=True)
-
-    def accept(self, d: int) -> float:
-        """The acceptance at codeword distance ``d``, computed once."""
-        if d not in self._accepted:
-            self._accepted[d] = _dark_probability(self._ket0, self._ket(d).amplitudes)
-        return self._accepted[d]
+    def _accepts(self, distances: list[int]) -> list[float]:
+        """The acceptance at each distance, in one array pass."""
+        m, top = self.m, self.top
+        powers, weights = [], []
+        for d in distances:
+            num, den, row = 1, 1, [1.0]  # c^j = (m - 2d)^j / m^j
+            for _ in range(top):
+                num, den = num * (m - 2 * d), den * m
+                row.append(num / den)
+            powers.append(row)
+            sigma = self.mu * (2 * d * (m - d) / (m * m))  # mu s^2 / 2
+            row = [1.0]  # sigma^t / t!
+            for t in range(1, top + 1):
+                row.append(row[-1] * sigma / t)
+            weights.append(row[::-1])
+        # g[d, tA, J] = G(tA, J), and port tB = top - J.
+        g = np.multiply(self._halves, np.array(powers)[:, None, :])
+        np.cumsum(g, axis=2, out=g)
+        g *= g
+        g *= np.array(weights)[:, None, :]
+        rows = g.sum(axis=2)
+        # rows * pi as four exact products of halves, and rows * pi's remainder.
+        (rh, rl), (ph, pl) = _split(rows), self._pi_split
+        terms = np.concatenate((rh * ph, rh * pl, rl * ph, rl * pl, rows * self._pi_lo), axis=1)
+        return [_clamp01(math.fsum(row)) for row in terms.tolist()]
 
     def by_distance(self, distances: np.ndarray) -> np.ndarray:
-        """:meth:`accept` at each entry of an integer array."""
+        """The acceptance at each entry of an integer array. Each distinct
+        distance is computed once per referee, whatever the calls."""
         values, index = np.unique(distances, return_inverse=True)
-        return np.array([self.accept(d) for d in values.tolist()])[index]
+        values = values.tolist()
+        new = [d for d in values if d not in self._values]
+        for start in range(0, len(new), self._step):
+            block = new[start : start + self._step]
+            self._values.update(zip(block, self._accepts(block)))
+        return np.array([self._values[d] for d in values])[index]
+
+    def accept(self, d: int) -> float:
+        """The acceptance of a pair at codeword distance ``d``."""
+        return float(self.by_distance(np.array([d]))[0])
 
     def output_one_probability(self, a: Message, b: Message) -> float:
         """:meth:`accept` at the distance of two of the protocol's messages."""
@@ -841,7 +928,8 @@ def coherent_fingerprint_protocol(n: int, code: Code, mu_total: float) -> SmpPro
             f"would pass {PAIR_PHOTON_CAP} photons"
         )
     cutoff, actual_tail = cutoff_for_tail(alpha**2, per_mode_tail) if mu_total > 0 else (0, 0.0)
-    message_tail = 1.0 - (1.0 - actual_tail) ** m
+    # 1 - (1 - t)^m, with the digits that 1 - t would round away.
+    message_tail = -math.expm1(m * math.log1p(-actual_tail))
     return SmpProtocol(
         name=f"qfp-n{n}-m{m}",
         n=n,

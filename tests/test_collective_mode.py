@@ -3,6 +3,7 @@ projected onto at most a photons in their one collective mode, read at each
 pair's codeword distance."""
 
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -15,7 +16,6 @@ from optsmp.smp import (
     InterferenceVacuumReferee,
     RepetitionCode,
     SmpProtocol,
-    _dark_probability,
     _input_bits,
     coherent_fingerprint_protocol,
     evaluate_error,
@@ -60,7 +60,7 @@ def test_acceptance_matches_a_50_digit_evaluation(mu):
             referee = CollectiveModeReferee(m, mu, a)
             for d in range(m + 1):
                 worst = max(worst, abs(Decimal(referee.accept(d)) - _reference(mu, m, a, d)))
-    assert worst <= Decimal("4e-15")
+    assert worst <= Decimal("4e-16")
 
 
 def test_vacuum_cutoff_accepts_every_pair():
@@ -74,37 +74,87 @@ def test_vacuum_cutoff_accepts_every_pair():
     assert report.p_error.tolist() == [float(x != y) for x in range(8) for y in range(8)]
 
 
-def test_each_distance_runs_one_sum_and_every_read_shares_it():
-    referee = CollectiveModeReferee(6, 2.0, 4)
-    values = referee.by_distance(np.array([6, 0, 3, 6, 3, 0, 0]))
-    assert sorted(referee._accepted) == [0, 3, 6]
-    assert values.tolist() == [referee.accept(d) for d in (6, 0, 3, 6, 3, 0, 0)]
-
-
-def test_the_distance_zero_ket_is_built_once(monkeypatch):
-    # However many distances and reads, ket(0) is built once, at
-    # construction, and each distance read builds its own ket once. Each
-    # acceptance is the clamped dark-port sum of the two kets, the value
-    # the interference referee's pair kernel gives them.
-    kets = []
-    build = CollectiveModeReferee._ket
-    monkeypatch.setattr(CollectiveModeReferee, "_ket", lambda self, d: kets.append(d) or build(self, d))
+def test_each_distinct_distance_is_computed_once_per_referee(monkeypatch):
+    # However many calls and blocks read a distance, it is computed once,
+    # and every read returns that one value. The referee's own blocks of
+    # distances split 400 new ones at m = 1200 into several passes.
+    passes = []
+    compute = CollectiveModeReferee._accepts
+    monkeypatch.setattr(CollectiveModeReferee, "_accepts", lambda self, ds: passes.append(ds) or compute(self, ds))
     referee = CollectiveModeReferee(12, 2.0, 5)
-    assert kets == [0]
-    for distances in ([1, 5, 3, 1], [12, 7, 3], [5, 1, 12, 7]):
-        referee.by_distance(np.array(distances))
-    assert sorted(kets) == [0, 1, 3, 5, 7, 12]
-    ket0 = build(referee, 0)
-    for d in (1, 3, 5, 7, 12):
-        ket = build(referee, d)
-        assert referee.accept(d) == _dark_probability(ket0.amplitudes, ket.amplitudes)
-        assert referee.accept(d) == InterferenceVacuumReferee().pair_probability(ket0, ket)
+    for distances in ([1, 5, 3, 1], [12, 7, 3], [5, 1, 12, 7, 0]):
+        values = referee.by_distance(np.array(distances))
+        assert values.tolist() == [referee.accept(d) for d in distances]
+    assert passes == [[1, 3, 5], [7, 12], [0]]
+    wide = CollectiveModeReferee(1200, 8.0, 30)
+    first = wide.by_distance(np.arange(0, 1200, 3)[::-1])
+    again = wide.by_distance(np.arange(0, 1200, 3))
+    counts = [len(ds) for ds in passes[3:]]
+    assert len(counts) > 1 and max(counts) <= wide._step and sum(counts) == 400
+    assert sorted(d for ds in passes[3:] for d in ds) == list(range(0, 1200, 3))
+    assert again.tolist() == first[::-1].tolist()
+
+
+@pytest.mark.parametrize("mu", [0.5, 8.0, 40.0])
+@pytest.mark.parametrize("m", [12, 10**3, 10**6, 10**9])
+def test_a_vacuous_cutoff_gives_the_coherent_acceptance(m, mu):
+    # Past where the amplitudes fade, the projected messages are the
+    # coherent ones: the acceptance is exp(-2 mu d/m) to float error, at
+    # every m, with c = 1 - 2d/m near 1 (d = 1 at m = 10^9) and below 0.
+    referee = CollectiveModeReferee(m, mu, 10**6)
+    distances = sorted({0, 1, 2, m // 3, m // 2, m - 1, m})
+    values = referee.by_distance(np.array(distances))
+    worst = max(abs(v - math.exp(-2.0 * mu * d / m)) for d, v in zip(distances, values.tolist()))
+    assert worst <= 1e-15
+
+
+def test_the_sums_hold_past_the_range_of_factorials():
+    # 171! overflows a double, so kets past 85 photons test the weights. At
+    # mu = 60 the amplitudes fade past 200 photons; at mu = 250 a cutoff of
+    # 256, half the pair limit, binds. At d = m/2 (c = 0) the ports part:
+    # P = (sum of (mu/2)^k / k!)^2 / (sum of mu^k / k!)^2, both sums to the
+    # kets' top, which is checked to 50 digits.
+    vacuous = CollectiveModeReferee(12, 60.0, 10**4)
+    assert vacuous.top > 200
+    values = vacuous.by_distance(np.arange(13)).tolist()
+    assert max(abs(v - math.exp(-10.0 * d)) for d, v in enumerate(values)) <= 1e-15
+    binding = CollectiveModeReferee(12, 250.0, 256)
+    assert binding.top == 256
+    values = binding.by_distance(np.arange(13)).tolist()
+    assert all(0.0 <= v <= 1.0 for v in values) and values[0] > 0.5
+    with localcontext() as ctx:
+        ctx.prec = 50
+        half = whole = Decimal(0)
+        term = Decimal(1)  # 250^k / k!
+        for k in range(257):
+            if k:
+                term = term * 250 / k
+            half, whole = half + term / 2**k, whole + term
+        reference = (half / whole) ** 2
+    assert abs(Decimal(values[6]) - reference) <= reference * Decimal("1e-15")
+
+
+def test_distances_are_read_in_blocks_of_bounded_memory():
+    # 2,000 distinct distances of m = 10^6 at mu 2 (a top of 35 photons) take
+    # 2,556 terms each: one pass over all of them would hold a 41 MB array.
+    # Blocks of at most BLOCK_ROWS terms peak at 1.4 MB.
+    referee = CollectiveModeReferee(10**6, 2.0, 10**6)
+    distances = np.arange(0, 10**6, 500)
+    tracemalloc.start()
+    try:
+        values = referee.by_distance(distances)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert len(referee._values) == 2000
+    assert abs(values[-1] - math.exp(-4.0 * 999500 / 10**6)) <= 1e-15
 
 
 def test_binding_evaluation_leaves_the_fingerprint_caches_to_the_letters():
-    # The projected referee sums its own kets: after exhaustive and sampled
-    # runs of both protocols, the fingerprint referee's sign classes and
-    # pair cache hold the two letters only.
+    # The projected referee computes its own closed form: after exhaustive
+    # and sampled runs of both protocols, the fingerprint referee's sign
+    # classes and pair cache hold the two letters only.
     protocol = coherent_fingerprint_protocol(3, RepetitionCode(3, 2), 1.0)
     truncated = transform_protocol(protocol, 0.5)
     assert isinstance(truncated.referee, CollectiveModeReferee)
@@ -165,6 +215,10 @@ def test_a_projection_past_half_the_pair_photon_limit_is_refused():
     # built.
     with pytest.raises(PhotonCapError, match="keeps more than 256 photons"):
         CollectiveModeReferee(600, 5000.0, 5555)
+    # At a cutoff of 256 the same mean keeps its kets to 256 photons, but
+    # the port-B weights (mu/2)^k / k! pass floating-point range there.
+    with pytest.raises(PhotonCapError, match="port weights past floating-point range"):
+        CollectiveModeReferee(600, 5000.0, 256)
 
 
 @pytest.mark.parametrize("binding", [False, True], ids=["interference", "collective-mode"])

@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import sys
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -15,11 +17,13 @@ from optsmp.fock import (
     ProductPureState,
     PureState,
     coherent_state,
+    cutoff_for_tail,
     mean_photon_number,
     overlap,
     tensor,
 )
 from optsmp.smp import (
+    MESSAGE_TAIL_BOUND,
     DiagonalMapReferee,
     InterferenceVacuumReferee,
     RepetitionCode,
@@ -296,8 +300,8 @@ def test_equal_magnitudes_without_a_per_mode_sign_pattern_get_their_own_sum(monk
     ],
 )
 def test_dark_port_sum_matches_materialised_beamsplitter_on_projected_messages(n, repeats, mu, delta):
-    # The referee of a binding truncation runs one collective dark-port sum
-    # per codeword distance; the reference joins each message into its
+    # The referee of a binding truncation reads one closed-form dark-port
+    # probability per codeword distance; the reference joins each message into its
     # m-mode ket, projects it and interferes a pair on m beamsplitters.
     # Within the letters' per-mode cut c1 both project the same state. Past
     # it (the last three cases: a = 20, 25 and 16 against c1 = 13, 13 and
@@ -637,18 +641,21 @@ def test_pair_cache_interferes_each_factor_pair_once(monkeypatch):
 
 def test_binding_truncation_runs_one_sum_per_distance(monkeypatch):
     # At a=2 the 256 pairs of qfp n=4 with repeats 3 meet the five codeword
-    # distances 0, 3, 6, 9 and 12: five dark-port sums, and every pair reads
-    # the one at its distance.
+    # distances 0, 3, 6, 9 and 12: one array pass computes the five, no
+    # dark-port sum of kets runs, and every pair reads the value at its
+    # distance.
     protocol = coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.0)
     truncated = transform_protocol(protocol, 0.667)
     assert protocol.message(0).max_total_photons() > 2 == truncated.referee.cutoff
-    calls = _counted_sums(monkeypatch)
+    calls, passes = _counted_sums(monkeypatch), []
+    compute = smp.CollectiveModeReferee._accepts
+    monkeypatch.setattr(smp.CollectiveModeReferee, "_accepts", lambda self, ds: passes.append(ds) or compute(self, ds))
     report = evaluate_error(truncated)
-    assert len(calls) == 5
+    assert passes == [[0, 3, 6, 9, 12]] and calls == []
     for x, y, f, p_error in report.pair_errors:
         direct = truncated.referee.accept(3 * bin(x ^ y).count("1"))
         assert p_error == (1.0 - direct if f else direct)
-    assert len(calls) == 5
+    assert len(passes) == 1
 
 
 def test_fingerprint_matches_closed_form():
@@ -661,6 +668,20 @@ def test_fingerprint_matches_closed_form():
         accept = coherent_accept_probability(2.0, 6, distance)
         expected = 1.0 - accept if f == 1 else accept
         assert p_error == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("repeats", [12, 7000, 24396, 2 * 10**6])
+def test_message_tail_matches_a_50_digit_evaluation(repeats):
+    # message_tail is 1 - (1 - t)^m, t the Poisson tail past the letters'
+    # per-mode cut. Past m of a few thousand, 1 - t rounds to 1 in double
+    # precision: at m = 24,396 that formula printed 0.0 for 4.6e-14.
+    protocol = coherent_fingerprint_protocol(1, RepetitionCode(1, repeats), 2.0)
+    _, tail = cutoff_for_tail(2.0 / repeats, MESSAGE_TAIL_BOUND / repeats)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        reference = 1 - (1 - Decimal(tail)) ** repeats
+    assert 0 < protocol.message_tail < MESSAGE_TAIL_BOUND
+    assert abs(Decimal(protocol.message_tail) - reference) <= reference * 4 * Decimal(sys.float_info.epsilon)
 
 
 def test_fingerprint_error_drops_below_third_with_more_energy():

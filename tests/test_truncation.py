@@ -234,10 +234,10 @@ def test_transform_classical_protocol_preserves_zero_error():
 def test_transform_messages_change_under_aggressive_cutoff():
     # delta = 0.9 on a mu=1 protocol truncates at a = floor(1/0.9) = 1 photon,
     # which genuinely reshapes the coherent messages: the referee's projected
-    # kets hold at most one photon at every distance, and the errors move.
+    # kets hold at most one photon, and the errors move.
     protocol = coherent_fingerprint_protocol(1, RepetitionCode(1, 2), 1.0)
     truncated = transform_protocol(protocol, 0.9)
-    assert all(truncated.referee._ket(d).max_total_photons() <= 1 for d in range(protocol.m + 1))
+    assert truncated.referee.top == 1
     assert protocol.message(0).max_total_photons() > 1
     assert evaluate_error(truncated).worst_error != evaluate_error(protocol).worst_error
 
@@ -278,20 +278,20 @@ def _counted_projections(monkeypatch) -> list:
 def test_binding_transform_projects_no_row(monkeypatch):
     # An xor-fold code folds 16 inputs onto 4 codewords, and at cutoff 2
     # every row binds. The truncated protocol keeps the letters and the
-    # checked table; its referee builds the collective ket at distance 0
-    # once, and one ket per codeword distance that occurs (0, 1 and 2),
-    # once however many pairs read it, and no message is projected.
+    # checked table; its referee computes each codeword distance that
+    # occurs (0, 1 and 2) once however many pairs read it, and no message
+    # is projected.
     calls = _counted_projections(monkeypatch)
-    kets = []
-    build = CollectiveModeReferee._ket
-    monkeypatch.setattr(CollectiveModeReferee, "_ket", lambda self, d: kets.append(d) or build(self, d))
+    passes = []
+    compute = CollectiveModeReferee._accepts
+    monkeypatch.setattr(CollectiveModeReferee, "_accepts", lambda self, ds: passes.append(ds) or compute(self, ds))
     protocol = coherent_fingerprint_protocol(4, XorFoldCode(4, 2), 1.0)
     truncated = transform_protocol(protocol, 0.5)
     assert protocol.message(0).max_total_photons() > 2
     assert truncated.letters is protocol.letters and truncated._table is protocol._table
     exhaustive = evaluate_error(truncated)
     sampled = evaluate_error(truncated, samples=500, seed=3)
-    assert calls == [] and sorted(kets) == [0, 0, 1, 2]
+    assert calls == [] and passes == [[0, 1, 2]]
     assert len(exhaustive.pair_errors) == 256 and len(sampled.pair_errors) == 500
 
 
@@ -339,3 +339,8 @@ def test_binding_transform_refuses_letters_other_than_the_coherent_pair(referee)
     other = SmpProtocol("other", 2, 2, 2.0, qfp.letters, qfp.codewords, referee())
     with pytest.raises(ConfigError, match="a binding cutoff of 4 photons"):
         transform_protocol(other, 0.5)
+    # So are the right letters in the wrong order, or |+alpha> twice.
+    for swapped in (qfp.letters[::-1], qfp.letters[:1] * 2):
+        twisted = SmpProtocol("twisted", 2, 2, 1.6, swapped, qfp.codewords, referee())
+        with pytest.raises(ConfigError, match="a binding cutoff of 3 photons"):
+            transform_protocol(twisted, 0.5)
