@@ -167,34 +167,30 @@ def csv_rows(report: ErrorReport, truncated: ErrorReport | None = None) -> Itera
     whole lines, each ending in a newline. Each value prints as ``repr`` of
     its Python int or float.
 
-    Each distinct error tuple of a block is formatted once, as one tail
-    word; when both reports hold ``xor_errors``, each distinct tuple of the
-    2^n values of z is formatted once for the whole report, and pair
-    (x, y) reads the word of z = x ^ y. An exhaustive report is formatted
-    one x row at a time from the words ``"y,0,"``, built once (the row's
-    own y reads ``"x,1,"``), each followed by its tail word and joined by
-    ``"\\n" + "x,"``. A sampled report's x, y and f columns are formatted
-    per distinct value."""
+    When every report holds ``xor_errors``, each distinct tuple of the 2^n
+    values of z is formatted once, as one tail word, and pair (x, y) reads
+    the word of z = x ^ y; the lines are formatted one x row at a time from
+    the words ``"y,0,"``, built once (the row's own y reads ``"x,1,"``),
+    each followed by its tail word and joined by ``"\\n" + "x,"``. Any other
+    report, sampled or exhaustive, is formatted a block of pairs at a time:
+    its x, y and f columns per distinct value, and each distinct error
+    tuple of the block once."""
     reports = [report] if truncated is None else [report, truncated]
-    if report.drawn is not None:
+    if any(r.xor_errors is None for r in reports):
         for start, stop in _blocks(report.pairs, BLOCK_ROWS):
             words = [_words(column) for column in report.columns(start, stop)]
             words.append(_tails([r.errors(start, stop) for r in reports]))
             yield "\n".join(map(",".join, zip(*words))) + "\n"
         return
     size = 1 << report.n
-    z, z_words = np.arange(size), None
-    if all(r.xor_errors is not None for r in reports):
-        z_words = np.array(_tails([r.xor_errors for r in reports]), dtype=object)
+    z = np.arange(size)
+    z_words = np.array(_tails([r.xor_errors for r in reports]), dtype=object)
     ys = [f"{y},0," for y in range(size)]
     # One line per y: the separator before it, its y word and its tail word.
     parts = [""] * (3 * size)
     parts[1::3] = ys
     for x_start, x_stop in _blocks(size, max(1, BLOCK_ROWS >> report.n)):
-        if z_words is None:
-            tails = _tails([r.errors(x_start * size, x_stop * size) for r in reports])
-        else:
-            tails = z_words[(np.arange(x_start, x_stop)[:, None] ^ z).reshape(-1)].tolist()
+        tails = z_words[(np.arange(x_start, x_stop)[:, None] ^ z).reshape(-1)].tolist()
         lines = []
         for x in range(x_start, x_stop):
             parts[0::3] = [f"\n{x},"] * size

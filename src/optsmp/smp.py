@@ -294,25 +294,10 @@ def _dark_probability(
     return _clamp01(p)
 
 
-def _sign_flip(
-    rep: Mapping[FockIndex, complex], amps: Mapping[FockIndex, complex], modes: int
-) -> int | None:
-    """The bit mask s of modes with ``amps`` equal to D_s ``rep``, or None.
-
-    The two must hold the same occupations in the same order. Bit i of s is
-    read from the single-photon occupation of mode i, then every amplitude
-    is checked exactly: ``==``, with no tolerance, which equates only the
-    signs of zeros."""
-    s = 0
-    for i in range(modes):
-        one = (0,) * i + (1,) + (0,) * (modes - i - 1)
-        if amps.get(one) != rep.get(one):
-            s |= 1 << i
-    flipped = [i for i in range(modes) if s >> i & 1]
-    for (idx, amp), base in zip(amps.items(), rep.values()):
-        if amp != (-base if sum(idx[i] for i in flipped) & 1 else base):
-            return None
-    return s
+def _parity_flipped(amps: Mapping[FockIndex, complex]) -> dict[FockIndex, complex]:
+    """``amps`` with every amplitude at an odd photon total negated: the
+    parity flip that takes |+alpha> to |-alpha>, bit for bit."""
+    return {idx: -amp if sum(idx) & 1 else amp for idx, amp in amps.items()}
 
 
 def _tabulated(kernel: Callable, letters: Sequence, symbols: np.ndarray) -> np.ndarray:
@@ -342,45 +327,39 @@ class InterferenceVacuumReferee:
     (:meth:`pair_probability`, the pair kernel); a :class:`PureState` is its
     own single factor. No beamsplitter output is built.
 
-    The kernel runs once per sign class of letter pairs that occurs. For a
-    set s of modes, D_s multiplies the amplitude at occupation n by
-    (-1)^(sum of n_i over i in s). Every product that feeds output t of the
-    dark-port sum then carries the one sign (-1)^(sum of t_i over i in s),
-    so each partial sum is kept or negated exactly (negation is exact and
-    round-to-nearest is symmetric in sign), and its squared magnitude, the
-    keys, their order and the scale tables do not change:
-    ``_dark_probability(D_s a, D_s b)`` equals ``_dark_probability(a, b)``
-    bit for bit. A letter is filed as ``D_s`` of a representative, the first
-    letter met with the same per-term magnitudes of which it is such a
-    flip, and a pair's value is cached on the two representatives and the
-    XOR of the two sign sets. The caches are keyed on the letter objects,
-    which a protocol holds once each.
+    The kernel runs once per parity class of letter pairs that occurs. The
+    parity flip P negates the amplitude at every odd photon total, so every
+    product that feeds output t of the dark-port sum carries the one sign
+    (-1)^|t|: each partial sum is kept or negated exactly (negation is exact
+    and round-to-nearest is symmetric in sign), and its squared magnitude,
+    the keys, their order and the scale tables do not change:
+    ``_dark_probability(P a, P b)`` equals ``_dark_probability(a, b)`` bit
+    for bit. Letters are filed by content: the first letter of a class is
+    its representative, with bit 0, and its parity flip gets bit 1 (a flip
+    of only some modes is another class). A pair's value is cached on the
+    two representatives and the XOR of their bits.
     """
 
     def __init__(self) -> None:
-        self._classes: dict[PureState, tuple[PureState, int]] = {}
-        self._representatives: dict[tuple, PureState] = {}
+        self._classes: dict[tuple, tuple[tuple, int]] = {}
         self._pair_cache: dict[tuple, float] = {}
 
-    def _sign_class(self, letter: PureState) -> tuple[PureState, int]:
-        """``(rep, s)`` with ``letter`` equal to D_s ``rep``, item for item
-        and in the same order; s is a bit mask of modes. A letter that is no
-        such flip of its representative is its own class, ``(letter, 0)``."""
-        found = self._classes.get(letter)
+    def _parity_class(self, letter: PureState) -> tuple[tuple, int]:
+        """``(terms, bit)``: the representative's terms, and 1 when
+        ``letter`` is their parity flip, else 0."""
+        terms = tuple(letter.amplitudes.items())
+        found = self._classes.get(terms)
         if found is None:
-            amps = letter.amplitudes
-            magnitudes = tuple((idx, abs(v.real), abs(v.imag)) for idx, v in amps.items())
-            rep = self._representatives.setdefault(magnitudes, letter)
-            s = _sign_flip(rep.amplitudes, amps, letter.modes)
-            found = self._classes[letter] = (letter, 0) if s is None else (rep, s)
+            found = self._classes[terms] = (terms, 0)
+            self._classes.setdefault(tuple(_parity_flipped(letter.amplitudes).items()), (terms, 1))
         return found
 
     def pair_probability(self, fa: PureState, fb: PureState) -> float:
         """Dark-port probability of one pair of corresponding factors."""
         if fa.modes != fb.modes:
             raise ModeMismatchError(f"factor mode mismatch: {fa.modes} vs {fb.modes}")
-        (rep_a, s_a), (rep_b, s_b) = self._sign_class(fa), self._sign_class(fb)
-        key = (rep_a, rep_b, s_a ^ s_b)
+        (rep_a, bit_a), (rep_b, bit_b) = self._parity_class(fa), self._parity_class(fb)
+        key = (rep_a, rep_b, bit_a ^ bit_b)
         p = self._pair_cache.get(key)
         if p is None:
             p = self._pair_cache[key] = _dark_probability(fa.amplitudes, fb.amplitudes)
@@ -390,8 +369,7 @@ class InterferenceVacuumReferee:
         """This referee on fingerprint messages projected onto at most ``cutoff`` photons."""
         alpha, top = math.sqrt(protocol.mu / protocol.m), protocol.letters[0].max_total_photons()
         plus = coherent_state(alpha, top).amplitudes
-        minus = {idx: -amp if idx[0] & 1 else amp for idx, amp in plus.items()}  # |-alpha>, bit for bit
-        if [getattr(letter, "amplitudes", None) for letter in protocol.letters] != [plus, minus]:
+        if [getattr(letter, "amplitudes", None) for letter in protocol.letters] != [plus, _parity_flipped(plus)]:
             raise ConfigError(f"a binding cutoff of {cutoff} photons needs a fingerprint's two coherent letters")
         return CollectiveModeReferee(protocol.m, protocol.mu, cutoff)
 
@@ -462,6 +440,11 @@ class CollectiveModeReferee:
     """
 
     def __init__(self, m: int, mu: float, cutoff: int) -> None:
+        if m < 1 or cutoff < 0 or not (math.isfinite(mu) and mu >= 0.0):
+            raise ConfigError(
+                f"a collective-mode referee needs m >= 1, a finite mu >= 0 and a cutoff >= 0, "
+                f"got m={m}, mu={mu!r}, cutoff={cutoff}"
+            )
         self.m, self.mu, self.cutoff, self._values = m, mu, cutoff, {}
         top, amplitude = 0, 1.0  # sqrt(mu)^k / sqrt(k!)
         for k in range(1, cutoff + 1):
@@ -528,6 +511,8 @@ class CollectiveModeReferee:
         distance is computed once per referee, whatever the calls."""
         values, index = np.unique(distances, return_inverse=True)
         values = values.tolist()
+        if values and not 0 <= values[0] <= values[-1] <= self.m:
+            raise ConfigError(f"codeword distances must lie in 0..{self.m}, got {values[0]}..{values[-1]}")
         new = [d for d in values if d not in self._values]
         for start in range(0, len(new), self._step):
             block = new[start : start + self._step]
@@ -539,9 +524,13 @@ class CollectiveModeReferee:
         return float(self.by_distance(np.array([d]))[0])
 
     def output_one_probability(self, a: Message, b: Message) -> float:
-        """:meth:`accept` at the distance of two of the protocol's messages."""
-        if len(a.factors) != len(b.factors):
-            raise ModeMismatchError("messages have different factor counts")
+        """:meth:`accept` at the distance of two of the protocol's messages,
+        each a product of ``m`` letters."""
+        if not len(a.factors) == len(b.factors) == self.m:
+            raise ModeMismatchError(
+                f"messages have different factor counts from the m = {self.m} letters of a "
+                f"codeword: {len(a.factors)} and {len(b.factors)}"
+            )
         return self.accept(sum(fa is not fb for fa, fb in zip(a.factors, b.factors)))
 
 
@@ -628,8 +617,8 @@ class SmpProtocol:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.m < 1:
             raise ConfigError(f"m must be >= 1, got {self.m}")
-        if self.mu < 0.0:
-            raise ConfigError(f"mu must be >= 0, got {self.mu}")
+        if not (math.isfinite(self.mu) and self.mu >= 0.0):
+            raise ConfigError(f"mu must be a finite number >= 0, got {self.mu}")
         if not (hasattr(self.referee, "pair_probability") or hasattr(self.referee, "by_distance")):
             raise ConfigError("referee must provide pair_probability or by_distance")
         if self.n <= TABLE_N_CAP:

@@ -153,7 +153,7 @@ def test_distances_are_read_in_blocks_of_bounded_memory():
 
 def test_binding_evaluation_leaves_the_fingerprint_caches_to_the_letters():
     # The projected referee computes its own closed form: after exhaustive
-    # and sampled runs of both protocols, the fingerprint referee's sign
+    # and sampled runs of both protocols, the fingerprint referee's parity
     # classes and pair cache hold the two letters only.
     protocol = coherent_fingerprint_protocol(3, RepetitionCode(3, 2), 1.0)
     truncated = transform_protocol(protocol, 0.5)
@@ -161,7 +161,8 @@ def test_binding_evaluation_leaves_the_fingerprint_caches_to_the_letters():
     for evaluated in (protocol, truncated):
         evaluate_error(evaluated)
         evaluate_error(evaluated, samples=50, seed=2)
-    fingerprint, letters = protocol.referee, set(protocol.letters)
+    fingerprint = protocol.referee
+    letters = {tuple(letter.amplitudes.items()) for letter in protocol.letters}
     assert set(fingerprint._classes) == letters
     assert fingerprint._pair_cache
     assert {rep for key in fingerprint._pair_cache for rep in key[:2]} <= letters
@@ -230,3 +231,33 @@ def test_messages_of_different_factor_counts_are_refused(binding):
     long = ProductPureState((*short.factors, short.factors[0]))
     with pytest.raises(ModeMismatchError, match="different factor counts"):
         protocol.referee.output_one_probability(short, long)
+
+
+def test_whole_message_kets_are_refused_by_the_collective_referee():
+    # A joined ket is one factor, which would read distance 0 or 1 whatever
+    # its codeword: messages (0, 3) are at distance 4 of m = 4.
+    protocol = coherent_fingerprint_protocol(2, RepetitionCode(2, 2), 1.0)
+    referee, message = protocol.referee.at_cutoff(protocol, 2), protocol.message
+    accepted = referee.output_one_probability(message(0), message(3))
+    assert accepted == referee.accept(4) == pytest.approx(0.175, abs=1e-12)
+    with pytest.raises(ModeMismatchError, match="m = 4 letters"):
+        referee.output_one_probability(message(0).to_pure_state(), message(3).to_pure_state())
+
+
+@pytest.mark.parametrize(
+    "m, mu, cutoff",
+    [(0, 2.0, 3), (12, -1.0, 3), (12, float("nan"), 3), (12, float("inf"), 3), (12, 2.0, -2)],
+    ids=["m=0", "negative-mu", "nan-mu", "inf-mu", "negative-cutoff"],
+)
+def test_a_collective_referee_refuses_invalid_parameters(m, mu, cutoff):
+    with pytest.raises(ConfigError, match="collective-mode referee needs"):
+        CollectiveModeReferee(m, mu, cutoff)
+
+
+@pytest.mark.parametrize("distances", [[24], [-1], [0, 3, 13]])
+def test_a_collective_referee_refuses_distances_outside_0_to_m(distances):
+    referee = CollectiveModeReferee(12, 2.0, 5)
+    with pytest.raises(ConfigError, match=r"distances must lie in 0\.\.12"):
+        referee.by_distance(np.array(distances))
+    assert referee._values == {}
+    assert referee.by_distance(np.array([0, 12])).tolist() == [referee.accept(0), referee.accept(12)]

@@ -91,3 +91,22 @@ def test_sampled_rows_equal_rows_written_pair_by_pair(monkeypatch, n, block_rows
     assert "".join(report_module.csv_rows(report, other)) == _reference_rows(
         pairs, report.p_error, other.p_error
     )
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_a_grid_report_prints_the_csv_of_its_xor_twin(monkeypatch, n):
+    # A report that holds p_error for all 4^n pairs goes through the block
+    # path of sampled reports; it prints what its x-XOR-z twin prints, alone
+    # and as either column of a pair.
+    protocols = [coherent_fingerprint_protocol(n, RepetitionCode(n, 2), mu) for mu in (1.3, 0.4)]
+    twins = [evaluate_error(protocol) for protocol in protocols]
+    monkeypatch.setattr(smp, "_xor_invariant", lambda table, columns: False)
+    grids = [evaluate_error(protocol) for protocol in protocols]
+    assert all(r.xor_errors is not None for r in twins) and all(r.xor_errors is None for r in grids)
+
+    def csv(*reports):
+        return "".join(report_module.csv_rows(*reports))
+
+    assert csv(grids[0]) == csv(twins[0]) == _reference_rows(_grid_pairs(n), grids[0].p_error)
+    expected = csv(*twins)
+    assert csv(*grids) == csv(grids[0], twins[1]) == csv(twins[0], grids[1]) == expected

@@ -251,27 +251,68 @@ def test_dark_port_sum_is_unchanged_bit_for_bit_by_a_common_sign_flip():
         assert smp._dark_probability(_flipped(a, s), _flipped(b, s)) == smp._dark_probability(a, b)
 
 
-def test_sign_flipped_letters_share_one_dark_port_sum(monkeypatch):
-    calls = _counted_sums(monkeypatch)
+def test_parity_flipped_letters_share_one_dark_port_sum(monkeypatch):
+    # The parity flip negates every amplitude at an odd photon total, all
+    # modes at once: a pair and its common flip share one sum, so two letters
+    # and their flips make two sums. A flip of only some modes of a 2- or
+    # 3-mode letter is another letter, with sums of its own.
+    direct, calls = smp._dark_probability, _counted_sums(monkeypatch)
     rng = np.random.default_rng(15)
     for _ in range(20):
         modes = int(rng.integers(1, 4))
-        # Every single-photon occupation is in the support, so each flip
-        # of a mode set shows on it.
+        full = (1 << modes) - 1
+        # Single-photon occupations have odd totals, so no letter is its own flip.
         singles = {tuple(int(i == j) for j in range(modes)): 0.3 for i in range(modes)}
         a, b = (
             PureState(modes, {**singles, **_random_ket(rng, modes).amplitudes}, normalize=True)
             for _ in range(2)
         )
         referee = InterferenceVacuumReferee()
-        flips = rng.integers(0, 1 << modes, size=(8, 2)).tolist()
-        del calls[:]
-        for s_a, s_b in flips:
+
+        def interfere(s_a, s_b):
             fa = PureState(modes, _flipped(a.amplitudes, s_a))
             fb = PureState(modes, _flipped(b.amplitudes, s_b))
-            direct = smp._dark_probability(fa.amplitudes, fb.amplitudes)
-            assert referee.pair_probability(fa, fb) == direct
-        assert len(calls) == 8 + len({s_a ^ s_b for s_a, s_b in flips})
+            assert referee.pair_probability(fa, fb) == direct(fa.amplitudes, fb.amplitudes)
+
+        del calls[:]
+        for s_a, s_b in ((0, 0), (full, full), (full, 0), (0, full)):
+            interfere(s_a, s_b)
+        assert len(calls) == 2
+        if modes > 1:
+            s = int(rng.integers(1, full))  # some modes, not all
+            for s_a, s_b in ((s, 0), (s ^ full, full), (s, s), (s ^ full, s ^ full)):
+                interfere(s_a, s_b)
+            assert len(calls) == 4
+
+
+def test_a_letter_that_is_its_own_parity_flip_is_filed_once_with_bit_0(monkeypatch):
+    # Even photon totals only: the parity flip gives the letter back, which
+    # keeps its own filing, bit 0.
+    even = PureState(2, {(0, 0): 0.6, (1, 1): 0.48, (2, 0): 0.64})
+    b = PureState(2, {(0, 0): 0.6, (1, 0): 0.64, (0, 1): 0.48})
+    flipped_b = PureState(2, smp._parity_flipped(b.amplitudes))
+    assert smp._parity_flipped(even.amplitudes) == even.amplitudes
+    direct, calls = smp._dark_probability, _counted_sums(monkeypatch)
+    referee = InterferenceVacuumReferee()
+    for fa, fb in ((even, even), (even, b), (b, even), (even, flipped_b), (flipped_b, flipped_b)):
+        assert referee.pair_probability(fa, fb) == direct(fa.amplitudes, fb.amplitudes)
+    terms = tuple(even.amplitudes.items())
+    assert referee._classes[terms] == (terms, 0)
+    # (flipped_b, flipped_b) is the common flip of a pair not yet met.
+    assert len(calls) == 5
+
+
+def test_letters_differing_only_in_the_sign_of_a_zero_part_share_one_sum(monkeypatch):
+    # -0.0 == 0.0, so the two are filed as one letter; a signed zero changes
+    # only zeros of the sum, never a nonzero partial sum or its magnitude.
+    plus, minus = (PureState(1, {(0,): complex(zero, 0.6), (1,): 0.8}) for zero in (0.0, -0.0))
+    assert math.copysign(1.0, minus.amplitude((0,)).real) == -1.0
+    b = PureState(1, {(0,): 0.8, (1,): complex(0.0, 0.6)})
+    direct, calls = smp._dark_probability, _counted_sums(monkeypatch)
+    referee = InterferenceVacuumReferee()
+    for letter in (plus, minus):
+        assert referee.pair_probability(letter, b) == direct(letter.amplitudes, b.amplitudes)
+    assert len(calls) == 1
 
 
 def test_equal_magnitudes_without_a_per_mode_sign_pattern_get_their_own_sum(monkeypatch):
@@ -479,6 +520,14 @@ def test_protocol_rejects_energy_budget_violation():
             codewords=letter_per_input,
             referee=DiagonalMapReferee(),
         )
+
+
+@pytest.mark.parametrize("mu", [-1.0, float("nan"), float("inf")])
+def test_protocol_rejects_a_negative_or_non_finite_mu(mu):
+    # No row mean is above NaN or infinity, so neither would be refused by
+    # the energy check.
+    with pytest.raises(ConfigError, match="mu must be a finite number >= 0"):
+        SmpProtocol("t", 1, 1, mu, _basis_letters((0,), (1,)), letter_per_input, DiagonalMapReferee())
 
 
 def test_protocol_rejects_bad_referee_and_table():
