@@ -37,8 +37,8 @@ def quantum_tradeoff_lhs(m: int, mu: float, delta: float) -> tuple[float, float,
     """
     if m < 2:
         raise ConfigError(f"quantum tradeoff requires m >= 2, got m={m}")
-    if mu < 0.0:
-        raise ConfigError(f"mu must be >= 0, got {mu}")
+    if not (math.isfinite(mu) and mu >= 0.0):
+        raise ConfigError(f"mu must be a finite number >= 0, got {mu}")
     if not 0.0 < delta < 1.0:
         raise ConfigError(f"delta must be in (0, 1), got {delta}")
     term_photon = mu * math.log2(m)

@@ -175,12 +175,12 @@ def _float_list(value, field: str) -> list[float]:
 # ---------------------------------------------------------------------------
 # bounds
 
-def _bounds_points(config: Mapping, default_delta: float) -> tuple[list[ReportPoint], str]:
+def _bounds_points(config: Mapping) -> tuple[list[ReportPoint], str]:
     kind = config.get("kind", "grid")
     if kind == "grid":
         ms = _int_list(config.get("m"), "m")
         mus = _float_list(config.get("mu"), "mu")
-        deltas = _float_list(config.get("delta", default_delta), "delta")
+        deltas = _float_list(config.get("delta", DEFAULT_DELTA), "delta")
         _check_sweep(len(ms) * len(mus) * len(deltas))
         points = [
             ReportPoint(m=m, mu=mu, delta=delta)
@@ -195,7 +195,7 @@ def _bounds_points(config: Mapping, default_delta: float) -> tuple[list[ReportPo
         mus = _float_list(config.get("mu"), "mu")
         if len(mus) != 1:
             raise ConfigError("field 'mu' must be a single number for the qfp preset")
-        deltas = _float_list(config.get("delta", default_delta), "delta")
+        deltas = _float_list(config.get("delta", DEFAULT_DELTA), "delta")
         if len(deltas) != 1:
             raise ConfigError("field 'delta' must be a single number for the qfp preset")
         repeats = config.get("repeats", 3)
@@ -209,7 +209,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     config = _load_json(args.config)
     if not isinstance(config, Mapping):
         raise ConfigError("bounds config must be a JSON object")
-    points, kind = _bounds_points(config, args.delta)
+    points, kind = _bounds_points(config)
     rows = build_report(points)
     lines = [
         "# log_base=2",
@@ -394,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="tradeoff report over a grid or protocol family")
     p_bounds.add_argument("--config", required=True, help="JSON sweep description")
     p_bounds.add_argument("--out", help="output CSV path (stdout when omitted)")
-    p_bounds.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="default truncation delta")
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_sim = sub.add_parser("simulate", help="exact error report for a protocol description")

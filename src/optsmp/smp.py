@@ -11,8 +11,9 @@ after balanced beamsplitters pair mode i of one message with mode i of the other
 (:class:`InterferenceVacuumReferee`) and the same-outcome test of both
 messages measured in the occupation basis (:class:`DiagonalMapReferee`)
 factorize over positions: each is a pair kernel on letters
-(``pair_probability``), tabulated once per evaluation on the letters
-present. Messages projected below a binding photon cutoff do not
+(``pair_probability``), and its ``table(letters)`` gives the kernel on every
+pair of the protocol's letters, once per evaluation, with no state kept
+between calls. Messages projected below a binding photon cutoff do not
 factorize; their referee (:class:`CollectiveModeReferee`) is read at a
 pair's codeword distance, a closed form computed once per distinct
 distance in one array pass, with no ket built. One evaluator reads either
@@ -300,24 +301,6 @@ def _parity_flipped(amps: Mapping[FockIndex, complex]) -> dict[FockIndex, comple
     return {idx: -amp if sum(idx) & 1 else amp for idx, amp in amps.items()}
 
 
-def _tabulated(kernel: Callable, letters: Sequence, symbols: np.ndarray) -> np.ndarray:
-    """The k x k letter table of ``symbols``: entry (a, b) is
-    ``kernel(letters[a], letters[b])`` for the letters a and b present in
-    ``symbols`` and 0 elsewhere. The kernel runs on them in ascending
-    order. The letters present are marked a block of ``BLOCK_ROWS`` symbols
-    at a time, as an index copy of all of them would take 8 bytes each."""
-    k = len(letters)
-    present = np.zeros(k, dtype=bool)
-    for start in range(0, len(symbols), BLOCK_ROWS):
-        present[symbols[start : start + BLOCK_ROWS]] = True
-    present = present.nonzero()[0].tolist()
-    table = np.zeros((k, k))
-    for a in present:
-        for b in present:
-            table[a, b] = kernel(letters[a], letters[b])
-    return table
-
-
 class InterferenceVacuumReferee:
     """Interferes Alice's mode i with Bob's mode i on balanced beamsplitters
     and outputs 1 ("equal") exactly when every difference port is dark.
@@ -327,43 +310,46 @@ class InterferenceVacuumReferee:
     (:meth:`pair_probability`, the pair kernel); a :class:`PureState` is its
     own single factor. No beamsplitter output is built.
 
-    The kernel runs once per parity class of letter pairs that occurs. The
-    parity flip P negates the amplitude at every odd photon total, so every
-    product that feeds output t of the dark-port sum carries the one sign
-    (-1)^|t|: each partial sum is kept or negated exactly (negation is exact
-    and round-to-nearest is symmetric in sign), and its squared magnitude,
-    the keys, their order and the scale tables do not change:
+    The parity flip P negates the amplitude at every odd photon total, so
+    every product that feeds output t of the dark-port sum carries the one
+    sign (-1)^|t|: each partial sum is kept or negated exactly (negation is
+    exact and round-to-nearest is symmetric in sign), and its squared
+    magnitude, the keys, their order and the scale tables do not change:
     ``_dark_probability(P a, P b)`` equals ``_dark_probability(a, b)`` bit
-    for bit. Letters are filed by content: the first letter of a class is
-    its representative, with bit 0, and its parity flip gets bit 1 (a flip
-    of only some modes is another class). A pair's value is cached on the
-    two representatives and the XOR of their bits.
+    for bit, and so does ``_dark_probability(P a, b)`` with
+    ``_dark_probability(a, P b)``. :meth:`table` therefore runs one sum per
+    parity class of letter pairs. The referee keeps no state.
     """
-
-    def __init__(self) -> None:
-        self._classes: dict[tuple, tuple[tuple, int]] = {}
-        self._pair_cache: dict[tuple, float] = {}
-
-    def _parity_class(self, letter: PureState) -> tuple[tuple, int]:
-        """``(terms, bit)``: the representative's terms, and 1 when
-        ``letter`` is their parity flip, else 0."""
-        terms = tuple(letter.amplitudes.items())
-        found = self._classes.get(terms)
-        if found is None:
-            found = self._classes[terms] = (terms, 0)
-            self._classes.setdefault(tuple(_parity_flipped(letter.amplitudes).items()), (terms, 1))
-        return found
 
     def pair_probability(self, fa: PureState, fb: PureState) -> float:
         """Dark-port probability of one pair of corresponding factors."""
         if fa.modes != fb.modes:
             raise ModeMismatchError(f"factor mode mismatch: {fa.modes} vs {fb.modes}")
-        (rep_a, bit_a), (rep_b, bit_b) = self._parity_class(fa), self._parity_class(fb)
-        key = (rep_a, rep_b, bit_a ^ bit_b)
-        p = self._pair_cache.get(key)
-        if p is None:
-            p = self._pair_cache[key] = _dark_probability(fa.amplitudes, fb.amplitudes)
-        return p
+        return _dark_probability(fa.amplitudes, fb.amplitudes)
+
+    def table(self, letters: Sequence[PureState]) -> np.ndarray:
+        """The k x k table of :meth:`pair_probability` on every pair of
+        ``letters``. Each letter is filed by its terms: the first of a class
+        gets bit 0 and its parity flip bit 1 (a flip of only some modes is
+        another class). One sum runs per key (class a, class b, bit a ^ bit
+        b), on its first pair in ascending (a, b) order."""
+        filed: dict[tuple, tuple[int, int]] = {}
+        classes = []
+        for i, letter in enumerate(letters):
+            terms = tuple(letter.amplitudes.items())
+            if terms not in filed:
+                filed[terms] = (i, 0)
+                filed.setdefault(tuple(_parity_flipped(letter.amplitudes).items()), (i, 1))
+            classes.append(filed[terms])
+        sums: dict[tuple[int, int, int], float] = {}
+        table = np.empty((len(letters), len(letters)))
+        for a, (class_a, bit_a) in enumerate(classes):
+            for b, (class_b, bit_b) in enumerate(classes):
+                key = (class_a, class_b, bit_a ^ bit_b)
+                if key not in sums:
+                    sums[key] = self.pair_probability(letters[a], letters[b])
+                table[a, b] = sums[key]
+        return table
 
     def at_cutoff(self, protocol: "SmpProtocol", cutoff: int) -> "CollectiveModeReferee":
         """This referee on fingerprint messages projected onto at most ``cutoff`` photons."""
@@ -542,14 +528,18 @@ class DiagonalMapReferee:
     Fock-diagonal and dense messages are all accepted. Outcomes of
     independent factors agree independently, so on a protocol's letters
     the probability is the product of :meth:`pair_probability` (the pair
-    kernel) over positions. The one-pair oracle reads the joint weights of
-    two whole messages (a product is joined into its ket first), so the two
-    need not be factored alike.
+    kernel, tabulated by :meth:`table`) over positions. The one-pair oracle
+    reads the joint weights of two whole messages (a product is joined into
+    its ket first), so the two need not be factored alike.
     """
 
     def pair_probability(self, a: Message, b: Message) -> float:
         """Agreement probability of one pair of letters."""
         return _agreement(a.weights(), dict(b.weights()))
+
+    def table(self, letters: Sequence[Message]) -> np.ndarray:
+        """The k x k table of :meth:`pair_probability` on every pair of ``letters``."""
+        return np.array([[self.pair_probability(a, b) for b in letters] for a in letters])
 
     def output_one_probability(self, a: Message, b: Message) -> float:
         a, b = (m.to_pure_state() if isinstance(m, ProductPureState) else m for m in (a, b))
@@ -596,9 +586,10 @@ class SmpProtocol:
     read above it. ``message_tail`` records mass discarded when the
     letters were built from pre-truncated infinite states; it feeds error
     budgets downstream. The ``referee`` gives the output-1 ("equal")
-    probability of one letter pair (``pair_probability``, the kernel that
-    evaluation tabulates) or of a codeword distance (``by_distance``), and
-    of one message pair (``output_one_probability``, the one-pair oracle).
+    probability of every pair of letters (``table(letters)``, the k x k
+    table that evaluation reads) or of a codeword distance
+    (``by_distance``), and of one message pair (``output_one_probability``,
+    the one-pair oracle).
     """
 
     name: str
@@ -619,8 +610,8 @@ class SmpProtocol:
             raise ConfigError(f"m must be >= 1, got {self.m}")
         if not (math.isfinite(self.mu) and self.mu >= 0.0):
             raise ConfigError(f"mu must be a finite number >= 0, got {self.mu}")
-        if not (hasattr(self.referee, "pair_probability") or hasattr(self.referee, "by_distance")):
-            raise ConfigError("referee must provide pair_probability or by_distance")
+        if not (hasattr(self.referee, "table") or hasattr(self.referee, "by_distance")):
+            raise ConfigError("referee must provide table or by_distance")
         if self.n <= TABLE_N_CAP:
             self._check_table_size(1 << self.n)
             object.__setattr__(self, "_table", self.rows(np.arange(1 << self.n)))
@@ -738,9 +729,9 @@ def _position_sums(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _xor_invariant(table: np.ndarray | None, columns: np.ndarray) -> bool:
     """Whether every pair (x, y) is accepted as pair (0, x ^ y), bit for bit.
 
-    ``columns`` are the codeword rows, and ``table`` is the k x k letter
-    table that every column reads (0 at letters that do not occur), or None
-    for a referee read at codeword distance. Evaluation reads only these, so
+    ``columns`` are the codeword rows, and ``table`` is the referee's k x k
+    table of every letter pair, which every column reads, or None for a
+    referee read at codeword distance. Evaluation reads only these, so
     the structure is checked there, exactly:
 
     * k is a power of two and the table depends only on the XOR of its
@@ -809,9 +800,9 @@ def evaluate_error(
     Every pair is read by :func:`_accepted`: the drawn pairs when sampling;
     exhaustively, the 2^n pairs (0, z) when :func:`_xor_invariant` holds
     (every protocol the CLI builds), pair (x, y) reading the one at
-    z = x ^ y, else all 4^n pairs, their indices built block by block. The
-    kernel is tabulated once on the letters present, unless the referee
-    reads codeword distances (``by_distance``).
+    z = x ^ y, else all 4^n pairs, their indices built block by block.
+    Unless the referee reads codeword distances (``by_distance``), one call
+    of its ``table(protocol.letters)`` gives every letter pair's value.
     """
     if samples is None:
         if seed is not None:
@@ -849,10 +840,7 @@ def evaluate_error(
         x, y = xs[order], ys[order]
         inputs, index = np.unique(np.concatenate((x, y)), return_inverse=True)
         columns = protocol.rows(inputs)
-    table = None
-    if not hasattr(protocol.referee, "by_distance"):
-        # One table of the letters present serves every column.
-        table = _tabulated(protocol.referee.pair_probability, protocol.letters, columns.reshape(-1))
+    table = None if hasattr(protocol.referee, "by_distance") else protocol.referee.table(protocol.letters)
     if samples is not None:
         p_error = _accepted(protocol, table, columns, index[:samples], index[samples:])
         np.subtract(1.0, p_error, out=p_error, where=x == y)

@@ -34,6 +34,13 @@ def test_quantum_tradeoff_lhs_takes_the_minimum_side():
         quantum_tradeoff_lhs(4, 1.0, 1.5)
 
 
+@pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+def test_quantum_tradeoff_lhs_refuses_a_non_finite_mu(mu):
+    # NaN passes a plain ``mu < 0`` check and inf gives infinite terms.
+    with pytest.raises(ConfigError, match="mu must be a finite number >= 0"):
+        quantum_tradeoff_lhs(4, mu, 0.5)
+
+
 def test_complexity_reference_requires_value_xor_expression():
     with pytest.raises(ConfigError):
         ComplexityReference(

@@ -386,6 +386,15 @@ def test_bounds_grid_report(tmp_path, capsys):
     assert float(row[5]) == pytest.approx(math.log2(5151), abs=1e-12)
 
 
+def test_bounds_takes_its_delta_from_the_config_only(tmp_path, capsys):
+    # The config's delta field (default 1e-4) sets delta; there is no flag.
+    config = _write_config(tmp_path, "grid.json", {"kind": "grid", "m": [2], "mu": [1.0]})
+    assert main(["bounds", "--config", config, "--delta", "0.1"]) == 2
+    assert "unrecognized arguments: --delta 0.1" in capsys.readouterr().err
+    assert main(["bounds", "--config", config]) == 0
+    assert capsys.readouterr().out.splitlines()[4].split(",")[3] == "0.0001"
+
+
 def test_bounds_grid_never_runs_the_oracle(tmp_path, capsys, monkeypatch):
     def refuse(values):
         raise AssertionError("grid rows name no function")

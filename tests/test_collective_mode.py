@@ -152,20 +152,16 @@ def test_distances_are_read_in_blocks_of_bounded_memory():
 
 
 def test_binding_evaluation_leaves_the_fingerprint_caches_to_the_letters():
-    # The projected referee computes its own closed form: after exhaustive
-    # and sampled runs of both protocols, the fingerprint referee's parity
-    # classes and pair cache hold the two letters only.
+    # The projected referee computes its own closed form, and the
+    # fingerprint referee tabulates the letters afresh on each call: after
+    # exhaustive and sampled runs of both protocols it holds no state.
     protocol = coherent_fingerprint_protocol(3, RepetitionCode(3, 2), 1.0)
     truncated = transform_protocol(protocol, 0.5)
     assert isinstance(truncated.referee, CollectiveModeReferee)
     for evaluated in (protocol, truncated):
         evaluate_error(evaluated)
         evaluate_error(evaluated, samples=50, seed=2)
-    fingerprint = protocol.referee
-    letters = {tuple(letter.amplitudes.items()) for letter in protocol.letters}
-    assert set(fingerprint._classes) == letters
-    assert fingerprint._pair_cache
-    assert {rep for key in fingerprint._pair_cache for rep in key[:2]} <= letters
+    assert vars(protocol.referee) == {}
 
 
 def test_nonlinear_codewords_fill_the_distance_grid():
@@ -206,7 +202,7 @@ def test_a_protocol_built_with_the_collective_referee_evaluates():
         expected, got = evaluate_error(truncated, **kwargs), evaluate_error(direct, **kwargs)
         assert got.p_error.tobytes() == expected.p_error.tobytes()
         assert got.worst_error == expected.worst_error
-    with pytest.raises(ConfigError, match="referee must provide pair_probability or by_distance"):
+    with pytest.raises(ConfigError, match="referee must provide table or by_distance"):
         SmpProtocol(**fields, referee=object())
 
 

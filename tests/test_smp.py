@@ -11,6 +11,7 @@ import pytest
 
 from optsmp import report as report_module
 from optsmp import smp, truncation, verify
+from optsmp.cli import main
 from optsmp.errors import ConfigError, InputCapError, ModeMismatchError, PhotonCapError
 from optsmp.fock import (
     FockDiagonalState,
@@ -251,68 +252,84 @@ def test_dark_port_sum_is_unchanged_bit_for_bit_by_a_common_sign_flip():
         assert smp._dark_probability(_flipped(a, s), _flipped(b, s)) == smp._dark_probability(a, b)
 
 
-def test_parity_flipped_letters_share_one_dark_port_sum(monkeypatch):
-    # The parity flip negates every amplitude at an odd photon total, all
-    # modes at once: a pair and its common flip share one sum, so two letters
-    # and their flips make two sums. A flip of only some modes of a 2- or
-    # 3-mode letter is another letter, with sums of its own.
-    direct, calls = smp._dark_probability, _counted_sums(monkeypatch)
-    rng = np.random.default_rng(15)
-    for _ in range(20):
-        modes = int(rng.integers(1, 4))
-        full = (1 << modes) - 1
-        # Single-photon occupations have odd totals, so no letter is its own flip.
-        singles = {tuple(int(i == j) for j in range(modes)): 0.3 for i in range(modes)}
-        a, b = (
-            PureState(modes, {**singles, **_random_ket(rng, modes).amplitudes}, normalize=True)
-            for _ in range(2)
-        )
-        referee = InterferenceVacuumReferee()
-
-        def interfere(s_a, s_b):
-            fa = PureState(modes, _flipped(a.amplitudes, s_a))
-            fb = PureState(modes, _flipped(b.amplitudes, s_b))
-            assert referee.pair_probability(fa, fb) == direct(fa.amplitudes, fb.amplitudes)
-
-        del calls[:]
-        for s_a, s_b in ((0, 0), (full, full), (full, 0), (0, full)):
-            interfere(s_a, s_b)
-        assert len(calls) == 2
-        if modes > 1:
-            s = int(rng.integers(1, full))  # some modes, not all
-            for s_a, s_b in ((s, 0), (s ^ full, full), (s, s), (s ^ full, s ^ full)):
-                interfere(s_a, s_b)
-            assert len(calls) == 4
+def _odd_letter(seed, modes):
+    """A letter that is not its own parity flip: its single-photon
+    occupations have odd totals."""
+    rng = np.random.default_rng(seed)
+    singles = {tuple(int(i == j) for j in range(modes)): 0.3 for i in range(modes)}
+    return PureState(modes, {**singles, **_random_ket(rng, modes).amplitudes}, normalize=True)
 
 
-def test_a_letter_that_is_its_own_parity_flip_is_filed_once_with_bit_0(monkeypatch):
-    # Even photon totals only: the parity flip gives the letter back, which
-    # keeps its own filing, bit 0.
+def _flips(letter, *masks):
+    """D_s of ``letter`` for each mode mask s: mask 0 is the letter, the
+    full mask its parity flip."""
+    return [PureState(letter.modes, _flipped(letter.amplitudes, s)) for s in masks]
+
+
+def _parity_flip_letters():
+    # Two letters and their common flips: 2 x 2 classes, each at bit 0 or 1.
+    return [*_flips(_odd_letter(15, 2), 0, 3), *_flips(_odd_letter(16, 2), 0, 3)]
+
+
+def _one_mode_flip_letters():
+    return [*_flips(_odd_letter(17, 1), 0, 1), *_flips(_odd_letter(18, 1), 0, 1)]
+
+
+def _partial_flip_letters():
+    # Masks 1 and 2 flip one mode each of a 2-mode letter: no parity flip of
+    # the letter, so the two are a class of their own (2 x 2 x 2 sums).
+    return _flips(_odd_letter(19, 2), 0, 3, 1, 2)
+
+
+def _three_mode_partial_flip_letters():
+    # Classes {0, 7}, {2, 5} and {1}: 8 class pairs at two bits, and the
+    # third class's one pair at bit 0.
+    return _flips(_odd_letter(20, 3), 0, 7, 2, 5, 1)
+
+
+def _own_parity_flip_letters():
+    # Even photon totals only: the parity flip gives the letter back, one
+    # class at bit 0 beside the class of b and its flip.
     even = PureState(2, {(0, 0): 0.6, (1, 1): 0.48, (2, 0): 0.64})
-    b = PureState(2, {(0, 0): 0.6, (1, 0): 0.64, (0, 1): 0.48})
-    flipped_b = PureState(2, smp._parity_flipped(b.amplitudes))
     assert smp._parity_flipped(even.amplitudes) == even.amplitudes
-    direct, calls = smp._dark_probability, _counted_sums(monkeypatch)
-    referee = InterferenceVacuumReferee()
-    for fa, fb in ((even, even), (even, b), (b, even), (even, flipped_b), (flipped_b, flipped_b)):
-        assert referee.pair_probability(fa, fb) == direct(fa.amplitudes, fb.amplitudes)
-    terms = tuple(even.amplitudes.items())
-    assert referee._classes[terms] == (terms, 0)
-    # (flipped_b, flipped_b) is the common flip of a pair not yet met.
-    assert len(calls) == 5
+    b = PureState(2, {(0, 0): 0.6, (1, 0): 0.64, (0, 1): 0.48})
+    return [even, b, PureState(2, smp._parity_flipped(b.amplitudes))]
 
 
-def test_letters_differing_only_in_the_sign_of_a_zero_part_share_one_sum(monkeypatch):
+def _signed_zero_letters():
     # -0.0 == 0.0, so the two are filed as one letter; a signed zero changes
     # only zeros of the sum, never a nonzero partial sum or its magnitude.
     plus, minus = (PureState(1, {(0,): complex(zero, 0.6), (1,): 0.8}) for zero in (0.0, -0.0))
     assert math.copysign(1.0, minus.amplitude((0,)).real) == -1.0
-    b = PureState(1, {(0,): 0.8, (1,): complex(0.0, 0.6)})
-    direct, calls = smp._dark_probability, _counted_sums(monkeypatch)
+    return [plus, minus, PureState(1, {(0,): 0.8, (1,): complex(0.0, 0.6)})]
+
+
+TABLE_CASES = {
+    "parity-flips": (_parity_flip_letters, 8),
+    "one-mode-parity-flips": (_one_mode_flip_letters, 8),
+    "partial-flips": (_partial_flip_letters, 8),
+    "three-mode-partial-flips": (_three_mode_partial_flip_letters, 17),
+    "own-parity-flip": (_own_parity_flip_letters, 7),
+    "signed-zero": (_signed_zero_letters, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_table_runs_one_dark_port_sum_per_parity_class_of_letter_pairs(case, monkeypatch):
+    # A pair and its common parity flip share one sum, a flip of only some
+    # modes is another class, and each call files the letters afresh: the
+    # referee keeps no state, and every entry has the bits of the direct sum.
+    build, sums = TABLE_CASES[case]
+    letters = build()
+    direct = smp._dark_probability
+    expected = np.array([[direct(a.amplitudes, b.amplitudes) for b in letters] for a in letters])
+    calls = _counted_sums(monkeypatch)
     referee = InterferenceVacuumReferee()
-    for letter in (plus, minus):
-        assert referee.pair_probability(letter, b) == direct(letter.amplitudes, b.amplitudes)
-    assert len(calls) == 1
+    for _ in range(2):
+        del calls[:]
+        assert referee.table(letters).tobytes() == expected.tobytes()
+        assert len(calls) == sums
+    assert vars(referee) == {}
 
 
 def test_equal_magnitudes_without_a_per_mode_sign_pattern_get_their_own_sum(monkeypatch):
@@ -679,13 +696,21 @@ def test_evaluation_builds_no_message_object(monkeypatch, build, samples):
 # ---------------------------------------------------------------------------
 # Coherent fingerprinting
 
-def test_pair_cache_interferes_each_factor_pair_once(monkeypatch):
+def test_fingerprint_table_interferes_each_parity_class_once(monkeypatch, tmp_path, capsys):
     calls = _counted_sums(monkeypatch)
     report = evaluate_error(coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.0))
     assert len(report.pair_errors) == 256
-    # |-alpha> is the sign flip of |+alpha>, so the four factor pairs fall
-    # into two sign classes: equal letters and opposite letters.
+    # |-alpha> is the parity flip of |+alpha>, so the four factor pairs fall
+    # into two parity classes: equal letters and opposite letters.
     assert len(calls) == 2
+    # A vacuous --truncate evaluates the same letters again, and the
+    # stateless referee runs its two sums again.
+    config = tmp_path / "qfp4.json"
+    config.write_text('{"type": "qfp", "n": 4, "mu": 2, "code": {"kind": "repetition", "repeats": 3}}')
+    del calls[:]
+    assert main(["simulate", "--config", str(config), "--truncate", "1e-4"]) == 0
+    assert "cutoff=20000" in capsys.readouterr().out
+    assert len(calls) == 4
 
 
 def test_binding_truncation_runs_one_sum_per_distance(monkeypatch):
@@ -920,15 +945,6 @@ def test_exhaustive_evaluation_reads_the_table_in_place(wide_qfp):
     assert peak < 2**20
 
 
-def test_letters_present_are_found_without_an_index_copy():
-    # 4,000,000 uint8 symbols: cast to 64-bit indices they would take 32 MB.
-    symbols = np.tile(np.array([0, 2], dtype=np.uint8), 2_000_000)
-    kernel = DiagonalMapReferee().pair_probability
-    table, peak = _traced_peak(lambda: smp._tabulated(kernel, _basis_letters((0,), (1,), (2,)), symbols))
-    assert table.tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
-    assert peak < 2**20
-
-
 def _wide_codewords(calls):
     def codewords(xs):
         calls.append(len(xs))
@@ -1116,14 +1132,15 @@ def test_repeated_factor_columns_reuse_one_gather(monkeypatch):
     # Repeats 4: each input bit fills four consecutive positions with the
     # same factor objects, and the code gives one column for the four, so
     # three columns serve twelve positions; each column's factor is
-    # multiplied in four times, bit for bit like the one-pair API. Both
-    # letters occur in every column, so each evaluation builds one letter
-    # table for all three, running the kernel once per letter pair, on the
-    # grid (here forced) as in the error profile of x XOR y.
+    # multiplied in four times, bit for bit like the one-pair API. Each
+    # evaluation asks the referee for one table of the protocol's letters,
+    # which runs the kernel once per parity class of letter pairs (two), on
+    # the grid (here forced) as in the error profile of x XOR y.
     tables, kernel_calls, gathered = [], [], []
-    tabulated, accepted = smp._tabulated, smp._accepted
+    accepted = smp._accepted
     protocol = coherent_fingerprint_protocol(3, RepetitionCode(3, 4), 1.7)
-    kernel = protocol.referee.pair_probability
+    referee = protocol.referee
+    table, kernel = referee.table, referee.pair_probability
 
     def counted_kernel(a, b):
         kernel_calls.append((a, b))
@@ -1133,19 +1150,19 @@ def test_repeated_factor_columns_reuse_one_gather(monkeypatch):
         gathered.append(columns.shape)
         return accepted(protocol, table, columns, ix, iy)
 
-    monkeypatch.setattr(smp, "_tabulated", lambda *args: tables.append(args) or tabulated(*args))
+    monkeypatch.setattr(referee, "table", lambda letters: tables.append(letters) or table(letters))
     monkeypatch.setattr(smp, "_accepted", counted_accepted)
-    monkeypatch.setattr(protocol.referee, "pair_probability", counted_kernel)
+    monkeypatch.setattr(referee, "pair_probability", counted_kernel)
     with monkeypatch.context() as patch:
         patch.setattr(smp, "_xor_invariant", lambda table, columns: False)
         report = evaluate_error(protocol)
     assert protocol.m == 12 and protocol.repeats == 4 and gathered == [(8, 3)]
-    assert report.xor_errors is None and len(tables) == 1 and len(kernel_calls) == 4
+    assert report.xor_errors is None and tables == [protocol.letters] and len(kernel_calls) == 2
     _assert_rows_match_one_pair_api(protocol, report)
     tables.clear()
     kernel_calls.clear()
     report = evaluate_error(protocol)
-    assert report.xor_errors is not None and len(tables) == 1 and len(kernel_calls) == 4
+    assert report.xor_errors is not None and tables == [protocol.letters] and len(kernel_calls) == 2
     _assert_rows_match_one_pair_api(protocol, report)
 
 
