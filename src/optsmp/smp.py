@@ -12,13 +12,14 @@ after balanced beamsplitters pair mode i of one message with mode i of the other
 messages measured in the occupation basis (:class:`DiagonalMapReferee`)
 factorize over positions: each is a pair kernel on letters
 (``pair_probability``), and its ``table(letters)`` gives the kernel on every
-pair of the protocol's letters, once per evaluation, with no state kept
-between calls. Messages projected below a binding photon cutoff do not
+pair of the protocol's letters. The referee keeps no state: the protocol
+keeps its table, built on its first evaluation, and shares it with its
+renamed twins. Messages projected below a binding photon cutoff do not
 factorize; their referee (:class:`CollectiveModeReferee`) is read at a
 pair's codeword distance, a closed form computed once per distinct
 distance in one array pass, with no ket built. One evaluator reads either
 over the codeword columns, for every pair list: exhaustive, through
-x XOR y, or sampled.
+x XOR y (whose column check a protocol and its twins run once), or sampled.
 Worst-case error is exact, without sampling noise. Adaptive referees are
 deliberately not modeled.
 """
@@ -589,7 +590,9 @@ class SmpProtocol:
     probability of every pair of letters (``table(letters)``, the k x k
     table that evaluation reads) or of a codeword distance
     (``by_distance``), and of one message pair (``output_one_probability``,
-    the one-pair oracle).
+    the one-pair oracle). The letter table and the columns' XOR structure
+    are built by the first evaluation that reads each, once for the
+    protocol and its twins.
     """
 
     name: str
@@ -602,6 +605,9 @@ class SmpProtocol:
     message_tail: float = 0.0
     repeats: int = 1
     _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # Derived data, each built on first read into a list that twins share.
+    _letter_table: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _xor_rows: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -617,11 +623,17 @@ class SmpProtocol:
             object.__setattr__(self, "_table", self.rows(np.arange(1 << self.n)))
 
     def renamed(self, name: str, referee: object | None = None) -> "SmpProtocol":
-        """This protocol under another name, and ``referee`` if given; the copy
-        shares the checked table, which ``dataclasses.replace`` would rebuild."""
+        """This protocol under another name, and ``referee`` unless it is None.
+
+        The twin shares the checked table, which ``dataclasses.replace`` would
+        rebuild, and the columns' XOR structure, whichever of the two reads it
+        first. It shares the letter table too unless it gets a referee, which
+        tabulates the letters for itself."""
         twin = copy.copy(self)
         object.__setattr__(twin, "name", name)
-        object.__setattr__(twin, "referee", referee or self.referee)
+        if referee is not None:
+            object.__setattr__(twin, "referee", referee)
+            object.__setattr__(twin, "_letter_table", [])
         return twin
 
     def rows(self, xs: np.ndarray) -> np.ndarray:
@@ -726,19 +738,27 @@ def _position_sums(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _xor_invariant(table: np.ndarray | None, columns: np.ndarray) -> bool:
+def _linear_rows(rows: np.ndarray) -> bool:
+    """Whether row x is row(x & (x - 1)) ^ row(x & -x) for every x (so row 0
+    is zero), which makes row(x) ^ row(y) row(x ^ y)."""
+    x = np.arange(len(rows))
+    return not (rows != rows[x & (x - 1)] ^ rows[x & -x]).any()
+
+
+def _xor_invariant(table: np.ndarray | None, protocol: SmpProtocol) -> bool:
     """Whether every pair (x, y) is accepted as pair (0, x ^ y), bit for bit.
 
-    ``columns`` are the codeword rows, and ``table`` is the referee's k x k
-    table of every letter pair, which every column reads, or None for a
-    referee read at codeword distance. Evaluation reads only these, so
-    the structure is checked there, exactly:
+    ``table`` is the protocol's k x k table of every letter pair, which every
+    column reads, or None for a referee read at codeword distance.
+    Evaluation reads only these and the codeword columns, so the structure is
+    checked there, exactly:
 
     * k is a power of two and the table depends only on the XOR of its
       letters: T[a, b] has the bits of T[0, a ^ b] (compared as bit
       patterns, so neither a signed zero nor a NaN passes on ``==`` alone);
     * row x of the columns is row(x & (x - 1)) ^ row(x & -x) for every x
-      (so row 0 is zero), which makes row(x) ^ row(y) row(x ^ y).
+      (:func:`_linear_rows`, scanned once for the protocol and its twins,
+      which keep the answer).
 
     Then each factor of pair (x, y) has the bits of the one of pair
     (0, x ^ y), so the position-order products are the same IEEE
@@ -750,8 +770,9 @@ def _xor_invariant(table: np.ndarray | None, columns: np.ndarray) -> bool:
         # One row at a time, in as many steps as the kernel took.
         if k & (k - 1) or any(bits[a].tolist() != [first[a ^ b] for b in range(k)] for a in range(1, k)):
             return False
-    x = np.arange(len(columns))
-    return not (columns != columns[x & (x - 1)] ^ columns[x & -x]).any()
+    if not protocol._xor_rows:
+        protocol._xor_rows.append(_linear_rows(protocol._table))
+    return protocol._xor_rows[0]
 
 
 def _accepted(
@@ -802,7 +823,8 @@ def evaluate_error(
     (every protocol the CLI builds), pair (x, y) reading the one at
     z = x ^ y, else all 4^n pairs, their indices built block by block.
     Unless the referee reads codeword distances (``by_distance``), one call
-    of its ``table(protocol.letters)`` gives every letter pair's value.
+    of its ``table(protocol.letters)`` gives every letter pair's value; the
+    protocol keeps it, and the XOR check, for later evaluations and twins.
     """
     if samples is None:
         if seed is not None:
@@ -840,14 +862,17 @@ def evaluate_error(
         x, y = xs[order], ys[order]
         inputs, index = np.unique(np.concatenate((x, y)), return_inverse=True)
         columns = protocol.rows(inputs)
-    table = None if hasattr(protocol.referee, "by_distance") else protocol.referee.table(protocol.letters)
+    if not protocol._letter_table:  # once for the protocol and its twins
+        by_distance = hasattr(protocol.referee, "by_distance")
+        protocol._letter_table.append(None if by_distance else protocol.referee.table(protocol.letters))
+    table = protocol._letter_table[0]
     if samples is not None:
         p_error = _accepted(protocol, table, columns, index[:samples], index[samples:])
         np.subtract(1.0, p_error, out=p_error, where=x == y)
         # Each draw's sorted position, for statistics in draw order.
         drawn = (x, y, np.argsort(order))
         return ErrorReport(protocol.name, protocol.n, p_error, seed=seed, drawn=drawn)
-    if _xor_invariant(table, columns):
+    if _xor_invariant(table, protocol):
         xor_errors = _accepted(protocol, table, columns, np.zeros(size, int), np.arange(size))
         xor_errors[0] = 1.0 - xor_errors[0]
         return ErrorReport(protocol.name, protocol.n, xor_errors=xor_errors)

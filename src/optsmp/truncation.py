@@ -87,12 +87,15 @@ def transform_protocol(protocol, delta: float):
     Each projected message sits within sqrt(delta) of its original in trace
     distance, so the truncated protocol's worst-case error is at most
     ``perturbed_error_bound(error, sqrt(delta))`` of the original's. The
-    truncated protocol keeps the letters, codewords, ``repeats`` and checked
-    table of one column per run of positions. When no message holds more
-    photons than the cutoff (:meth:`~optsmp.smp.SmpProtocol.max_total_photons`,
-    ``repeats`` times the heaviest row) it keeps the referee too; otherwise
-    the referee's ``at_cutoff`` gives the referee of the projected messages,
-    and a referee without one refuses.
+    truncated protocol is a :meth:`~optsmp.smp.SmpProtocol.renamed` twin: it
+    keeps the letters, codewords, ``repeats``, the checked table of one
+    column per run of positions and the columns' XOR structure, scanned once
+    for both. When no message holds more photons than the cutoff
+    (:meth:`~optsmp.smp.SmpProtocol.max_total_photons`, ``repeats`` times the
+    heaviest row) it keeps the referee and so the letter table too: its
+    evaluation tabulates nothing. Otherwise the referee's ``at_cutoff``
+    gives the referee of the projected messages, which reads no letter
+    table, and a referee without one refuses.
     """
     cutoff = markov_photon_cutoff(protocol.mu, delta)
     name = f"{protocol.name}+cutoff{cutoff}"

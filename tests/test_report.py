@@ -100,7 +100,7 @@ def test_a_grid_report_prints_the_csv_of_its_xor_twin(monkeypatch, n):
     # and as either column of a pair.
     protocols = [coherent_fingerprint_protocol(n, RepetitionCode(n, 2), mu) for mu in (1.3, 0.4)]
     twins = [evaluate_error(protocol) for protocol in protocols]
-    monkeypatch.setattr(smp, "_xor_invariant", lambda table, columns: False)
+    monkeypatch.setattr(smp, "_xor_invariant", lambda table, protocol: False)
     grids = [evaluate_error(protocol) for protocol in protocols]
     assert all(r.xor_errors is not None for r in twins) and all(r.xor_errors is None for r in grids)
 

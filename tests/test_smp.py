@@ -25,6 +25,7 @@ from optsmp.fock import (
 )
 from optsmp.smp import (
     MESSAGE_TAIL_BOUND,
+    TABLE_N_CAP,
     DiagonalMapReferee,
     InterferenceVacuumReferee,
     RepetitionCode,
@@ -224,14 +225,30 @@ def test_dark_port_sum_matches_materialised_beamsplitter_on_random_kets():
 
 def _counted_sums(monkeypatch) -> list:
     calls = []
-    interfere = smp._dark_probability
-
-    def counted(a, b):
-        calls.append((a, b))
-        return interfere(a, b)
-
-    monkeypatch.setattr(smp, "_dark_probability", counted)
+    monkeypatch.setattr(smp, "_dark_probability", _recording(calls, smp._dark_probability))
     return calls
+
+
+def _counted_derivations(monkeypatch) -> tuple[list, list, list]:
+    """Record every ``table`` call of either kernel referee, every scan of
+    codeword rows for XOR structure, and every ``evaluate_error`` call that
+    the CLI makes."""
+    tables, scans, evaluations = [], [], []
+    for referee in (InterferenceVacuumReferee, DiagonalMapReferee):
+        monkeypatch.setattr(referee, "table", _recording(tables, referee.table))
+    monkeypatch.setattr(smp, "_linear_rows", _recording(scans, smp._linear_rows))
+    monkeypatch.setattr(smp, "evaluate_error", _recording(evaluations, smp.evaluate_error))
+    return tables, scans, evaluations
+
+
+def _recording(calls: list, function):
+    """``function``, appending its positional arguments to ``calls`` on each call."""
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    return recorded
 
 
 def _flipped(amps, s):
@@ -703,14 +720,16 @@ def test_fingerprint_table_interferes_each_parity_class_once(monkeypatch, tmp_pa
     # |-alpha> is the parity flip of |+alpha>, so the four factor pairs fall
     # into two parity classes: equal letters and opposite letters.
     assert len(calls) == 2
-    # A vacuous --truncate evaluates the same letters again, and the
-    # stateless referee runs its two sums again.
+    # A vacuous --truncate evaluates the same letters twice, and its
+    # truncated twin reads the parent's letter table and column check: one
+    # table call (two sums) and one row scan for the whole request.
     config = tmp_path / "qfp4.json"
     config.write_text('{"type": "qfp", "n": 4, "mu": 2, "code": {"kind": "repetition", "repeats": 3}}')
     del calls[:]
+    tables, scans, evaluations = _counted_derivations(monkeypatch)
     assert main(["simulate", "--config", str(config), "--truncate", "1e-4"]) == 0
     assert "cutoff=20000" in capsys.readouterr().out
-    assert len(calls) == 4
+    assert len(calls) == 2 and len(tables) == len(scans) == 1 and len(evaluations) == 2
 
 
 def test_binding_truncation_runs_one_sum_per_distance(monkeypatch):
@@ -730,6 +749,90 @@ def test_binding_truncation_runs_one_sum_per_distance(monkeypatch):
         direct = truncated.referee.accept(3 * bin(x ^ y).count("1"))
         assert p_error == (1.0 - direct if f else direct)
     assert len(passes) == 1
+
+
+SHARING_SPECS = {
+    "qfp-repetition": {"type": "qfp", "n": 4, "mu": 2, "code": {"kind": "repetition", "repeats": 3}},
+    "qfp-xor-fold": {"type": "qfp", "n": 5, "mu": 1.3, "code": {"kind": "xor-fold", "m": 3}},
+    "classical-repetition": {"type": "classical-trivial", "n": 3, "code": {"kind": "repetition", "repeats": 2}},
+}
+
+
+@pytest.mark.parametrize("twin_first", [False, True])
+@pytest.mark.parametrize("case", sorted(SHARING_SPECS))
+def test_a_renamed_twin_shares_its_tables_and_evaluates_like_a_fresh_protocol(monkeypatch, case, twin_first):
+    # The twin is made before either is evaluated: whichever of the two
+    # evaluates first tabulates the letters and scans the rows, for both.
+    tables, scans, _ = _counted_derivations(monkeypatch)
+    parent = load_protocol(SHARING_SPECS[case])
+    twin = parent.renamed("twin")
+    order = (twin, parent) if twin_first else (parent, twin)
+    reports = {p.name: [evaluate_error(p), evaluate_error(p, samples=40, seed=5)] for p in order}
+    assert len(tables) == len(scans) == 1
+    fresh = load_protocol(SHARING_SPECS[case])
+    expected = [evaluate_error(fresh), evaluate_error(fresh, samples=40, seed=5)]
+    assert len(tables) == len(scans) == 2
+    for got in reports.values():
+        assert got[0].xor_errors is not None
+        assert [r.p_error.tobytes() for r in got] == [r.p_error.tobytes() for r in expected]
+
+
+@pytest.mark.parametrize("twin_first", [False, True])
+def test_a_twin_given_another_kernel_referee_tabulates_its_own_letters(monkeypatch, twin_first):
+    # |0> and |1> under the interference referee: the letter table differs
+    # from the diagonal one, so reading the parent's would change every
+    # error. The rows and their scan are shared.
+    tables, scans, _ = _counted_derivations(monkeypatch)
+    parent = trivial_classical_protocol(3)
+    twin = parent.renamed("interfering", InterferenceVacuumReferee())
+    order = (twin, parent) if twin_first else (parent, twin)
+    reports = {p.name: evaluate_error(p).p_error.tobytes() for p in order}
+    assert [type(args[0]) for args in tables] == [type(p.referee) for p in order]
+    assert len(scans) == 1
+    fresh = [
+        evaluate_error(dataclasses.replace(parent, referee=referee())).p_error.tobytes()
+        for referee in (DiagonalMapReferee, InterferenceVacuumReferee)
+    ]
+    assert [reports[parent.name], reports[twin.name]] == fresh and fresh[0] != fresh[1]
+
+
+@pytest.mark.parametrize("twin_first", [False, True])
+def test_a_binding_twin_shares_the_row_scan_and_reads_no_letter_table(monkeypatch, twin_first):
+    tables, scans, _ = _counted_derivations(monkeypatch)
+    parent = coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.0)
+    twin = transform_protocol(parent, 0.667)
+    assert hasattr(twin.referee, "by_distance")
+    order = (twin, parent) if twin_first else (parent, twin)
+    reports = {p.name: evaluate_error(p).p_error.tobytes() for p in order}
+    assert [args[0] for args in tables] == [parent.referee] and len(scans) == 1
+    fresh = transform_protocol(coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.0), 0.667)
+    assert reports[twin.name] == evaluate_error(fresh).p_error.tobytes() != reports[parent.name]
+
+
+@pytest.mark.parametrize("n", [3, TABLE_N_CAP + 8])
+def test_sampled_evaluation_scans_no_rows_for_xor_structure(monkeypatch, n):
+    tables, scans, _ = _counted_derivations(monkeypatch)
+    protocol = trivial_classical_protocol(n)
+    for p in (protocol, protocol.renamed("twin"), protocol.renamed("again", InterferenceVacuumReferee())):
+        evaluate_error(p, samples=50, seed=1)
+    assert scans == [] and len(tables) == 2
+
+
+class _FalsyReferee(InterferenceVacuumReferee):
+    """The interference referee, falsy as an empty container is."""
+
+    def __len__(self) -> int:
+        return 0
+
+
+def test_renamed_keeps_a_falsy_referee_and_tabulates_for_it():
+    protocol = trivial_classical_protocol(2)
+    diagonal = evaluate_error(protocol).p_error.tobytes()
+    falsy = _FalsyReferee()
+    twin = protocol.renamed("falsy", falsy)
+    assert not falsy and twin.referee is falsy
+    expected = evaluate_error(dataclasses.replace(protocol, referee=InterferenceVacuumReferee()))
+    assert evaluate_error(twin).p_error.tobytes() == expected.p_error.tobytes() != diagonal
 
 
 def test_fingerprint_matches_closed_form():
@@ -1132,10 +1235,11 @@ def test_repeated_factor_columns_reuse_one_gather(monkeypatch):
     # Repeats 4: each input bit fills four consecutive positions with the
     # same factor objects, and the code gives one column for the four, so
     # three columns serve twelve positions; each column's factor is
-    # multiplied in four times, bit for bit like the one-pair API. Each
-    # evaluation asks the referee for one table of the protocol's letters,
-    # which runs the kernel once per parity class of letter pairs (two), on
-    # the grid (here forced) as in the error profile of x XOR y.
+    # multiplied in four times, bit for bit like the one-pair API. The first
+    # evaluation, on the grid (here forced), asks the referee for one table
+    # of the protocol's letters, which runs the kernel once per parity class
+    # of letter pairs (two); the error profile of x XOR y that follows reads
+    # the table the protocol kept.
     tables, kernel_calls, gathered = [], [], []
     accepted = smp._accepted
     protocol = coherent_fingerprint_protocol(3, RepetitionCode(3, 4), 1.7)
@@ -1154,7 +1258,7 @@ def test_repeated_factor_columns_reuse_one_gather(monkeypatch):
     monkeypatch.setattr(smp, "_accepted", counted_accepted)
     monkeypatch.setattr(referee, "pair_probability", counted_kernel)
     with monkeypatch.context() as patch:
-        patch.setattr(smp, "_xor_invariant", lambda table, columns: False)
+        patch.setattr(smp, "_xor_invariant", lambda table, protocol: False)
         report = evaluate_error(protocol)
     assert protocol.m == 12 and protocol.repeats == 4 and gathered == [(8, 3)]
     assert report.xor_errors is None and tables == [protocol.letters] and len(kernel_calls) == 2
@@ -1162,7 +1266,7 @@ def test_repeated_factor_columns_reuse_one_gather(monkeypatch):
     tables.clear()
     kernel_calls.clear()
     report = evaluate_error(protocol)
-    assert report.xor_errors is not None and tables == [protocol.letters] and len(kernel_calls) == 2
+    assert report.xor_errors is not None and tables == kernel_calls == []
     _assert_rows_match_one_pair_api(protocol, report)
 
 
@@ -1207,7 +1311,7 @@ def test_evaluation_blocks_split_anywhere_bit_for_bit(monkeypatch, n):
     protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, 2), 1.3)
     binding = transform_protocol(protocol, 0.6 if n <= 4 else 0.9)
     assert hasattr(binding.referee, "by_distance") and not hasattr(protocol.referee, "by_distance")
-    monkeypatch.setattr(smp, "_xor_invariant", lambda table, columns: False)
+    monkeypatch.setattr(smp, "_xor_invariant", lambda table, protocol: False)
 
     def errors():
         return [

@@ -29,7 +29,7 @@ FAMILIES = {
 
 def _grid_only(monkeypatch):
     """Fail the structure check, so that every pair of the grid is read."""
-    monkeypatch.setattr(smp, "_xor_invariant", lambda table, columns: False)
+    monkeypatch.setattr(smp, "_xor_invariant", lambda table, protocol: False)
 
 
 def _truncations(spec):
