@@ -73,10 +73,9 @@ _EXPORTS = {
     "report": ("ErrorReport",),
     "smp": (
         "DiagonalMapReferee",
+        "FoldCode",
         "InterferenceVacuumReferee",
-        "RepetitionCode",
         "SmpProtocol",
-        "XorFoldCode",
         "apply_beamsplitter",
         "beamsplitter_pair",
         "coherent_accept_probability",

@@ -31,7 +31,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -109,67 +109,45 @@ def _input_bits(xs: np.ndarray, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RepetitionCode:
-    """Each input bit repeated ``repeats`` times; distance = repeats."""
+class FoldCode:
+    """Input bit i XORed into column i mod ``columns``, each column standing
+    for ``repeats`` positions: m = columns x repeats. A column per bit is a
+    repetition code; fewer fold a lossy fingerprint with codeword weight
+    (hence photon budget) at most m, used to exercise counting at short
+    message lengths, not for correctness."""
 
     n: int
-    repeats: int
+    columns: int
+    repeats: int = 1
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.repeats < 1:
-            raise ConfigError(f"repetition code needs n >= 1 and repeats >= 1")
+        if not (1 <= self.columns <= self.n and self.repeats >= 1):
+            raise ConfigError(f"fold code needs 1 <= columns (xor-fold m) <= n and repeats >= 1, got {self}")
 
     @property
     def m(self) -> int:
-        return self.n * self.repeats
+        return self.columns * self.repeats
 
     @property
     def min_distance(self) -> int:
-        return self.repeats
+        """The least codeword weight of a nonzero input: ``repeats`` with a
+        column per bit, else 0, as bits i and i + ``columns`` cancel."""
+        return self.repeats if self.columns == self.n else 0
 
     def codewords(self, xs: np.ndarray) -> np.ndarray:
-        """The codeword of every input in ``xs``, one row each and one column
-        per input bit, each standing for ``repeats`` positions."""
-        return _input_bits(xs, self.n)
-
-    def encode(self, x: int) -> tuple[int, ...]:
-        return tuple(np.repeat(self.codewords(np.array([x]))[0], self.repeats).tolist())
-
-
-@dataclass(frozen=True)
-class XorFoldCode:
-    """Fold n input bits into m <= n positions by XOR.
-
-    A lossy fingerprint with codeword weight (hence photon budget) at most m;
-    used to exercise counting at short message lengths, not for correctness.
-    """
-
-    n: int
-    m: int
-    repeats = 1  # each column is one position
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.m <= self.n:
-            raise ConfigError(f"xor-fold code needs 1 <= m <= n, got m={self.m}, n={self.n}")
-
-    @property
-    def min_distance(self) -> int:
-        return 1
-
-    def codewords(self, xs: np.ndarray) -> np.ndarray:
-        """The codeword of every input in ``xs``, one row each: bit i of the
-        input is XORed into position i mod m."""
+        """The codeword of every input in ``xs``, one row each and one uint8
+        column per run of ``repeats`` positions."""
         bits = _input_bits(xs, self.n)
-        out = bits[:, : self.m].copy()
-        for start in range(self.m, self.n, self.m):
-            block = bits[:, start : start + self.m]
+        if self.columns == self.n:
+            return bits
+        out = bits[:, : self.columns].copy()
+        for start in range(self.columns, self.n, self.columns):
+            block = bits[:, start : start + self.columns]
             out[:, : block.shape[1]] ^= block
         return out
 
-    encode = RepetitionCode.encode
-
-
-Code = Union[RepetitionCode, XorFoldCode]
+    def encode(self, x: int) -> tuple[int, ...]:
+        return tuple(np.repeat(self.codewords(np.array([x]))[0], self.repeats).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +594,7 @@ class SmpProtocol:
             raise ConfigError(f"m must be >= 1, got {self.m}")
         if not (math.isfinite(self.mu) and self.mu >= 0.0):
             raise ConfigError(f"mu must be a finite number >= 0, got {self.mu}")
-        if not (hasattr(self.referee, "table") or hasattr(self.referee, "by_distance")):
-            raise ConfigError("referee must provide table or by_distance")
+        self._check_referee()
         if self.n <= TABLE_N_CAP:
             self._check_table_size(1 << self.n)
             object.__setattr__(self, "_table", self.rows(np.arange(1 << self.n)))
@@ -634,7 +611,12 @@ class SmpProtocol:
         if referee is not None:
             object.__setattr__(twin, "referee", referee)
             object.__setattr__(twin, "_letter_table", [])
+            twin._check_referee()
         return twin
+
+    def _check_referee(self) -> None:
+        if not (hasattr(self.referee, "table") or hasattr(self.referee, "by_distance")):
+            raise ConfigError("referee must provide table or by_distance")
 
     def rows(self, xs: np.ndarray) -> np.ndarray:
         """The checked codeword rows of the inputs ``xs``."""
@@ -896,7 +878,7 @@ def coherent_accept_probability(mu_total: float, m: int, distance: int) -> float
     return math.exp(-2.0 * (mu_total / m) * distance)
 
 
-def coherent_fingerprint_protocol(n: int, code: Code, mu_total: float) -> SmpProtocol:
+def coherent_fingerprint_protocol(n: int, code: FoldCode, mu_total: float) -> SmpProtocol:
     """Phase-encoded coherent-state fingerprinting for equality.
 
     Each party spreads ``mu_total`` mean photons over the code's m modes with
@@ -945,20 +927,19 @@ def coherent_fingerprint_protocol(n: int, code: Code, mu_total: float) -> SmpPro
     )
 
 
-def trivial_classical_protocol(n: int, code: Code | None = None) -> SmpProtocol:
+def trivial_classical_protocol(n: int, code: FoldCode | None = None) -> SmpProtocol:
     """Both parties send their (encoded) bit string, one single-mode basis
     state |0> or |1> per position; the referee outputs 1 exactly when the
     two strings agree.
 
     With the default code (each bit once) this decides equality with zero
-    error at mu <= n.
-    With a short lossy code it exercises the counting path: every message
-    lives in the subspace of occupation tuples with total at most the
-    maximum codeword weight, which is ``code.m`` for both codes (some input
-    lights every position).
+    error at mu <= n. With a folded code it exercises the counting path:
+    every message lives in the subspace of occupation tuples with total at
+    most the maximum codeword weight, which is ``code.m`` for every fold
+    code (some input lights every position).
     """
     if code is None:
-        code = RepetitionCode(n, 1)
+        code = FoldCode(n, n)
     if code.n != n:
         raise ConfigError(f"code encodes n={code.n} bits, protocol wants n={n}")
     return SmpProtocol(
@@ -976,9 +957,9 @@ def trivial_classical_protocol(n: int, code: Code | None = None) -> SmpProtocol:
 # ---------------------------------------------------------------------------
 # Protocol descriptions (JSON)
 
-def _load_code(data, n: int) -> Code:
+def _load_code(data, n: int) -> FoldCode:
     if data is None:
-        return RepetitionCode(n, 1)
+        return FoldCode(n, n)
     if not isinstance(data, Mapping):
         raise ConfigError("field 'code' must be an object")
     kind = data.get("kind")
@@ -986,14 +967,14 @@ def _load_code(data, n: int) -> Code:
         repeats = data.get("repeats")
         if type(repeats) is not int or repeats < 1:
             raise ConfigError("field 'code.repeats' must be a positive integer")
-        return RepetitionCode(n, repeats)
+        return FoldCode(n, n, repeats)
     if kind == "identity":
-        return RepetitionCode(n, 1)
+        return FoldCode(n, n)
     if kind == "xor-fold":
         m = data.get("m")
         if type(m) is not int or m < 1:
             raise ConfigError("field 'code.m' must be a positive integer")
-        return XorFoldCode(n, m)
+        return FoldCode(n, m)
     raise ConfigError(f"field 'code.kind' must be repetition|identity|xor-fold, got {kind!r}")
 
 

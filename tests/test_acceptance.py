@@ -31,7 +31,7 @@ from optsmp.fock import (
 )
 from optsmp.smp import (
     DiagonalMapReferee,
-    RepetitionCode,
+    FoldCode,
     SmpProtocol,
     coherent_accept_probability,
     coherent_fingerprint_protocol,
@@ -59,7 +59,7 @@ def _line(cid: str, title: str, ok: bool, detail: str) -> str:
 
 @lru_cache(maxsize=None)
 def _qfp4() -> SmpProtocol:
-    return coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.0)
+    return coherent_fingerprint_protocol(4, FoldCode(4, 4, 3), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +259,7 @@ def test_criterion_08a_fingerprint_error_below_one_third(criterion_report):
     # exp(-2*(mu_total/m)*d), so the worst error drops below 1/3 exactly when
     # mu_total > m*ln(3)/(2*d_min): 2*ln(3) ~= 2.1972 for this code.
     t0 = time.perf_counter()
-    code = RepetitionCode(4, 3)
+    code = FoldCode(4, 4, 3)
     threshold = code.m * math.log(3.0) / (2.0 * code.min_distance)
     mu_total = 2.2  # the first tenth above the threshold
     report = evaluate_error(coherent_fingerprint_protocol(4, code, mu_total))
@@ -318,7 +318,7 @@ def test_criterion_08c_binding_truncation_at_paper_scale(criterion_report):
     # worst sampled error within the certified budget.
     t0 = time.perf_counter()
     mu, delta = 2.0, 0.19
-    protocol = coherent_fingerprint_protocol(63, RepetitionCode(63, 3), mu)
+    protocol = coherent_fingerprint_protocol(63, FoldCode(63, 63, 3), mu)
     before = evaluate_error(protocol, samples=1000, seed=1)
     truncated = transform_protocol(protocol, delta)
     budget = perturbed_error_bound(before.worst_error, math.sqrt(delta))

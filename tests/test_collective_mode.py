@@ -13,8 +13,8 @@ from optsmp.errors import ConfigError, ModeMismatchError, PhotonCapError
 from optsmp.fock import ProductPureState
 from optsmp.smp import (
     CollectiveModeReferee,
+    FoldCode,
     InterferenceVacuumReferee,
-    RepetitionCode,
     SmpProtocol,
     _input_bits,
     coherent_fingerprint_protocol,
@@ -67,7 +67,7 @@ def test_vacuum_cutoff_accepts_every_pair():
     # At a = 0 both projected messages are the vacuum: no port ever lights.
     referee = CollectiveModeReferee(12, 2.0, 0)
     assert [referee.accept(d) for d in range(13)] == [1.0] * 13
-    protocol = coherent_fingerprint_protocol(3, RepetitionCode(3, 2), 0.5)
+    protocol = coherent_fingerprint_protocol(3, FoldCode(3, 3, 2), 0.5)
     truncated = transform_protocol(protocol, 0.9)
     assert truncated.referee.cutoff == 0
     report = evaluate_error(truncated)
@@ -155,7 +155,7 @@ def test_binding_evaluation_leaves_the_fingerprint_caches_to_the_letters():
     # The projected referee computes its own closed form, and the
     # fingerprint referee tabulates the letters afresh on each call: after
     # exhaustive and sampled runs of both protocols it holds no state.
-    protocol = coherent_fingerprint_protocol(3, RepetitionCode(3, 2), 1.0)
+    protocol = coherent_fingerprint_protocol(3, FoldCode(3, 3, 2), 1.0)
     truncated = transform_protocol(protocol, 0.5)
     assert isinstance(truncated.referee, CollectiveModeReferee)
     for evaluated in (protocol, truncated):
@@ -168,7 +168,7 @@ def test_nonlinear_codewords_fill_the_distance_grid():
     # x -> 3x mod 8 is a bijection with row 0 zero, but not linear over
     # GF(2), so an exhaustive run reads every pair's own distance; each
     # error still equals the one-pair oracle bit for bit.
-    qfp = coherent_fingerprint_protocol(3, RepetitionCode(3, 1), 1.0)
+    qfp = coherent_fingerprint_protocol(3, FoldCode(3, 3), 1.0)
     protocol = SmpProtocol(
         name="times-three",
         n=3,
@@ -191,7 +191,7 @@ def test_a_protocol_built_with_the_collective_referee_evaluates():
     # The referee contract is what evaluation reads: a referee that offers
     # by_distance alone builds a protocol directly, and its errors are those
     # of the truncated fingerprint at the same cutoff, bit for bit.
-    qfp = coherent_fingerprint_protocol(3, RepetitionCode(3, 2), 1.0)
+    qfp = coherent_fingerprint_protocol(3, FoldCode(3, 3, 2), 1.0)
     truncated = transform_protocol(qfp, 0.4)
     fields = dict(
         name="direct", n=qfp.n, m=qfp.m, mu=qfp.mu, letters=qfp.letters, codewords=qfp.codewords,
@@ -220,7 +220,7 @@ def test_a_projection_past_half_the_pair_photon_limit_is_refused():
 
 @pytest.mark.parametrize("binding", [False, True], ids=["interference", "collective-mode"])
 def test_messages_of_different_factor_counts_are_refused(binding):
-    protocol = coherent_fingerprint_protocol(2, RepetitionCode(2, 1), 1.0)
+    protocol = coherent_fingerprint_protocol(2, FoldCode(2, 2), 1.0)
     if binding:
         protocol = transform_protocol(protocol, 0.4)
     short = protocol.message(1)
@@ -232,7 +232,7 @@ def test_messages_of_different_factor_counts_are_refused(binding):
 def test_whole_message_kets_are_refused_by_the_collective_referee():
     # A joined ket is one factor, which would read distance 0 or 1 whatever
     # its codeword: messages (0, 3) are at distance 4 of m = 4.
-    protocol = coherent_fingerprint_protocol(2, RepetitionCode(2, 2), 1.0)
+    protocol = coherent_fingerprint_protocol(2, FoldCode(2, 2, 2), 1.0)
     referee, message = protocol.referee.at_cutoff(protocol, 2), protocol.message
     accepted = referee.output_one_probability(message(0), message(3))
     assert accepted == referee.accept(4) == pytest.approx(0.175, abs=1e-12)

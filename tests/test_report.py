@@ -7,8 +7,7 @@ import pytest
 from optsmp import report as report_module
 from optsmp import smp
 from optsmp.smp import (
-    RepetitionCode,
-    XorFoldCode,
+    FoldCode,
     coherent_fingerprint_protocol,
     evaluate_error,
     trivial_classical_protocol,
@@ -31,7 +30,7 @@ def _grid_pairs(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_exhaustive_columns_are_the_divmod_of_the_pair_index(n):
-    report = evaluate_error(trivial_classical_protocol(n, XorFoldCode(n, (n + 1) // 2)))
+    report = evaluate_error(trivial_classical_protocol(n, FoldCode(n, (n + 1) // 2)))
     x, y = np.divmod(np.arange(4**n), 1 << n)
     assert np.array_equal(report.x, x) and np.array_equal(report.y, y)
     assert np.array_equal(report.f, (x == y).astype(np.uint8))
@@ -42,7 +41,7 @@ def test_exhaustive_columns_are_the_divmod_of_the_pair_index(n):
 
 
 def test_report_statistics_are_computed_on_first_read():
-    report = evaluate_error(coherent_fingerprint_protocol(3, RepetitionCode(3, 2), 1.1))
+    report = evaluate_error(coherent_fingerprint_protocol(3, FoldCode(3, 3, 2), 1.1))
     assert "_statistics" not in vars(report)
     assert report.mean_error == float(np.mean(report.p_error))
     assert report.stderr_mean == float(np.std(report.p_error, ddof=1) / 8.0)
@@ -53,13 +52,13 @@ def test_report_statistics_are_computed_on_first_read():
 def test_grid_rows_equal_rows_written_pair_by_pair(monkeypatch, n, block_rows):
     # Blocks of 8 pairs hold one x row or less, so every CSV row starts a
     # block; blocks of 8 entries split the pairs (0, z) that evaluation reads.
-    protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, 2), 1.3)
+    protocol = coherent_fingerprint_protocol(n, FoldCode(n, n, 2), 1.3)
     whole = evaluate_error(protocol).p_error
     monkeypatch.setattr(report_module, "BLOCK_ROWS", block_rows)
     monkeypatch.setattr(smp, "BLOCK_ROWS", block_rows)
     report = evaluate_error(protocol)
     assert np.array_equal(report.p_error, whole)
-    other = evaluate_error(coherent_fingerprint_protocol(n, RepetitionCode(n, 2), 0.4))
+    other = evaluate_error(coherent_fingerprint_protocol(n, FoldCode(n, n, 2), 0.4))
     pairs = _grid_pairs(n)
     assert "".join(report_module.csv_rows(report)) == _reference_rows(pairs, report.p_error)
     assert "".join(report_module.csv_rows(report, other)) == _reference_rows(
@@ -81,8 +80,8 @@ def test_grid_rows_equal_rows_written_pair_by_pair(monkeypatch, n, block_rows):
 def test_sampled_rows_equal_rows_written_pair_by_pair(monkeypatch, n, block_rows):
     monkeypatch.setattr(report_module, "BLOCK_ROWS", block_rows)
     samples, seed = 50, n
-    report = evaluate_error(coherent_fingerprint_protocol(n, RepetitionCode(n, 2), 1.3), samples=samples, seed=seed)
-    other = evaluate_error(coherent_fingerprint_protocol(n, RepetitionCode(n, 2), 0.4), samples=samples, seed=seed)
+    report = evaluate_error(coherent_fingerprint_protocol(n, FoldCode(n, n, 2), 1.3), samples=samples, seed=seed)
+    other = evaluate_error(coherent_fingerprint_protocol(n, FoldCode(n, n, 2), 0.4), samples=samples, seed=seed)
     rng = np.random.default_rng([seed, n])
     xs = rng.integers(0, 1 << n, size=samples).tolist()
     ys = rng.integers(0, 1 << n, size=samples).tolist()
@@ -98,7 +97,7 @@ def test_a_grid_report_prints_the_csv_of_its_xor_twin(monkeypatch, n):
     # A report that holds p_error for all 4^n pairs goes through the block
     # path of sampled reports; it prints what its x-XOR-z twin prints, alone
     # and as either column of a pair.
-    protocols = [coherent_fingerprint_protocol(n, RepetitionCode(n, 2), mu) for mu in (1.3, 0.4)]
+    protocols = [coherent_fingerprint_protocol(n, FoldCode(n, n, 2), mu) for mu in (1.3, 0.4)]
     twins = [evaluate_error(protocol) for protocol in protocols]
     monkeypatch.setattr(smp, "_xor_invariant", lambda table, protocol: False)
     grids = [evaluate_error(protocol) for protocol in protocols]

@@ -8,6 +8,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optsmp import report as report_module
 from optsmp import smp, truncation, verify
@@ -27,10 +29,9 @@ from optsmp.smp import (
     MESSAGE_TAIL_BOUND,
     TABLE_N_CAP,
     DiagonalMapReferee,
+    FoldCode,
     InterferenceVacuumReferee,
-    RepetitionCode,
     SmpProtocol,
-    XorFoldCode,
     apply_beamsplitter,
     beamsplitter_pair,
     coherent_accept_probability,
@@ -58,36 +59,98 @@ def test_equality_function_is_the_identity_matrix_of_ints():
 
 
 def test_repetition_code():
-    code = RepetitionCode(2, 3)
+    code = FoldCode(2, 2, 3)
     assert code.m == 6
     assert code.min_distance == 3
     # bit 0 is the least significant input bit
     assert code.encode(0b01) == (1, 1, 1, 0, 0, 0)
     assert code.encode(0b10) == (0, 0, 0, 1, 1, 1)
     with pytest.raises(ConfigError):
-        RepetitionCode(0, 3)
+        FoldCode(0, 0, 3)
+    with pytest.raises(ConfigError):
+        FoldCode(2, 2, 0)
 
 
 def test_identity_and_xor_fold_codes():
-    assert RepetitionCode(3, 1).encode(0b101) == (1, 0, 1)
-    fold = XorFoldCode(4, 2)
+    assert FoldCode(3, 3).encode(0b101) == (1, 0, 1)
+    fold = FoldCode(4, 2)
     # bits 0,2 fold into slot 0; bits 1,3 into slot 1
     assert fold.encode(0b0101) == (0, 0)
     assert fold.encode(0b0001) == (1, 0)
     with pytest.raises(ConfigError):
-        XorFoldCode(2, 3)
+        FoldCode(2, 3)
+    with pytest.raises(ConfigError):
+        FoldCode(2, 0)
 
 
 def _full_codeword(code, x):
-    """The codeword of ``x`` with one entry per position, bit by bit: each
-    input bit ``repeats`` times, or the input bits XORed into m slots."""
-    bits = [(x >> i) & 1 for i in range(code.n)]
-    if isinstance(code, XorFoldCode):
-        word = [0] * code.m
-        for i, bit in enumerate(bits):
-            word[i % code.m] ^= bit
-        return tuple(word)
-    return tuple(bit for bit in bits for _ in range(code.repeats))
+    """The codeword of ``x`` with one entry per position, bit by bit: input
+    bit i XORed into column i mod ``columns``, each column ``repeats`` times."""
+    word = [0] * code.columns
+    for i in range(code.n):
+        word[i % code.columns] ^= (x >> i) & 1
+    return tuple(bit for bit in word for _ in range(code.repeats))
+
+
+def _json_code_specs(n):
+    specs = [{"kind": "repetition", "repeats": r} for r in (1, 2, 3, 5)] + [{"kind": "identity"}]
+    return specs + [{"kind": "xor-fold", "m": m} for m in range(1, n + 1)]
+
+
+def test_a_fold_code_of_fewer_columns_has_a_nonzero_input_of_zero_weight():
+    # Bits 0 and 2 of z = 5 cancel in column 0: inputs 0 and 5 share a
+    # codeword, so the minimum distance is 0.
+    code = FoldCode(4, 2)
+    assert code.codewords(np.array([5])).tolist() == [[0, 0]]
+    assert code.min_distance == 0
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_min_distance_is_the_least_weight_of_a_nonzero_input(n):
+    for columns in range(1, n + 1):
+        for repeats in (1, 2, 3):
+            code = FoldCode(n, columns, repeats)
+            least = min(sum(_full_codeword(code, z)) for z in range(1, 1 << n))
+            assert code.min_distance == least, (n, columns, repeats)
+
+
+def _folded_columns(xs, n, columns):
+    """Column j of every input: the XOR of its bits i with i mod ``columns``
+    == j, from shifts of the inputs rather than from ``_input_bits``."""
+    bits = ((np.asarray(xs, dtype=np.uint64)[:, None] >> np.arange(n, dtype=np.uint64)) & 1).astype(np.uint8)
+    return np.stack([np.bitwise_xor.reduce(bits[:, j::columns], axis=1) for j in range(columns)], axis=1)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_every_json_code_kind_gives_contiguous_uint8_columns(n):
+    xs = np.arange(1 << n)
+    for spec in _json_code_specs(n):
+        code = smp._load_code(spec, n)
+        got = code.codewords(xs)
+        expected = _folded_columns(xs, n, code.columns)
+        assert got.dtype == np.uint8 and got.flags.c_contiguous, spec
+        assert got.shape == expected.shape == (1 << n, code.m // code.repeats), spec
+        assert np.array_equal(got, expected), spec
+
+
+@pytest.mark.parametrize("n", [13, 40, 63])
+def test_wide_codes_give_contiguous_uint8_columns_on_sampled_rows(n):
+    xs = np.random.default_rng(n).integers(0, 1 << n, size=300)
+    for spec in _json_code_specs(n):
+        code = smp._load_code(spec, n)
+        got = code.codewords(xs)
+        assert got.dtype == np.uint8 and got.flags.c_contiguous, spec
+        assert np.array_equal(got, _folded_columns(xs, n, code.columns)), spec
+
+
+@given(x=st.integers(0, (1 << 63) - 1), y=st.integers(0, (1 << 63) - 1))
+@settings(max_examples=100, deadline=None)
+def test_fold_code_rows_are_linear_over_gf2(x, y):
+    # The XOR path of evaluation reads pair (x, y) as pair (0, x ^ y).
+    xs = np.array([x, y, x ^ y])
+    for columns in range(1, 64):
+        rows = FoldCode(63, columns).codewords(xs)
+        assert (rows[2] == rows[0] ^ rows[1]).all(), columns
 
 
 @pytest.mark.parametrize("n", [13, 40, 63])
@@ -100,10 +163,8 @@ def test_input_bits_are_the_bits_of_wide_inputs(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_codes_declare_their_runs_of_equal_positions(n):
-    specs = [{"kind": "repetition", "repeats": r} for r in (1, 2, 3, 5)] + [{"kind": "identity"}]
-    specs += [{"kind": "xor-fold", "m": m} for m in range(1, n + 1)]
     xs = np.arange(1 << n)
-    for spec in specs:
+    for spec in _json_code_specs(n):
         code = smp._load_code(spec, n)
         columns = code.codewords(xs)
         assert columns.dtype == np.uint8 and columns.shape == (1 << n, code.m // code.repeats)
@@ -125,7 +186,7 @@ def test_codes_declare_their_runs_of_equal_positions(n):
 def test_max_total_photons_above_the_table_charges_every_position():
     # No table is built at n = 20: each of the m positions is charged its
     # heaviest letter, the photons of the all-ones message.
-    protocol = trivial_classical_protocol(20, RepetitionCode(20, 3))
+    protocol = trivial_classical_protocol(20, FoldCode(20, 20, 3))
     assert protocol._table is None
     assert protocol.max_total_photons() == protocol.message((1 << 20) - 1).max_total_photons() == 60
 
@@ -382,7 +443,7 @@ def test_dark_port_sum_matches_materialised_beamsplitter_on_projected_messages(n
     # it (the last three cases: a = 20, 25 and 16 against c1 = 13, 13 and
     # 10) the referee projects the exact coherent messages, which the cut
     # letters miss by about twice message_tail.
-    protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, repeats), mu)
+    protocol = coherent_fingerprint_protocol(n, FoldCode(n, n, repeats), mu)
     truncated = transform_protocol(protocol, delta)
     cutoff, c1 = truncated.referee.cutoff, protocol.letters[0].max_total_photons()
     assert protocol.message(0).max_total_photons() > cutoff
@@ -637,7 +698,7 @@ def test_sampled_evaluation_requires_seed_and_samples():
 
 def test_exhaustive_evaluation_encodes_each_message_once():
     n = 3
-    protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, 2), 2.0)
+    protocol = coherent_fingerprint_protocol(n, FoldCode(n, n, 2), 2.0)
     calls = []
 
     def counted(xs):
@@ -693,9 +754,9 @@ def _counted_messages(monkeypatch) -> list:
 @pytest.mark.parametrize(
     "build, samples",
     [
-        (lambda: coherent_fingerprint_protocol(8, RepetitionCode(8, 3), 2.0), None),
-        (lambda: coherent_fingerprint_protocol(10, RepetitionCode(10, 2), 1.7), 512),
-        (lambda: trivial_classical_protocol(7, XorFoldCode(7, 5)), None),
+        (lambda: coherent_fingerprint_protocol(8, FoldCode(8, 8, 3), 2.0), None),
+        (lambda: coherent_fingerprint_protocol(10, FoldCode(10, 10, 2), 1.7), 512),
+        (lambda: trivial_classical_protocol(7, FoldCode(7, 5)), None),
     ],
     ids=["qfp-n8", "qfp-n10-sampled", "classical-xor-n7-m5"],
 )
@@ -715,7 +776,7 @@ def test_evaluation_builds_no_message_object(monkeypatch, build, samples):
 
 def test_fingerprint_table_interferes_each_parity_class_once(monkeypatch, tmp_path, capsys):
     calls = _counted_sums(monkeypatch)
-    report = evaluate_error(coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.0))
+    report = evaluate_error(coherent_fingerprint_protocol(4, FoldCode(4, 4, 3), 2.0))
     assert len(report.pair_errors) == 256
     # |-alpha> is the parity flip of |+alpha>, so the four factor pairs fall
     # into two parity classes: equal letters and opposite letters.
@@ -737,7 +798,7 @@ def test_binding_truncation_runs_one_sum_per_distance(monkeypatch):
     # distances 0, 3, 6, 9 and 12: one array pass computes the five, no
     # dark-port sum of kets runs, and every pair reads the value at its
     # distance.
-    protocol = coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.0)
+    protocol = coherent_fingerprint_protocol(4, FoldCode(4, 4, 3), 2.0)
     truncated = transform_protocol(protocol, 0.667)
     assert protocol.message(0).max_total_photons() > 2 == truncated.referee.cutoff
     calls, passes = _counted_sums(monkeypatch), []
@@ -799,13 +860,13 @@ def test_a_twin_given_another_kernel_referee_tabulates_its_own_letters(monkeypat
 @pytest.mark.parametrize("twin_first", [False, True])
 def test_a_binding_twin_shares_the_row_scan_and_reads_no_letter_table(monkeypatch, twin_first):
     tables, scans, _ = _counted_derivations(monkeypatch)
-    parent = coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.0)
+    parent = coherent_fingerprint_protocol(4, FoldCode(4, 4, 3), 2.0)
     twin = transform_protocol(parent, 0.667)
     assert hasattr(twin.referee, "by_distance")
     order = (twin, parent) if twin_first else (parent, twin)
     reports = {p.name: evaluate_error(p).p_error.tobytes() for p in order}
     assert [args[0] for args in tables] == [parent.referee] and len(scans) == 1
-    fresh = transform_protocol(coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.0), 0.667)
+    fresh = transform_protocol(coherent_fingerprint_protocol(4, FoldCode(4, 4, 3), 2.0), 0.667)
     assert reports[twin.name] == evaluate_error(fresh).p_error.tobytes() != reports[parent.name]
 
 
@@ -835,8 +896,15 @@ def test_renamed_keeps_a_falsy_referee_and_tabulates_for_it():
     assert evaluate_error(twin).p_error.tobytes() == expected.p_error.tobytes() != diagonal
 
 
+def test_renamed_checks_the_referee_it_is_given():
+    protocol = trivial_classical_protocol(2)
+    with pytest.raises(ConfigError, match="referee must provide table or by_distance"):
+        protocol.renamed("x", object())
+    assert protocol.renamed("x").referee is protocol.referee
+
+
 def test_fingerprint_matches_closed_form():
-    protocol = coherent_fingerprint_protocol(2, RepetitionCode(2, 3), 2.0)
+    protocol = coherent_fingerprint_protocol(2, FoldCode(2, 2, 3), 2.0)
     assert protocol.m == 6
     assert protocol.message_tail < 1e-10
     report = evaluate_error(protocol)
@@ -852,7 +920,7 @@ def test_message_tail_matches_a_50_digit_evaluation(repeats):
     # message_tail is 1 - (1 - t)^m, t the Poisson tail past the letters'
     # per-mode cut. Past m of a few thousand, 1 - t rounds to 1 in double
     # precision: at m = 24,396 that formula printed 0.0 for 4.6e-14.
-    protocol = coherent_fingerprint_protocol(1, RepetitionCode(1, repeats), 2.0)
+    protocol = coherent_fingerprint_protocol(1, FoldCode(1, 1, repeats), 2.0)
     _, tail = cutoff_for_tail(2.0 / repeats, MESSAGE_TAIL_BOUND / repeats)
     with localcontext() as ctx:
         ctx.prec = 50
@@ -864,7 +932,7 @@ def test_message_tail_matches_a_50_digit_evaluation(repeats):
 def test_fingerprint_error_drops_below_third_with_more_energy():
     # At total energy 2.4 over 12 modes the distance-3 accept probability is
     # exp(-1.2) ~ 0.3012, strictly below 1/3.
-    protocol = coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.4)
+    protocol = coherent_fingerprint_protocol(4, FoldCode(4, 4, 3), 2.4)
     report = evaluate_error(protocol)
     assert report.worst_error == pytest.approx(math.exp(-1.2), abs=1e-9)
     assert report.worst_error < 1.0 / 3.0
@@ -874,7 +942,7 @@ def test_fingerprint_error_drops_below_third_with_more_energy():
 def test_worst_pair_is_the_first_of_the_tied_pairs(n, mu):
     # Every pair at the minimum distance ties on paper; their float errors
     # differ in the last bits, and (0, 1) is the first of them.
-    report = evaluate_error(coherent_fingerprint_protocol(n, RepetitionCode(n, 2), mu))
+    report = evaluate_error(coherent_fingerprint_protocol(n, FoldCode(n, n, 2), mu))
     assert report.worst_error == max(p for _, _, _, p in report.pair_errors)
     tied = {p for x, y, _, p in report.pair_errors if report.worst_error - p <= 1e-12}
     assert len(tied) > 1
@@ -887,18 +955,18 @@ def test_fingerprint_refuses_cutoffs_past_half_the_pair_photon_cap(monkeypatch):
     searched = []
     search = smp.cutoff_for_tail
     monkeypatch.setattr(smp, "cutoff_for_tail", lambda *a: searched.append(a) or search(*a))
-    protocol = coherent_fingerprint_protocol(1, RepetitionCode(1, 1), 100.0)
+    protocol = coherent_fingerprint_protocol(1, FoldCode(1, 1), 100.0)
     assert protocol.letters[0].max_total_photons() == search(100.0, 1e-10)[0] <= 256
     assert len(searched) == 1
     for mu in (300.0, 1666.7, 1e6):
         with pytest.raises(PhotonCapError, match="above 256 photons"):
-            coherent_fingerprint_protocol(1, RepetitionCode(1, 1), mu)
+            coherent_fingerprint_protocol(1, FoldCode(1, 1), mu)
     assert len(searched) == 1
 
 
 def test_fingerprint_rejects_mismatched_code():
     with pytest.raises(ConfigError):
-        coherent_fingerprint_protocol(3, RepetitionCode(2, 3), 1.0)
+        coherent_fingerprint_protocol(3, FoldCode(2, 2, 3), 1.0)
 
 
 def test_trivial_classical_protocol_is_exact():
@@ -912,7 +980,7 @@ def test_trivial_classical_protocol_encodes_each_input_once():
     n = 5
     calls = []
 
-    class CountedCode(XorFoldCode):
+    class CountedCode(FoldCode):
         def codewords(self, xs):
             calls.append(xs.tolist())
             return super().codewords(xs)
@@ -926,8 +994,8 @@ def test_trivial_classical_protocol_encodes_each_input_once():
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_trivial_classical_mu_is_the_heaviest_codeword_weight(n):
-    codes = [RepetitionCode(n, 1), RepetitionCode(n, 2)]
-    codes += [XorFoldCode(n, m) for m in range(1, n + 1)]
+    codes = [FoldCode(n, n), FoldCode(n, n, 2)]
+    codes += [FoldCode(n, m) for m in range(1, n + 1)]
     for code in codes:
         heaviest = max(sum(code.encode(x)) for x in range(1 << n))
         assert trivial_classical_protocol(n, code).mu == heaviest
@@ -942,7 +1010,7 @@ def test_message_check_computes_each_factor_mean_once(monkeypatch):
         return mean(state)
 
     monkeypatch.setattr(smp, "mean_photon_number", counted)
-    protocol = coherent_fingerprint_protocol(9, RepetitionCode(9, 2), 2.0)
+    protocol = coherent_fingerprint_protocol(9, FoldCode(9, 9, 2), 2.0)
     # Two single-mode letters (+alpha and -alpha) across 512 messages.
     assert calls == list(protocol.letters) and len(calls) == 2
     assert all(state.modes == 1 for state in calls)
@@ -1105,7 +1173,7 @@ def test_sampled_rows_above_the_table_cap_count_at_most_every_input(monkeypatch)
 def test_sampled_rows_of_a_built_table_are_not_counted_again():
     # 256 rows of 8 + 8000 entries are built and checked at construction;
     # 10,000 sampled pairs gather from them, whatever 2 * 10,000 * 8008 is.
-    protocol = coherent_fingerprint_protocol(8, RepetitionCode(8, 1000), 2.0)
+    protocol = coherent_fingerprint_protocol(8, FoldCode(8, 8, 1000), 2.0)
     assert 2 * 10_000 * (8 + 8000) > smp.CODEWORD_ENTRY_CAP
     report = evaluate_error(protocol, samples=10_000, seed=1)
     assert len(report.pair_errors) == 10_000
@@ -1141,7 +1209,7 @@ def test_sampled_pairs_at_the_samples_cap_are_drawn(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_fingerprint_matches_closed_form_at_every_n(n):
     repeats, mu = 2, 2.0
-    protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, repeats), mu)
+    protocol = coherent_fingerprint_protocol(n, FoldCode(n, n, repeats), mu)
     report = evaluate_error(protocol)
     assert len(report.pair_errors) == 4**n
     accept = [coherent_accept_probability(mu, protocol.m, d * repeats) for d in range(n + 1)]
@@ -1164,7 +1232,7 @@ def _binding_truncation():
     # qfp n=2, one mode per bit, mu=1 at delta=0.4: cutoff a=2 lies below
     # the messages' maximum photon number, so the referee reads each pair's
     # codeword distance.
-    protocol = coherent_fingerprint_protocol(2, RepetitionCode(2, 1), 1.0)
+    protocol = coherent_fingerprint_protocol(2, FoldCode(2, 2), 1.0)
     truncated = transform_protocol(protocol, 0.4)
     assert protocol.message(0).max_total_photons() > 2 == truncated.referee.cutoff
     return truncated
@@ -1173,7 +1241,7 @@ def _binding_truncation():
 def _vacuous_truncation():
     # qfp n=3 at delta=1e-4: cutoff 13000 lies far above every message's
     # maximum photon number, so the table is kept as it is.
-    protocol = coherent_fingerprint_protocol(3, RepetitionCode(3, 2), 1.3)
+    protocol = coherent_fingerprint_protocol(3, FoldCode(3, 3, 2), 1.3)
     truncated = transform_protocol(protocol, 1e-4)
     assert truncated.letters is protocol.letters
     return truncated
@@ -1194,16 +1262,16 @@ def _split_letters():
 
 
 ONE_PAIR_CASES = {
-    "qfp-rep-n1": _qfp_case(1, RepetitionCode(1, 3), 1.1),
-    "qfp-rep-n2": _qfp_case(2, RepetitionCode(2, 2), 0.9),
-    "qfp-rep-n3": _qfp_case(3, RepetitionCode(3, 2), 1.3),
-    "qfp-rep-n4": _qfp_case(4, RepetitionCode(4, 3), 2.2),
-    "qfp-xor-n3": _qfp_case(3, XorFoldCode(3, 2), 0.7),
-    "qfp-xor-n4": _qfp_case(4, XorFoldCode(4, 3), 1.9),
+    "qfp-rep-n1": _qfp_case(1, FoldCode(1, 1, 3), 1.1),
+    "qfp-rep-n2": _qfp_case(2, FoldCode(2, 2, 2), 0.9),
+    "qfp-rep-n3": _qfp_case(3, FoldCode(3, 3, 2), 1.3),
+    "qfp-rep-n4": _qfp_case(4, FoldCode(4, 4, 3), 2.2),
+    "qfp-xor-n3": _qfp_case(3, FoldCode(3, 2), 0.7),
+    "qfp-xor-n4": _qfp_case(4, FoldCode(4, 3), 1.9),
     "binding-truncation": _binding_truncation,
     "vacuous-truncation": _vacuous_truncation,
-    "classical-rep-n3": lambda: trivial_classical_protocol(3, RepetitionCode(3, 2)),
-    "classical-xor-n5-m3": lambda: trivial_classical_protocol(5, XorFoldCode(5, 3)),
+    "classical-rep-n3": lambda: trivial_classical_protocol(3, FoldCode(3, 3, 2)),
+    "classical-xor-n5-m3": lambda: trivial_classical_protocol(5, FoldCode(5, 3)),
     "perturbed-toy": lambda: verify._perturbed_toy(0.3, 0.2)[0],
     "split-letters": _split_letters,
 }
@@ -1242,7 +1310,7 @@ def test_repeated_factor_columns_reuse_one_gather(monkeypatch):
     # the table the protocol kept.
     tables, kernel_calls, gathered = [], [], []
     accepted = smp._accepted
-    protocol = coherent_fingerprint_protocol(3, RepetitionCode(3, 4), 1.7)
+    protocol = coherent_fingerprint_protocol(3, FoldCode(3, 3, 4), 1.7)
     referee = protocol.referee
     table, kernel = referee.table, referee.pair_probability
 
@@ -1271,7 +1339,7 @@ def test_repeated_factor_columns_reuse_one_gather(monkeypatch):
 
 
 def test_sampled_rows_equal_the_one_pair_api_bit_for_bit():
-    protocol = coherent_fingerprint_protocol(2, RepetitionCode(2, 3), 1.4)
+    protocol = coherent_fingerprint_protocol(2, FoldCode(2, 2, 3), 1.4)
     report = evaluate_error(protocol, samples=60, seed=3)
     rows = _assert_rows_match_one_pair_api(protocol, report)
     pairs = [r[:2] for r in rows]
@@ -1308,7 +1376,7 @@ def test_evaluation_blocks_split_anywhere_bit_for_bit(monkeypatch, n):
     # Blocks of 8 entries (pairs x runs) hold at most 8 // n pairs, so they
     # split the x rows of the grid (forced) and the drawn pairs alike, on the
     # letter table and on the codeword distances of a binding truncation.
-    protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, 2), 1.3)
+    protocol = coherent_fingerprint_protocol(n, FoldCode(n, n, 2), 1.3)
     binding = transform_protocol(protocol, 0.6 if n <= 4 else 0.9)
     assert hasattr(binding.referee, "by_distance") and not hasattr(protocol.referee, "by_distance")
     monkeypatch.setattr(smp, "_xor_invariant", lambda table, protocol: False)
@@ -1360,7 +1428,7 @@ def test_mean_and_stderr_equal_numpy_bit_for_bit(size):
 
 
 def test_sampled_statistics_are_taken_in_draw_order():
-    protocol = coherent_fingerprint_protocol(5, RepetitionCode(5, 2), 2.0)
+    protocol = coherent_fingerprint_protocol(5, FoldCode(5, 5, 2), 2.0)
     samples, seed = 300, 1
     report = evaluate_error(protocol, samples=samples, seed=seed)
     rng = np.random.default_rng([seed, protocol.n])
@@ -1551,11 +1619,11 @@ def test_per_letter_values_are_computed_once_per_letter(monkeypatch):
         return mean(state)
 
     monkeypatch.setattr(smp, "mean_photon_number", counted_mean)
-    protocol = coherent_fingerprint_protocol(4, XorFoldCode(4, 2), 1.0)
+    protocol = coherent_fingerprint_protocol(4, FoldCode(4, 2), 1.0)
     assert means == list(protocol.letters)
 
     n = smp.TABLE_N_CAP + 1
-    original = coherent_fingerprint_protocol(n, XorFoldCode(n, 2), 1.0)
+    original = coherent_fingerprint_protocol(n, FoldCode(n, 2), 1.0)
     projected = []
     project = truncation.project_below_cutoff
 

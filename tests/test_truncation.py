@@ -21,10 +21,9 @@ from optsmp.fock import (
 from optsmp.smp import (
     CollectiveModeReferee,
     DiagonalMapReferee,
+    FoldCode,
     InterferenceVacuumReferee,
-    RepetitionCode,
     SmpProtocol,
-    XorFoldCode,
     coherent_fingerprint_protocol,
     evaluate_error,
     trivial_classical_protocol,
@@ -98,7 +97,7 @@ def test_project_product_refuses_a_support_too_large_to_interfere():
     # m=12 coherent factors of 9 terms each (cut at 8 photons): the joined
     # ket that a binding projection starts from has 9^12 terms, far past
     # the cap.
-    msg = coherent_fingerprint_protocol(4, RepetitionCode(4, 3), 2.0).message(0)
+    msg = coherent_fingerprint_protocol(4, FoldCode(4, 4, 3), 2.0).message(0)
     with pytest.raises(SupportCapError) as refused:
         project_below_cutoff(msg, 10)
     assert str(refused.value) == "joint support 282429536481 exceeds cap 1000000"
@@ -144,7 +143,7 @@ PROJECTION_FIXTURES = [
     (lambda: ProductPureState((coherent_state(0.5, 6),) * 3), [0, 4, 18]),
     (lambda: ProductPureState((_HALF, _HALF)), [0, 1, 2]),
     (lambda: ProductPureState((PureState.basis_state((5,)),) * 2), [3]),
-    (lambda: coherent_fingerprint_protocol(2, RepetitionCode(2, 2), 1.0).message(1), [2, 4, 6]),
+    (lambda: coherent_fingerprint_protocol(2, FoldCode(2, 2, 2), 1.0).message(1), [2, 4, 6]),
     (_dense_fixture, [0, 1, 2]),
     (lambda: verify._random_dense(np.random.default_rng(5), 2), [0, 3, 6]),
 ]
@@ -212,7 +211,7 @@ def test_perturbed_error_bound_formula():
 # Whole-protocol transform
 
 def test_transform_fingerprint_protocol_budget():
-    protocol = coherent_fingerprint_protocol(2, RepetitionCode(2, 3), 2.0)
+    protocol = coherent_fingerprint_protocol(2, FoldCode(2, 2, 3), 2.0)
     before = evaluate_error(protocol).worst_error
     truncated = transform_protocol(protocol, 1e-4)
     bound = perturbed_error_bound(before, math.sqrt(1e-4))
@@ -235,7 +234,7 @@ def test_transform_messages_change_under_aggressive_cutoff():
     # delta = 0.9 on a mu=1 protocol truncates at a = floor(1/0.9) = 1 photon,
     # which genuinely reshapes the coherent messages: the referee's projected
     # kets hold at most one photon, and the errors move.
-    protocol = coherent_fingerprint_protocol(1, RepetitionCode(1, 2), 1.0)
+    protocol = coherent_fingerprint_protocol(1, FoldCode(1, 1, 2), 1.0)
     truncated = transform_protocol(protocol, 0.9)
     assert truncated.referee.top == 1
     assert protocol.message(0).max_total_photons() > 1
@@ -248,7 +247,7 @@ def test_binding_cutoff_stays_within_the_inflation_bound(n, repeats, delta):
     # message's maximum photon number. Every projected message is the
     # coherent state of amplitude sqrt(mu) in one collective mode, cut at
     # the cutoff, so each keeps the Poisson weight below it.
-    protocol = coherent_fingerprint_protocol(n, RepetitionCode(n, repeats), 2.0)
+    protocol = coherent_fingerprint_protocol(n, FoldCode(n, n, repeats), 2.0)
     before = evaluate_error(protocol).worst_error
     truncated = transform_protocol(protocol, delta)
     budget = perturbed_error_bound(before, math.sqrt(delta))
@@ -285,7 +284,7 @@ def test_binding_transform_projects_no_row(monkeypatch):
     passes = []
     compute = CollectiveModeReferee._accepts
     monkeypatch.setattr(CollectiveModeReferee, "_accepts", lambda self, ds: passes.append(ds) or compute(self, ds))
-    protocol = coherent_fingerprint_protocol(4, XorFoldCode(4, 2), 1.0)
+    protocol = coherent_fingerprint_protocol(4, FoldCode(4, 2), 1.0)
     truncated = transform_protocol(protocol, 0.5)
     assert protocol.message(0).max_total_photons() > 2
     assert truncated.letters is protocol.letters and truncated._table is protocol._table
@@ -298,7 +297,7 @@ def test_binding_transform_projects_no_row(monkeypatch):
 def test_vacuous_transform_keeps_the_table_and_projects_nothing(monkeypatch):
     calls = _counted_projections(monkeypatch)
     built, checked = [], []
-    codewords, check = RepetitionCode.codewords, SmpProtocol._check
+    codewords, check = FoldCode.codewords, SmpProtocol._check
 
     def counted_codewords(code, xs):
         built.append(len(xs))
@@ -308,9 +307,9 @@ def test_vacuous_transform_keeps_the_table_and_projects_nothing(monkeypatch):
         checked.append(len(xs))
         return check(protocol, xs, rows)
 
-    monkeypatch.setattr(RepetitionCode, "codewords", counted_codewords)
+    monkeypatch.setattr(FoldCode, "codewords", counted_codewords)
     monkeypatch.setattr(SmpProtocol, "_check", counted_check)
-    protocol = coherent_fingerprint_protocol(3, RepetitionCode(3, 2), 1.3)
+    protocol = coherent_fingerprint_protocol(3, FoldCode(3, 3, 2), 1.3)
     assert built == checked == [8]
     truncated = transform_protocol(protocol, 1e-4)
     before, after = evaluate_error(protocol), evaluate_error(truncated)
@@ -329,13 +328,13 @@ def test_binding_transform_refuses_letters_other_than_the_coherent_pair(referee)
     spread = PureState(1, {(0,): math.sqrt(0.6), (1,): math.sqrt(0.3), (5,): math.sqrt(0.1)})
     letters = (PureState.basis_state((0,)), spread)
     protocol = SmpProtocol(
-        "spread", 2, 2, 1.6, letters, RepetitionCode(2, 1).codewords, referee()
+        "spread", 2, 2, 1.6, letters, FoldCode(2, 2).codewords, referee()
     )
     with pytest.raises(ConfigError, match="a binding cutoff of 3 photons"):
         transform_protocol(protocol, 0.5)
     # The same referee over coherent letters of another amplitude than
     # sqrt(mu/m) is refused as well.
-    qfp = coherent_fingerprint_protocol(2, RepetitionCode(2, 1), 1.6)
+    qfp = coherent_fingerprint_protocol(2, FoldCode(2, 2), 1.6)
     other = SmpProtocol("other", 2, 2, 2.0, qfp.letters, qfp.codewords, referee())
     with pytest.raises(ConfigError, match="a binding cutoff of 4 photons"):
         transform_protocol(other, 0.5)
